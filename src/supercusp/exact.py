@@ -1,11 +1,18 @@
 """Exact scalar and group-theoretic arithmetic.
 
-Three kinds of values underlie everything else in the package: rational
-functions in the formal variable t = q^(1/2) with integer coefficients
-(formal degrees, volumes, local factors), cyclotomic scalars (Frobenius
-eigenvalues), and finite abelian groups equipped with an endomorphism
-(fundamental groups with their twisting action).  No floating point
-anywhere.
+Four kinds of values underlie everything else in the package:
+
+- rational functions in the formal variable t = q^(1/2) with integer
+  coefficients (formal degrees, volumes, local factors), in two forms: the
+  dense canonical RatFunc, which sums, prints and serializes, and the
+  factored CyclotomicProduct c * t^k * prod Phi_n(t)^(e_n), whose products
+  and quotients are exponent arithmetic and which expands into a RatFunc
+  through the one RatFunc normalization;
+- cyclotomic scalars (Frobenius eigenvalues);
+- finite abelian groups equipped with an endomorphism (fundamental groups
+  with their twisting action).
+
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import gcd
+from math import gcd, isqrt
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +191,8 @@ class RatFunc:
         if p_deg(g) > 0 or p_content(num) > 1 or p_content(den) > 1 or den[-1] < 0:
             qn, rn = p_divmod(num, g)
             qd, rd = p_divmod(den, g)
-            assert p_is_zero(rn) and p_is_zero(rd)
+            if not (p_is_zero(rn) and p_is_zero(rd)):
+                raise InvariantError("polynomial gcd does not divide")
             num, den = _clear_denoms(qn), _clear_denoms(qd)
             cn, cd = p_content(num), p_content(den)
             cg = gcd(cn, cd)
@@ -284,8 +296,23 @@ class RatFunc:
         return p_eval(self.num, t_val) / den
 
     def eval_q(self, q_val):
-        """Evaluate at an exact square q = s^2 by substituting t = s."""
-        return self.eval_t(q_val)
+        """Evaluate at q = q_val.  A function of q alone (only even powers of
+        t) takes any q; otherwise q must be the square of a rational and t
+        is its positive square root."""
+        q_val = Fraction(q_val)
+        pair = self.in_q()
+        if pair is not None:
+            num, den = pair
+            den_val = p_eval(den, q_val)
+            if den_val == 0:
+                raise ZeroDivisionError("pole at evaluation point")
+            return p_eval(num, q_val) / den_val
+        a, b = q_val.numerator, q_val.denominator
+        if a < 0 or isqrt(a) ** 2 != a or isqrt(b) ** 2 != b:
+            raise ValueError(
+                f"odd powers of t = q^(1/2) need q to be a rational square, "
+                f"got q = {q_val}")
+        return self.eval_t(Fraction(isqrt(a), isqrt(b)))
 
     # -- presentation -------------------------------------------------------
 
@@ -365,7 +392,9 @@ def cyclotomic_poly(m):
         if m % d == 0:
             den = p_mul(den, cyclotomic_poly(d))
     q, r = p_divmod(num, den)
-    assert p_is_zero(r)
+    if not p_is_zero(r):
+        raise InvariantError(f"x^{m} - 1 is not divisible by the lower "
+                             f"cyclotomic polynomials")
     return tuple(int(c) for c in q)
 
 
@@ -375,6 +404,18 @@ def euler_phi(m):
         if gcd(k, m) == 1:
             count += 1
     return count
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
 
 
 def _reduce_mod_cyclo(coeffs, m):
@@ -507,9 +548,14 @@ class Cyclo:
         return (self - other).is_zero()
 
     def __hash__(self):
-        # canonical after __post_init__ reduction only for conductor 1;
-        # hash conservatively on the conductor-1 projection
-        return hash((self.conductor, self.coeffs))
+        # the coefficients depend on the conductor, so hash the trace to Q
+        # divided by the field degree, which is the same in every cyclotomic
+        # field that holds the value: Tr(zeta_m^i) / phi(m) = mu(d) / phi(d)
+        # with d = m / gcd(i, m)
+        m = self.conductor
+        return hash(sum(c * Fraction(_mobius(m // gcd(i, m)),
+                                     euler_phi(m // gcd(i, m)))
+                        for i, c in enumerate(self.coeffs)))
 
 
 def _coerce_cyclo(x):
@@ -518,6 +564,72 @@ def _coerce_cyclo(x):
     if isinstance(x, (int, Fraction)):
         return Cyclo.rational(x)
     raise TypeError(f"cannot coerce {type(x)!r} to Cyclo")
+
+
+# ---------------------------------------------------------------------------
+# factored rational functions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CyclotomicProduct:
+    """const * t^t_exp * prod Phi_n(t)^e_n, with Phi_n the n-th cyclotomic
+    polynomial: the shape of every formal degree and adjoint gamma factor.
+
+    phi is a tuple of (n, e_n) pairs, sorted, with e_n nonzero; the
+    constructor accepts any iterable of pairs and merges repeats.  A zero
+    constant is the zero function, stored as (0, 0, ())."""
+
+    const: Fraction
+    t_exp: int = 0
+    phi: tuple = ()
+
+    def __post_init__(self):
+        const = Fraction(self.const)
+        exps = {}
+        if const != 0:
+            for n, e in self.phi:
+                exps[n] = exps.get(n, 0) + e
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "t_exp", self.t_exp if const != 0 else 0)
+        object.__setattr__(self, "phi",
+                           tuple(sorted((n, e) for n, e in exps.items() if e)))
+
+    def is_zero(self):
+        return self.const == 0
+
+    def __mul__(self, other):
+        return CyclotomicProduct(self.const * other.const,
+                                 self.t_exp + other.t_exp,
+                                 self.phi + other.phi)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero cyclotomic product")
+        return self * other ** -1
+
+    def __pow__(self, k):
+        return CyclotomicProduct(self.const ** k, self.t_exp * k,
+                                 tuple((n, e * k) for n, e in self.phi))
+
+    def __abs__(self):
+        """The value signed to be positive for large q, which is the sign
+        of the constant because every Phi_n is monic."""
+        return CyclotomicProduct(abs(self.const), self.t_exp, self.phi)
+
+    def to_ratfunc(self):
+        num, den = (self.const.numerator,), (self.const.denominator,)
+        for n, e in self.phi:
+            for _ in range(abs(e)):
+                if e > 0:
+                    num = p_mul(num, cyclotomic_poly(n))
+                else:
+                    den = p_mul(den, cyclotomic_poly(n))
+        if self.t_exp >= 0:
+            num = p_shift(num, self.t_exp)
+        else:
+            den = p_shift(den, -self.t_exp)
+        return RatFunc(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +718,7 @@ def smith_normal_form(A):
             a, b = A[i][i], A[i + 1][i + 1]
             if a and b and b % a != 0:
                 add_col(i, i + 1, 1)
-                # re-clear the 2x2 block
-                g = gcd(a, b)
-                # row reduce
+                # re-clear the 2x2 block: row reduce
                 while A[i + 1][i] != 0:
                     if abs(A[i][i]) > abs(A[i + 1][i]) and A[i + 1][i] != 0:
                         swap_rows(i, i + 1)
@@ -620,8 +730,13 @@ def smith_normal_form(A):
                     negate_row(i)
                 if A[i + 1][i + 1] < 0:
                     negate_row(i + 1)
-                assert b % A[i][i] == 0 or A[i][i] == g or True
                 changed = True
+    diag = [A[i][i] for i in range(min(m, n))]
+    for a, b in zip(diag, diag[1:]):
+        if (a == 0 and b != 0) or (a != 0 and b % a != 0):
+            raise InvariantError(
+                f"Smith normal form diagonal {diag} is not a divisibility "
+                f"chain")
     return U, A, V
 
 
@@ -664,10 +779,9 @@ def integer_inverse(U):
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
     inv = [[M[i][n + j] for j in range(n)] for i in range(n)]
-    out = [[int(x) for x in row] for row in inv]
-    assert all(Fraction(out[i][j]) == inv[i][j] for i in range(n) for j in range(n)), \
-        "matrix was not unimodular"
-    return out
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +945,9 @@ class FinAbGrpAut:
         for j in range(k):
             for i in range(k):
                 num = self.theta[i][j] * self.orders[j]
-                assert num % self.orders[i] == 0
+                if num % self.orders[i] != 0:
+                    raise InvariantError(
+                        "theta is not a well-defined endomorphism")
                 th[j][i] = (num // self.orders[i]) % self.orders[j]
         return FinAbGrpAut(self.orders, tuple(tuple(r) for r in th))
 

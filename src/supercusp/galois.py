@@ -14,6 +14,16 @@ highest weight h with torsion eigenvalue alpha carries Frobenius
 eigenvalues alpha*q^(h/2), ..., alpha*q^(-h/2); the monodromy kernel is the
 lowest line, and its cokernel means V modulo that kernel.  The unramified
 part of epsilon contributes q^(ord_psi * dim / 2) times a unit.
+
+L and gamma are products of linear factors (1 - zeta_m^k t^E), and they are
+computed in factored form (exact.CyclotomicProduct).  The factors are
+grouped by (m, E), and each full Galois orbit over k in (Z/m)^x multiplies
+at once to Phi_m(t^E), or to -Phi_1(t^E) when m = 1.  For E > 0,
+Phi_m(t^E) is the product of the Phi_n(t) with n | mE and n / gcd(n, E) = m;
+for E < 0 the palindromic Phi_m (m >= 2) gives
+Phi_m(t^E) = t^(E phi(m)) Phi_m(t^-E); for E = 0 the orbit is the constant
+Phi_m(1).  A group whose residues k do not fill whole orbits has an
+irrational product, so the multiset is not stable under the Galois action.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from supercusp.casetable import rows_for_host
-from supercusp.exact import RF_ONE, RF_ZERO, Cyclo, RatFunc
+from supercusp.exact import (Cyclo, CyclotomicProduct, InvariantError,
+                             RatFunc, cyclotomic_poly, euler_phi, p_eval)
 from supercusp.padic import classify_component, supports_with_cuspidals
 from supercusp.rootdata import SimpleGroup, _frac_inverse, root_system, vdot
 
@@ -83,39 +94,46 @@ def string_of(order, exponent, h):
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        if c1.is_zero():
-            continue
-        for e2, c2 in q.items():
-            if c2.is_zero():
-                continue
-            e = e1 + e2
-            out[e] = out.get(e, Cyclo.rational(0)) + c1 * c2
+def _orbit_product(m, E):
+    """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x."""
+    if E == 0:
+        return CyclotomicProduct(p_eval(cyclotomic_poly(m), 1))
+    e = abs(E)
+    phi = [(n, 1) for n in range(1, m * e + 1)
+           if m * e % n == 0 and n // gcd(n, e) == m]
+    if E > 0:
+        return CyclotomicProduct(-1 if m == 1 else 1, 0, phi)
+    # Phi_m(1/x) = x^(-phi(m)) Phi_m(x) for m >= 2; for m = 1 the sign of
+    # -Phi_1 cancels against Phi_1(1/x) = -x^(-1) Phi_1(x)
+    return CyclotomicProduct(1, E * euler_phi(m), phi)
+
+
+def _string_factors(strings, shift, conjugate=False):
+    """(1 - alpha t^(-h - shift)) per string, alpha conjugated on request,
+    as (m, k, E) triples."""
+    out = []
+    for w in strings:
+        m, k, h = _eigenvalue_triple(w)
+        out.append((m, -k % m if conjugate else k, -h - shift))
     return out
 
 
-def _linear_product(factors):
-    """Product of (1 - c*t^e) over the (c, e) pairs, as exponent -> Cyclo."""
-    acc = {0: Cyclo.rational(1)}
-    for c, e in factors:
-        lin = {e: -c}
-        lin[0] = lin.get(0, Cyclo.rational(0)) + Cyclo.rational(1)
-        acc = _poly_mul(acc, lin)
-    return acc
-
-
-def _poly_to_ratfunc(poly):
-    out = RF_ZERO
-    for e, c in sorted(poly.items()):
-        if c.is_zero():
-            continue
-        if not c.is_rational():
+def _galois_product(factors):
+    """Product of (1 - zeta_m^k t^E) over the (m, k, E) triples, which must
+    fill whole Galois orbits within each (m, E)."""
+    groups = {}
+    for m, k, E in factors:
+        residues = groups.setdefault((m, E), {})
+        residues[k] = residues.get(k, 0) + 1
+    out = CyclotomicProduct(1)
+    for (m, E), residues in sorted(groups.items()):
+        units = [k for k in range(m) if gcd(k, m) == 1]
+        counts = {residues.get(k, 0) for k in units}
+        if len(counts) != 1 or sorted(residues) != units:
             raise ValueError(
                 "irrational coefficient: the eigenvalue multiset is not "
                 "stable under the Galois action")
-        out = out + RatFunc.from_fraction(c.as_fraction()) * RatFunc.t_power(e)
+        out = out * _orbit_product(m, E) ** counts.pop()
     return out
 
 
@@ -136,17 +154,10 @@ def _gamma0_magnitude(strings, ord_psi):
     """|gamma(0)| by pairing every factor with its inversion partner: the
     kernel-line quotient is then real, and the epsilon magnitude is the
     measure power times t^(sum of weights)."""
-    num = _poly_to_ratfunc(_linear_product(
-        (w.alpha, -w.h) for w in strings))
-    den = _poly_to_ratfunc(_linear_product(
-        (w.alpha.conj(), -w.h - 2) for w in strings))
-    quo = num / den
-    if quo.is_zero():
-        return quo
-    if not quo.positive_for_large_q():
-        quo = -quo
+    num = _galois_product(_string_factors(strings, 0))
+    den = _galois_product(_string_factors(strings, 2, conjugate=True))
     exp = ord_psi * sum(w.h + 1 for w in strings) + sum(w.h for w in strings)
-    return RatFunc.t_power(exp) * quo
+    return (abs(num / den) * CyclotomicProduct(1, exp)).to_ratfunc()
 
 
 @dataclass(frozen=True)
@@ -166,10 +177,8 @@ class WDLocalFactors:
                              self.ord_psi)
 
     def L_at(self, s):
-        two_s = _two_s(s)
-        inv = _linear_product(
-            (w.alpha, -w.h - two_s) for w in self.strings)
-        return RF_ONE / _poly_to_ratfunc(inv)
+        inv = _galois_product(_string_factors(self.strings, _two_s(s)))
+        return (CyclotomicProduct(1) / inv).to_ratfunc()
 
     def eps_at(self, s):
         two_s = _two_s(s)
@@ -190,11 +199,10 @@ class WDLocalFactors:
         for w in self.strings:
             if w.h == two_s - 2 and w.alpha == Cyclo.rational(1):
                 raise ValueError("gamma has a pole at this shift")
-        num = _poly_to_ratfunc(_linear_product(
-            (w.alpha, -w.h - two_s) for w in self.strings))
-        den = _poly_to_ratfunc(_linear_product(
-            (w.alpha.conj(), -w.h - 2 + two_s) for w in self.strings))
-        return self.eps_at(s) * num / den
+        num = _galois_product(_string_factors(self.strings, two_s))
+        den = _galois_product(
+            _string_factors(self.strings, 2 - two_s, conjugate=True))
+        return self.eps_at(s) * (num / den).to_ratfunc()
 
 
 def local_factors(weights, ord_psi=0):
@@ -403,15 +411,18 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
         coeffs = []
         for i in range(n):
             c = sum(pairs[j] * a_inv[j][i] for j in range(n))
-            assert c == int(c)
+            if c.denominator != 1:
+                raise InvariantError(f"root {beta} has a non-integral "
+                                     f"simple-root coefficient {c}")
             coeffs.append(int(c))
         level = 0 if v_node == 0 else coeffs[v_node - 1]
         roots.append((beta, sum(coeffs) > 0, level))
 
     cz_positive = [beta for beta, pos, level in roots
                    if level == n_s or (level % n_s == 0 and pos)]
-    assert 2 * len(cz_positive) == sum(1 for _, _, lev in roots
-                                       if lev % n_s == 0)
+    if 2 * len(cz_positive) != sum(1 for _, _, lev in roots
+                                   if lev % n_s == 0):
+        raise InvariantError("centralizer roots do not split in halves")
 
     # grading by the regular class of the centralizer: pairing against the
     # sum of its positive coroots, folded into one fixed vector
@@ -421,7 +432,8 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
     mult = {}
     for beta, _, level in roots:
         wt = sum(beta[k] * corho[k] for k in range(dim))
-        assert wt == int(wt)
+        if wt.denominator != 1:
+            raise InvariantError(f"root {beta} has non-integral grade {wt}")
         key = (level % n_s, int(wt))
         mult[key] = mult.get(key, 0) + 1
     mult[(0, 0)] = mult.get((0, 0), 0) + dual_rank
@@ -433,16 +445,19 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
             continue
         top = weights[-1]
         for k in range(-top, top + 1):
-            assert mult.get((residue, k), 0) == \
-                mult.get((residue, -k), 0), "graded multiplicity asymmetry"
+            if mult.get((residue, k), 0) != mult.get((residue, -k), 0):
+                raise InvariantError("graded multiplicity asymmetry")
         for w in range(top, -1, -1):
             count = mult.get((residue, w), 0) - mult.get((residue, w + 2), 0)
-            assert count >= 0, "not a string decomposition"
+            if count < 0:
+                raise InvariantError("not a string decomposition")
             strings.extend(
                 WeightString(Cyclo.root_of_unity(n_s, residue), w)
                 for _ in range(count))
     total = sum(w.h + 1 for w in strings)
-    assert total == 2 * rs.num_pos_roots + dual_rank
+    if total != 2 * rs.num_pos_roots + dual_rank:
+        raise InvariantError(f"strings span dimension {total}, not the "
+                             f"adjoint dimension")
     return tuple(sorted(strings, key=lambda w: (w.h, str(w.alpha))))
 
 
@@ -556,13 +571,13 @@ def _build_param(group, form, host, cls, row):
     if v_node is not None:
         marks = _dual_marks(fam_d, rank_d, diagram)
         if marks[v_node] != row.n_s:
-            raise AssertionError(
+            raise InvariantError(
                 f"Kac label mismatch at node {v_node}: mark {marks[v_node]}"
                 f" vs recorded {row.n_s}")
         kac = tuple(int(i == v_node) for i in range(len(marks)))
         comps = centralizer_components(fam_d, rank_d, diagram, v_node)
         if not _shape_matches(row.geometric, comps):
-            raise AssertionError(
+            raise InvariantError(
                 f"centralizer mismatch: cut {v_node} of {fam_d}{rank_d} "
                 f"gives {comps}, table says {row.geometric!r}")
         dual_sc_center = len(_dual_group(fam_d, rank_d).omega_elements())
@@ -728,15 +743,17 @@ def hii_check(fdeg, param, rho_dim, s_sharp, gamma_abs=None):
 
 
 def _eigenvalue_triple(w):
+    """(m, k, h) with the eigenvalue zeta_m^k of order m, k prime to m."""
     m = w.alpha.conductor
     if m == 1:
         if w.alpha == Cyclo.rational(1):
             return (1, 0, w.h)
         return (2, 1, w.h)
     for k in range(1, m):
-        if Cyclo.root_of_unity(m, k) == w.alpha:
+        if gcd(k, m) == 1 and Cyclo.root_of_unity(m, k) == w.alpha:
             return (m, k, w.h)
-    raise AssertionError("eigenvalue is not a primitive power")
+    raise ValueError(f"eigenvalue {w.alpha} is not a primitive "
+                     f"{m}-th root of unity")
 
 
 def param_json(param, ord_psi=-1):

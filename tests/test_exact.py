@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from supercusp.exact import (
     Cyclo,
+    CyclotomicProduct,
     FinAbGrpAut,
     RatFunc,
     RF_ONE,
@@ -22,6 +23,7 @@ from supercusp.exact import (
     cyclotomic_poly,
     euler_phi,
     group_from_presentation,
+    integer_inverse,
     integer_kernel,
     mat_identity,
     mat_mul,
@@ -135,6 +137,66 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc((1,), (0,))
 
+    def test_eval_q_takes_q(self):
+        assert RF_Q.eval_q(4) == 4
+        assert RF_T.eval_q(9) == 3
+        assert ((RF_Q - 1) / (RF_Q + 1)).eval_q(2) == Fraction(1, 3)
+        assert (RF_T / RF_Q).eval_q(Fraction(4, 9)) == Fraction(3, 2)
+
+    def test_eval_q_odd_powers_need_a_square(self):
+        with pytest.raises(ValueError):
+            RF_T.eval_q(2)
+        with pytest.raises(ValueError):
+            RF_T.eval_q(-4)
+
+    def test_eval_q_pole(self):
+        with pytest.raises(ZeroDivisionError):
+            (RF_ONE / (RF_Q - 1)).eval_q(1)
+
+
+# ---------------------------------------------------------------------------
+# CyclotomicProduct
+# ---------------------------------------------------------------------------
+
+
+def phi_rf(n):
+    return RatFunc(cyclotomic_poly(n), (1,))
+
+
+class TestCyclotomicProduct:
+    def test_to_ratfunc(self):
+        x = CyclotomicProduct(Fraction(-3, 2), -1, ((1, 2), (4, -1), (6, 1)))
+        want = RatFunc.from_fraction(Fraction(-3, 2)) * RatFunc.t_power(-1) \
+            * phi_rf(1) ** 2 * phi_rf(6) / phi_rf(4)
+        assert x.to_ratfunc() == want
+
+    def test_canonical_exponents(self):
+        x = CyclotomicProduct(1, 0, ((3, 1), (2, 2), (3, -1)))
+        assert x.phi == ((2, 2),)
+        assert x == CyclotomicProduct(1, 0, ((2, 1), (2, 1)))
+
+    def test_exponent_arithmetic(self):
+        x = CyclotomicProduct(2, 3, ((1, 1), (5, 2)))
+        y = CyclotomicProduct(Fraction(1, 3), -1, ((5, 1), (12, 1)))
+        assert (x * y).to_ratfunc() == x.to_ratfunc() * y.to_ratfunc()
+        assert (x / y).to_ratfunc() == x.to_ratfunc() / y.to_ratfunc()
+        assert (x ** -2).to_ratfunc() == x.to_ratfunc() ** -2
+        assert x / x == CyclotomicProduct(1)
+
+    def test_sign_for_large_q(self):
+        x = CyclotomicProduct(-5, 1, ((1, 3), (2, -1)))
+        assert not x.to_ratfunc().positive_for_large_q()
+        assert abs(x).to_ratfunc() == -x.to_ratfunc()
+
+    def test_zero(self):
+        z = CyclotomicProduct(0, 4, ((3, 2),))
+        assert z == CyclotomicProduct(0)
+        assert z.to_ratfunc() == RF_ZERO
+        assert (z * CyclotomicProduct(7, 1, ((2, 1),))).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicProduct(1) / z
+
+
 
 # ---------------------------------------------------------------------------
 # Cyclo
@@ -194,6 +256,25 @@ class TestCyclo:
             z = Cyclo.root_of_unity(m)
             assert z * z.conj() == Cyclo.rational(1)
 
+    def test_equal_values_hash_equal(self):
+        # zeta_6^2 written in conductor 6 is zeta_3
+        assert Cyclo(6, (0, 0, 1)) == Cyclo.root_of_unity(3, 1)
+        assert len({Cyclo(6, (0, 0, 1)), Cyclo.root_of_unity(3, 1)}) == 1
+        assert hash(Cyclo.rational(Fraction(2, 3))) == hash(Fraction(2, 3))
+
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=11),
+           st.integers(min_value=2, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_is_independent_of_conductor(self, m, k, j):
+        # zeta_m^k written as zeta_(jm)^(jk) in the larger conductor
+        mono = [Fraction(0)] * (j * k + 1)
+        mono[j * k] = Fraction(1)
+        lifted = Cyclo(j * m, tuple(mono)) + Cyclo.rational(Fraction(1, 7))
+        direct = Cyclo.root_of_unity(m, k) + Cyclo.rational(Fraction(1, 7))
+        assert lifted == direct
+        assert hash(lifted) == hash(direct)
+
     def test_galois_requires_coprime(self):
         with pytest.raises(ValueError):
             Cyclo.root_of_unity(6).galois(2)
@@ -241,6 +322,12 @@ class TestSmith:
         ref = sympy_snf(sympy.Matrix(A))
         ref_diag = [abs(int(ref[i, i])) for i in range(min(m, n))]
         assert [abs(d) for d in diag] == ref_diag
+
+    def test_integer_inverse(self):
+        U = [[2, 1], [1, 1]]
+        assert mat_mul(U, integer_inverse(U)) == mat_identity(2)
+        with pytest.raises(ValueError):
+            integer_inverse([[2, 0], [0, 1]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kernel(self, seed):

@@ -1,15 +1,18 @@
 """Dual-side tests: weight strings, exact local factors, parameters."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from supercusp.exact import RF_ONE, Cyclo, RatFunc, euler_phi
-from supercusp.galois import (WeightString, adjoint_wd_rep, centralizer_type,
-                              cuspidal_support, dual_type, gamma0_virtual,
-                              hii_check, inner_torsion_strings, kac_points,
+from supercusp.correspond import full_report, reports_json
+from supercusp.exact import RF_ONE, RF_ZERO, Cyclo, RatFunc, euler_phi
+from supercusp.galois import (WeightString, _orbit_product, adjoint_wd_rep,
+                              centralizer_type, cuspidal_support, dual_type,
+                              gamma0_virtual, hii_check,
+                              inner_torsion_strings, kac_points,
                               local_factors, param_json,
                               regular_linear_strings, string_of)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
@@ -205,6 +208,181 @@ class TestGammaPairing:
             ws = _random_closed_multiset(rng, allow_trivial=False)
             fac = local_factors(ws)
             assert fac.gamma_abs_at_0.positive_for_large_q()
+
+
+# ---------------------------------------------------------------------------
+# factored local factors against the dense product of linear factors
+# ---------------------------------------------------------------------------
+
+# Dense reference: multiply out prod (1 - c t^e) with Cyclo coefficients and
+# read the rational result back one monomial at a time.
+
+
+def _poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        if c1.is_zero():
+            continue
+        for e2, c2 in q.items():
+            if c2.is_zero():
+                continue
+            e = e1 + e2
+            out[e] = out.get(e, Cyclo.rational(0)) + c1 * c2
+    return out
+
+
+def _linear_product(factors):
+    """Product of (1 - c*t^e) over the (c, e) pairs, as exponent -> Cyclo."""
+    acc = {0: Cyclo.rational(1)}
+    for c, e in factors:
+        lin = {e: -c}
+        lin[0] = lin.get(0, Cyclo.rational(0)) + Cyclo.rational(1)
+        acc = _poly_mul(acc, lin)
+    return acc
+
+
+def _poly_to_ratfunc(poly):
+    out = RF_ZERO
+    for e, c in sorted(poly.items()):
+        if c.is_zero():
+            continue
+        if not c.is_rational():
+            raise ValueError(
+                "irrational coefficient: the eigenvalue multiset is not "
+                "stable under the Galois action")
+        out = out + RatFunc.from_fraction(c.as_fraction()) * RatFunc.t_power(e)
+    return out
+
+
+def _dense(factors):
+    """The reference product, taken one conductor at a time: each part is
+    rational for a Galois-stable multiset, and the Cyclo arithmetic stays in
+    Q(zeta_m) instead of the field of the lcm of all conductors."""
+    by_conductor = {}
+    for c, e in factors:
+        by_conductor.setdefault(c.conductor, []).append((c, e))
+    out = RF_ONE
+    for part in by_conductor.values():
+        out = out * _poly_to_ratfunc(_linear_product(part))
+    return out
+
+
+def _dense_gamma_abs(strings, ord_psi):
+    num = _dense((w.alpha, -w.h) for w in strings)
+    den = _dense((w.alpha.conj(), -w.h - 2) for w in strings)
+    quo = num / den
+    if quo.is_zero():
+        return quo
+    if not quo.positive_for_large_q():
+        quo = -quo
+    exp = ord_psi * sum(w.h + 1 for w in strings) + sum(w.h for w in strings)
+    return RatFunc.t_power(exp) * quo
+
+
+def _dense_L(fac, s):
+    two_s = int(2 * Fraction(s))
+    return RF_ONE / _dense((w.alpha, -w.h - two_s) for w in fac.strings)
+
+
+def _dense_gamma(fac, s):
+    two_s = int(2 * Fraction(s))
+    num = _dense((w.alpha, -w.h - two_s) for w in fac.strings)
+    den = _dense((w.alpha.conj(), -w.h - 2 + two_s) for w in fac.strings)
+    return fac.eps_at(s) * num / den
+
+
+_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)
+
+
+def _random_orbit_multiset(rng):
+    """Whole Galois orbits of zeta_m, so closed under Galois and inversion;
+    weight 0 makes the orbit constant Phi_m(1) appear."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice(_ORDERS)
+        h = rng.randint(0, 4)
+        out.extend(string_of(m, k, h) for k in range(m)
+                   if math.gcd(k, m) == 1)
+    rng.shuffle(out)
+    return tuple(out)
+
+
+class TestFactoredAgainstDense:
+    def test_orbit_rule(self):
+        for m in _ORDERS:
+            for E in range(-6, 7):
+                factors = [(Cyclo.root_of_unity(m, k), E) for k in range(m)
+                           if math.gcd(k, m) == 1]
+                want = _poly_to_ratfunc(_linear_product(factors))
+                assert _orbit_product(m, E).to_ratfunc() == want, (m, E)
+
+    def test_gamma_abs_at_0(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            ws = _random_orbit_multiset(rng)
+            for ord_psi in (0, -1):
+                fac = local_factors(ws, ord_psi)
+                assert fac.gamma_abs_at_0 == _dense_gamma_abs(ws, ord_psi)
+
+    def test_L_at(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            ws = _random_orbit_multiset(rng)
+            for ord_psi in (0, -1):
+                fac = local_factors(ws, ord_psi)
+                for s in (0, 1, -1, "1/2", 2):
+                    try:
+                        want = _dense_L(fac, s)
+                    except ZeroDivisionError:
+                        # a trivial eigenvalue with E = 0: L has a pole
+                        with pytest.raises(ZeroDivisionError):
+                            fac.L_at(s)
+                        continue
+                    assert fac.L_at(s) == want
+
+    def test_gamma_at(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            ws = _random_orbit_multiset(rng)
+            for ord_psi in (0, -1):
+                fac = local_factors(ws, ord_psi)
+                for s in (0, 1, -1, "1/2", 2, 3):
+                    if any(w.h == 2 * Fraction(s) - 2 and w.alpha == 1
+                           for w in ws):
+                        with pytest.raises(ValueError):
+                            fac.gamma_at(s)
+                        continue
+                    assert fac.gamma_at(s) == _dense_gamma(fac, s)
+
+    def test_inversion_closed_but_not_galois_stable(self):
+        # {zeta_5, zeta_5^4} is closed under inversion, and its product
+        # 1 - (zeta_5 + zeta_5^4) t^E + t^2E has an irrational coefficient
+        for h in (0, 1, 2):
+            with pytest.raises(ValueError, match="Galois"):
+                local_factors([string_of(5, 1, h), string_of(5, 4, h)])
+            # every residue occurs, but not equally often
+            with pytest.raises(ValueError, match="Galois"):
+                local_factors([string_of(5, k, h) for k in (1, 1, 2, 3, 4, 4)])
+
+
+class TestE8Report:
+    """E8 adjoint end to end: the largest gamma factors in the catalogue."""
+
+    def test_report_rows(self):
+        doc = reports_json(full_report("E8:adjoint:*"))
+        text = json.dumps(doc, sort_keys=True)
+        back = json.loads(text)
+        assert back == doc
+        assert json.dumps(back, sort_keys=True) == text
+        assert doc["rows"]
+        for rec in doc["rows"]:
+            inv = rec["invariants"]
+            assert inv["a"] * inv["b"] == inv["a_prime"] * inv["b_prime"]
+            assert inv["b"] == inv["g"] * inv["g_prime"] * \
+                euler_phi(rec["n_s"])
+            assert rec["hii"] != "fails"
+        assert any(rec["parameter"]["gamma_abs_0"] is not None
+                   for rec in doc["rows"])
 
 
 # ---------------------------------------------------------------------------
