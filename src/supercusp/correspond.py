@@ -21,8 +21,7 @@ from supercusp.galois import cuspidal_support, hii_check, kac_points, param_json
 from supercusp.padic import (cuspidal_data, enumerate_inner_forms,
                              formal_degree, inner_forms_by_token,
                              parahoric_classes, supports_with_cuspidals)
-from supercusp.rootdata import (abelian_invariants, aut_on_omega, build_group,
-                                parse_type)
+from supercusp.rootdata import aut_on_omega, build_group, parse_type
 
 
 REPORT_SCHEMA_VERSION = "1.0"
@@ -43,16 +42,11 @@ def _product_set(group, left, right):
 
 
 def _quotient_invariants(group, big, small):
-    """Invariant factors of big/small, via canonical coset representatives."""
-    small = sorted(small)
-
-    def canon(x):
-        return min(group.omega_add(x, s) for s in small)
-
-    reps = sorted({canon(x) for x in big})
-    return abelian_invariants(reps,
-                              lambda x, y: canon(group.omega_add(x, y)),
-                              canon(group.omega_identity()))
+    """Invariant factors of big/small, from the image of big in the
+    presented quotient Omega / <small>."""
+    pres = group.rs.omega.quotient_presentation(small)
+    return pres.group.subgroup_structure(
+        [pres.project(list(x)) for x in big])
 
 
 def _index(big, small, what):

@@ -51,10 +51,6 @@ def p_neg(a):
     return tuple(-x for x in a)
 
 
-def p_sub(a, b):
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a, b):
     if a == (0,) or b == (0,):
         return (0,)
@@ -65,12 +61,6 @@ def p_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return p_trim(out)
-
-
-def p_scale(a, c):
-    if c == 0:
-        return (0,)
-    return p_trim(tuple(x * c for x in a))
 
 
 def p_deg(a):
@@ -763,25 +753,38 @@ def integer_kernel(A):
     return basis
 
 
+def det_adjugate(M):
+    """(det M, adj M) of a nonsingular square integer matrix, so that
+    M * adj M = adj M * M = det M * I.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every
+    division is exact, and the row operations T end with T * M = d * I, so
+    T = d * M^-1, where d is det M up to the sign of the row swaps."""
+    n = len(M)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p = A[k][k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], A[k])]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in A]
+
+
 def integer_inverse(U):
     """Inverse of a unimodular integer matrix."""
-    n = len(U)
-    aug = [row[:] + mat_identity(n)[i] for i, row in enumerate(U)]
-    # Gauss-Jordan over the rationals, result must be integral
-    M = [[Fraction(x) for x in row] for row in aug]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    inv = [[M[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
+    det, adj = det_adjugate(U)
+    if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return [[det * x for x in row] for row in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -899,26 +902,27 @@ class FinAbGrpAut:
     def theta_stable(self, subset):
         return all(self.apply_theta(x) in subset for x in subset)
 
+    def quotient_presentation(self, gens):
+        """G / <gens> presented over the generators of G, with theta
+        carried along (so <gens> should be theta-stable)."""
+        k = len(self.orders)
+        rels = [[d * (i == j) for j in range(k)]
+                for i, d in enumerate(self.orders)]
+        return group_from_presentation(k, rels + [list(g) for g in gens],
+                                       self.theta)
+
     def quotient_structure(self, subgroup_gens):
         """Invariant factors of G / <subgroup_gens>; the subgroup must be
         theta-stable, and the induced theta comes along."""
         H = self.subgroup_generated(subgroup_gens)
         if not self.theta_stable(H):
             raise ValueError("quotient by a non-theta-stable subgroup")
-        k = len(self.orders)
-        rel_cols = []
-        for i, d in enumerate(self.orders):
-            col = [0] * k
-            col[i] = d
-            rel_cols.append(col)
-        for h in H:
-            rel_cols.append(list(h))
-        return _group_from_cols(k, rel_cols, [list(r) for r in self.theta])
+        return self.quotient_presentation(H).group
 
     def subgroup_structure(self, gens):
         """Invariant factors of the subgroup generated by gens (no theta)."""
         gens = [list(g) for g in gens]
-        if not gens:
+        if not gens or not self.orders:
             return ()
         k = len(self.orders)
         r = len(gens)
@@ -927,8 +931,7 @@ class FinAbGrpAut:
              for c in range(k)] for i in range(k)]
         ker = integer_kernel(A)
         rel_cols = [[v[j] for j in range(r)] for v in ker]
-        grp = _group_from_cols(r, rel_cols, mat_identity(r))
-        return grp.orders
+        return group_from_presentation(r, rel_cols).group.orders
 
     def coinvariant_structure(self):
         """G / (theta - 1)G with the (trivial) induced action."""
@@ -950,24 +953,6 @@ class FinAbGrpAut:
                         "theta is not a well-defined endomorphism")
                 th[j][i] = (num // self.orders[i]) % self.orders[j]
         return FinAbGrpAut(self.orders, tuple(tuple(r) for r in th))
-
-
-def _group_from_cols(n_gens, rel_cols, theta_rows):
-    """Z^n_gens modulo the lattice spanned by rel_cols, theta transported."""
-    if n_gens == 0:
-        return FinAbGrpAut.trivial()
-    C = [[col[i] for col in rel_cols] for i in range(n_gens)] if rel_cols else \
-        [[0] for _ in range(n_gens)]
-    U, D, V = smith_normal_form(C)
-    diag = [D[i][i] if i < len(D[0]) else 0 for i in range(n_gens)]
-    if any(d == 0 for d in diag):
-        raise ValueError("quotient is not finite")
-    Uinv = integer_inverse(U)
-    thU = mat_mul(mat_mul(U, theta_rows), Uinv)
-    keep = [i for i in range(n_gens) if diag[i] > 1]
-    orders = tuple(diag[i] for i in keep)
-    theta = tuple(tuple(thU[i][j] % diag[i] for j in keep) for i in keep)
-    return FinAbGrpAut(orders, theta)
 
 
 @dataclass
@@ -1011,28 +996,3 @@ def group_from_presentation(n_gens, relations, theta=None):
         return [sum(Uinv[i][j] * y[j] for j in range(n_gens)) for i in range(n_gens)]
 
     return Presentation(grp, project, lift)
-
-
-# ---------------------------------------------------------------------------
-# orbit/stabilizer helpers for tiny group actions
-# ---------------------------------------------------------------------------
-
-
-def orbit_of(x, group_elements, act):
-    return frozenset(act(g, x) for g in group_elements)
-
-
-def stabilizer_of(x, group_elements, act):
-    return [g for g in group_elements if act(g, x) == x]
-
-
-def orbits(points, group_elements, act):
-    seen = set()
-    out = []
-    for p in points:
-        if p in seen:
-            continue
-        orb = orbit_of(p, group_elements, act)
-        seen |= orb
-        out.append(orb)
-    return out

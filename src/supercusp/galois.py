@@ -36,8 +36,9 @@ from math import gcd, lcm
 from supercusp.casetable import rows_for_host
 from supercusp.exact import (Cyclo, CyclotomicProduct, InvariantError,
                              RatFunc, cyclotomic_poly, euler_phi, p_eval)
-from supercusp.padic import classify_component, supports_with_cuspidals
-from supercusp.rootdata import SimpleGroup, _frac_inverse, root_system, vdot
+from supercusp.padic import (_connected_components, classify_component,
+                             supports_with_cuspidals)
+from supercusp.rootdata import SimpleGroup, root_system
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +260,6 @@ def _dual_group(dual_family, dual_rank):
     return SimpleGroup(dual_family, dual_rank, 1, "adjoint")
 
 
-def _components(grp, nodes):
-    nodes = set(nodes)
-    comps = []
-    while nodes:
-        seed = min(nodes)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            a = frontier.pop()
-            for b in list(nodes):
-                if b not in comp and grp.node_pair(a, b) != 0:
-                    comp.add(b)
-                    frontier.append(b)
-        nodes -= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def _classify_fused_run(chain, run):
     """Type of a contiguous run of nodes of a fused chain diagram."""
     edges = chain["edges"]
@@ -304,7 +287,7 @@ def centralizer_components(dual_family, dual_rank, diagram, v_node):
         grp = _dual_group(dual_family, dual_rank)
         rest = [x for x in grp.affine_nodes() if x != v_node]
         return tuple(sorted(classify_component(grp, comp)
-                            for comp in _components(grp, rest)))
+                            for comp in _connected_components(grp, rest)))
     chain = _FUSED_CHAINS[diagram]
     nodes = set(range(len(chain["marks"]))) - {v_node}
     runs = []
@@ -401,40 +384,27 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
     rs = root_system(dual_family, dual_rank)
     n_s = rs.marks[v_node]
     n = dual_rank
-    # simple-basis coefficients through the Cartan matrix: the pairing row
-    # of a root against the simples is its coefficient vector times A
-    a_inv = _frac_inverse([[Fraction(rs.cartan[i][j]) for j in range(n)]
-                           for i in range(n)])
-    roots = []
-    for beta in sorted(rs.roots):
-        pairs = [rs._pair(beta, s) for s in rs.simples]
-        coeffs = []
-        for i in range(n):
-            c = sum(pairs[j] * a_inv[j][i] for j in range(n))
-            if c.denominator != 1:
-                raise InvariantError(f"root {beta} has a non-integral "
-                                     f"simple-root coefficient {c}")
-            coeffs.append(int(c))
-        level = 0 if v_node == 0 else coeffs[v_node - 1]
-        roots.append((beta, sum(coeffs) > 0, level))
-
-    cz_positive = [beta for beta, pos, level in roots
-                   if level == n_s or (level % n_s == 0 and pos)]
-    if 2 * len(cz_positive) != sum(1 for _, _, lev in roots
+    # a root is its simple-root coefficients: the level is the coefficient
+    # of the cut node, the sign of the height tells positive from negative
+    levels = {beta: 0 if v_node == 0 else beta[v_node - 1]
+              for beta in rs.roots}
+    cz_positive = [beta for beta, level in levels.items()
+                   if level == n_s or (level % n_s == 0 and sum(beta) > 0)]
+    if 2 * len(cz_positive) != sum(1 for lev in levels.values()
                                    if lev % n_s == 0):
         raise InvariantError("centralizer roots do not split in halves")
 
-    # grading by the regular class of the centralizer: pairing against the
-    # sum of its positive coroots, folded into one fixed vector
-    dim = len(rs.simples[0])
-    corho = [sum(Fraction(2 * gamma[k], vdot(gamma, gamma))
-                 for gamma in cz_positive) for k in range(dim)]
+    # grading by the regular class of the centralizer: the pairing
+    # sum_gamma <beta, gamma^vee> over its positive roots gamma, through the
+    # sum of their coroots and its pairing with each simple root
+    corho = [0] * n
+    for gamma in cz_positive:
+        corho = [a + b for a, b in zip(corho, rs.coroot(gamma))]
+    grade = [sum(rs.cartan[i][j] * corho[j] for j in range(n))
+             for i in range(n)]
     mult = {}
-    for beta, _, level in roots:
-        wt = sum(beta[k] * corho[k] for k in range(dim))
-        if wt.denominator != 1:
-            raise InvariantError(f"root {beta} has non-integral grade {wt}")
-        key = (level % n_s, int(wt))
+    for beta, level in levels.items():
+        key = (level % n_s, sum(b * g for b, g in zip(beta, grade)))
         mult[key] = mult.get(key, 0) + 1
     mult[(0, 0)] = mult.get((0, 0), 0) + dual_rank
 

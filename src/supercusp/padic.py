@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from supercusp.exact import RF_ONE, RatFunc
+from supercusp.exact import RF_ONE, InvariantError, RatFunc
 from supercusp.rootdata import root_system
 
 
@@ -187,7 +187,7 @@ def _perm_order_on(perm, nodes):
         cur = {x: perm[cur[x]] for x in nodes}
         order += 1
         if order > 6:
-            raise AssertionError("return map order out of range")
+            raise InvariantError("return map order out of range")
     return order
 
 
@@ -283,7 +283,9 @@ def det_qw_minus_one(W):
         return RF_ONE
     a = _charpoly(W)  # ascending, length n+1
     coeffs = [(-1) ** n * a[n - m] for m in range(n + 1)]
-    assert all(c == int(c) for c in coeffs)
+    if any(c != int(c) for c in coeffs):
+        raise InvariantError(f"characteristic polynomial {coeffs} of a "
+                             f"finite-order matrix is not integral")
     out = RatFunc.from_poly_in_q([int(c) for c in coeffs])
     if out.is_zero():
         raise ValueError("degenerate twisted torus")
@@ -373,7 +375,8 @@ def parahoric_volume(group, support, perm):
     order = parahoric_order(group, support, perm)
     dim = support_dimension(group, support)
     vol = RatFunc.t_power(-dim) * order
-    assert vol.positive_for_large_q()
+    if not vol.positive_for_large_q():
+        raise InvariantError(f"parahoric volume {vol} is not positive")
     return vol
 
 
@@ -433,7 +436,10 @@ def parahoric_classes(group, form):
         orbit_G = {act_on_support(w, rep) for w in theta_fixed_G}
         # g' = [ad orbit of the support] / [G orbit of the support]
         g_prime = Fraction(len(orbit), len(orbit_G))
-        assert g_prime.denominator == 1
+        if g_prime.denominator != 1:
+            raise InvariantError(
+                f"G-orbit of {len(orbit_G)} supports does not divide the "
+                f"adjoint orbit of {len(orbit)}")
         orbits = component_orbits(group, rep, perm)
         dim = support_dimension(group, rep)
         torus_rank = group.rank_total - sum(
@@ -566,7 +572,7 @@ def cuspidal_data(group, form, host):
         for base in combined:
             for c in classes:
                 if base.ns_tag is not None and c.ns_tag is not None:
-                    raise AssertionError(
+                    raise InvariantError(
                         "two exceptional factors on one support")
                 tag = base.ns_tag if c.ns_tag is None else c.ns_tag
                 deg = None
@@ -620,12 +626,6 @@ def formal_degree(group, form, host, cls):
     return FormalDegree(value, cls.degree, stab, vol)
 
 
-def isogeny_degree_ratio(host_G, host_ad):
-    """Formal-degree ratio between a group and its adjoint quotient on a
-    shared support: the stabilizer-order ratio."""
-    return Fraction(len(host_ad.stabilizer_G), len(host_G.stabilizer_G))
-
-
 # ---------------------------------------------------------------------------
 # reductive wrapper: central anisotropic torus
 # ---------------------------------------------------------------------------
@@ -649,12 +649,3 @@ class CentralTorusWrapper:
         """q^(dim/2) / point count: the factor relating the formal degree of
         the reductive group to that of its derived group."""
         return RatFunc.t_power(self.dim()) / self.point_count()
-
-
-def reductive_volume(group, form, host, wrapper):
-    """Volume of the parahoric in the reductive extension: the derived-group
-    volume times q^(-dim_a/2) |central part|."""
-    perm = f_omega_perm(group, form)
-    vol_der = parahoric_volume(group, host.support, perm)
-    central = RatFunc.t_power(-wrapper.dim()) * wrapper.point_count()
-    return vol_der * central

@@ -1,10 +1,14 @@
 """Root systems, based root data, affine diagrams, and fundamental groups.
 
-Each simple type is realized by concrete simple-root vectors, and everything
-downstream (Cartan matrices, highest roots, affine diagrams with their marks,
-the finite abelian group P_cowt/Q_corootlat with its diagram action) is
-computed from the vectors rather than transcribed.  Node numbering follows
-Bourbaki, and the extending affine node is index 0 in every simple factor.
+Each simple type is realized by concrete simple-root vectors, but the
+vectors are read only once, for the Cartan matrix and the squared lengths of
+the simple roots.  Everything downstream is integral: the roots are built
+by reflection in simple-root coordinates, the highest root is the root of
+largest height, and the affine diagram with its marks, the finite abelian
+group P_cowt/Q_corootlat and its diagram action all follow from the Cartan
+matrix and the lengths rather than being transcribed.  Node numbering
+follows Bourbaki, and the extending affine node is index 0 in every simple
+factor.
 
 Group specs are written TYPE:ISOGENY:TWIST, for example 2A5:adjoint:w1.
 """
@@ -13,13 +17,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from supercusp.exact import (
+    InvariantError,
+    det_adjugate,
     group_from_presentation,
     integer_inverse,
     mat_mul,
+    smith_normal_form,
 )
 
 
@@ -44,16 +50,15 @@ def vdot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _frac_vec(*xs):
-    return tuple(Fraction(x) for x in xs)
-
-
 # ---------------------------------------------------------------------------
 # simple root realizations (Bourbaki numbering)
 # ---------------------------------------------------------------------------
 
 
 def _simple_roots(family, rank):
+    # the only Fractions of the module: E8 and F4 need half-integer vectors
+    from fractions import Fraction
+
     def e(i, dim):
         v = [Fraction(0)] * dim
         v[i] = Fraction(1)
@@ -100,7 +105,7 @@ def _simple_roots(family, rank):
             vsub(e(1, dim), e(2, dim)),
             vsub(e(2, dim), e(3, dim)),
             e(3, dim),
-            _frac_vec(Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
+            tuple(Fraction(x, 2) for x in (1, -1, -1, -1)),
         ]
     if family == "G":
         if rank != 2:
@@ -108,7 +113,7 @@ def _simple_roots(family, rank):
         dim = 3
         return [
             vsub(e(0, dim), e(1, dim)),
-            _frac_vec(-2, 1, 1),
+            tuple(Fraction(x) for x in (-2, 1, 1)),
         ]
     raise ValueError(f"unknown family {family!r}")
 
@@ -139,101 +144,82 @@ def root_system(family, rank):
 
 
 class RootSystem:
-    """Concrete simple root system with its affine diagram and the
-    fundamental group of the adjoint form acting on it."""
+    """Simple root system in simple-root coordinates, with its affine
+    diagram and the fundamental group of the adjoint form acting on it.
+
+    A root is the tuple of its coefficients over the simple roots, and
+    lengths holds the squared lengths of the simple roots, the shortest
+    being 1."""
 
     def __init__(self, family, rank):
         self.family = family
         self.rank = rank
-        self.simples = _simple_roots(family, rank)
+        self.cartan, self.lengths = _cartan_and_lengths(
+            _simple_roots(family, rank))
         self.roots = self._closure()
         self.num_pos_roots = len(self.roots) // 2
-        self.cartan = self._cartan_matrix()
-        self.highest_root = self._highest_root()
-        self.hr_coeffs = self._in_simple_basis(self.highest_root)
-        assert all(c == int(c) for c in self.hr_coeffs)
-        self.hr_coeffs = tuple(int(c) for c in self.hr_coeffs)
+        # the highest root is the unique root of largest height
+        self.hr_coeffs = max(self.roots, key=sum)
         # marks: node 0 (the extending node) always carries 1
         self.marks = (1,) + self.hr_coeffs
         self.degrees = _DEGREES[family](rank)
-        assert sum(d - 1 for d in self.degrees) == self.num_pos_roots
+        if sum(d - 1 for d in self.degrees) != self.num_pos_roots:
+            raise InvariantError(
+                f"degrees of {family}{rank} do not count its "
+                f"{self.num_pos_roots} positive roots")
         self.affine_cartan = self._affine_cartan()
         self._build_omega()
 
     # -- root combinatorics --------------------------------------------------
 
     def _closure(self):
-        roots = set(self.simples)
-        frontier = list(self.simples)
+        """Every root, from the simple roots by the reflections
+        s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
+        n, A = self.rank, self.cartan
+        simples = [_unit(i, n) for i in range(n)]
+        roots = set(simples)
+        frontier = list(simples)
         while frontier:
             beta = frontier.pop()
-            for alpha in self.simples:
-                c = 2 * vdot(beta, alpha) / vdot(alpha, alpha)
-                new = vsub(beta, vscale(alpha, c))
-                if new not in roots:
-                    roots.add(new)
-                    frontier.append(new)
+            for i in range(n):
+                c = sum(beta[j] * A[j][i] for j in range(n))
+                new = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if new in roots:
+                    continue
+                if min(new) < 0 < max(new):
+                    raise InvariantError(
+                        f"{new} is neither a positive nor a negative root")
+                roots.add(new)
+                frontier.append(new)
         return roots
 
-    def _pair(self, a, b):
-        """<a, b_coroot> = 2(a,b)/(b,b)."""
-        val = 2 * vdot(a, b) / vdot(b, b)
-        assert val == int(val)
-        return int(val)
+    def coroot(self, beta):
+        """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates."""
+        n, A, lengths = self.rank, self.cartan, self.lengths
+        # 2 (beta, beta) = sum_i beta_i <beta, alpha_i^vee> (alpha_i, alpha_i)
+        norm = sum(beta[i] * lengths[i] * sum(beta[j] * A[j][i]
+                                              for j in range(n))
+                   for i in range(n))
+        out = []
+        for i in range(n):
+            c, r = divmod(2 * beta[i] * lengths[i], norm)
+            if r:
+                raise InvariantError(f"coroot of {beta} is not integral")
+            out.append(c)
+        return tuple(out)
 
-    def _cartan_matrix(self):
-        n = self.rank
-        return tuple(tuple(self._pair(self.simples[i], self.simples[j])
-                           for j in range(n)) for i in range(n))
-
-    def _in_simple_basis(self, v):
-        n = self.rank
-        gram = [[vdot(self.simples[i], self.simples[j]) for j in range(n)]
-                for i in range(n)]
-        rhs = [vdot(v, self.simples[i]) for i in range(n)]
-        M = [[Fraction(gram[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-             for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if M[r][col] != 0)
-            M[col], M[piv] = M[piv], M[col]
-            pv = M[col][col]
-            M[col] = [x / pv for x in M[col]]
-            for r in range(n):
-                if r != col and M[r][col] != 0:
-                    f = M[r][col]
-                    M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-        return tuple(M[i][n] for i in range(n))
-
-    def _highest_root(self):
-        best, best_h = None, None
-        for beta in self.roots:
-            coeffs = self._in_simple_basis(beta)
-            h = sum(coeffs)
-            if best_h is None or h > best_h:
-                best, best_h = beta, h
-        return best
-
-    def affine_root_vector(self, node):
-        """Gradient of the affine simple root at the node (node 0 is the
-        negative of the highest root)."""
-        if node == 0:
-            return vscale(self.highest_root, -1)
-        return self.simples[node - 1]
+    def pair(self, beta, gamma):
+        """<beta, gamma^vee> for roots in simple-root coordinates."""
+        n, A, cor = self.rank, self.cartan, self.coroot(gamma)
+        return sum(beta[i] * A[i][j] * cor[j]
+                   for i in range(n) for j in range(n))
 
     def _affine_cartan(self):
-        vecs = [self.affine_root_vector(i) for i in range(self.rank + 1)]
-        return tuple(tuple(self._pair(vecs[i], vecs[j])
-                           for j in range(self.rank + 1))
-                     for i in range(self.rank + 1))
-
-    def adjacency(self):
-        n = self.rank + 1
-        adj = {i: set() for i in range(n)}
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.affine_cartan[i][j] != 0:
-                    adj[i].add(j)
-        return adj
+        # gradients of the affine simple roots; node 0 is minus the highest
+        # root
+        vecs = [tuple(-c for c in self.hr_coeffs)] + \
+            [_unit(i, self.rank) for i in range(self.rank)]
+        return tuple(tuple(self.pair(a, b) for b in vecs) for a in vecs)
 
     # -- fundamental group of the adjoint form -------------------------------
 
@@ -244,8 +230,13 @@ class RootSystem:
         relations = [[self.cartan[i][j] for i in range(n)] for j in range(n)]
         self.omega_pres = group_from_presentation(n, relations)
         self.omega = self.omega_pres.group
-        det = _det_int([[self.cartan[i][j] for j in range(n)] for i in range(n)])
-        assert self.omega.order() == abs(det), "fundamental group order vs det"
+        # the determinant comes from a second elimination, independent of
+        # the Smith form behind the presentation
+        det, _ = det_adjugate(self.cartan)
+        if self.omega.order() != abs(det):
+            raise InvariantError(
+                f"fundamental group of order {self.omega.order()} against "
+                f"Cartan determinant {det}")
         self._build_omega_action()
 
     def coweight_class(self, j):
@@ -298,31 +289,35 @@ class RootSystem:
             for g, perm in gens.items():
                 y = self.omega.add(x, g)
                 composed = {i: perm[action[x][i]] for i in nodes}
-                if y in action:
-                    assert action[y] == composed, "omega action not a homomorphism"
-                else:
+                if y not in action:
                     action[y] = composed
                     frontier.append(y)
-        assert len(action) == self.omega.order(), "omega action incomplete"
+                elif action[y] != composed:
+                    raise InvariantError("omega action is not a homomorphism")
+        if len(action) != self.omega.order():
+            raise InvariantError("omega action is incomplete")
         # faithfulness on the adjoint diagram
         seen = {}
         for x, perm in action.items():
             key = tuple(perm[i] for i in nodes)
-            assert key not in seen, "omega action not faithful"
+            if key in seen:
+                raise InvariantError("omega action is not faithful")
             seen[key] = x
         # each action preserves the affine Cartan matrix and the marks
         for perm in action.values():
-            for i in nodes:
-                assert self.marks[perm[i]] == self.marks[i]
-                for j in nodes:
-                    assert self.affine_cartan[perm[i]][perm[j]] == \
-                        self.affine_cartan[i][j]
+            if any(self.marks[perm[i]] != self.marks[i] for i in nodes):
+                raise InvariantError("omega action moves the marks")
+            if any(self.affine_cartan[perm[i]][perm[j]] !=
+                   self.affine_cartan[i][j] for i in nodes for j in nodes):
+                raise InvariantError(
+                    "omega action moves the affine Cartan matrix")
         # node-0 orbit consistency: the class of a fundamental coweight
         # moves the extending node to the matching special node
         for x, perm in action.items():
             j = perm[0]
-            if j != 0:
-                assert self.coweight_class(j) == x, "special node labeling"
+            if j != 0 and self.coweight_class(j) != x:
+                raise InvariantError(
+                    f"special node {j} is not labeled by its coweight class")
         self.omega_action = action
 
     # -- finite diagram automorphisms ----------------------------------------
@@ -359,31 +354,33 @@ class RootSystem:
         elif fam == "E" and n == 6:
             autos.append({1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4})
         for p in autos:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    assert self.cartan[p[i] - 1][p[j] - 1] == self.cartan[i - 1][j - 1]
+            if any(self.cartan[p[i] - 1][p[j] - 1] != self.cartan[i - 1][j - 1]
+                   for i in range(1, n + 1) for j in range(1, n + 1)):
+                raise InvariantError(
+                    f"{p} does not preserve the Cartan matrix")
         return autos
 
 
-def _det_int(M):
-    M = [[Fraction(x) for x in row] for row in M]
-    n = len(M)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        pv = M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] / pv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    assert det == int(det)
-    return int(det)
+def _unit(i, n):
+    return tuple(int(i == j) for j in range(n))
+
+
+def _cartan_and_lengths(simples):
+    """Cartan matrix <alpha_i, alpha_j^vee> and the squared lengths of the
+    simple roots, scaled so that the shortest is 1, from the vectors."""
+    gram = [[vdot(a, b) for b in simples] for a in simples]
+    shortest = min(gram[i][i] for i in range(len(gram)))
+
+    def integral(x, what):
+        if x.denominator != 1:
+            raise InvariantError(f"{what} {x} is not an integer")
+        return int(x)
+
+    cartan = tuple(tuple(integral(2 * g / gram[j][j], "Cartan entry")
+                         for j, g in enumerate(row)) for row in gram)
+    lengths = tuple(integral(gram[i][i] / shortest, "length ratio")
+                    for i in range(len(gram)))
+    return cartan, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +458,6 @@ class SimpleGroup:
     def finite_nodes(self):
         return tuple(range(1, self.rank + 1))
 
-    def node_mark(self, node):
-        return self.rs.marks[node]
-
     def node_pair(self, a, b):
         return self.rs.affine_cartan[a][b]
 
@@ -523,9 +517,6 @@ class SimpleGroup:
     def omega_add(self, x, y):
         return self.rs.omega.add(x, y)
 
-    def omega_neg(self, x):
-        return self.rs.omega.neg(x)
-
     def omega_identity(self):
         return self.rs.omega.identity()
 
@@ -584,26 +575,36 @@ class SimpleGroup:
         own basis."""
         n = self.rank
         B = self.X_basis
-        Binv = _frac_inverse(B)
-        coroot_cols = [[self.rs.cartan[i][j] for i in range(n)] for j in range(n)]
-        rels = []
-        for col in coroot_cols:
-            v = [sum(Binv[i][k] * col[k] for k in range(n)) for i in range(n)]
-            assert all(x == int(x) for x in v)
-            rels.append([int(x) for x in v])
+        det, adj = det_adjugate(B)
+
+        def in_basis(vec, what):
+            """Coordinates of an integer vector in the lattice basis."""
+            out = []
+            for row in adj:
+                c, r = divmod(sum(a * v for a, v in zip(row, vec)), det)
+                if r:
+                    raise InvariantError(what)
+                out.append(c)
+            return out
+
+        rels = [in_basis([self.rs.cartan[i][j] for i in range(n)],
+                         "coroot outside the isogeny lattice")
+                for j in range(n)]
         P_theta = [[0] * n for _ in range(n)]
         for i in range(1, n + 1):
             P_theta[self.theta_finite[i] - 1][i - 1] = 1
-        # theta in the lattice basis: Binv * P_theta * B
+        # theta in the lattice basis, B^-1 * P_theta * B, column by column
         PB = mat_mul(P_theta, B)
-        theta_L = [[sum(Binv[i][k] * PB[k][j] for k in range(n)) for j in range(n)]
-                   for i in range(n)]
-        assert all(x == int(x) for row in theta_L for x in row), \
-            "isogeny lattice not Frobenius stable"
-        theta_L = [[int(x) for x in row] for row in theta_L]
+        theta_cols = [in_basis([PB[i][j] for i in range(n)],
+                               "isogeny lattice not Frobenius stable")
+                      for j in range(n)]
+        theta_L = [[theta_cols[j][i] for j in range(n)] for i in range(n)]
         self.fund_pres = group_from_presentation(n, rels, theta=theta_L)
         self.fundamental = self.fund_pres.group
-        assert self.fundamental.order() == len(self.omega_G)
+        if self.fundamental.order() != len(self.omega_G):
+            raise InvariantError(
+                f"X_*/coroot lattice has order {self.fundamental.order()}, "
+                f"not |omega_G| = {len(self.omega_G)}")
 
     # -- Kottwitz-style data ----------------------------------------------------
 
@@ -615,20 +616,16 @@ class SimpleGroup:
         return frozenset(x for x in self.omega_elements()
                          if self.theta_on_omega(x) == x)
 
-    def structure_of_subset(self, subset):
-        """Invariant factors of a subgroup given as a set of elements."""
-        return abelian_invariants(sorted(subset), self.omega_add,
-                                  self.omega_identity())
-
     def kottwitz_data(self):
         """Orders-level summary: invariants, coinvariants, their duals, and
         the inner-twist classes of the adjoint group."""
-        fixed = self.omega_theta_fixed()
+        fixed = self.rs.omega.subgroup_structure(
+            sorted(self.omega_theta_fixed()))
         coinv = self.fundamental.coinvariant_structure()
         return {
-            "omega_theta": self.structure_of_subset(fixed),
+            "omega_theta": fixed,
             "omega_coinv": coinv.orders,
-            "omega_theta_dual": self.structure_of_subset(fixed),
+            "omega_theta_dual": fixed,
             "omega_ad_coinv": self.adjoint_coinvariant_classes(),
         }
 
@@ -652,88 +649,15 @@ class SimpleGroup:
 
 def _lattice_basis(cols):
     """Basis matrix (columns) of the lattice spanned by integer columns."""
-    from supercusp.exact import smith_normal_form
-
     n = len(cols[0])
     C = [[col[i] for col in cols] for i in range(n)]
     U, D, V = smith_normal_form([row[:] for row in C])
     Uinv = integer_inverse(U)
     diag = [D[i][i] for i in range(min(n, len(D[0])))]
-    assert all(d != 0 for d in diag[:n]), "lattice not full rank"
+    if any(d == 0 for d in diag[:n]):
+        raise InvariantError("lattice not full rank")
     basis = [[Uinv[i][j] * diag[j] for j in range(n)] for i in range(n)]
     return basis
-
-
-def _frac_inverse(M):
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j))
-         for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [[A[i][n + j] for j in range(n)] for i in range(n)]
-
-
-def abelian_invariants(elems, add, identity):
-    """Invariant factors of a finite abelian group given by its elements and
-    law, determined by the element-order statistics."""
-    N = len(elems)
-    if N == 1:
-        return ()
-
-    def order_of(x):
-        n, y = 1, x
-        while y != identity:
-            y = add(y, x)
-            n += 1
-        return n
-
-    stats = {}
-    for x in elems:
-        o = order_of(x)
-        stats[o] = stats.get(o, 0) + 1
-
-    def chains(total, cap):
-        if total == 1:
-            yield ()
-            return
-        d = 2
-        while d <= min(total, cap):
-            if total % d == 0:
-                for rest in chains(total // d, d):
-                    yield rest + (d,)
-            d += 1
-
-    for chain in chains(N, N):
-        cand = {}
-        for vec in _all_vectors(chain):
-            from math import lcm
-
-            o = 1
-            for v, d in zip(vec, chain):
-                o = lcm(o, d // _gcd_int(v, d))
-            cand[o] = cand.get(o, 0) + 1
-        if cand == stats:
-            return chain
-    raise AssertionError("no abelian group matches the order statistics")
-
-
-def _all_vectors(chain):
-    from itertools import product
-
-    return product(*(range(d) for d in chain))
-
-
-def _gcd_int(a, b):
-    from math import gcd
-
-    return gcd(a, b) if a else b
 
 
 # ---------------------------------------------------------------------------
@@ -815,15 +739,3 @@ def parse_spec(spec):
         raise ValueError(f"spec must be TYPE:ISOGENY:TWIST, got {spec!r}")
     type_str, iso, twist = parts
     return build_group(type_str, iso), twist
-
-
-# ---------------------------------------------------------------------------
-# official twisted affine diagrams (for cross-checks on the dual side)
-# ---------------------------------------------------------------------------
-
-# Kac labels for the twisted affine diagrams used by the exceptional rows:
-# the fused E6 diagram (order-2 twist) and the fused D4 diagram (order-3).
-TWISTED_AFFINE_MARKS = {
-    ("E", 6, 2): (1, 2, 3, 2, 1),
-    ("D", 4, 3): (1, 2, 1),
-}

@@ -21,6 +21,7 @@ from supercusp.exact import (
     RF_T,
     RF_ZERO,
     cyclotomic_poly,
+    det_adjugate,
     euler_phi,
     group_from_presentation,
     integer_inverse,
@@ -329,6 +330,26 @@ class TestSmith:
         with pytest.raises(ValueError):
             integer_inverse([[2, 0], [0, 1]])
 
+    def test_integer_inverse_typed_errors(self):
+        with pytest.raises(ValueError, match="not unimodular"):
+            integer_inverse([[2, 0], [0, 1]])
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse([[1, 2], [2, 4]])
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_det_adjugate_matches_sympy(self, seed):
+        rng = random.Random(200 + seed)
+        n = rng.randint(1, 5)
+        A = random_matrix(rng, n, n, bound=4)
+        ref = sympy.Matrix(A)
+        if ref.det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                det_adjugate(A)
+            return
+        det, adj = det_adjugate(A)
+        assert det == ref.det()
+        assert adj == [[int(x) for x in row] for row in ref.adjugate().tolist()]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_kernel(self, seed):
         rng = random.Random(100 + seed)
@@ -459,6 +480,9 @@ class TestFinAbGrpAut:
         assert h == frozenset({(0, 0), (0, 2)})
         assert g.subgroup_structure([(0, 2)]) == (2,)
         assert g.subgroup_structure([(1, 0), (0, 1)]) == (2, 4)
+
+    def test_subgroup_structure_of_trivial_group(self):
+        assert FinAbGrpAut.trivial().subgroup_structure([()]) == ()
 
     def test_quotient_structure(self):
         g = FinAbGrpAut((4,), ((1,),))

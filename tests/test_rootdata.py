@@ -5,8 +5,12 @@ centers, affine marks, and diagram automorphism counts."""
 
 from __future__ import annotations
 
+from itertools import product
+from math import gcd, lcm
+
 import pytest
 
+from supercusp.correspond import _quotient_invariants
 from supercusp.rootdata import (
     SimpleGroup,
     build_group,
@@ -30,6 +34,13 @@ ROOT_COUNTS = {
     ("F", 4): 48,
     ("G", 2): 12,
 }
+
+# every (family, rank) of the case-table catalogue: classical ranks up to 12
+# and the exceptional types
+CATALOGUE_SYSTEMS = [("A", n) for n in range(1, 13)] + \
+    [(f, n) for f in "BC" for n in range(2, 13)] + \
+    [("D", n) for n in range(3, 13)] + \
+    [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 
 class TestRootSystem:
@@ -66,6 +77,27 @@ class TestRootSystem:
         assert [j for j in range(1, 5) if b.affine_cartan[0][j] != 0] == [2]
         c = root_system("C", 4)
         assert [j for j in range(1, 5) if c.affine_cartan[0][j] != 0] == [1]
+
+    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    def test_marks_annihilate_affine_cartan(self, key):
+        # delta = sum_i a_i alpha_i pairs to zero with every affine coroot
+        rs = root_system(*key)
+        nodes = range(rs.rank + 1)
+        assert all(sum(rs.marks[i] * rs.affine_cartan[i][j] for i in nodes)
+                   == 0 for j in nodes)
+
+    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    def test_roots_in_simple_coordinates(self, key):
+        rs = root_system(*key)
+        for beta in rs.roots:
+            assert tuple(-c for c in beta) in rs.roots
+            assert min(beta) >= 0 or max(beta) <= 0
+            if sum(beta) > 0:
+                assert all(b <= h for b, h in zip(beta, rs.hr_coeffs))
+        # the highest root is dominant
+        simples = [tuple(int(i == j) for j in range(rs.rank))
+                   for i in range(rs.rank)]
+        assert all(rs.pair(rs.hr_coeffs, a) >= 0 for a in simples)
 
 
 FUNDAMENTAL_ORDERS = {
@@ -210,3 +242,59 @@ class TestOmegaAction:
             fixing = [w for w in g.omega_elements()
                       if {n: g.omega_act_node(w, n) for n in g.affine_nodes()} == ident]
             assert fixing == [g.omega_identity()]
+
+
+def _order_statistics(orders):
+    stats = {}
+    for o in orders:
+        stats[o] = stats.get(o, 0) + 1
+    return stats
+
+
+def _chain_statistics(chain):
+    """Element-order statistics of Z/d_1 x ... x Z/d_k."""
+    return _order_statistics(
+        lcm(1, *(d // gcd(v, d) for v, d in zip(vec, chain)))
+        for vec in product(*(range(d) for d in chain)))
+
+
+class TestOmegaInvariants:
+    @pytest.mark.parametrize("ts, cyclic", [("A5", (6,)), ("A11", (12,))])
+    def test_cyclic_omega_theta_is_one_factor(self, ts, cyclic):
+        data = build_group(ts).kottwitz_data()
+        assert data["omega_theta"] == cyclic
+        assert data["omega_coinv"] == cyclic
+
+    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    def test_every_subquotient(self, key):
+        """H/K for all subgroups K <= H of Omega: subgroups (K trivial),
+        quotients (H = Omega) and the rest.  Omega has at most two
+        invariant factors, so two generators reach every subgroup."""
+        g = SimpleGroup(*key)
+        omega = g.rs.omega
+        elems = g.omega_elements()
+        subgroups = {omega.subgroup_generated([x, y])
+                     for x in elems for y in elems}
+        for H in subgroups:
+            assert omega.subgroup_structure(sorted(H)) == \
+                _quotient_invariants(g, H, {g.omega_identity()})
+            for K in subgroups:
+                if not K <= H:
+                    continue
+                chain = _quotient_invariants(g, H, K)
+                assert all(d > 1 for d in chain)
+                assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+                size = 1
+                for d in chain:
+                    size *= d
+                assert size * len(K) == len(H)
+
+                def coset_order(x):
+                    m, y = 1, x
+                    while y not in K:
+                        y, m = omega.add(y, x), m + 1
+                    return m
+
+                stats = _order_statistics(coset_order(x) for x in H)
+                assert stats == {o: c * len(K) for o, c in
+                                 _chain_statistics(chain).items()}
