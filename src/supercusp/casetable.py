@@ -14,7 +14,7 @@ CaseTableError ("not in table").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 
@@ -103,6 +103,32 @@ _EXCEPTIONAL_ROWS = {
 # parametric classical rules
 # ---------------------------------------------------------------------------
 
+# one entry per classical pattern; the classifier below picks among them
+_CLASSICAL_RULES = {e.pattern: e for e in (
+    _entry("lin.anisotropic", "§4", 1, 1, "full", "regular-elliptic",
+           notes="division algebra modulo center"),
+    _entry("unit.single", "§5", 1, 1, "1", "Sp"),
+    _entry("unit.pair", "§5", 2, 1, "1", "SpxSO"),
+    _entry("unit.equal", "§5", 2, 1, "omega_theta", "Sp-pair"),
+    _entry("oddorth.s0", "§6", 2, 1, "1", "CxC-equal"),
+    _entry("oddorth.pair", "§6", 2, 1, "full", "CxC",
+           notes="torsion order computed per support"),
+    _entry("symp.pair", "§7", 2, 1, "1", "DxB"),
+    _entry("symp.equal", "§7", 1, 1, "full", "B-single"),
+    _entry("symp.mixed", "§7", 2, 2, "1", "DxB",
+           notes="two cuspidal systems on the pinned cover"),
+    _entry("evenorth.full", "§8", 2, 1, "1", "DxD-equal"),
+    _entry("evenorth.pair", "§8", 2, 1, "eta", "DxD"),
+    _entry("evenorth.pair.equal", "§8", 1, 1, "full", "D-single"),
+    _entry("evenorth.fused", "§8", 1, 1, "full", "D-single"),
+    _entry("evenorth.mixed", "§8", 2, 2, "eta", "DxD"),
+    _entry("evenorth.unitary", "§8", 2, 2, "1", "DxD-equal",
+           notes="two cuspidal systems on the pinned cover"),
+    _entry("twistorth.full", "§9", 2, 1, "1", "BxB-equal"),
+    _entry("twistorth.pair", "§9", 2, 1, "eta", "BxB"),
+    _entry("twistorth.unitary", "§9", 2, 1, "1", "Sp"),
+)}
+
 
 def _orbit_signature(host):
     """Multiset of (family, rank, twist, orbit size) over the support."""
@@ -129,9 +155,7 @@ def _classify_classical(group, form, host):
     if sig == []:
         # fully anisotropic form; covers rank 3 of the even orthogonal
         # family through its rank 3 linear coincidence
-        return _entry("lin.anisotropic", "§4", 1, 1, "full",
-                      "regular-elliptic",
-                      notes="division algebra modulo center")
+        return _CLASSICAL_RULES["lin.anisotropic"]
 
     if fam == "A" and tw == 1:
         raise CaseTableError("split type A hosts only on the empty support")
@@ -141,12 +165,11 @@ def _classify_classical(group, form, host):
         if len(arcs) != len(sig):
             raise CaseTableError("unitary support with a non-arc component")
         if len(arcs) == 1:
-            return _entry("unit.single", "§5", 1, 1, "1", "Sp")
+            return _CLASSICAL_RULES["unit.single"]
         if len(arcs) == 2 and arcs[0][1] != arcs[1][1]:
-            return _entry("unit.pair", "§5", 2, 1, "1", "SpxSO")
+            return _CLASSICAL_RULES["unit.pair"]
         if len(arcs) == 2:
-            return _entry("unit.equal", "§5", 2, 1, "omega_theta",
-                          "Sp-pair")
+            return _CLASSICAL_RULES["unit.equal"]
         raise CaseTableError("unitary support with more than two arcs")
 
     if fam == "B":
@@ -163,9 +186,9 @@ def _classify_classical(group, form, host):
         else:
             s = 0
         if s == 0:
-            return _entry("oddorth.s0", "§6", 2, 1, "1", "CxC-equal")
-        return _entry("oddorth.pair", "§6", _odd_orthogonal_torsion(s, t),
-                      1, "full", "CxC")
+            return _CLASSICAL_RULES["oddorth.s0"]
+        return replace(_CLASSICAL_RULES["oddorth.pair"],
+                       n_s=_odd_orthogonal_torsion(s, t))
 
     if fam == "C":
         a_parts = [s for s in sig if s[0] == "A"]
@@ -176,19 +199,17 @@ def _classify_classical(group, form, host):
         if a_parts:
             if len(a_parts) > 1 or a_parts[0][2] != 2 or a_parts[0][3] != 1:
                 raise CaseTableError("symplectic support out of pattern")
-            return _entry("symp.mixed", "§7", 2, 2, "1", "DxB",
-                          notes="two cuspidal systems on the pinned cover")
+            return _CLASSICAL_RULES["symp.mixed"]
         if len(c_parts) == 1 and dcount == [2]:
             # swapped pair of equal blocks over the quadratic extension
             if host.torus_rank > 0:
-                return _entry("symp.mixed", "§7", 2, 2, "1", "DxB",
-                              notes="two cuspidal systems on the pinned cover")
-            return _entry("symp.equal", "§7", 1, 1, "full", "B-single")
+                return _CLASSICAL_RULES["symp.mixed"]
+            return _CLASSICAL_RULES["symp.equal"]
         if len(c_parts) == 2 and c_parts[0][1] == c_parts[1][1] \
                 and all(d == 1 for d in dcount):
-            return _entry("symp.equal", "§7", 1, 1, "full", "B-single")
+            return _CLASSICAL_RULES["symp.equal"]
         if len(c_parts) in (1, 2) and all(d == 1 for d in dcount):
-            return _entry("symp.pair", "§7", 2, 1, "1", "DxB")
+            return _CLASSICAL_RULES["symp.pair"]
         raise CaseTableError("symplectic support out of pattern")
 
     if fam == "D" and tw == 1:
@@ -200,10 +221,8 @@ def _classify_classical(group, form, host):
             raise CaseTableError("even orthogonal support out of pattern")
         if len(a_parts) == 1 and not d_parts:
             if a_parts[0][1] == group.rank - 1:
-                return _entry("evenorth.unitary", "§8", 2, 2, "1",
-                              "DxD-equal",
-                              notes="two cuspidal systems on the pinned cover")
-            return _entry("evenorth.mixed", "§8", 2, 2, "eta", "DxD")
+                return _CLASSICAL_RULES["evenorth.unitary"]
+            return _CLASSICAL_RULES["evenorth.mixed"]
         if len(d_parts) == 1 and not a_parts:
             r, twd, dc = d_parts[0][1], d_parts[0][2], d_parts[0][3]
             if dc == 2:
@@ -211,19 +230,17 @@ def _classify_classical(group, form, host):
                 # the matching class is central exactly when twice the rank
                 # is a perfect square
                 if isqrt(2 * group.rank) ** 2 == 2 * group.rank:
-                    return _entry("evenorth.fused", "§8", 1, 1, "full",
-                                  "D-single")
-                return _entry("evenorth.mixed", "§8", 2, 2, "eta", "DxD")
+                    return _CLASSICAL_RULES["evenorth.fused"]
+                return _CLASSICAL_RULES["evenorth.mixed"]
             if twd == 1 and r == group.rank:
-                return _entry("evenorth.full", "§8", 2, 1, "1", "DxD-equal")
-            return _entry("evenorth.pair", "§8", 2, 1, "eta", "DxD")
+                return _CLASSICAL_RULES["evenorth.full"]
+            return _CLASSICAL_RULES["evenorth.pair"]
         if len(d_parts) == 1 and len(a_parts) == 1 and dcount.count(2) == 1:
-            return _entry("evenorth.mixed", "§8", 2, 2, "eta", "DxD")
+            return _CLASSICAL_RULES["evenorth.mixed"]
         if len(d_parts) == 2 and not a_parts:
             if d_parts[0][1] == d_parts[1][1] and d_parts[0][2] == d_parts[1][2]:
-                return _entry("evenorth.pair.equal", "§8", 1, 1, "full",
-                              "D-single")
-            return _entry("evenorth.pair", "§8", 2, 1, "eta", "DxD")
+                return _CLASSICAL_RULES["evenorth.pair.equal"]
+            return _CLASSICAL_RULES["evenorth.pair"]
         raise CaseTableError("even orthogonal support out of pattern")
 
     if fam == "D" and tw == 2:
@@ -235,13 +252,13 @@ def _classify_classical(group, form, host):
             raise CaseTableError("twisted orthogonal support out of pattern")
         if len(a_parts) == 1 and not d_parts:
             if host.torus_rank == 0:
-                return _entry("twistorth.unitary", "§9", 2, 1, "1", "Sp")
-            return _entry("twistorth.pair", "§9", 2, 1, "eta", "BxB")
+                return _CLASSICAL_RULES["twistorth.unitary"]
+            return _CLASSICAL_RULES["twistorth.pair"]
         if len(d_parts) == 1 and not a_parts and dcount == [1] \
                 and d_parts[0][2] == 2 and d_parts[0][1] == group.rank:
-            return _entry("twistorth.full", "§9", 2, 1, "1", "BxB-equal")
+            return _CLASSICAL_RULES["twistorth.full"]
         if d_parts:
-            return _entry("twistorth.pair", "§9", 2, 1, "eta", "BxB")
+            return _CLASSICAL_RULES["twistorth.pair"]
         raise CaseTableError("twisted orthogonal support out of pattern")
 
     raise CaseTableError(
@@ -334,29 +351,5 @@ def all_pattern_entries():
     rows = []
     for key in sorted(_EXCEPTIONAL_ROWS, key=str):
         rows.extend(_EXCEPTIONAL_ROWS[key])
-    rules = [
-        _entry("lin.anisotropic", "§4", 1, 1, "full", "regular-elliptic",
-               notes="division algebra modulo center"),
-        _entry("unit.single", "§5", 1, 1, "1", "Sp"),
-        _entry("unit.pair", "§5", 2, 1, "1", "SpxSO"),
-        _entry("unit.equal", "§5", 2, 1, "omega_theta", "Sp-pair"),
-        _entry("oddorth.s0", "§6", 2, 1, "1", "CxC-equal"),
-        _entry("oddorth.pair", "§6", 2, 1, "full", "CxC",
-               notes="torsion order computed per support"),
-        _entry("symp.pair", "§7", 2, 1, "1", "DxB"),
-        _entry("symp.equal", "§7", 1, 1, "full", "B-single"),
-        _entry("symp.mixed", "§7", 2, 2, "1", "DxB",
-               notes="two cuspidal systems on the pinned cover"),
-        _entry("evenorth.full", "§8", 2, 1, "1", "DxD-equal"),
-        _entry("evenorth.pair", "§8", 2, 1, "eta", "DxD"),
-        _entry("evenorth.pair.equal", "§8", 1, 1, "full", "D-single"),
-        _entry("evenorth.fused", "§8", 1, 1, "full", "D-single"),
-        _entry("evenorth.mixed", "§8", 2, 2, "eta", "DxD"),
-        _entry("evenorth.unitary", "§8", 2, 2, "1", "DxD-equal",
-               notes="two cuspidal systems on the pinned cover"),
-        _entry("twistorth.full", "§9", 2, 1, "1", "BxB-equal"),
-        _entry("twistorth.pair", "§9", 2, 1, "eta", "BxB"),
-        _entry("twistorth.unitary", "§9", 2, 1, "1", "Sp"),
-    ]
-    rows.extend(rules)
+    rows.extend(_CLASSICAL_RULES.values())
     return rows

@@ -395,7 +395,7 @@ def _row_key(report):
     """Matching key for one report row under relabeling: everything a
     diagram automorphism must preserve except the support itself."""
     fd = report.fdeg.value
-    deg = str(fd) if fd is not None else report.class_id.rsplit(".", 1)[-1]
+    deg = fd if fd is not None else report.class_id.rsplit(".", 1)[-1]
     return (report.pattern, report.n_s, report.invariants.b_prime, deg,
             report.member_index)
 
@@ -456,9 +456,7 @@ def equivariance_check(group, reports, tau):
             k = hits[0]
             if reports[k].invariants != rj.invariants:
                 mismatches.append((j, "invariants differ across the map"))
-            fd_j, fd_k = rj.fdeg.value, reports[k].fdeg.value
-            if (fd_j is None) != (fd_k is None) or \
-                    (fd_j is not None and not (fd_j - fd_k).is_zero()):
+            if rj.fdeg.value != reports[k].fdeg.value:
                 mismatches.append((j, "formal degree differs across the map"))
             if k in seen:
                 break
@@ -512,7 +510,7 @@ def report_record(report):
         "tau_orbit": report.tau_orbit,
     }
     if report.fdeg.value is not None:
-        rec["fdeg"] = report.fdeg.value.to_json()
+        rec["fdeg"] = report.fdeg.value.to_ratfunc().to_json()
     return rec
 
 

@@ -3,11 +3,13 @@
 Four kinds of values underlie everything else in the package:
 
 - rational functions in the formal variable t = q^(1/2) with integer
-  coefficients (formal degrees, volumes, local factors), in two forms: the
-  dense canonical RatFunc, which sums, prints and serializes, and the
-  factored CyclotomicProduct c * t^k * prod Phi_n(t)^(e_n), whose products
-  and quotients are exponent arithmetic and which expands into a RatFunc
-  through the one RatFunc normalization;
+  coefficients, in two forms.  Every formal degree, parahoric order and
+  volume, and adjoint gamma magnitude is a CyclotomicProduct
+  c * t^k * prod Phi_n(t)^(e_n): products, quotients and the substitution
+  t -> t^d are exponent arithmetic, and two values are equal exactly when
+  their exponents are.  The dense canonical RatFunc is the form for sums,
+  printing, JSON and the local factors at a shift; a CyclotomicProduct
+  expands into one through the one RatFunc normalization;
 - cyclotomic scalars (Frobenius eigenvalues);
 - finite abelian groups equipped with an endomorphism (fundamental groups
   with their twisting action).
@@ -215,11 +217,6 @@ class RatFunc:
     def q_power(k):
         return RatFunc.t_power(2 * k)
 
-    @staticmethod
-    def from_poly_in_q(coeffs):
-        """Polynomial in q = t^2, ascending coefficients."""
-        return RatFunc(p_subst_pow(p_trim(tuple(coeffs)), 2), (1,))
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
@@ -273,10 +270,6 @@ class RatFunc:
         return half * half * (self if k % 2 else RatFunc((1,), (1,)))
 
     # -- transforms ---------------------------------------------------------
-
-    def subst_t_power(self, d):
-        """t -> t^d, i.e. q -> q^d."""
-        return RatFunc(p_subst_pow(self.num, d), p_subst_pow(self.den, d))
 
     def eval_t(self, t_val):
         t_val = Fraction(t_val)
@@ -396,7 +389,7 @@ def euler_phi(m):
     return count
 
 
-def _mobius(n):
+def mobius(n):
     out, p = 1, 2
     while p * p <= n:
         if n % p == 0:
@@ -543,7 +536,7 @@ class Cyclo:
         # field that holds the value: Tr(zeta_m^i) / phi(m) = mu(d) / phi(d)
         # with d = m / gcd(i, m)
         m = self.conductor
-        return hash(sum(c * Fraction(_mobius(m // gcd(i, m)),
+        return hash(sum(c * Fraction(mobius(m // gcd(i, m)),
                                      euler_phi(m // gcd(i, m)))
                         for i, c in enumerate(self.coeffs)))
 
@@ -585,6 +578,11 @@ class CyclotomicProduct:
         object.__setattr__(self, "phi",
                            tuple(sorted((n, e) for n, e in exps.items() if e)))
 
+    @staticmethod
+    def t_power_minus_one(e):
+        """t^e - 1 = prod Phi_n(t) over n | e."""
+        return CyclotomicProduct(1, 0, ((1, 1),)).subst_t_power(e)
+
     def is_zero(self):
         return self.const == 0
 
@@ -606,6 +604,18 @@ class CyclotomicProduct:
         """The value signed to be positive for large q, which is the sign
         of the constant because every Phi_n is monic."""
         return CyclotomicProduct(abs(self.const), self.t_exp, self.phi)
+
+    def subst_t_power(self, d):
+        """t -> t^d (q -> q^d): Phi_n(t^d) is the product of the Phi_k(t)
+        with k | nd and k / gcd(k, d) = n, i.e. k = n*g for the g | d with
+        gcd(n*g, d) = g."""
+        if d < 1:
+            raise ValueError("power substitution needs d >= 1")
+        divisors = [g for g in range(1, d + 1) if d % g == 0]
+        return CyclotomicProduct(
+            self.const, self.t_exp * d,
+            tuple((n * g, e) for n, e in self.phi for g in divisors
+                  if gcd(n * g, d) == g))
 
     def to_ratfunc(self):
         num, den = (self.const.numerator,), (self.const.denominator,)
@@ -742,9 +752,9 @@ def mat_identity(n):
 def integer_kernel(A):
     """Basis (list of columns) of the integer kernel of A."""
     m = len(A)
-    n = len(A[0]) if m else 0
     if m == 0:
-        return [[int(i == j) for i in range(n)] for j in range(n)]
+        raise ValueError("a matrix with no rows has no column count")
+    n = len(A[0])
     U, D, V = smith_normal_form(A)
     rank = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
     basis = []

@@ -18,8 +18,8 @@ part of epsilon contributes q^(ord_psi * dim / 2) times a unit.
 L and gamma are products of linear factors (1 - zeta_m^k t^E), and they are
 computed in factored form (exact.CyclotomicProduct).  The factors are
 grouped by (m, E), and each full Galois orbit over k in (Z/m)^x multiplies
-at once to Phi_m(t^E), or to -Phi_1(t^E) when m = 1.  For E > 0,
-Phi_m(t^E) is the product of the Phi_n(t) with n | mE and n / gcd(n, E) = m;
+at once to Phi_m(t^E), or to -Phi_1(t^E) when m = 1.  For E > 0 that is
+Phi_m under CyclotomicProduct.subst_t_power;
 for E < 0 the palindromic Phi_m (m >= 2) gives
 Phi_m(t^E) = t^(E phi(m)) Phi_m(t^-E); for E = 0 the orbit is the constant
 Phi_m(1).  A group whose residues k do not fill whole orbits has an
@@ -99,14 +99,12 @@ def _orbit_product(m, E):
     """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x."""
     if E == 0:
         return CyclotomicProduct(p_eval(cyclotomic_poly(m), 1))
-    e = abs(E)
-    phi = [(n, 1) for n in range(1, m * e + 1)
-           if m * e % n == 0 and n // gcd(n, e) == m]
+    orbit = CyclotomicProduct(1, 0, ((m, 1),)).subst_t_power(abs(E))
     if E > 0:
-        return CyclotomicProduct(-1 if m == 1 else 1, 0, phi)
+        return orbit * CyclotomicProduct(-1 if m == 1 else 1)
     # Phi_m(1/x) = x^(-phi(m)) Phi_m(x) for m >= 2; for m = 1 the sign of
     # -Phi_1 cancels against Phi_1(1/x) = -x^(-1) Phi_1(x)
-    return CyclotomicProduct(1, E * euler_phi(m), phi)
+    return orbit * CyclotomicProduct(1, E * euler_phi(m))
 
 
 def _string_factors(strings, shift, conjugate=False):
@@ -158,17 +156,18 @@ def _gamma0_magnitude(strings, ord_psi):
     num = _galois_product(_string_factors(strings, 0))
     den = _galois_product(_string_factors(strings, 2, conjugate=True))
     exp = ord_psi * sum(w.h + 1 for w in strings) + sum(w.h for w in strings)
-    return (abs(num / den) * CyclotomicProduct(1, exp)).to_ratfunc()
+    return abs(num / den) * CyclotomicProduct(1, exp)
 
 
 @dataclass(frozen=True)
 class WDLocalFactors:
     """Exact L, epsilon and gamma of an inversion-closed weight multiset.
-    The shift s ranges over half integers; every value is a RatFunc in t."""
+    The shift s ranges over half integers; the values at s are RatFuncs in
+    t, and |gamma(0)| is a CyclotomicProduct."""
 
     strings: tuple
     ord_psi: int
-    gamma_abs_at_0: RatFunc
+    gamma_abs_at_0: CyclotomicProduct
 
     def dim(self):
         return sum(w.h + 1 for w in self.strings)
@@ -681,8 +680,8 @@ def cuspidal_support(param, group):
 @dataclass(frozen=True)
 class HIIResult:
     status: str              # "holds" | "fails" | "unverifiable"
-    lhs: RatFunc | None
-    rhs: RatFunc | None
+    lhs: CyclotomicProduct | None
+    rhs: CyclotomicProduct | None
 
     def verifiable(self):
         return self.status != "unverifiable"
@@ -702,8 +701,8 @@ def hii_check(fdeg, param, rho_dim, s_sharp, gamma_abs=None):
     elif fdeg.value is None:
         return HIIResult("unverifiable", None, None)
     lhs = fdeg.value
-    rhs = RatFunc.from_fraction(Fraction(rho_dim, s_sharp)) * gamma_abs
-    status = "holds" if (lhs - rhs).is_zero() else "fails"
+    rhs = CyclotomicProduct(Fraction(rho_dim, s_sharp)) * gamma_abs
+    status = "holds" if lhs == rhs else "fails"
     return HIIResult(status, lhs, rhs)
 
 
@@ -743,5 +742,5 @@ def param_json(param, ord_psi=-1):
         rec["weights"] = [list(_eigenvalue_triple(w))
                           for w in param.sl2_weights]
         factors = local_factors(param.sl2_weights, ord_psi=ord_psi)
-        rec["gamma_abs_0"] = factors.gamma_abs_at_0.to_json()
+        rec["gamma_abs_0"] = factors.gamma_abs_at_0.to_ratfunc().to_json()
     return rec

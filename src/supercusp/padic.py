@@ -4,7 +4,10 @@ The group acts through its affine diagram: an inner form is a coinvariant
 class of the adjoint fundamental group, the twisted Frobenius permutes the
 affine nodes, and the maximal stable supports are exactly the complements of
 single node orbits.  Orders of the finite reductive quotients, volumes, and
-formal degrees are all exact rational functions in q^(1/2).
+formal degrees are all cyclotomic products c * t^k * prod Phi_n(t)^(e_n) in
+t = q^(1/2) (exact.CyclotomicProduct): a semisimple factor is a product of
+Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
+read off the Frobenius orbits of the affine nodes outside the support.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
-from supercusp.exact import RF_ONE, InvariantError, RatFunc
+from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
+                             euler_phi, integer_kernel, mat_identity, mat_mul,
+                             mobius)
 from supercusp.rootdata import root_system
 
 
@@ -249,107 +255,78 @@ def component_orbits(group, support, perm):
 # ---------------------------------------------------------------------------
 
 
-def _charpoly(M):
-    """det(x*I - M) coefficients, ascending, exact."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    # Faddeev-LeVerrier
-    coeffs = [Fraction(1)]  # leading
-    Mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    cs = []
-    for k in range(1, n + 1):
-        Mk = _mat_mul_frac(A, Mk)
-        c = -sum(Mk[i][i] for i in range(n)) / k
-        cs.append(c)
-        for i in range(n):
-            Mk[i][i] += c
-    desc = [Fraction(1)] + cs  # x^n + c1 x^(n-1) + ... + cn
-    return list(reversed(desc))
-
-
-def _mat_mul_frac(A, B):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def det_qw_minus_one(W):
-    """|det(q*W - 1)| as a RatFunc in q, sign-normalized to be positive for
-    large q; W an integer or Fraction matrix of finite order."""
+    """|det(q*W - 1)| of an integer matrix W of finite order.
+
+    W has characteristic polynomial prod Phi_m^(a_m), so the value is
+    prod Phi_m(q)^(a_m).  a_m * phi(m) counts the eigenvalues of order m,
+    and Moebius inversion reads it off the fixed spaces:
+    dim Fix(W^d) = sum over m | d of a_m * phi(m).  Those counts fall short
+    of n exactly when W does not have finite order: ValueError."""
     n = len(W)
     if n == 0:
-        return RF_ONE
-    a = _charpoly(W)  # ascending, length n+1
-    coeffs = [(-1) ** n * a[n - m] for m in range(n + 1)]
-    if any(c != int(c) for c in coeffs):
-        raise InvariantError(f"characteristic polynomial {coeffs} of a "
-                             f"finite-order matrix is not integral")
-    out = RatFunc.from_poly_in_q([int(c) for c in coeffs])
-    if out.is_zero():
-        raise ValueError("degenerate twisted torus")
-    if not out.positive_for_large_q():
-        out = -out
-    return out
-
-
-def frobenius_linear_matrix(group, perm):
-    """Matrix of the linear part of the twisted Frobenius on the root space,
-    in the basis of finite simple roots."""
-    basis = list(group.finite_nodes())
-    index = {x: i for i, x in enumerate(basis)}
-    n = len(basis)
-    W = [[0] * n for _ in range(n)]
-    for j, node in enumerate(basis):
-        image = perm[node]
-        for target, coeff in group.alpha_in_finite_basis(image).items():
-            W[index[target]][j] += coeff
-    return W
-
-
-def torus_det_full(group, perm):
-    return det_qw_minus_one(frobenius_linear_matrix(group, perm))
+        return CyclotomicProduct(1)
+    # phi(m) >= sqrt(m / 2), so an eigenvalue order m has m <= 2 n^2
+    orders = [m for m in range(1, 2 * n * n + 1) if euler_phi(m) <= n]
+    fixed, power = [], mat_identity(n)
+    for _ in range(orders[-1]):
+        power = mat_mul(power, W)
+        fixed.append(len(integer_kernel(
+            [[x - (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(power)])))
+    counts = {m: sum(mobius(m // d) * fixed[d - 1]
+                     for d in range(1, m + 1) if m % d == 0)
+              for m in orders}
+    if sum(counts.values()) != n:
+        raise ValueError("matrix does not have finite order")
+    return CyclotomicProduct(
+        1, 0, tuple((m, c // euler_phi(m)) for m, c in counts.items())
+    ).subst_t_power(2)
 
 
 def torus_factor(group, support, perm):
-    """Order of the twisted central torus of the quotient: the full twisted
-    reflection-space determinant divided by the support-span part."""
-    full = torus_det_full(group, perm)
-    span = RF_ONE
-    for orb in _perm_orbits({x: perm[x] for x in support}, sorted(support, key=str)):
-        span = span * (RatFunc.q_power(len(orb)) - 1)
-    return full / span
+    """Order of the twisted central torus of the quotient.
+
+    The Frobenius permutes the affine simple roots and keeps the marks, so
+    it fixes the null root; on the root space it acts as the node
+    permutation less that fixed line.  Taking out the span of the support
+    leaves prod (q^|O| - 1) / (q - 1) over the node orbits O outside it."""
+    if sorted(perm[x] for x in support) != sorted(support):
+        raise InvariantError(f"support {support} splits a Frobenius orbit")
+    rest = [x for x in group.affine_nodes() if x not in support]
+    out = CyclotomicProduct(1) / CyclotomicProduct.t_power_minus_one(2)
+    for orb in _perm_orbits(perm, rest):
+        out = out * CyclotomicProduct.t_power_minus_one(2 * len(orb))
+    return out
 
 
 @lru_cache(maxsize=None)
 def finite_semisimple_order(family, rank, twist):
-    """Order polynomial (in q) of the semisimple finite group of the given
-    twisted type, by the product formula over invariant degrees."""
+    """Order (in q) of the semisimple finite group of the given twisted
+    type: q^N prod Phi_o(q^d) over the invariant degrees d, where o is the
+    order of the Frobenius eigenvalue on the degree-d invariant, i.e. a
+    factor q^d - 1 or q^d + 1.  For 3D4 the two degree-4 invariants carry
+    the two primitive cube roots of unity and give together the one factor
+    Phi_3(q^4) = q^8 + q^4 + 1 = (q^12 - 1) / (q^4 - 1)."""
     rs = root_system(family, rank)
-    q = RatFunc.q_power(1)
-    out = RatFunc.q_power(rs.num_pos_roots)
     degrees = rs.degrees
     if twist == 1:
-        for d in degrees:
-            out = out * (q ** d - 1)
-        return out
-    if twist == 2 and family == "A":
-        for d in degrees:
-            out = out * (q ** d - (-1) ** d)
-        return out
-    if twist == 2 and family == "D":
+        orders = [1] * len(degrees)
+    elif twist == 2 and family == "A":
+        orders = [2 if d % 2 else 1 for d in degrees]
+    elif twist == 2 and family == "D":
         # the Pfaffian degree (listed last) flips sign
-        for d in degrees[:-1]:
-            out = out * (q ** d - 1)
-        return out * (q ** degrees[-1] + 1)
-    if twist == 2 and (family, rank) == ("E", 6):
-        for d in degrees:
-            out = out * (q ** d + 1 if d in (5, 9) else q ** d - 1)
-        return out
-    if twist == 3 and (family, rank) == ("D", 4):
-        return out * (q ** 2 - 1) * (q ** 6 - 1) * (q ** 8 + q ** 4 + 1)
-    raise ValueError(f"no twisted order formula for {twist}{family}{rank}")
+        orders = [1] * (len(degrees) - 1) + [2]
+    elif twist == 2 and (family, rank) == ("E", 6):
+        orders = [2 if d in (5, 9) else 1 for d in degrees]
+    elif twist == 3 and (family, rank) == ("D", 4):
+        degrees, orders = (2, 4, 6), (1, 3, 1)
+    else:
+        raise ValueError(f"no twisted order formula for {twist}{family}{rank}")
+    out = CyclotomicProduct(1, 2 * rs.num_pos_roots)
+    for d, o in zip(degrees, orders):
+        out = out * CyclotomicProduct(1, 0, ((o, 1),)).subst_t_power(2 * d)
+    return out
 
 
 def parahoric_order(group, support, perm):
@@ -374,8 +351,8 @@ def parahoric_volume(group, support, perm):
     """q^(-dim/2) times the quotient order; positive for every q > 1."""
     order = parahoric_order(group, support, perm)
     dim = support_dimension(group, support)
-    vol = RatFunc.t_power(-dim) * order
-    if not vol.positive_for_large_q():
+    vol = CyclotomicProduct(1, -dim) * order
+    if vol.const <= 0:
         raise InvariantError(f"parahoric volume {vol} is not positive")
     return vol
 
@@ -463,16 +440,12 @@ def parahoric_classes(group, form):
 # ---------------------------------------------------------------------------
 
 
-def _is_triangular(n):
-    k = 0
-    while k * (k + 1) // 2 < n:
-        k += 1
-    return k * (k + 1) // 2 == n
-
-
 def _is_square(n):
-    k = int(n ** 0.5)
-    return k * k == n or (k + 1) * (k + 1) == n
+    return isqrt(n) ** 2 == n
+
+
+def _is_triangular(n):
+    return _is_square(8 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -485,17 +458,13 @@ class CuspidalClass:
     class_id: str
     size: int
     ns_tag: int | None
-    degree: RatFunc | None
+    degree: CyclotomicProduct | None
 
 
-def _deg_u3():
-    # unipotent cuspidal of U3: q(q-1)
-    return RatFunc.from_poly_in_q([0, -1, 1])
-
-
-def _deg_b2():
-    # theta_10 of Sp4/SO5: q(q-1)^2/2
-    return RatFunc.from_poly_in_q([0, 1, -2, 1]) / 2
+# unipotent cuspidal of U3: q(q-1)
+_DEG_U3 = CyclotomicProduct(1, 2, ((1, 1), (2, 1)))
+# theta_10 of Sp4/SO5: q(q-1)^2/2
+_DEG_B2 = CyclotomicProduct(Fraction(1, 2), 2, ((1, 2), (2, 2)))
 
 
 _EXCEPTIONAL_CLASSES = {
@@ -521,13 +490,13 @@ def component_cuspidal_classes(family, rank, twist):
     if family == "A" and twist == 2:
         if not _is_triangular(rank + 1):
             return []
-        deg = _deg_u3() if rank == 2 else None
+        deg = _DEG_U3 if rank == 2 else None
         return [CuspidalClass("u", 1, None, deg)]
     if family in ("B", "C") and twist == 1:
         t = rank
         if not _is_square(4 * t + 1):
             return []
-        deg = _deg_b2() if rank == 2 else None
+        deg = _DEG_B2 if rank == 2 else None
         return [CuspidalClass("u", 1, None, deg)]
     if family == "D" and twist == 1:
         t = rank
@@ -566,7 +535,7 @@ def cuspidal_data(group, form, host):
             scaled.append(CuspidalClass(c.class_id, c.size, c.ns_tag, deg))
         per_orbit.append((co, scaled))
 
-    combined = [CuspidalClass("", 1, None, RF_ONE)]
+    combined = [CuspidalClass("", 1, None, CyclotomicProduct(1))]
     for co, classes in per_orbit:
         nxt = []
         for base in combined:
@@ -583,7 +552,7 @@ def cuspidal_data(group, form, host):
                 nxt.append(CuspidalClass(cid, base.size * c.size, tag, deg))
         combined = nxt
     if not per_orbit:
-        combined = [CuspidalClass("triv", 1, None, RF_ONE)]
+        combined = [CuspidalClass("triv", 1, None, CyclotomicProduct(1))]
     total = sum(c.size for c in combined)
     return CuspidalUnipotentDatum(host=host, count=total,
                                   classes=tuple(combined))
@@ -610,10 +579,10 @@ class FormalDegree:
     times the parahoric volume.  value is None when the dimension polynomial
     is not available."""
 
-    value: RatFunc | None
-    dim_sigma: RatFunc | None
+    value: CyclotomicProduct | None
+    dim_sigma: CyclotomicProduct | None
     stabilizer_order: int
-    volume: RatFunc
+    volume: CyclotomicProduct
 
 
 def formal_degree(group, form, host, cls):
@@ -622,7 +591,7 @@ def formal_degree(group, form, host, cls):
     stab = len(host.stabilizer_G)
     if cls.degree is None:
         return FormalDegree(None, None, stab, vol)
-    value = cls.degree / (stab * vol)
+    value = cls.degree / (CyclotomicProduct(stab) * vol)
     return FormalDegree(value, cls.degree, stab, vol)
 
 
@@ -643,7 +612,8 @@ class CentralTorusWrapper:
         return len(self.twist_matrix)
 
     def point_count(self):
-        return det_qw_minus_one([list(r) for r in self.twist_matrix])
+        matrix = [list(r) for r in self.twist_matrix]
+        return det_qw_minus_one(matrix).to_ratfunc()
 
     def volume_ratio(self):
         """q^(dim/2) / point count: the factor relating the formal degree of

@@ -461,13 +461,6 @@ class SimpleGroup:
     def node_pair(self, a, b):
         return self.rs.affine_cartan[a][b]
 
-    def alpha_in_finite_basis(self, node):
-        """Affine simple root at the node, as coefficients over the finite
-        nodes (the extending node is minus the highest root)."""
-        if node == 0:
-            return {i + 1: -c for i, c in enumerate(self.rs.hr_coeffs)}
-        return {node: 1}
-
     @property
     def rank_total(self):
         return self.rank
@@ -718,11 +711,20 @@ def _aut_on_omega_stabilizes(group, perm):
 # ---------------------------------------------------------------------------
 
 
+# largest rank a type string may name: the catalogue goes to 12, a rank-20
+# report takes about two seconds, and the cost grows fast with the rank, so
+# a huge rank fails at once instead of running for hours
+MAX_RANK = 20
+
+
 def parse_type(type_str):
     m = _TYPE_RE.match(type_str)
     if not m:
         raise ValueError(f"bad type string {type_str!r}")
     prefix, fam, rank = m.groups()
+    if int(rank) > MAX_RANK:
+        raise ValueError(f"rank {rank} of {type_str!r} exceeds the maximum "
+                         f"rank {MAX_RANK}")
     order = int(prefix) if prefix else 1
     return fam, int(rank), order
 

@@ -7,9 +7,12 @@ the equal-degree class size and the descent subgroup inside the support
 stabilizer.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from supercusp.casetable import (
+    _CLASSICAL_RULES,
     CaseTableError,
     TABLE_VERSION,
     all_pattern_entries,
@@ -279,6 +282,21 @@ class TestTableDump:
             assert e.provenance.startswith("§")
             assert e.n_s in PHI
             assert e.n_name in ("1", "eta", "omega_theta", "full")
+
+    def test_every_row_is_its_table_rule(self):
+        # each rule is written once: a classical row is its table entry,
+        # with the per-support torsion order of oddorth.pair the one
+        # exception, and an exceptional row is one of the listed rows
+        entries = all_pattern_entries()
+        for G, form, host, row, cls in iter_rows():
+            rule = _CLASSICAL_RULES.get(row.pattern)
+            if rule is None:
+                assert row in entries, (G.type_string(), row)
+            elif row.pattern == "oddorth.pair":
+                assert row == replace(rule, n_s=row.n_s)
+            else:
+                assert row == rule, (G.type_string(), row)
+        assert set(_CLASSICAL_RULES.values()) <= set(entries)
 
     def test_self_hosted_count_equals_phi(self):
         # every self-hosted exceptional support has a = a' = 1 (trivial

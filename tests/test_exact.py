@@ -28,6 +28,7 @@ from supercusp.exact import (
     integer_kernel,
     mat_identity,
     mat_mul,
+    p_subst_pow,
     smith_normal_form,
 )
 
@@ -103,19 +104,6 @@ class TestRatFunc:
         assert RatFunc.t_power(-2) == RF_ONE / RF_Q
         assert RatFunc.q_power(3) == RF_Q**3
 
-    def test_subst_t_power(self):
-        r = (RF_Q - 1) / (RF_Q + 1)
-        s = r.subst_t_power(3)
-        assert s == (RF_Q**3 - 1) / (RF_Q**3 + 1)
-
-    @given(poly_strategy(), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_subst_matches_evaluation(self, a, d):
-        r = RatFunc(tuple(a), (1,))
-        s = r.subst_t_power(d)
-        for tv in (Fraction(2), Fraction(3), Fraction(5, 2)):
-            assert s.eval_t(tv) == r.eval_t(tv**d)
-
     def test_eval(self):
         r = (RF_Q**2 - 1) / (RF_Q - 1)
         assert r.eval_t(Fraction(3)) == Fraction(10)  # q = 9, q + 1 = 10
@@ -164,6 +152,16 @@ def phi_rf(n):
     return RatFunc(cyclotomic_poly(n), (1,))
 
 
+def product_strategy():
+    return st.builds(
+        CyclotomicProduct,
+        st.fractions(min_value=-4, max_value=4, max_denominator=4),
+        st.integers(min_value=-3, max_value=3),
+        st.lists(st.tuples(st.integers(min_value=1, max_value=12),
+                           st.integers(min_value=-2, max_value=2)),
+                 max_size=4))
+
+
 class TestCyclotomicProduct:
     def test_to_ratfunc(self):
         x = CyclotomicProduct(Fraction(-3, 2), -1, ((1, 2), (4, -1), (6, 1)))
@@ -196,6 +194,45 @@ class TestCyclotomicProduct:
         assert (z * CyclotomicProduct(7, 1, ((2, 1),))).is_zero()
         with pytest.raises(ZeroDivisionError):
             CyclotomicProduct(1) / z
+
+    def test_subst_t_power(self):
+        # (q - 1) / (q + 1) = Phi_1 Phi_2 / Phi_4 in t
+        x = CyclotomicProduct(1, 0, ((1, 1), (2, 1), (4, -1)))
+        assert x.subst_t_power(3).to_ratfunc() == \
+            (RF_Q**3 - 1) / (RF_Q**3 + 1)
+
+    @given(product_strategy(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_subst_matches_evaluation(self, x, d):
+        # against the dense expansion with t -> t^d substituted, and at t
+        dense = x.to_ratfunc()
+        s = x.subst_t_power(d).to_ratfunc()
+        assert s == RatFunc(p_subst_pow(dense.num, d),
+                            p_subst_pow(dense.den, d))
+        for tv in (Fraction(2), Fraction(3), Fraction(5, 2)):
+            assert s.eval_t(tv) == dense.eval_t(tv**d)
+
+    def test_subst_needs_positive_power(self):
+        with pytest.raises(ValueError):
+            CyclotomicProduct(1, 0, ((3, 1),)).subst_t_power(0)
+
+    @pytest.mark.parametrize("e", range(1, 31))
+    def test_t_power_minus_one(self, e):
+        want = RatFunc(p_subst_pow((-1, 1), e), (1,))
+        assert CyclotomicProduct.t_power_minus_one(e).to_ratfunc() == want
+
+    @given(product_strategy(), product_strategy(), st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_equality_is_equality_of_values(self, a, b, rng):
+        # the same value written with split and shuffled exponents
+        pairs = [p for n, e in a.phi for p in ((n, e + 1), (n, -1))]
+        rng.shuffle(pairs)
+        a2 = CyclotomicProduct(a.const, a.t_exp, pairs)
+        assert a2 == a and hash(a2) == hash(a)
+        for x, y in ((a, a2), (a, b), (a, a * b), (a * b, b * a)):
+            assert (x == y) == (x.to_ratfunc() == y.to_ratfunc())
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 
@@ -359,6 +396,11 @@ class TestSmith:
             assert all(sum(A[i][j] * v[j] for j in range(n)) == 0 for i in range(m))
         ker_rank = len(integer_kernel(A))
         assert ker_rank == n - sympy.Matrix(A).rank()
+
+    def test_kernel_needs_a_row(self):
+        # with no rows the number of columns, so the kernel Z^n, is unknown
+        with pytest.raises(ValueError):
+            integer_kernel([])
 
 
 class TestPresentation:

@@ -6,10 +6,14 @@ formal degree, and the support patterns of low-rank classical groups."""
 from __future__ import annotations
 
 import pytest
+import sympy
 
-from supercusp.exact import RatFunc
+from supercusp.exact import InvariantError, RatFunc, p_subst_pow
 from supercusp.padic import (
     CentralTorusWrapper,
+    _is_square,
+    _is_triangular,
+    _perm_orbits,
     classify_component,
     component_cuspidal_classes,
     det_qw_minus_one,
@@ -22,8 +26,9 @@ from supercusp.padic import (
     parahoric_classes,
     parahoric_volume,
     supports_with_cuspidals,
+    torus_factor,
 )
-from supercusp.rootdata import build_group
+from supercusp.rootdata import SimpleGroup, build_group, isogeny_tokens
 
 
 Q = RatFunc.q_power(1)
@@ -67,52 +72,142 @@ class TestInnerForms:
 
 class TestOrders:
     def test_untwisted(self):
-        assert finite_semisimple_order("A", 1, 1) == Q * (Q ** 2 - 1)
-        assert finite_semisimple_order("G", 2, 1) == \
+        assert finite_semisimple_order("A", 1, 1).to_ratfunc() == \
+            Q * (Q ** 2 - 1)
+        assert finite_semisimple_order("G", 2, 1).to_ratfunc() == \
             Q ** 6 * (Q ** 2 - 1) * (Q ** 6 - 1)
 
     def test_unitary(self):
         # |SU_3(q)| = q^3 (q^2-1)(q^3+1)
-        assert finite_semisimple_order("A", 2, 2) == \
+        assert finite_semisimple_order("A", 2, 2).to_ratfunc() == \
             Q ** 3 * (Q ** 2 - 1) * (Q ** 3 + 1)
 
     def test_twisted_orthogonal(self):
         # |Spin^-_8(q)|: the degree-4 factor flips sign
-        got = finite_semisimple_order("D", 4, 2)
+        got = finite_semisimple_order("D", 4, 2).to_ratfunc()
         want = Q ** 12 * (Q ** 2 - 1) * (Q ** 4 - 1) * (Q ** 6 - 1) * (Q ** 4 + 1)
         assert got == want
 
     def test_triality(self):
-        got = finite_semisimple_order("D", 4, 3)
+        got = finite_semisimple_order("D", 4, 3).to_ratfunc()
         want = Q ** 12 * (Q ** 2 - 1) * (Q ** 6 - 1) * (Q ** 8 + Q ** 4 + 1)
         assert got == want
 
     def test_twisted_e6(self):
-        got = finite_semisimple_order("E", 6, 2)
+        got = finite_semisimple_order("E", 6, 2).to_ratfunc()
         prod = Q ** 36
         for d, s in [(2, -1), (5, 1), (6, -1), (8, -1), (9, 1), (12, -1)]:
             prod = prod * (Q ** d + s)
         assert got == prod
 
     def test_det_helper(self):
-        assert det_qw_minus_one([[1]]) == Q - 1
-        assert det_qw_minus_one([[-1]]) == Q + 1
+        assert det_qw_minus_one([[1]]).to_ratfunc() == Q - 1
+        assert det_qw_minus_one([[-1]]).to_ratfunc() == Q + 1
         # rotation of order 3 on the A_2 root plane: q^2 + q + 1
         w = [[0, -1], [1, -1]]
-        assert det_qw_minus_one(w) == Q ** 2 + Q + 1
+        assert det_qw_minus_one(w).to_ratfunc() == Q ** 2 + Q + 1
+
+
+def frobenius_matrix(group, perm):
+    """Linear part of the twisted Frobenius on the root space, in the basis
+    of finite simple roots; the affine node 0 is minus the highest root."""
+    n = group.rank
+    W = [[0] * n for _ in range(n)]
+    for j in group.finite_nodes():
+        image = perm[j]
+        if image == 0:
+            for i, c in enumerate(group.rs.hr_coeffs):
+                W[i][j - 1] -= c
+        else:
+            W[image - 1][j - 1] += 1
+    return W
+
+
+def dense_det_qw_minus_one(W):
+    """|det(q*W - 1)| from sympy's characteristic polynomial chi of W:
+    det(q*W - 1) = (-1)^n q^n chi(1/q)."""
+    n = len(W)
+    chi = sympy.Matrix(W).charpoly(sympy.Symbol("x")).all_coeffs()
+    out = RatFunc(p_subst_pow(tuple((-1) ** n * int(c) for c in chi), 2),
+                  (1,))
+    return out if out.positive_for_large_q() else -out
+
+
+def groups_up_to_rank(top):
+    """Every isogeny of every catalogue type of rank at most top (2A1 and
+    2D3 do not exist, and neither does an isogeny that the Frobenius does
+    not keep)."""
+    types = [(fam, r, tw) for fam, lo, twists in (
+        ("A", 1, (1, 2)), ("B", 2, (1,)), ("C", 2, (1,)), ("D", 3, (1, 2)))
+        for r in range(lo, top + 1) for tw in twists]
+    types += [("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1),
+              ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)]
+    for fam, rank, tw in types:
+        for iso in isogeny_tokens(fam, rank):
+            try:
+                yield SimpleGroup(fam, rank, tw, iso)
+            except ValueError:
+                continue
+
+
+class TestTorusFactor:
+    def test_node_orbits_match_the_determinant(self):
+        # the orbit formula against |det(qW - 1)| of the Frobenius matrix on
+        # the root space, divided by the span of the support; and that
+        # determinant against sympy
+        dense = {}
+        forms = supports = 0
+        for g in groups_up_to_rank(8):
+            for form in enumerate_inner_forms(g):
+                forms += 1
+                perm = f_omega_perm(g, form)
+                W = frobenius_matrix(g, perm)
+                key = tuple(map(tuple, W))
+                full = det_qw_minus_one(W).to_ratfunc()
+                if key not in dense:
+                    dense[key] = dense_det_qw_minus_one(W)
+                assert full == dense[key], (g.type_string(), W)
+                for J in maximal_supports(g, form) + [()]:
+                    supports += 1
+                    span = RatFunc.from_int(1)
+                    for orb in _perm_orbits(perm, J):
+                        span = span * (Q ** len(orb) - 1)
+                    got = torus_factor(g, J, perm).to_ratfunc()
+                    assert got == full / span, (g.type_string(), J)
+        assert (forms, supports) == (359, 1691)
+
+    def test_support_must_be_frobenius_stable(self):
+        g = build_group("A2", "adjoint")
+        form = inner_forms_by_token(g, "w1")[0]
+        with pytest.raises(InvariantError):
+            torus_factor(g, (1,), f_omega_perm(g, form))
+
+    def test_infinite_order_rejected(self):
+        with pytest.raises(ValueError):
+            det_qw_minus_one([[1, 1], [0, 1]])
+
+    def test_small_integer_predicates(self):
+        for n in range(200):
+            assert _is_square(n) == any(k * k == n for k in range(n + 1))
+            assert _is_triangular(n) == \
+                any(k * (k + 1) // 2 == n for k in range(n + 1))
+        # beyond float precision
+        big = (10 ** 30 + 7) ** 2
+        assert _is_square(big) and not _is_square(big + 1)
+        assert _is_triangular(big * (big + 1) // 2)
 
 
 class TestVolumes:
     def test_split_a1(self):
         g = build_group("A1", "adjoint")
         qs = inner_forms_by_token(g, "1")[0]
-        vol = parahoric_volume(g, (1,), f_omega_perm(g, qs))
+        vol = parahoric_volume(g, (1,), f_omega_perm(g, qs)).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * Q * (Q ** 2 - 1)
 
     def test_split_torus(self):
         g = build_group("A3", "adjoint")
         qs = inner_forms_by_token(g, "1")[0]
-        vol = parahoric_volume(g, (), f_omega_perm(g, qs))
+        vol = parahoric_volume(g, (), f_omega_perm(g, qs)).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * (Q - 1) ** 3
 
     def test_positive(self):
@@ -121,7 +216,7 @@ class TestVolumes:
             form = inner_forms_by_token(g, tok)[0]
             perm = f_omega_perm(g, form)
             for pc in parahoric_classes(g, form):
-                vol = parahoric_volume(g, pc.support, perm)
+                vol = parahoric_volume(g, pc.support, perm).to_ratfunc()
                 assert vol.eval_q(4) > 0 and vol.eval_q(9) > 0
 
 
@@ -139,14 +234,14 @@ class TestDivisionAlgebra:
         fd = formal_degree(g, form, host, datum.classes[0])
         num = RatFunc.t_power(n - 1) * (Q - 1)
         den = RatFunc.from_int(n) * (Q ** n - 1)
-        assert fd.value == num / den
+        assert fd.value.to_ratfunc() == num / den
         assert fd.stabilizer_order == n
 
     def test_sl2_compact(self):
         g, form, rows = rows_for("A1", "sc", "an")
         host, datum = rows[0]
         fd = formal_degree(g, form, host, datum.classes[0])
-        assert fd.value == RatFunc.t_power(1) / (Q + 1)
+        assert fd.value.to_ratfunc() == RatFunc.t_power(1) / (Q + 1)
 
 
 class TestSupportPatterns:

@@ -5,13 +5,15 @@ centers, affine marks, and diagram automorphism counts."""
 
 from __future__ import annotations
 
+import time
 from itertools import product
 from math import gcd, lcm
 
 import pytest
 
-from supercusp.correspond import _quotient_invariants
+from supercusp.correspond import _quotient_invariants, full_report
 from supercusp.rootdata import (
+    MAX_RANK,
     SimpleGroup,
     build_group,
     diagram_automorphisms,
@@ -201,6 +203,19 @@ class TestParsing:
         assert parse_type("E8") == ("E", 8, 1)
         with pytest.raises(ValueError):
             parse_type("4A5")
+
+    def test_rank_cap(self):
+        # the catalogue goes to rank 12
+        assert MAX_RANK >= 12
+        assert parse_type(f"B{MAX_RANK}") == ("B", MAX_RANK, 1)
+        with pytest.raises(ValueError, match="maximum rank"):
+            parse_type(f"B{MAX_RANK + 1}")
+
+    def test_huge_spec_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="field 1"):
+            full_report("A200:adjoint:*")
+        assert time.perf_counter() - start < 1.0
 
     def test_spec_roundtrip(self):
         g, twist = parse_spec("2A5:adjoint:w1")
