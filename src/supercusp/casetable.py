@@ -145,11 +145,10 @@ def _odd_orthogonal_torsion(s, t):
     return 1 if b - a in (0, 1) else 2
 
 
-def _classify_classical(group, form, host):
+def _classify_classical(group, host):
     """Return the parametric CaseEntry for a classical hosting pattern."""
     fam, tw = group.family, group.twist_order
     sig = _orbit_signature(host)
-    families = [s[0] for s in sig]
     dcount = [s[3] for s in sig]
 
     if sig == []:
@@ -317,7 +316,7 @@ def rows_for_host(group, form, host, classes):
                 return list(_EXCEPTIONAL_ROWS[("E7.fusedE6", None)])
             raise CaseTableError("fused E6 support in unexpected ambient")
 
-    entry = _classify_classical(group, form, host)
+    entry = _classify_classical(group, host)
     if len(classes) != 1:
         raise CaseTableError("classical host with more than one class")
     return [entry]

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from supercusp.casetable import resolve_named_subgroup, rows_for_host
 from supercusp.exact import euler_phi
-from supercusp.galois import cuspidal_support, hii_check, kac_points, param_json
+from supercusp.galois import cuspidal_support, hii_check, kac_rows, param_json
 from supercusp.padic import (cuspidal_data, enumerate_inner_forms,
                              formal_degree, inner_forms_by_token,
-                             parahoric_classes, supports_with_cuspidals)
+                             parahoric_classes)
 from supercusp.rootdata import aut_on_omega, build_group, parse_type
 
 
@@ -311,25 +311,10 @@ class PacketReport:
     tau_orbit: int | None = None
 
 
-def _aligned_rows(group, form):
-    """(host, class, row, param) tuples in catalogue order."""
-    params = kac_points(group, form)
-    out = []
-    i = 0
-    for host, datum in supports_with_cuspidals(group, form):
-        rows = rows_for_host(group, form, host, datum.classes)
-        for cls, row in zip(datum.classes, rows):
-            out.append((host, cls, row, params[i]))
-            i += 1
-    if i != len(params):
-        raise CorrespondenceError("parameter stream out of step")
-    return out
-
-
 def reports_for_form(group, form):
     spec = f"{group.type_string()}:{group.isogeny}:{form.token}"
     out = []
-    for host, cls, row, param in _aligned_rows(group, form):
+    for host, cls, row, param in kac_rows(group, form):
         inv = compute_invariants(group, form, host, param)
         orbit_count = inv.g_prime * euler_phi(row.n_s)
         fdeg = formal_degree(group, form, host, cls)
@@ -426,6 +411,15 @@ def equivariance_check(group, reports, tau):
             for sup in pc.associates:
                 associates[token][frozenset(sup)] = frozenset(pc.support)
 
+    # per form with representative r: w = r + x - theta(x) -> -x
+    omega = group.rs.omega
+    conjugators = {token: {} for token in forms}
+    for x in group.omega_elements():
+        twist = omega.add(x, omega.neg(group.theta_on_omega(x)))
+        for token, form in forms.items():
+            conjugators[token].setdefault(omega.add(form.rep, twist),
+                                          omega.neg(x))
+
     mismatches = []
     orbit_of = {}
     next_orbit = 0
@@ -443,7 +437,13 @@ def equivariance_check(group, reports, tau):
             if target_token is None:
                 mismatches.append((j, "form image not found"))
                 break
-            mapped_sup = frozenset(node_map[n] for n in rj.support)
+            # the image is stable under F_w for w the image of the source
+            # representative; F_w = omega_x F_r omega_x^-1 for the target
+            # representative r and any x with w = r + x - theta(x), so
+            # omega_-x carries the image to a support of r
+            shift = conjugators[target_token][act(forms[rj.form_token].rep)]
+            mapped_sup = frozenset(group.omega_act_node(shift, node_map[n])
+                                   for n in rj.support)
             canon = associates.get(target_token, {}).get(mapped_sup)
             if canon is None:
                 mismatches.append((j, "support image not a class member"))

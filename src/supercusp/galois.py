@@ -573,15 +573,23 @@ def _build_param(group, form, host, cls, row):
         class_size=cls.size, form_token=form.token, support=host.support)
 
 
-def kac_points(group, form):
-    """One parameter per case row hosted by the inner form: the dual-side
-    reading of the parahoric support classes."""
+def kac_rows(group, form):
+    """(host, class, case row, parameter) per case row hosted by the inner
+    form, in catalogue order: one pass over the supports feeds both the
+    parahoric side and the dual-side reading."""
     out = []
     for host, datum in supports_with_cuspidals(group, form):
         rows = rows_for_host(group, form, host, datum.classes)
         for cls, row in zip(datum.classes, rows):
-            out.append(_build_param(group, form, host, cls, row))
+            out.append((host, cls, row,
+                        _build_param(group, form, host, cls, row)))
     return out
+
+
+def kac_points(group, form):
+    """One parameter per case row hosted by the inner form: the dual-side
+    reading of the parahoric support classes."""
+    return [param for *_, param in kac_rows(group, form)]
 
 
 def centralizer_type(param):

@@ -20,7 +20,7 @@ from math import isqrt
 from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
                              euler_phi, integer_kernel, mat_identity, mat_mul,
                              mobius)
-from supercusp.rootdata import root_system
+from supercusp.rootdata import weyl_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def enumerate_inner_forms(group):
     for cls in classes:
         members = tuple(sorted(cls))
         qs = ident in cls
-        fixed = [x for x in members if group.theta_on_omega(x) == x]
+        fixed = [x for x in members if x in group.omega_ad_theta_fixed()]
         rep = fixed[0] if fixed else members[0]
         keyed.append((not qs, members, rep))
     keyed.sort()
@@ -308,8 +308,8 @@ def finite_semisimple_order(family, rank, twist):
     factor q^d - 1 or q^d + 1.  For 3D4 the two degree-4 invariants carry
     the two primitive cube roots of unity and give together the one factor
     Phi_3(q^4) = q^8 + q^4 + 1 = (q^12 - 1) / (q^4 - 1)."""
-    rs = root_system(family, rank)
-    degrees = rs.degrees
+    degrees = weyl_degrees(family, rank)
+    num_pos_roots = sum(d - 1 for d in degrees)
     if twist == 1:
         orders = [1] * len(degrees)
     elif twist == 2 and family == "A":
@@ -323,7 +323,7 @@ def finite_semisimple_order(family, rank, twist):
         degrees, orders = (2, 4, 6), (1, 3, 1)
     else:
         raise ValueError(f"no twisted order formula for {twist}{family}{rank}")
-    out = CyclotomicProduct(1, 2 * rs.num_pos_roots)
+    out = CyclotomicProduct(1, 2 * num_pos_roots)
     for d, o in zip(degrees, orders):
         out = out * CyclotomicProduct(1, 0, ((o, 1),)).subst_t_power(2 * d)
     return out
@@ -340,10 +340,12 @@ def parahoric_order(group, support, perm):
 
 
 def support_dimension(group, support):
+    """Rank plus the roots of the support's components, each counted from
+    the Weyl degrees: a degree d adds d - 1 positive roots."""
     dim = group.rank_total
     for comp in _connected_components(group, support):
-        fam, rank = classify_component(group, comp)
-        dim += 2 * root_system(fam, rank).num_pos_roots
+        dim += 2 * sum(d - 1 for d in weyl_degrees(
+            *classify_component(group, comp)))
     return dim
 
 

@@ -1,8 +1,8 @@
 """Root systems, based root data, affine diagrams, and fundamental groups.
 
-Each simple type is realized by concrete simple-root vectors, but the
-vectors are read only once, for the Cartan matrix and the squared lengths of
-the simple roots.  Everything downstream is integral: the roots are built
+Each simple type is realized by concrete integer simple-root vectors, but
+the vectors are read only once, for the Cartan matrix and the squared lengths
+of the simple roots.  Everything downstream is integral: the roots are built
 by reflection in simple-root coordinates, the highest root is the root of
 largest height, and the affine diagram with its marks, the finite abelian
 group P_cowt/Q_corootlat and its diagram action all follow from the Cartan
@@ -56,13 +56,10 @@ def vdot(a, b):
 
 
 def _simple_roots(family, rank):
-    # the only Fractions of the module: E8 and F4 need half-integer vectors
-    from fractions import Fraction
-
+    # scaled by 2, so that E8 and F4 need no half-integers; neither the
+    # Cartan matrix nor the length ratios depend on the scale
     def e(i, dim):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        return tuple(v)
+        return tuple(2 * (i == j) for j in range(dim))
 
     if family == "A":
         dim = rank + 1
@@ -92,7 +89,7 @@ def _simple_roots(family, rank):
         if rank not in (6, 7, 8):
             raise ValueError("E needs rank 6, 7, or 8")
         dim = 8
-        a1 = tuple(Fraction(x, 2) for x in (1, -1, -1, -1, -1, -1, -1, 1))
+        a1 = (1, -1, -1, -1, -1, -1, -1, 1)
         a2 = vadd(e(0, dim), e(1, dim))
         rest = [vsub(e(i, dim), e(i - 1, dim)) for i in range(1, 7)]  # e2-e1 ...
         full = [a1, a2] + rest
@@ -105,7 +102,7 @@ def _simple_roots(family, rank):
             vsub(e(1, dim), e(2, dim)),
             vsub(e(2, dim), e(3, dim)),
             e(3, dim),
-            tuple(Fraction(x, 2) for x in (1, -1, -1, -1)),
+            (1, -1, -1, -1),
         ]
     if family == "G":
         if rank != 2:
@@ -113,7 +110,7 @@ def _simple_roots(family, rank):
         dim = 3
         return [
             vsub(e(0, dim), e(1, dim)),
-            tuple(Fraction(x) for x in (-2, 1, 1)),
+            (-4, 2, 2),
         ]
     raise ValueError(f"unknown family {family!r}")
 
@@ -131,6 +128,13 @@ _DEGREES = {
     "F": lambda n: [2, 6, 8, 12],
     "G": lambda n: [2, 6],
 }
+
+
+def weyl_degrees(family, rank):
+    """Degrees of the basic invariants of the Weyl group.  Each degree d
+    adds d - 1 positive roots, so their sum less the rank is the number of
+    positive roots; RootSystem checks that against its own roots."""
+    return tuple(_DEGREES[family](rank))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ class RootSystem:
         self.hr_coeffs = max(self.roots, key=sum)
         # marks: node 0 (the extending node) always carries 1
         self.marks = (1,) + self.hr_coeffs
-        self.degrees = _DEGREES[family](rank)
+        self.degrees = weyl_degrees(family, rank)
         if sum(d - 1 for d in self.degrees) != self.num_pos_roots:
             raise InvariantError(
                 f"degrees of {family}{rank} do not count its "
@@ -217,9 +221,14 @@ class RootSystem:
     def _affine_cartan(self):
         # gradients of the affine simple roots; node 0 is minus the highest
         # root
+        n, A = self.rank, self.cartan
         vecs = [tuple(-c for c in self.hr_coeffs)] + \
-            [_unit(i, self.rank) for i in range(self.rank)]
-        return tuple(tuple(self.pair(a, b) for b in vecs) for a in vecs)
+            [_unit(i, n) for i in range(n)]
+        # <a, alpha_j^vee> per gradient a, and each coroot once
+        rows = [[sum(a[i] * A[i][j] for i in range(n)) for j in range(n)]
+                for a in vecs]
+        coroots = [self.coroot(b) for b in vecs]
+        return tuple(tuple(vdot(r, c) for c in coroots) for r in rows)
 
     # -- fundamental group of the adjoint form -------------------------------
 
@@ -371,14 +380,15 @@ def _cartan_and_lengths(simples):
     gram = [[vdot(a, b) for b in simples] for a in simples]
     shortest = min(gram[i][i] for i in range(len(gram)))
 
-    def integral(x, what):
-        if x.denominator != 1:
-            raise InvariantError(f"{what} {x} is not an integer")
-        return int(x)
+    def exact(num, den, what):
+        q, r = divmod(num, den)
+        if r:
+            raise InvariantError(f"{what} {num}/{den} is not an integer")
+        return q
 
-    cartan = tuple(tuple(integral(2 * g / gram[j][j], "Cartan entry")
+    cartan = tuple(tuple(exact(2 * g, gram[j][j], "Cartan entry")
                          for j, g in enumerate(row)) for row in gram)
-    lengths = tuple(integral(gram[i][i] / shortest, "length ratio")
+    lengths = tuple(exact(gram[i][i], shortest, "length ratio")
                     for i in range(len(gram)))
     return cartan, lengths
 
@@ -447,6 +457,9 @@ class SimpleGroup:
         if not self._theta_stable_subgroup(self.omega_G):
             raise ValueError(
                 f"isogeny {isogeny!r} is not stable under the Frobenius action")
+        self._omega_ad_theta = frozenset(
+            x for x in self.rs.omega.elements() if self.theta_on_omega(x) == x)
+        self._omega_G_theta = self._omega_ad_theta & self.omega_G
         self._build_lattice()
         self._build_fundamental()
 
@@ -603,11 +616,10 @@ class SimpleGroup:
 
     def omega_theta_fixed(self):
         """Omega_G^theta as a set of adjoint-omega elements."""
-        return frozenset(x for x in self.omega_G if self.theta_on_omega(x) == x)
+        return self._omega_G_theta
 
     def omega_ad_theta_fixed(self):
-        return frozenset(x for x in self.omega_elements()
-                         if self.theta_on_omega(x) == x)
+        return self._omega_ad_theta
 
     def kottwitz_data(self):
         """Orders-level summary: invariants, coinvariants, their duals, and

@@ -7,6 +7,7 @@ the equal-degree class size and the descent subgroup inside the support
 stabilizer.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,8 +20,11 @@ from supercusp.casetable import (
     resolve_named_subgroup,
     rows_for_host,
 )
-from supercusp.padic import enumerate_inner_forms, supports_with_cuspidals
-from supercusp.rootdata import SimpleGroup
+from supercusp.correspond import full_report
+from supercusp.galois import _dual_group
+from supercusp.padic import (enumerate_inner_forms, inner_forms_by_token,
+                             supports_with_cuspidals)
+from supercusp.rootdata import SimpleGroup, parse_spec, root_system
 
 PHI = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 
@@ -305,3 +309,40 @@ class TestTableDump:
         for e in all_pattern_entries():
             if e.pattern.startswith("exc."):
                 assert e.b_ad == PHI[e.n_s], e
+
+
+# ---------------------------------------------------------------------------
+# the report pipeline does each stage once
+# ---------------------------------------------------------------------------
+
+
+class TestOnePass:
+    def test_no_root_system_for_levi_components(self):
+        # component sizes come from the Weyl degrees, so a report builds
+        # only the root systems of its type and of the dual type
+        for fam, rank, tw in catalogue():
+            root_system.cache_clear()
+            _dual_group.cache_clear()
+            full_report(f"{tw if tw > 1 else ''}{fam}{rank}:adjoint:*")
+            assert root_system.cache_info().currsize <= 2, (fam, rank, tw)
+
+    def test_one_support_pass_per_form(self, monkeypatch):
+        calls = []
+
+        def counted(group, form):
+            calls.append(form.token)
+            return supports_with_cuspidals(group, form)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("supercusp") and getattr(
+                    module, "supports_with_cuspidals", None) \
+                    is supports_with_cuspidals:
+                monkeypatch.setattr(module, "supports_with_cuspidals", counted)
+        for spec in ("A3:adjoint:*", "2A5:sc:*", "B3:adjoint:*",
+                     "D6:so:*", "3D4:adjoint:*", "E6:adjoint:*",
+                     "E7:sc:*", "2A7:adjoint:w1"):
+            calls.clear()
+            full_report(spec)
+            group, twist = parse_spec(spec)
+            tokens = [f.token for f in inner_forms_by_token(group, twist)]
+            assert calls == tokens, spec

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from supercusp.casetable import rows_for_host
 from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              RatFunc, euler_phi)
 from supercusp.galois import (WeightString, _orbit_product, adjoint_wd_rep,
                               centralizer_type, cuspidal_support, dual_type,
                               gamma0_virtual, hii_check,
-                              inner_torsion_strings, kac_points,
+                              inner_torsion_strings, kac_points, kac_rows,
                               local_factors, param_json,
                               regular_linear_strings, string_of)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
@@ -393,11 +394,8 @@ class TestEquivariance:
     isogeny permutes the report rows and keeps every formal degree."""
 
     @pytest.mark.parametrize("type_str", [
-        "A3", "A5", "D4", "D5", "2D4", "E6", "2E6", "B3",
-        pytest.param("2A3", marks=pytest.mark.xfail(
-            strict=True, reason="the image of the w1 support (0, 3) under "
-            "1 <-> 3 is stable for another representative of the form, "
-            "which the check does not try")),
+        "A3", "A5", "A7", "D4", "D5", "D6", "D8", "2D4", "2D5", "2D6",
+        "2D8", "E6", "2E6", "B3", "2A3", "2A5", "2A7", "2A9",
     ])
     def test_rows_permute(self, type_str):
         fam, rank, _ = parse_type(type_str)
@@ -497,6 +495,23 @@ class TestKacPoints:
                         assert p.weight_dim() == dim_dual
                         local_factors(p.sl2_weights)
         assert seen_weighted > 80
+
+    def test_rows_carry_their_parameters(self):
+        # kac_rows pairs each support, class and case row with the
+        # parameter built from them, in the order of kac_points
+        for g in small_catalogue():
+            for form in enumerate_inner_forms(g):
+                rows = kac_rows(g, form)
+                assert [p for *_, p in rows] == kac_points(g, form)
+                expected = [
+                    (host, cls, row)
+                    for host, datum in supports_with_cuspidals(g, form)
+                    for cls, row in zip(datum.classes, rows_for_host(
+                        g, form, host, datum.classes))]
+                assert [r[:3] for r in rows] == expected
+                for host, cls, row, p in rows:
+                    assert (p.support, p.pattern, p.n_s, p.class_size) == \
+                        (host.support, row.pattern, row.n_s, cls.size)
 
     def test_centralizer_recompute_matches(self):
         g = build_group("E7", "adjoint")

@@ -22,6 +22,7 @@ from supercusp.rootdata import (
     parse_type,
     root_system,
     standard_frobenius_perm,
+    weyl_degrees,
 )
 
 
@@ -72,6 +73,36 @@ class TestRootSystem:
         adj = {(i, j) for i in range(1, 7) for j in range(1, 7)
                if i < j and rs.cartan[i - 1][j - 1] != 0}
         assert adj == {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
+
+    # Bourbaki's plates, with entry (i, j) = <alpha_i, alpha_j^vee> =
+    # 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) and the squared lengths of
+    # the simple roots, the shortest being 1
+    BOURBAKI = {
+        ("B", 3): (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (2, 2, 1)),
+        ("C", 3): (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (1, 1, 2)),
+        ("G", 2): (((2, -1), (-3, 2)), (1, 3)),
+        ("F", 4): (((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1),
+                    (0, 0, -1, 2)), (2, 2, 1, 1)),
+        # chain 1-3-4-5-6-7-8 with 2 on 4
+        ("E", 8): (((2, 0, -1, 0, 0, 0, 0, 0),
+                    (0, 2, 0, -1, 0, 0, 0, 0),
+                    (-1, 0, 2, -1, 0, 0, 0, 0),
+                    (0, -1, -1, 2, -1, 0, 0, 0),
+                    (0, 0, 0, -1, 2, -1, 0, 0),
+                    (0, 0, 0, 0, -1, 2, -1, 0),
+                    (0, 0, 0, 0, 0, -1, 2, -1),
+                    (0, 0, 0, 0, 0, 0, -1, 2)), (1,) * 8),
+    }
+
+    @pytest.mark.parametrize("key", sorted(BOURBAKI), ids="{0[0]}{0[1]}".format)
+    def test_cartan_and_lengths(self, key):
+        rs = root_system(*key)
+        assert (rs.cartan, rs.lengths) == self.BOURBAKI[key]
+
+    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    def test_weyl_degrees_count_the_roots(self, key):
+        assert sum(d - 1 for d in weyl_degrees(*key)) == \
+            root_system(*key).num_pos_roots
 
     def test_affine_node_attachment(self):
         # affine node of B_n attaches to node 2; of C_n to node 1
@@ -128,6 +159,28 @@ class TestFundamentalGroup:
     def test_theta_fixed_sizes(self, ts):
         g = build_group(ts, "adjoint")
         assert len(g.omega_ad_theta_fixed()) == self.THETA_FIXED[ts]
+
+    def test_theta_fixed_is_the_definition(self):
+        # the sets kept by the group against theta on Omega, element by
+        # element, for every isogeny of every catalogue type up to rank 8
+        types = [(fam, r, tw) for fam, lo, twists in (
+            ("A", 1, (1, 2)), ("B", 2, (1,)), ("C", 2, (1,)),
+            ("D", 3, (1, 2))) for r in range(lo, 9) for tw in twists]
+        types += [("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1),
+                  ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)]
+        checked = 0
+        for fam, rank, tw in types:
+            for iso in isogeny_tokens(fam, rank):
+                try:
+                    g = SimpleGroup(fam, rank, tw, iso)
+                except ValueError:
+                    continue
+                assert g.omega_ad_theta_fixed() == frozenset(
+                    x for x in g.omega_elements() if g.theta_on_omega(x) == x)
+                assert g.omega_theta_fixed() == frozenset(
+                    x for x in g.omega_G if g.theta_on_omega(x) == x)
+                checked += 1
+        assert checked > 100
 
     COINV_CLASSES = {
         "A3": 4, "2A5": 2, "2A4": 1, "3D4": 1, "2E6": 1, "D6": 4, "2D6": 2,
