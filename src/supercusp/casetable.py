@@ -136,13 +136,23 @@ def _orbit_signature(host):
                   for co in host.orbits)
 
 
-def _odd_orthogonal_torsion(s, t):
-    """Torsion order for a support of shape D_s x B_t inside the odd
-    orthogonal family: the matching involution has equal-or-adjacent
-    defects exactly when one block is empty, and is central then."""
+def odd_orthogonal_blocks(host):
+    """(a, b) for a support of shape D_s x B_t in the odd orthogonal family,
+    with s = b^2 and t = a(a + 1); a central torus stands for s = 1.  None
+    when s is not a square or t not of that form."""
+    s = t = 0
+    for co in host.orbits:
+        if co.family == "D":
+            s = co.rank
+        elif co.family == "B":
+            t = co.rank
+    if s == 0 and host.torus_rank > 0:
+        s = 1
     b = isqrt(s)
     a = (isqrt(4 * t + 1) - 1) // 2
-    return 1 if b - a in (0, 1) else 2
+    if b * b != s or a * (a + 1) != t:
+        return None
+    return a, b
 
 
 def _classify_classical(group, host):
@@ -177,17 +187,17 @@ def _classify_classical(group, host):
         if len(b_parts) + len(d_parts) != len(sig) or len(b_parts) > 1 \
                 or len(d_parts) > 1 or any(d != 1 for d in dcount):
             raise CaseTableError("odd orthogonal support out of pattern")
-        t = b_parts[0][1] if b_parts else 0
-        if d_parts:
-            s = d_parts[0][1]
-        elif host.torus_rank > 0:
-            s = 1
-        else:
-            s = 0
-        if s == 0:
+        blocks = odd_orthogonal_blocks(host)
+        if blocks is None:
+            raise CaseTableError("odd orthogonal block ranks are not a "
+                                 "square and a pronic number")
+        a, b = blocks
+        if b == 0:
             return _CLASSICAL_RULES["oddorth.s0"]
+        # the matching involution has equal-or-adjacent defects exactly when
+        # one block is empty, and is central then
         return replace(_CLASSICAL_RULES["oddorth.pair"],
-                       n_s=_odd_orthogonal_torsion(s, t))
+                       n_s=1 if b - a in (0, 1) else 2)
 
     if fam == "C":
         a_parts = [s for s in sig if s[0] == "A"]

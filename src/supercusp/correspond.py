@@ -11,16 +11,20 @@ automorphisms are separate passes over the assembled reports.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from supercusp.casetable import resolve_named_subgroup, rows_for_host
+# rows_for_host is not called here, but perfbench's tracer test reads it
+# from this namespace to check that tracing restores it
+from supercusp.casetable import resolve_named_subgroup, rows_for_host  # noqa: F401
 from supercusp.exact import euler_phi
 from supercusp.galois import cuspidal_support, hii_check, kac_rows, param_json
-from supercusp.padic import (cuspidal_data, enumerate_inner_forms,
-                             formal_degree, inner_forms_by_token,
-                             parahoric_classes)
+from supercusp.padic import (enumerate_inner_forms, formal_degree,
+                             inner_forms_by_token, parahoric_classes)
 from supercusp.rootdata import aut_on_omega, build_group, parse_type
 
 
@@ -81,35 +85,9 @@ class PacketInvariants:
             raise CorrespondenceError(
                 f"count identity fails: {self.a}*{self.b} != "
                 f"{self.a_prime}*{self.b_prime}")
-        if self._order(self.stabilizer_param) != \
-                self._order(self.stabilizer_pair) * self.g:
+        if prod(self.stabilizer_param) != \
+                prod(self.stabilizer_pair) * self.g:
             raise CorrespondenceError("stabilizer index does not match g")
-
-    @staticmethod
-    def _order(factors):
-        out = 1
-        for d in factors:
-            out *= d
-        return out
-
-    def as_tuple(self):
-        return (self.a, self.b, self.a_prime, self.b_prime)
-
-
-def _match_case_row(group, form, pc, param):
-    """The (class, row) pair on this support that the parameter describes."""
-    datum = cuspidal_data(group, form, pc)
-    if datum is None:
-        raise CorrespondenceError("support carries no cuspidal datum")
-    rows = rows_for_host(group, form, pc, datum.classes)
-    for cls, row in zip(datum.classes, rows):
-        if row.pattern == param.pattern and row.n_s == param.n_s \
-                and row.b_ad == param.b_adjoint \
-                and cls.size == param.class_size:
-            return cls, row
-    raise CorrespondenceError(
-        f"no case row on support {pc.support} matches pattern "
-        f"{param.pattern!r} with n_s={param.n_s}")
 
 
 def _n_subgroup(group, row, stab_ad):
@@ -123,54 +101,48 @@ def _n_subgroup(group, row, stab_ad):
     return sub
 
 
-def compute_invariants(group, form, pc, param):
-    """The six invariants of the case row that pc and param share.
+def _invariants(group, pc, n_sub, b, b_prime):
+    """The invariants on the support class pc of a row with
+    parameter-moving subgroup n_sub, enhancement count b and class size b':
+    a is the twisting orbit of the parameter, a' the stabilizer order times
+    the class-splitting count."""
+    om_theta = frozenset(group.omega_theta_fixed())
+    stab_g = frozenset(pc.stabilizer_G)
+    fixed_part = n_sub & om_theta
+    return PacketInvariants(
+        a=len(fixed_part), b=b, a_prime=pc.g_prime * len(stab_g),
+        b_prime=b_prime, g=_index(stab_g, fixed_part, "stabilizer index g"),
+        g_prime=pc.g_prime,
+        stabilizer_param=_quotient_invariants(group, om_theta, fixed_part),
+        stabilizer_pair=_quotient_invariants(group, om_theta, stab_g))
+
+
+def compute_invariants(group, pc, cls, row):
+    """The six invariants of one case row: the support class pc, its
+    equal-degree cuspidal class cls, and the case row built for that class
+    (one (host, class, row) triple of galois.kac_rows).
 
     The a and b counts come from the parameter side (twisting orbit of the
-    parameter, enhancement counts); a' and b' from the parahoric side
-    (stabilizer orders, equal-degree class sizes).  The identity a*b = a'*b'
-    is asserted on construction, not assumed.
+    parameter, and the row's adjoint enhancement count b_ad carried to this
+    level); a' and b' from the parahoric side (stabilizer orders,
+    equal-degree class sizes).  The identity a*b = a'*b' is asserted on
+    construction, not assumed.
     """
-    if param.form_token != form.token:
-        raise CorrespondenceError(
-            f"parameter belongs to form {param.form_token!r}, "
-            f"got {form.token!r}")
-    if tuple(param.support) != tuple(pc.support):
-        raise CorrespondenceError(
-            f"parameter support {param.support} is not {pc.support}")
-    cls, row = _match_case_row(group, form, pc, param)
-
     stab_ad = frozenset(pc.stabilizer_ad)
     stab_g = frozenset(pc.stabilizer_G)
-    om_theta = frozenset(group.omega_theta_fixed())
     n_sub = _n_subgroup(group, row, stab_ad)
-
-    # parameter side: orbit of the parameter under twisting, then the
-    # enhancement count transferred from the adjoint row (the table's count
-    # scaled by the two subgroup indices of the transfer lemma)
-    fixed_part = n_sub & om_theta
-    if not fixed_part <= stab_g:
+    if not n_sub & frozenset(group.omega_theta_fixed()) <= stab_g:
         raise CorrespondenceError("parameter-moving subgroup escapes the "
                                   "support stabilizer")
-    a = len(fixed_part)
-    adjoint_count = cuspidal_support(param, group).total_count()
+    # the adjoint row's enhancement count scaled by the two subgroup
+    # indices of the transfer lemma
     merged = _product_set(group, stab_g, n_sub)
     drop = _index(stab_ad, merged, "transfer index")
-    b, rem = divmod(pc.g_prime * adjoint_count, drop)
+    b, rem = divmod(pc.g_prime * row.b_ad, drop)
     if rem:
         raise CorrespondenceError("enhancement count not integral")
 
-    # parahoric side: stabilizer order times the class-splitting count,
-    # and the size of the equal-degree cuspidal class
-    a_prime = pc.g_prime * len(stab_g)
-    b_prime = cls.size
-
-    g = _index(stab_g, fixed_part, "stabilizer index g")
-    inv = PacketInvariants(
-        a=a, b=b, a_prime=a_prime, b_prime=b_prime,
-        g=g, g_prime=pc.g_prime,
-        stabilizer_param=_quotient_invariants(group, om_theta, fixed_part),
-        stabilizer_pair=_quotient_invariants(group, om_theta, stab_g))
+    inv = _invariants(group, pc, n_sub, b, cls.size)
     if inv.b_prime != euler_phi(row.n_s):
         raise CorrespondenceError(
             f"class size {inv.b_prime} is not phi({row.n_s})")
@@ -193,16 +165,13 @@ class TransferData:
     invariants: PacketInvariants
     n_subgroup: frozenset
     stabilizer: frozenset     # Omega^{theta,P} at this level
-    g_prime: int
-    n_s: int
 
 
-def transfer_data(group, form, pc, param):
-    inv = compute_invariants(group, form, pc, param)
-    cls, row = _match_case_row(group, form, pc, param)
-    n_sub = _n_subgroup(group, row, frozenset(pc.stabilizer_ad))
-    return TransferData(inv, n_sub, frozenset(pc.stabilizer_G),
-                        pc.g_prime, row.n_s)
+def transfer_data(group, pc, cls, row):
+    """One case row's invariants with what isogeny_transfer needs."""
+    return TransferData(compute_invariants(group, pc, cls, row),
+                        _n_subgroup(group, row, frozenset(pc.stabilizer_ad)),
+                        frozenset(pc.stabilizer_G))
 
 
 def isogeny_transfer(base: TransferData, target, target_pc):
@@ -213,42 +182,26 @@ def isogeny_transfer(base: TransferData, target, target_pc):
     be an isogeny form of the same root datum on the same support class.
     """
     n_sub = base.n_subgroup
-    stab_ad = frozenset(target_pc.stabilizer_ad)
-    if not n_sub <= stab_ad:
+    if not n_sub <= frozenset(target_pc.stabilizer_ad):
         raise CorrespondenceError("parameter-moving subgroup not contained "
                                   "in the adjoint stabilizer")
-    om_theta = frozenset(target.omega_theta_fixed())
-    stab_g = frozenset(target_pc.stabilizer_G)
-    fixed_part = n_sub & om_theta
-    a = len(fixed_part)
-
+    was = base.invariants
     merged_base = _product_set(target, base.stabilizer, n_sub)
-    merged_here = _product_set(target, stab_g, n_sub)
-    b_scaled = base.invariants.b * target_pc.g_prime * len(merged_here)
-    b, rem = divmod(b_scaled, base.g_prime * len(merged_base))
+    merged_here = _product_set(target, target_pc.stabilizer_G, n_sub)
+    b, rem = divmod(was.b * target_pc.g_prime * len(merged_here),
+                    was.g_prime * len(merged_base))
     if rem:
         raise CorrespondenceError("transferred count not integral")
-
-    a_prime = target_pc.g_prime * len(stab_g)
-    b_prime = base.invariants.b_prime
-    g = _index(stab_g, fixed_part, "stabilizer index g")
-
-    inv = PacketInvariants(
-        a=a, b=b, a_prime=a_prime, b_prime=b_prime,
-        g=g, g_prime=target_pc.g_prime,
-        stabilizer_param=_quotient_invariants(target, om_theta, fixed_part),
-        stabilizer_pair=_quotient_invariants(target, om_theta, stab_g))
+    inv = _invariants(target, target_pc, n_sub, b, was.b_prime)
 
     # the double ratio: the products a'b' and ab move between the two
     # levels by the same factor, and that factor has a closed form
-    ratio = Fraction(inv.a_prime * inv.b_prime,
-                     base.invariants.a_prime * base.invariants.b_prime)
-    closed = Fraction(target_pc.g_prime * len(stab_g),
-                      base.g_prime * len(base.stabilizer))
+    ratio = Fraction(inv.a_prime * inv.b_prime, was.a_prime * was.b_prime)
+    closed = Fraction(target_pc.g_prime * len(target_pc.stabilizer_G),
+                      was.g_prime * len(base.stabilizer))
     if ratio != closed:
         raise CorrespondenceError("double ratio fails on the primed side")
-    if ratio != Fraction(inv.a * inv.b,
-                         base.invariants.a * base.invariants.b):
+    if ratio != Fraction(inv.a * inv.b, was.a * was.b):
         raise CorrespondenceError("double ratio fails on the plain side")
     return inv
 
@@ -262,26 +215,6 @@ def matched_class(group, form, support_class_associates):
     if not hits:
         raise CorrespondenceError("no matching support class")
     return hits
-
-
-def split_parahoric_classes(group, form, pc_ad):
-    """All classes at this level folded into one adjoint class."""
-    return matched_class(group, form, pc_ad.associates)
-
-
-def enhancement_count_split(group, form, pc_ad):
-    """Number of extensions of a fixed adjoint enhancement to this level:
-    g', also realized as the number of support classes over the adjoint
-    one."""
-    split = split_parahoric_classes(group, form, pc_ad)
-    counts = {pc.g_prime for pc in split}
-    if len(counts) != 1:
-        raise CorrespondenceError("inconsistent splitting over one class")
-    count = counts.pop()
-    if count != len(split):
-        raise CorrespondenceError(
-            f"class count {len(split)} does not match g' = {count}")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +248,7 @@ def reports_for_form(group, form):
     spec = f"{group.type_string()}:{group.isogeny}:{form.token}"
     out = []
     for host, cls, row, param in kac_rows(group, form):
-        inv = compute_invariants(group, form, host, param)
+        inv = compute_invariants(group, host, cls, row)
         orbit_count = inv.g_prime * euler_phi(row.n_s)
         fdeg = formal_degree(group, form, host, cls)
         supp = cuspidal_support(param, group)
@@ -372,10 +305,6 @@ def full_report(spec):
 # ---------------------------------------------------------------------------
 
 
-def _form_lookup(group):
-    return {frozenset(f.cls): f.token for f in enumerate_inner_forms(group)}
-
-
 def _row_key(report):
     """Matching key for one report row under relabeling: everything a
     diagram automorphism must preserve except the support itself."""
@@ -395,7 +324,8 @@ def equivariance_check(group, reports, tau):
     """
     act = aut_on_omega(group, tau.as_dict())
     node_map = tau.affine_perm()
-    token_of = _form_lookup(group)
+    forms = {f.token: f for f in enumerate_inner_forms(group)}
+    token_of = {frozenset(f.cls): token for token, f in forms.items()}
 
     indexed = {}
     for i, rep in enumerate(reports):
@@ -405,7 +335,6 @@ def equivariance_check(group, reports, tau):
     associates = {}
     for rep in reports:
         associates.setdefault(rep.form_token, {})
-    forms = {f.token: f for f in enumerate_inner_forms(group)}
     for token in list(associates):
         for pc in parahoric_classes(group, forms[token]):
             for sup in pc.associates:
@@ -522,19 +451,15 @@ def reports_json(reports):
 
 
 def reports_csv(reports):
-    lines = [",".join(CSV_COLUMNS)]
+    """One CSV line per report, each field read from its JSON record (the
+    invariants flattened, None written as an empty field)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for r in reports:
         rec = report_record(r)
-        inv = rec["invariants"]
-        row = [rec["spec"], rec["form"],
-               " ".join(str(n) for n in rec["support"]),
-               rec["quotient"], rec["pattern"], rec["provenance"],
-               str(rec["n_s"]), str(inv["a"]), str(inv["b"]),
-               str(inv["a_prime"]), str(inv["b_prime"]), str(inv["g"]),
-               str(inv["g_prime"]), str(rec["orbit_count"]),
-               rec["class_id"], str(rec["member"]),
-               json.dumps(rec["fdeg"]) if rec["fdeg"] else "",
-               rec["hii"],
-               "" if rec["tau_orbit"] is None else str(rec["tau_orbit"])]
-        lines.append(",".join(f'"{c}"' if "," in c else c for c in row))
-    return "\n".join(lines) + "\n"
+        rec.update(rec.pop("invariants"))
+        rec["support"] = " ".join(str(n) for n in rec["support"])
+        rec["fdeg"] = json.dumps(rec["fdeg"]) if rec["fdeg"] else None
+        writer.writerow([rec[c] for c in CSV_COLUMNS])
+    return buf.getvalue()

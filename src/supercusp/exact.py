@@ -222,9 +222,6 @@ class RatFunc:
     def is_zero(self):
         return self.num == (0,)
 
-    def is_one(self):
-        return self.num == (1,) and self.den == (1,)
-
     def positive_for_large_q(self):
         return self.num[-1] * self.den[-1] > 0
 
@@ -298,9 +295,6 @@ class RatFunc:
         return self.eval_t(Fraction(isqrt(a), isqrt(b)))
 
     # -- presentation -------------------------------------------------------
-
-    def is_polynomial(self):
-        return self.den == (1,)
 
     def in_q(self):
         """Coefficients in q if only even t-powers occur, else None."""

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from supercusp.casetable import rows_for_host
+from supercusp.casetable import odd_orthogonal_blocks, rows_for_host
 from supercusp.exact import (Cyclo, CyclotomicProduct, InvariantError,
                              RatFunc, cyclotomic_poly, euler_phi, p_eval)
 from supercusp.padic import (_connected_components, classify_component,
@@ -241,11 +241,24 @@ def gamma0_virtual(plus, minus):
 _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D",
                 "E": "E", "F": "F", "G": "G"}
 
-# chain layouts of the fused dual diagrams: node marks and edge
-# multiplicities between consecutive nodes
+
+def _chain_pair(edges):
+    """Cartan entries <alpha_a, alpha_b^vee> of a chain diagram with the
+    given bond multiplicities between consecutive nodes: -m and -1 across a
+    bond of multiplicity m, the later node being the long one."""
+    def pair(a, b):
+        if a == b:
+            return 2
+        if abs(a - b) != 1:
+            return 0
+        return -edges[min(a, b)] if a > b else -1
+    return pair
+
+
+# chain layouts of the fused dual diagrams: node marks and Cartan entries
 _FUSED_CHAINS = {
-    "E6(2)": {"marks": (1, 2, 3, 2, 1), "edges": (1, 1, 2, 1)},
-    "D4(3)": {"marks": (1, 2, 1), "edges": (1, 3)},
+    "E6(2)": {"marks": (1, 2, 3, 2, 1), "pair": _chain_pair((1, 1, 2, 1))},
+    "D4(3)": {"marks": (1, 2, 1), "pair": _chain_pair((1, 3))},
 }
 
 
@@ -259,45 +272,20 @@ def _dual_group(dual_family, dual_rank):
     return SimpleGroup(dual_family, dual_rank, 1, "adjoint")
 
 
-def _classify_fused_run(chain, run):
-    """Type of a contiguous run of nodes of a fused chain diagram."""
-    edges = chain["edges"]
-    mults = [edges[i] for i in range(min(run), max(run)) if i in run
-             and i + 1 in run]
-    n = len(run)
-    if any(m == 3 for m in mults):
-        if n == 2:
-            return ("G", 2)
-        raise ValueError("unclassifiable fused subchain")
-    doubles = [i for i in range(len(mults)) if mults[i] == 2]
-    if not doubles:
-        return ("A", n)
-    if n == 2:
-        return ("B", 2)
-    if n == 4 and doubles == [1]:
-        return ("F", 4)
-    raise ValueError("unclassifiable fused subchain")
-
-
 def centralizer_components(dual_family, dual_rank, diagram, v_node):
     """Connected components left by cutting one node of the dual affine
-    diagram, as canonical (family, rank) pairs."""
+    diagram, as canonical (family, rank) pairs.  The untwisted diagram and
+    the fused chains go through the same classifier, each with its own
+    Cartan entries."""
     if diagram in (None, "untwisted"):
         grp = _dual_group(dual_family, dual_rank)
-        rest = [x for x in grp.affine_nodes() if x != v_node]
-        return tuple(sorted(classify_component(grp, comp)
-                            for comp in _connected_components(grp, rest)))
-    chain = _FUSED_CHAINS[diagram]
-    nodes = set(range(len(chain["marks"]))) - {v_node}
-    runs = []
-    while nodes:
-        seed = min(nodes)
-        run = {seed}
-        while seed + len(run) in nodes:
-            run.add(seed + len(run))
-        nodes -= run
-        runs.append(run)
-    return tuple(sorted(_classify_fused_run(chain, run) for run in runs))
+        nodes, pair = grp.affine_nodes(), grp.node_pair
+    else:
+        chain = _FUSED_CHAINS[diagram]
+        nodes, pair = range(len(chain["marks"])), chain["pair"]
+    rest = [x for x in nodes if x != v_node]
+    return tuple(sorted(classify_component(pair, comp)
+                        for comp in _connected_components(pair, rest)))
 
 
 def _dual_marks(dual_family, dual_rank, diagram):
@@ -338,11 +326,11 @@ def _parse_type_string(s):
     return tuple(sorted(out))
 
 
-def _shape_matches(geometric, comps):
-    """Do the computed components match the recorded centralizer string?
-    Explicit strings compare as normalized multisets; parametric shape
-    names compare by family pattern only."""
-    norm = tuple(sorted(_normalize_component(f, r) for f, r in comps))
+def _shape_matches(geometric, norm):
+    """Do the computed components (sorted, canonical as classify_component
+    gives them) match the recorded centralizer string?  Explicit strings
+    compare as normalized multisets; parametric shape names compare by
+    family pattern only."""
     fams = sorted(f for f, _ in norm)
     if geometric is None:
         return True
@@ -476,20 +464,10 @@ def _tri(m):
 def _odd_orthogonal_cut(group, host):
     """Cut node on the dual chain for the odd orthogonal family: the block
     data inverts to a pair of dual ranks summing to the full rank."""
-    from math import isqrt
-
-    s = t = 0
-    for co in host.orbits:
-        if co.family == "D":
-            s = co.rank
-        elif co.family == "B":
-            t = co.rank
-    if s == 0 and host.torus_rank > 0:
-        s = 1
-    b = isqrt(s)
-    a = (isqrt(4 * t + 1) - 1) // 2
-    if b * b != s or a * (a + 1) != t:
+    blocks = odd_orthogonal_blocks(host)
+    if blocks is None:
         return None
+    a, b = blocks
     n_plus, n_minus = _tri(a + b), _tri(a - b)
     if n_plus + n_minus != group.rank:
         return None
@@ -511,9 +489,8 @@ def _search_cut_node(dual_family, dual_rank, geometric, n_s):
     for v in grp.affine_nodes():
         if grp.rs.marks[v] != n_s:
             continue
-        comps = centralizer_components(dual_family, dual_rank, "untwisted", v)
-        norm = tuple(sorted(_normalize_component(f, r) for f, r in comps))
-        if norm == want:
+        if centralizer_components(dual_family, dual_rank, "untwisted",
+                                  v) == want:
             return v
     return None
 

@@ -107,7 +107,9 @@ def _perm_orbits(perm, nodes):
 # ---------------------------------------------------------------------------
 
 
-def _connected_components(group, nodes):
+def _connected_components(pair, nodes):
+    """Connected components of the diagram on the given nodes; the Cartan
+    entry pair(a, b) = <alpha_a, alpha_b^vee> is nonzero across a bond."""
     nodes = set(nodes)
     comps = []
     while nodes:
@@ -117,7 +119,7 @@ def _connected_components(group, nodes):
         while frontier:
             a = frontier.pop()
             for b in list(nodes):
-                if b not in comp and group.node_pair(a, b) != 0:
+                if b not in comp and pair(a, b) != 0:
                     comp.add(b)
                     frontier.append(b)
         nodes -= comp
@@ -125,19 +127,20 @@ def _connected_components(group, nodes):
     return comps
 
 
-def classify_component(group, nodes):
-    """(family, rank) of the connected subdiagram on the given affine nodes.
+def classify_component(pair, nodes):
+    """(family, rank) of the connected subdiagram on the given nodes, with
+    Cartan entries pair(a, b) = <alpha_a, alpha_b^vee>.
 
     Coincidences are canonicalized: rank 1 is A1, the double-bond rank-2
     diagram is B2, a branchless simply-laced chain is A_n."""
     n = len(nodes)
     if n == 1:
         return ("A", 1)
-    pair = {(a, b): group.node_pair(a, b) for a in nodes for b in nodes}
+    entry = {(a, b): pair(a, b) for a in nodes for b in nodes}
     bonds = {}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
-            m = pair[(a, b)] * pair[(b, a)]
+            m = entry[(a, b)] * entry[(b, a)]
             if m:
                 bonds[(a, b)] = m
     if any(m == 3 for m in bonds.values()):
@@ -156,7 +159,7 @@ def classify_component(group, nodes):
         # the chain ends in the double bond; the short end tells B from C
         leaf, inner = (a, b) if deg[a] == 1 else (b, a)
         # <alpha_inner, leaf_coroot> = -2 iff the leaf is short (type B)
-        if pair[(inner, leaf)] == -2:
+        if entry[(inner, leaf)] == -2:
             return ("B", n)
         return ("C", n)
     branch = [a for a in nodes if deg[a] == 3]
@@ -164,11 +167,11 @@ def classify_component(group, nodes):
         return ("A", n)
     arms = []
     b = branch[0]
-    for start in [x for x in nodes if pair[(b, x)] != 0 and x != b]:
+    for start in [x for x in nodes if entry[(b, x)] != 0 and x != b]:
         length = 1
         prev, cur = b, start
         while True:
-            nxt = [y for y in nodes if y not in (prev, cur) and pair[(cur, y)] != 0]
+            nxt = [y for y in nodes if y not in (prev, cur) and entry[(cur, y)] != 0]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]
@@ -218,7 +221,7 @@ class ComponentOrbit:
 
 
 def component_orbits(group, support, perm):
-    comps = _connected_components(group, support)
+    comps = _connected_components(group.node_pair, support)
     comp_of = {}
     for c in comps:
         for x in c:
@@ -243,7 +246,7 @@ def component_orbits(group, support, perm):
         ret = {x: x for x in c}
         for _ in range(d):
             ret = {x: perm[ret[x]] for x in ret}
-        fam, rank = classify_component(group, c)
+        fam, rank = classify_component(group.node_pair, c)
         out.append(ComponentOrbit(fam, rank, _perm_order_on(ret, c), d,
                                   tuple(orbit)))
     out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size, str(co.components)))
@@ -329,31 +332,16 @@ def finite_semisimple_order(family, rank, twist):
     return out
 
 
-def parahoric_order(group, support, perm):
-    """Number of points of the finite reductive quotient, as a polynomial in
-    q: semisimple factors over their orbit fields times the twisted torus."""
-    out = torus_factor(group, support, perm)
-    for co in component_orbits(group, support, perm):
+def parahoric_volume(group, host, perm):
+    """q^(-dim/2) times the number of points of the host's finite reductive
+    quotient: its semisimple factors over their orbit fields, read from the
+    stored component orbits, times the twisted torus.  Positive for every
+    q > 1."""
+    vol = CyclotomicProduct(1, -host.dim) * torus_factor(group, host.support,
+                                                        perm)
+    for co in host.orbits:
         base = finite_semisimple_order(co.family, co.rank, co.twist)
-        out = out * base.subst_t_power(co.orbit_size)
-    return out
-
-
-def support_dimension(group, support):
-    """Rank plus the roots of the support's components, each counted from
-    the Weyl degrees: a degree d adds d - 1 positive roots."""
-    dim = group.rank_total
-    for comp in _connected_components(group, support):
-        dim += 2 * sum(d - 1 for d in weyl_degrees(
-            *classify_component(group, comp)))
-    return dim
-
-
-def parahoric_volume(group, support, perm):
-    """q^(-dim/2) times the quotient order; positive for every q > 1."""
-    order = parahoric_order(group, support, perm)
-    dim = support_dimension(group, support)
-    vol = CyclotomicProduct(1, -dim) * order
+        vol = vol * base.subst_t_power(co.orbit_size)
     if vol.const <= 0:
         raise InvariantError(f"parahoric volume {vol} is not positive")
     return vol
@@ -420,7 +408,12 @@ def parahoric_classes(group, form):
                 f"G-orbit of {len(orbit_G)} supports does not divide the "
                 f"adjoint orbit of {len(orbit)}")
         orbits = component_orbits(group, rep, perm)
-        dim = support_dimension(group, rep)
+        # rank plus the roots of the components, from the Weyl degrees: a
+        # degree d adds d - 1 positive roots
+        dim = group.rank_total + sum(
+            len(co.components) * 2 * sum(
+                d - 1 for d in weyl_degrees(co.family, co.rank))
+            for co in orbits)
         torus_rank = group.rank_total - sum(
             co.orbit_size * co.rank for co in orbits)
         classes.append(ParahoricClass(
@@ -588,8 +581,10 @@ class FormalDegree:
 
 
 def formal_degree(group, form, host, cls):
-    perm = f_omega_perm(group, form)
-    vol = parahoric_volume(group, host.support, perm)
+    """Formal degree of the cuspidal class cls on the support class host:
+    the class degree over |Omega^{theta,P}| times the parahoric volume, which
+    comes from the host's stored component orbits and dimension."""
+    vol = parahoric_volume(group, host, f_omega_perm(group, form))
     stab = len(host.stabilizer_G)
     if cls.degree is None:
         return FormalDegree(None, None, stab, vol)

@@ -12,7 +12,8 @@ from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              RatFunc, euler_phi)
 from supercusp.galois import (WeightString, _orbit_product, adjoint_wd_rep,
-                              centralizer_type, cuspidal_support, dual_type,
+                              centralizer_components, centralizer_type,
+                              cuspidal_support, dual_type,
                               gamma0_virtual, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
                               local_factors, param_json,
@@ -523,6 +524,22 @@ class TestKacPoints:
                 else:
                     again = centralizer_type(p)
                     assert again.components == p.centralizer.components
+
+    def test_fused_chain_cuts(self):
+        # every cut of the twisted affine diagrams E6^(2) and D4^(3), read
+        # by the same classifier as the untwisted ones: the outer involution
+        # of E6 fixes F4 (node 0) and C4 (node 4), the outer automorphism
+        # of order three of D4 fixes G2 (node 0) and A2 (node 2)
+        expect = {
+            "E6(2)": [(("F", 4),), (("A", 1), ("B", 3)),
+                      (("A", 2), ("A", 2)), (("A", 1), ("A", 3)),
+                      (("C", 4),)],
+            "D4(3)": [(("G", 2),), (("A", 1), ("A", 1)), (("A", 2),)],
+        }
+        for diagram, cuts in expect.items():
+            for v, comps in enumerate(cuts):
+                assert centralizer_components(None, None, diagram, v) == \
+                    comps, (diagram, v)
 
     def test_division_parameter(self):
         g = build_group("A2", "adjoint")

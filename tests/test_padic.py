@@ -11,6 +11,7 @@ import sympy
 from supercusp.exact import InvariantError, RatFunc, p_subst_pow
 from supercusp.padic import (
     CentralTorusWrapper,
+    ParahoricClass,
     _is_square,
     _is_triangular,
     _perm_orbits,
@@ -201,13 +202,21 @@ class TestVolumes:
     def test_split_a1(self):
         g = build_group("A1", "adjoint")
         qs = inner_forms_by_token(g, "1")[0]
-        vol = parahoric_volume(g, (1,), f_omega_perm(g, qs)).to_ratfunc()
+        (host,) = parahoric_classes(g, qs)
+        assert (1,) in host.associates
+        vol = parahoric_volume(g, host, f_omega_perm(g, qs)).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * Q * (Q ** 2 - 1)
 
     def test_split_torus(self):
+        # the Iwahori subgroup is not maximal, so no ParahoricClass lists
+        # it: its quotient is the split torus, with no component orbits
         g = build_group("A3", "adjoint")
         qs = inner_forms_by_token(g, "1")[0]
-        vol = parahoric_volume(g, (), f_omega_perm(g, qs)).to_ratfunc()
+        iwahori = ParahoricClass(
+            support=(), associates=((),), stabilizer_ad=frozenset(),
+            stabilizer_G=frozenset(), g_prime=1, orbits=(), torus_rank=3,
+            dim=3)
+        vol = parahoric_volume(g, iwahori, f_omega_perm(g, qs)).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * (Q - 1) ** 3
 
     def test_positive(self):
@@ -216,7 +225,7 @@ class TestVolumes:
             form = inner_forms_by_token(g, tok)[0]
             perm = f_omega_perm(g, form)
             for pc in parahoric_classes(g, form):
-                vol = parahoric_volume(g, pc.support, perm).to_ratfunc()
+                vol = parahoric_volume(g, pc, perm).to_ratfunc()
                 assert vol.eval_q(4) > 0 and vol.eval_q(9) > 0
 
 
@@ -346,14 +355,14 @@ class TestClassification:
     def test_component_rules(self):
         g = build_group("B6", "adjoint")
         # nodes 0,1 fork at 2 in affine type B
-        assert classify_component(g, (0, 1, 2, 3)) == ("D", 4)
-        assert classify_component(g, (0, 2, 3)) == ("A", 3)
-        assert classify_component(g, (3, 4, 5, 6)) == ("B", 4)
+        assert classify_component(g.node_pair, (0, 1, 2, 3)) == ("D", 4)
+        assert classify_component(g.node_pair, (0, 2, 3)) == ("A", 3)
+        assert classify_component(g.node_pair, (3, 4, 5, 6)) == ("B", 4)
 
     def test_c_vs_b_leaf(self):
         g = build_group("C4", "adjoint")
-        assert classify_component(g, (0, 1, 2)) == ("C", 3)
-        assert classify_component(g, (2, 3, 4)) == ("C", 3)
+        assert classify_component(g.node_pair, (0, 1, 2)) == ("C", 3)
+        assert classify_component(g.node_pair, (2, 3, 4)) == ("C", 3)
 
     def test_cuspidal_existence_rules(self):
         assert component_cuspidal_classes("A", 4, 1) == []

@@ -3,8 +3,9 @@
 Each entry is the SHA-256 of
 json.dumps(reports_json(full_report(spec)), sort_keys=True) for one spec of
 the benchmark workloads (gamma, rank, isogeny), as recorded with the
-benchmark's first baseline.  A change that alters a report on purpose edits
-this table, in the open."""
+benchmark's first baseline, or of an adjoint catalogue type that no workload
+covers, so that every adjoint catalogue report is pinned.  A change that
+alters a report on purpose edits this table, in the open."""
 
 from __future__ import annotations
 
@@ -161,6 +162,85 @@ SPEC_DIGESTS = {
         "5d980f919b34ae8046a6d11f8dab80436928525028600663461123011173354d",
     "D8:so:*":
         "e6732ed40a489a200323ec19170c1d6cb3c6df35a63ee0458efc6f1b6fff99a3",
+    # the rest of the adjoint catalogue (tests/test_casetable.py::catalogue)
+    "2A10:adjoint:*":
+        "7ca327319d0349b3f02806a6b152262ade808e7ba1e5b3cfcdfc85571f696039",
+    "2A11:adjoint:*":
+        "cda8a72f8a08575e02c625f2ca45f59ab475da3ebafd483598c5e945cc176ce4",
+    "2A12:adjoint:*":
+        "58c5c07e8213aa39f46f40483d3f6d81715311dea7f2f1978b1524b7a0f975c1",
+    "2A2:adjoint:*":
+        "fd366d1d0813c8a09f879d0b3ffa9b3c9fedd99f19953c3549465f4004158f81",
+    "2A3:adjoint:*":
+        "5ce80db18ced370819c01ba45bfb24b1c5eeafa81cd9ed32434a4528bd63da11",
+    "2A4:adjoint:*":
+        "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
+    "2A6:adjoint:*":
+        "979e27a6e46fc0e3824948827564df541e2a670931ff5ec0c666e6bb0a899238",
+    "2A8:adjoint:*":
+        "3708f4f6d8194855448da02077295fcb23e72d5eb10d7abd6eb71bb511265b02",
+    "2D11:adjoint:*":
+        "872302dd513b6dd8c7e37f45e3e5d64d32f39788aac1017ea37bbe8307fed5c5",
+    "2D12:adjoint:*":
+        "d37dc669dd7c33e1aa657ed00104fe605cc9b6f90eab68fc292fe592666633f2",
+    "A10:adjoint:*":
+        "404a60379dc40c56491ac8d7bff33059febed4da63e28b7f658b2756ed921622",
+    "A11:adjoint:*":
+        "97c2e2c4845f23c965c43cf4fc716b53cb743bbf2e13c010f4167c88818e550d",
+    "A12:adjoint:*":
+        "c20e9ac6df6a60db7f0e4edd7e7ef50adbe2b2f927b775e63cfee5c240217cc0",
+    "A1:adjoint:*":
+        "615f370772615348dcd920107546ad09978525fcca03409bd330e3955db1e503",
+    "A2:adjoint:*":
+        "597ee75e54dc842335c8566d88f94dd352c6b6e26dbd7bfcfcedcf76e6905b22",
+    "A3:adjoint:*":
+        "d3359ff5b1acccfcd0befc262633af3a9d283f68f2e01e17e05001b3319ae6fe",
+    "A8:adjoint:*":
+        "3d85f9ce5fc11f792ebbd54920c53c16b4221a8ae47f7d974db2d2cd88dd00eb",
+    "A9:adjoint:*":
+        "1bef282a33bd551c26331f404fd008156c3b8cac2901a9fb06043c3bb419007e",
+    "B11:adjoint:*":
+        "38a35ef8a2eaa1c45cf5522587e7fb6292690b730b8870a1cdc69619f56b5536",
+    "B12:adjoint:*":
+        "e92f8396df414c2368f9bb5f0befb92af82ad6467b24bbd1aa7fc9d467d3fc02",
+    "B2:adjoint:*":
+        "7a8bc703221561331baea301b4a1ecc672fa6206358dd6dee23269e6b5431292",
+    "B3:adjoint:*":
+        "c7e86762542bebe96379b81285bcdfa5c3641390784d547f7541b1457dcbf360",
+    "B4:adjoint:*":
+        "ee0b9e145f966f24f5eb801f84a7a06bf6aa77b4f176053837f26c6d2e4c2fba",
+    "B5:adjoint:*":
+        "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
+    "B6:adjoint:*":
+        "9381b96200624443a461bd2d586c1d5282fb176914786d6ebfed1463361d823e",
+    "B8:adjoint:*":
+        "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
+    "C11:adjoint:*":
+        "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
+    "C12:adjoint:*":
+        "92881352cb708ad9a421146365544957a94ee9248ed56ce06258e09555c1418c",
+    "C2:adjoint:*":
+        "f73ab377b41eef461c76eda28a196fc92a630c003e597503c8a360ed3eb6357c",
+    "C3:adjoint:*":
+        "cca524925719c501a91e91828f187b42428db1db4402ea68fcb57f66abcbc77f",
+    "C4:adjoint:*":
+        "2688740c0532612782f5a169fb499c0cff4035be3708f5ed4a4a236a66b3ec57",
+    "C5:adjoint:*":
+        "d6dd02d9ed014b5f2a709ca829a1a8bfd01d4a19d31fa9ac5801e8a371d86818",
+    "C6:adjoint:*":
+        "a31e8b07b2ee63dafef2a069b4c7c47c5498005b7109b5ba09461934e15683d3",
+    "C8:adjoint:*":
+        "ccc063d60182f2d1a7d16f62b975740a2af018ff5dc830315b3e676c93bd0479",
+    "D11:adjoint:*":
+        "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
+    "D12:adjoint:*":
+        "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
+    "D3:adjoint:*":
+        "b1b084551507dd4f9116eafd255f045c8e26242cea269faeb4c5c9f863394aff",
+    "E7:adjoint:*":
+        "96b37c5b6cb1a4f5be427ba603ea69a9994ceeab45cb5fc5c1215a151f718298",
+    "E8:adjoint:*":
+        "2240ab8fe1b9e71ddfc250dbe4a09fd9298a7e4f0750c13e2f7baf75042268ef",
 }
 
 
