@@ -4,8 +4,10 @@ The package enumerates, for an unramified reductive p-adic group given by
 combinatorial data, the maximal parahoric supports of cuspidal unipotent
 representations, the matching unramified discrete parameters, and the packet
 invariants tying the two sides together.  All arithmetic is exact: rational
-functions in q^(1/2) with integer coefficients, cyclotomic scalars, and
-finite abelian groups with endomorphisms.
+functions in q^(1/2) with integer coefficients, Frobenius eigenvalues as
+integer pairs (order, residue), and finite abelian groups with
+endomorphisms.  Cyclo, the cyclotomic field element, is kept only as the
+tests' reference for the eigenvalue arithmetic.
 """
 
 from supercusp.exact import RatFunc, Cyclo, FinAbGrpAut

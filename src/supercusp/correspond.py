@@ -25,7 +25,7 @@ from supercusp.exact import euler_phi
 from supercusp.galois import cuspidal_support, hii_check, kac_rows, param_json
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              inner_forms_by_token, parahoric_classes)
-from supercusp.rootdata import aut_on_omega, build_group, parse_type
+from supercusp.rootdata import aut_on_omega, parse_spec
 
 
 REPORT_SCHEMA_VERSION = "1.0"
@@ -251,15 +251,10 @@ def reports_for_form(group, form):
         inv = compute_invariants(group, host, cls, row)
         orbit_count = inv.g_prime * euler_phi(row.n_s)
         fdeg = formal_degree(group, form, host, cls)
-        supp = cuspidal_support(param, group)
-        s_sharp = supp.s_sharp
+        s_sharp = cuspidal_support(row, group).s_sharp
         if s_sharp is None:
             s_sharp = param.centralizer.central_order
-        if s_sharp is None or param.sl2_weights is None \
-                or fdeg.value is None:
-            hii_status = "unverifiable"
-        else:
-            hii_status = hii_check(fdeg, param, 1, s_sharp).status
+        hii_status = hii_check(fdeg, param, 1, s_sharp).status
         for member in range(cls.size):
             out.append(PacketReport(
                 spec=spec, form_token=form.token,
@@ -274,22 +269,7 @@ def reports_for_form(group, form):
 
 def full_report(spec):
     """All packet reports matching one TYPE:ISOGENY:TWIST string."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(
-            f"spec {spec!r}: expected TYPE:ISOGENY:TWIST, "
-            f"got {len(parts)} field(s)")
-    type_str, iso, twist = parts
-    try:
-        fam, rank, order = parse_type(type_str)
-    except ValueError as exc:
-        raise ValueError(f"spec {spec!r}, field 1: {exc}") from exc
-    if rank == 0:
-        return []
-    try:
-        group = build_group(type_str, iso)
-    except ValueError as exc:
-        raise ValueError(f"spec {spec!r}, field 2: {exc}") from exc
+    group, twist = parse_spec(spec)
     try:
         forms = inner_forms_by_token(group, twist)
     except ValueError as exc:
@@ -435,7 +415,7 @@ def report_record(report):
         "member": report.member_index,
         "fdeg": None,
         "hii": report.hii_status,
-        "parameter": param_json(report.param),
+        "parameter": param_json(report.param, report.pattern),
         "tau_orbit": report.tau_orbit,
     }
     if report.fdeg.value is not None:

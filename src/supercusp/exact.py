@@ -1,6 +1,6 @@
 """Exact scalar and group-theoretic arithmetic.
 
-Four kinds of values underlie everything else in the package:
+Two kinds of values underlie everything else in the package:
 
 - rational functions in the formal variable t = q^(1/2) with integer
   coefficients, in two forms.  Every formal degree, parahoric order and
@@ -10,9 +10,13 @@ Four kinds of values underlie everything else in the package:
   their exponents are.  The dense canonical RatFunc is the form for sums,
   printing, JSON and the local factors at a shift; a CyclotomicProduct
   expands into one through the one RatFunc normalization;
-- cyclotomic scalars (Frobenius eigenvalues);
 - finite abelian groups equipped with an endomorphism (fundamental groups
   with their twisting action).
+
+Cyclo, an element of Q(zeta_m) in the power basis, is not among them: a
+Frobenius eigenvalue zeta_m^k is the integer pair (m, k) of
+galois.WeightString.  Cyclo stays as the dense reference against which the
+tests check that integer arithmetic.
 
 No floating point anywhere.
 """

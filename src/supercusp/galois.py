@@ -6,14 +6,18 @@ Deleting the node gives the centralizer type; the matching cuspidal support
 lives on a distinguished unipotent class there.  When that class is regular
 (every factor of linear type) the full decomposition of the adjoint
 representation into weight strings is computed exactly by root-space
-bookkeeping.  Otherwise the multiset is left unavailable rather than
-guessed.
+bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it once, when
+the parameter is built.  Otherwise both are left unavailable rather than
+guessed.  The parameter holds dual-side data only: kac_rows hands out the
+support, class and case row it was read from beside it.
 
 Local factor conventions, fixed once for the whole package: a string of
-highest weight h with torsion eigenvalue alpha carries Frobenius
-eigenvalues alpha*q^(h/2), ..., alpha*q^(-h/2); the monodromy kernel is the
+highest weight h with torsion eigenvalue alpha = zeta_m^k, held as the
+reduced integer pair (m, k), carries Frobenius eigenvalues
+alpha*q^(h/2), ..., alpha*q^(-h/2); the monodromy kernel is the
 lowest line, and its cokernel means V modulo that kernel.  The unramified
-part of epsilon contributes q^(ord_psi * dim / 2) times a unit.
+part of epsilon contributes q^(ord_psi * dim / 2) times a unit
+exp(2 pi i x), x a sum of the angles k/m, which must be +1 or -1.
 
 L and gamma are products of linear factors (1 - zeta_m^k t^E), and they are
 computed in factored form (exact.CyclotomicProduct).  The factors are
@@ -31,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from supercusp.casetable import odd_orthogonal_blocks, rows_for_host
-from supercusp.exact import (Cyclo, CyclotomicProduct, InvariantError,
-                             RatFunc, cyclotomic_poly, euler_phi, p_eval)
+from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
+                             cyclotomic_poly, euler_phi, p_eval)
 from supercusp.padic import (_connected_components, classify_component,
                              supports_with_cuspidals)
 from supercusp.rootdata import SimpleGroup, root_system
@@ -46,48 +50,33 @@ from supercusp.rootdata import SimpleGroup, root_system
 # ---------------------------------------------------------------------------
 
 
-def _cyclo_pow(c, k):
-    if k < 0:
-        return _cyclo_pow(c.conj(), -k)
-    out = Cyclo.rational(1)
-    base = c
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
-def _is_root_of_unity(c):
-    return _cyclo_pow(c, lcm(2, c.conductor)) == Cyclo.rational(1)
-
-
 @dataclass(frozen=True)
 class WeightString:
     """One irreducible summand of an unramified monodromy representation:
-    a torsion eigenvalue tensored with the string of the given highest
-    weight.  Dimension h + 1."""
+    the torsion eigenvalue zeta_order^residue tensored with the string of
+    highest weight h, of dimension h + 1.  The eigenvalue is kept reduced,
+    so order is its exact order and residue is prime to it (the trivial
+    eigenvalue is order 1, residue 0)."""
 
-    alpha: Cyclo
+    order: int
+    residue: int
     h: int
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("eigenvalue order must be positive")
         if self.h < 0:
             raise ValueError("highest weight must be nonnegative")
-        if not _is_root_of_unity(self.alpha):
-            raise ValueError("torsion eigenvalue must be a root of unity")
+        k = self.residue % self.order
+        g = gcd(k, self.order)
+        object.__setattr__(self, "order", self.order // g)
+        object.__setattr__(self, "residue", k // g)
 
     def dim(self):
         return self.h + 1
 
     def dual(self):
-        return WeightString(self.alpha.conj(), self.h)
-
-
-def string_of(order, exponent, h):
-    """Convenience constructor: eigenvalue zeta_order^exponent."""
-    return WeightString(Cyclo.root_of_unity(order, exponent), h)
+        return WeightString(self.order, -self.residue, self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +97,10 @@ def _orbit_product(m, E):
 
 
 def _string_factors(strings, shift, conjugate=False):
-    """(1 - alpha t^(-h - shift)) per string, alpha conjugated on request,
-    as (m, k, E) triples."""
-    out = []
-    for w in strings:
-        m, k, h = _eigenvalue_triple(w)
-        out.append((m, -k % m if conjugate else k, -h - shift))
-    return out
+    """(1 - zeta_m^k t^(-h - shift)) per string, the eigenvalue conjugated
+    on request, as (m, k, E) triples."""
+    return [(w.order, -w.residue % w.order if conjugate else w.residue,
+             -w.h - shift) for w in strings]
 
 
 def _galois_product(factors):
@@ -161,9 +147,10 @@ def _gamma0_magnitude(strings, ord_psi):
 
 @dataclass(frozen=True)
 class WDLocalFactors:
-    """Exact L, epsilon and gamma of an inversion-closed weight multiset.
-    The shift s ranges over half integers; the values at s are RatFuncs in
-    t, and |gamma(0)| is a CyclotomicProduct."""
+    """Exact L, epsilon and gamma of an inversion-closed multiset of
+    WeightStrings.  The shift s ranges over half integers; the values at s
+    are RatFuncs in t, read off the strings' (order, residue) pairs with no
+    cyclotomic field arithmetic, and |gamma(0)| is a CyclotomicProduct."""
 
     strings: tuple
     ord_psi: int
@@ -181,23 +168,25 @@ class WDLocalFactors:
         return (CyclotomicProduct(1) / inv).to_ratfunc()
 
     def eps_at(self, s):
+        # the unit is exp(2 pi i turns): each string adds its eigenvalue's
+        # angle times (h + 1) ord_psi + h, and half a turn when h is odd
         two_s = _two_s(s)
-        unit = Cyclo.rational(1)
+        turns = Fraction(0)
         exp = self.ord_psi * self.dim()
         for w in self.strings:
-            unit = unit * _cyclo_pow(w.alpha,
-                                     (w.h + 1) * self.ord_psi + w.h)
-            if w.h % 2:
-                unit = -unit
+            turns += Fraction(w.residue * ((w.h + 1) * self.ord_psi + w.h),
+                              w.order) + Fraction(w.h % 2, 2)
             exp += -two_s * (w.h + 1) * self.ord_psi + w.h * (1 - two_s)
-        if not unit.is_rational():
+        turns %= 1
+        if turns not in (0, Fraction(1, 2)):
             raise ValueError("epsilon unit is irrational")
-        return RatFunc.from_fraction(unit.as_fraction()) * RatFunc.t_power(exp)
+        power = RatFunc.t_power(exp)
+        return power if turns == 0 else -power
 
     def gamma_at(self, s):
         two_s = _two_s(s)
         for w in self.strings:
-            if w.h == two_s - 2 and w.alpha == Cyclo.rational(1):
+            if w.h == two_s - 2 and w.order == 1:
                 raise ValueError("gamma has a pole at this shift")
         num = _galois_product(_string_factors(self.strings, two_s))
         den = _galois_product(
@@ -409,13 +398,13 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
             if count < 0:
                 raise InvariantError("not a string decomposition")
             strings.extend(
-                WeightString(Cyclo.root_of_unity(n_s, residue), w)
+                WeightString(n_s, residue, w)
                 for _ in range(count))
     total = sum(w.h + 1 for w in strings)
     if total != 2 * rs.num_pos_roots + dual_rank:
         raise InvariantError(f"strings span dimension {total}, not the "
                              f"adjoint dimension")
-    return tuple(sorted(strings, key=lambda w: (w.h, str(w.alpha))))
+    return tuple(sorted(strings, key=lambda w: (w.h, w.order, w.residue)))
 
 
 def regular_linear_strings(n):
@@ -432,7 +421,9 @@ def regular_linear_strings(n):
 @dataclass(frozen=True)
 class UnramifiedParam:
     """A discrete unramified parameter, pinned by its cut node when that is
-    recorded or derivable, and by its case pattern otherwise."""
+    recorded or derivable.  Where the adjoint weight strings are known it
+    carries them with |gamma(0, Ad o phi, psi)| at ord psi = -1; the case
+    row it was read from travels beside it (kac_rows)."""
 
     dual_family: str
     dual_rank: int
@@ -444,11 +435,7 @@ class UnramifiedParam:
     centralizer: CentralizerType
     unipotent_class_tag: str
     sl2_weights: tuple | None
-    pattern: str
-    b_adjoint: int
-    class_size: int
-    form_token: str
-    support: tuple
+    gamma_abs_0: CyclotomicProduct | None
 
     def weight_dim(self):
         if self.sl2_weights is None:
@@ -495,7 +482,7 @@ def _search_cut_node(dual_family, dual_rank, geometric, n_s):
     return None
 
 
-def _build_param(group, form, host, cls, row):
+def _build_param(group, host, cls, row):
     fam_d, rank_d, twist_d = dual_type(group)
     diagram = row.dual_diagram
     v_node = None
@@ -539,15 +526,16 @@ def _build_param(group, form, host, cls, row):
     computable = (v_node is not None and twist_d == 1
                   and diagram in (None, "untwisted") and cz.all_linear())
     tag = "regular" if computable else f"cuspidal:{cls.class_id or 'std'}"
-    weights = inner_torsion_strings(fam_d, rank_d, v_node) if computable \
-        else None
+    weights = gamma = None
+    if computable:
+        weights = inner_torsion_strings(fam_d, rank_d, v_node)
+        gamma = local_factors(weights, ord_psi=-1).gamma_abs_at_0
 
     return UnramifiedParam(
         dual_family=fam_d, dual_rank=rank_d, dual_twist=twist_d,
         dual_diagram=diagram, v_node=v_node, kac_coordinates=kac,
         n_s=row.n_s, centralizer=cz, unipotent_class_tag=tag,
-        sl2_weights=weights, pattern=row.pattern, b_adjoint=row.b_ad,
-        class_size=cls.size, form_token=form.token, support=host.support)
+        sl2_weights=weights, gamma_abs_0=gamma)
 
 
 def kac_rows(group, form):
@@ -559,7 +547,7 @@ def kac_rows(group, form):
         rows = rows_for_host(group, form, host, datum.classes)
         for cls, row in zip(datum.classes, rows):
             out.append((host, cls, row,
-                        _build_param(group, form, host, cls, row)))
+                        _build_param(group, host, cls, row)))
     return out
 
 
@@ -579,23 +567,6 @@ def centralizer_type(param):
         components=comps,
         type_string="x".join(f"{f}{r}" for f, r in comps),
         central_order=param.centralizer.central_order)
-
-
-def adjoint_wd_rep(param):
-    """Weight strings of the adjoint representation, where encoded.
-
-    Only inner parameters whose centralizer is a product of linear factors
-    carry the regular class; everything else raises."""
-    if param.v_node is None or param.dual_twist != 1 \
-            or param.dual_diagram not in (None, "untwisted"):
-        raise LookupError(
-            "unipotent class not encoded for this parameter")
-    if not param.centralizer.all_linear():
-        raise LookupError(
-            f"unipotent class not encoded for centralizer "
-            f"{param.centralizer.type_string}")
-    return inner_torsion_strings(param.dual_family, param.dual_rank,
-                                 param.v_node)
 
 
 # ---------------------------------------------------------------------------
@@ -629,25 +600,25 @@ class CuspidalSupport:
         return sum(self.count_by_central_character.values())
 
 
-def cuspidal_support(param, group):
-    """Support data for one parameter of the given group."""
-    pattern = param.pattern
+def cuspidal_support(row, group):
+    """Support data for one case row of the given group."""
+    pattern = row.pattern
     per_char = 2 if pattern in _SPIN_PAIR_PATTERNS else 1
-    if param.b_adjoint % per_char:
-        raise LookupError(f"count {param.b_adjoint} not in table "
+    if row.b_ad % per_char:
+        raise LookupError(f"count {row.b_ad} not in table "
                           f"for pattern {pattern}")
-    n_chars = param.b_adjoint // per_char
+    n_chars = row.b_ad // per_char
     counts = {f"chi{i}": per_char for i in range(n_chars)}
 
     invariants = descriptor = s_sharp = None
     if pattern == "lin.anisotropic":
-        n = param.dual_rank + 1
+        n = group.rank + 1
         invariants, descriptor = (n,), f"Z/{n}"
         # centralizer of the parameter in the dual of the group itself
         s_sharp = len(group.omega_G)
     elif pattern in _COMPONENT_DATA:
         invariants, descriptor = _COMPONENT_DATA[pattern]
-        if pattern == "exc.2E6" and param.n_s == 1:
+        if pattern == "exc.2E6" and row.n_s == 1:
             invariants = descriptor = None
     return CuspidalSupport(
         exists=True,
@@ -673,17 +644,15 @@ class HIIResult:
 
 
 def hii_check(fdeg, param, rho_dim, s_sharp, gamma_abs=None):
-    """Exact check of the formal degree identity.
+    """Exact check of the formal degree identity, or "unverifiable" when the
+    formal degree, the gamma magnitude or |S#| is unknown.
 
-    The additive character is taken of order -1, matching the volume
-    normalization of the parahoric quotients.  gamma_abs overrides the
-    adjoint gamma magnitude, which lets callers probe virtual inputs."""
+    The parameter's gamma magnitude is taken at ord psi = -1, matching the
+    volume normalization of the parahoric quotients.  gamma_abs overrides
+    it, which lets callers probe virtual inputs."""
     if gamma_abs is None:
-        if param.sl2_weights is None or fdeg.value is None:
-            return HIIResult("unverifiable", None, None)
-        gamma_abs = local_factors(param.sl2_weights,
-                                  ord_psi=-1).gamma_abs_at_0
-    elif fdeg.value is None:
+        gamma_abs = param.gamma_abs_0
+    if gamma_abs is None or fdeg.value is None or s_sharp is None:
         return HIIResult("unverifiable", None, None)
     lhs = fdeg.value
     rhs = CyclotomicProduct(Fraction(rho_dim, s_sharp)) * gamma_abs
@@ -696,36 +665,22 @@ def hii_check(fdeg, param, rho_dim, s_sharp, gamma_abs=None):
 # ---------------------------------------------------------------------------
 
 
-def _eigenvalue_triple(w):
-    """(m, k, h) with the eigenvalue zeta_m^k of order m, k prime to m."""
-    m = w.alpha.conductor
-    if m == 1:
-        if w.alpha == Cyclo.rational(1):
-            return (1, 0, w.h)
-        return (2, 1, w.h)
-    for k in range(1, m):
-        if gcd(k, m) == 1 and Cyclo.root_of_unity(m, k) == w.alpha:
-            return (m, k, w.h)
-    raise ValueError(f"eigenvalue {w.alpha} is not a primitive "
-                     f"{m}-th root of unity")
-
-
-def param_json(param, ord_psi=-1):
-    """JSON-ready record of one parameter and its gamma data."""
+def param_json(param, pattern):
+    """JSON-ready record of one parameter, read from the case row of the
+    given pattern, and its gamma data."""
     rec = {
         "node": param.v_node,
         "kac": list(param.kac_coordinates) if param.kac_coordinates else None,
         "n_s": param.n_s,
         "centralizer": param.centralizer.type_string,
         "central_order": param.centralizer.central_order,
-        "pattern": param.pattern,
+        "pattern": pattern,
         "class_tag": param.unipotent_class_tag,
         "weights": None,
         "gamma_abs_0": None,
     }
     if param.sl2_weights is not None:
-        rec["weights"] = [list(_eigenvalue_triple(w))
+        rec["weights"] = [[w.order, w.residue, w.h]
                           for w in param.sl2_weights]
-        factors = local_factors(param.sl2_weights, ord_psi=ord_psi)
-        rec["gamma_abs_0"] = factors.gamma_abs_at_0.to_ratfunc().to_json()
+        rec["gamma_abs_0"] = param.gamma_abs_0.to_ratfunc().to_json()
     return rec

@@ -55,9 +55,26 @@ def vdot(a, b):
 # ---------------------------------------------------------------------------
 
 
+# smallest and largest rank of each family (None: no largest)
+_RANKS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
+def _check_rank(family, rank):
+    if family not in _RANKS:
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = _RANKS[family]
+    if rank < lo:
+        raise ValueError(f"{family} needs rank >= {lo}, not {rank}")
+    if hi is not None and rank > hi:
+        raise ValueError(f"{family} needs rank <= {hi}, not {rank}")
+
+
 def _simple_roots(family, rank):
     # scaled by 2, so that E8 and F4 need no half-integers; neither the
     # Cartan matrix nor the length ratios depend on the scale
+    _check_rank(family, rank)
+
     def e(i, dim):
         return tuple(2 * (i == j) for j in range(dim))
 
@@ -65,29 +82,21 @@ def _simple_roots(family, rank):
         dim = rank + 1
         return [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank)]
     if family == "B":
-        if rank < 2:
-            raise ValueError("B needs rank >= 2")
         dim = rank
         out = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
         out.append(e(rank - 1, dim))
         return out
     if family == "C":
-        if rank < 2:
-            raise ValueError("C needs rank >= 2")
         dim = rank
         out = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
         out.append(vscale(e(rank - 1, dim), 2))
         return out
     if family == "D":
-        if rank < 3:
-            raise ValueError("D needs rank >= 3")
         dim = rank
         out = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
         out.append(vadd(e(rank - 2, dim), e(rank - 1, dim)))
         return out
     if family == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("E needs rank 6, 7, or 8")
         dim = 8
         a1 = (1, -1, -1, -1, -1, -1, -1, 1)
         a2 = vadd(e(0, dim), e(1, dim))
@@ -95,8 +104,6 @@ def _simple_roots(family, rank):
         full = [a1, a2] + rest
         return full[:rank]
     if family == "F":
-        if rank != 4:
-            raise ValueError("F needs rank 4")
         dim = 4
         return [
             vsub(e(1, dim), e(2, dim)),
@@ -105,14 +112,11 @@ def _simple_roots(family, rank):
             (1, -1, -1, -1),
         ]
     if family == "G":
-        if rank != 2:
-            raise ValueError("G needs rank 2")
         dim = 3
         return [
             vsub(e(0, dim), e(1, dim)),
             (-4, 2, 2),
         ]
-    raise ValueError(f"unknown family {family!r}")
 
 
 _DEGREES = {
@@ -333,35 +337,24 @@ class RootSystem:
 
     def finite_diagram_autos(self):
         """All automorphisms of the finite diagram, as node permutations on
-        1..rank."""
+        1..rank: the group generated by the twists of order 2 and 3 that
+        standard_frobenius_perm knows for this type."""
         fam, n = self.family, self.rank
-        ident = {i: i for i in range(1, n + 1)}
-        autos = [ident]
-        if fam == "A" and n >= 2:
-            autos.append({i: n + 1 - i for i in range(1, n + 1)})
-        elif fam == "D" and n == 4:
-            swap = dict(ident)
-            swap[3], swap[4] = 4, 3
-            cyc = dict(ident)
-            cyc[1], cyc[3], cyc[4] = 3, 4, 1
-            found = {tuple(sorted(ident.items()))}
-            frontier = [ident]
-            autos = [ident]
-            while frontier:
-                p = frontier.pop()
-                for g in (swap, cyc):
-                    q = {i: g[p[i]] for i in p}
-                    key = tuple(sorted(q.items()))
-                    if key not in found:
-                        found.add(key)
-                        autos.append(q)
-                        frontier.append(q)
-        elif fam == "D" and n > 4:
-            swap = dict(ident)
-            swap[n - 1], swap[n] = n, n - 1
-            autos.append(swap)
-        elif fam == "E" and n == 6:
-            autos.append({1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4})
+        gens = []
+        for order in (2, 3):
+            try:
+                gens.append(standard_frobenius_perm(fam, n, order))
+            except ValueError:
+                pass
+        autos = [standard_frobenius_perm(fam, n, 1)]
+        frontier = list(autos)
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = {i: g[p[i]] for i in p}
+                if q not in autos:
+                    autos.append(q)
+                    frontier.append(q)
         for p in autos:
             if any(self.cartan[p[i] - 1][p[j] - 1] != self.cartan[i - 1][j - 1]
                    for i in range(1, n + 1) for j in range(1, n + 1)):
@@ -730,15 +723,19 @@ MAX_RANK = 20
 
 
 def parse_type(type_str):
+    """(family, rank, twist order) of a type such as 2A5; ValueError for
+    every type SimpleGroup would not build."""
     m = _TYPE_RE.match(type_str)
     if not m:
         raise ValueError(f"bad type string {type_str!r}")
     prefix, fam, rank = m.groups()
-    if int(rank) > MAX_RANK:
+    rank, order = int(rank), int(prefix) if prefix else 1
+    if rank > MAX_RANK:
         raise ValueError(f"rank {rank} of {type_str!r} exceeds the maximum "
                          f"rank {MAX_RANK}")
-    order = int(prefix) if prefix else 1
-    return fam, int(rank), order
+    _check_rank(fam, rank)
+    standard_frobenius_perm(fam, rank, order)
+    return fam, rank, order
 
 
 def build_group(type_str, isogeny="adjoint"):
@@ -747,9 +744,20 @@ def build_group(type_str, isogeny="adjoint"):
 
 
 def parse_spec(spec):
-    """TYPE:ISOGENY:TWIST -> (group, twist token)."""
+    """TYPE:ISOGENY:TWIST -> (group, twist token).  A bad type or isogeny
+    raises ValueError naming its field; the twist token is left to the
+    inner-form lookup."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(f"spec must be TYPE:ISOGENY:TWIST, got {spec!r}")
+        raise ValueError(f"spec {spec!r}: expected TYPE:ISOGENY:TWIST, "
+                         f"got {len(parts)} field(s)")
     type_str, iso, twist = parts
-    return build_group(type_str, iso), twist
+    try:
+        fam, rank, order = parse_type(type_str)
+    except ValueError as exc:
+        raise ValueError(f"spec {spec!r}, field 1: {exc}") from exc
+    try:
+        group = SimpleGroup(fam, rank, order, iso)
+    except ValueError as exc:
+        raise ValueError(f"spec {spec!r}, field 2: {exc}") from exc
+    return group, twist

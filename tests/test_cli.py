@@ -34,6 +34,12 @@ class TestReport:
         ("G2:adjoint", "expected TYPE:ISOGENY:TWIST"),
         ("X9:adjoint:*", "field 1"),
         ("A200:adjoint:*", "field 1"),
+        ("A0:sc:*", "field 1"),
+        ("B1:adjoint:*", "field 1"),
+        ("E5:adjoint:*", "field 1"),
+        ("G3:adjoint:*", "field 1"),
+        ("3A4:adjoint:*", "field 1"),
+        ("2B3:adjoint:*", "field 1"),
         ("A3:d5:*", "field 2"),
         ("2D4:hs1:*", "field 2"),
         ("A3:adjoint:w9", "field 3"),

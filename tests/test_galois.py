@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -11,13 +12,13 @@ from supercusp.casetable import rows_for_host
 from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              RatFunc, euler_phi)
-from supercusp.galois import (WeightString, _orbit_product, adjoint_wd_rep,
+from supercusp.galois import (WeightString, _orbit_product,
                               centralizer_components, centralizer_type,
                               cuspidal_support, dual_type,
                               gamma0_virtual, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
                               local_factors, param_json,
-                              regular_linear_strings, string_of)
+                              regular_linear_strings)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
 from supercusp.rootdata import (build_group, diagram_automorphisms,
@@ -73,7 +74,7 @@ def small_catalogue():
 
 class TestTrivialCharacter:
     def factors(self):
-        return local_factors([string_of(1, 0, 0)])
+        return local_factors([WeightString(1, 0, 0)])
 
     def test_gamma_formula(self):
         # gamma(s) = (1 - q^-s) / (1 - q^(s-1)), checked off the pole
@@ -102,7 +103,7 @@ class TestSymmetricSquareString:
     lowest eigenvalue line, cokernel the other two lines."""
 
     def factors(self):
-        return local_factors([string_of(1, 0, 2)])
+        return local_factors([WeightString(1, 0, 2)])
 
     def test_l_function(self):
         fac = self.factors()
@@ -132,7 +133,7 @@ class TestRegularLinearStrings:
     def test_exponent_ladder(self):
         # one string of each even weight 2..2(n-1), trivial eigenvalue
         for n in range(2, 9):
-            expect = [string_of(1, 0, 2 * d) for d in range(1, n)]
+            expect = [WeightString(1, 0, 2 * d) for d in range(1, n)]
             got = sorted(regular_linear_strings(n), key=lambda w: w.h)
             assert got == expect
 
@@ -147,20 +148,21 @@ class TestRegularLinearStrings:
 class TestMultisetDiscipline:
     def test_inversion_closure_required(self):
         with pytest.raises(ValueError):
-            local_factors([string_of(3, 1, 0)])
+            local_factors([WeightString(3, 1, 0)])
         with pytest.raises(ValueError):
-            local_factors([string_of(5, 2, 1), string_of(5, 2, 1)])
+            local_factors([WeightString(5, 2, 1), WeightString(5, 2, 1)])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            WeightString(Cyclo.rational(1), -1)
+            WeightString(1, 0, -1)
 
-    def test_non_torsion_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            WeightString(Cyclo.rational(Fraction(1, 2)), 0)
+    def test_nonpositive_order_rejected(self):
+        for order in (0, -1, -3):
+            with pytest.raises(ValueError):
+                WeightString(order, 1, 0)
 
     def test_integer_shift_required(self):
-        fac = local_factors([string_of(1, 0, 2)])
+        fac = local_factors([WeightString(1, 0, 2)])
         with pytest.raises(ValueError):
             fac.L_at(Fraction(1, 3))
 
@@ -177,6 +179,57 @@ class TestMultisetDiscipline:
                 assert (lhs - rhs).is_zero()
 
 
+def _cyclo_pow(c, k):
+    """c^k in Cyclo arithmetic, the reference for the integer eigenvalues."""
+    if k < 0:
+        return _cyclo_pow(c.conj(), -k)
+    out = Cyclo.rational(1)
+    for _ in range(k):
+        out = out * c
+    return out
+
+
+class TestWeightStringValue:
+    """WeightString holds zeta_order^residue as a reduced integer pair."""
+
+    def test_equal_eigenvalues_are_equal_strings(self):
+        for h in (0, 1, 4):
+            a, b = WeightString(6, 2, h), WeightString(3, 1, h)
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+        assert WeightString(6, 2, 0) != WeightString(3, 2, 0)
+        assert WeightString(3, 1, 0) != WeightString(3, 1, 2)
+
+    def test_residue_reduced_into_range(self):
+        for m in range(1, 13):
+            zeta = Cyclo.root_of_unity(m)
+            for k in range(-2 * m, 2 * m + 1):
+                w = WeightString(m, k, 0)
+                assert 0 <= w.residue < w.order
+                assert math.gcd(w.residue, w.order) == 1
+                assert w.order <= m and m % w.order == 0
+                assert Cyclo.root_of_unity(w.order, w.residue) == \
+                    _cyclo_pow(zeta, k), (m, k)
+        assert WeightString(5, 7, 1) == WeightString(5, 2, 1)
+        assert (WeightString(4, -1, 0).order,
+                WeightString(4, -1, 0).residue) == (4, 3)
+        assert (WeightString(7, 14, 3).order,
+                WeightString(7, 14, 3).residue) == (1, 0)
+
+    def test_dual_conjugates_the_eigenvalue(self):
+        for m in range(1, 9):
+            for k in range(m):
+                w = WeightString(m, k, 2)
+                assert Cyclo.root_of_unity(w.dual().order, w.dual().residue) \
+                    == Cyclo.root_of_unity(m, k).conj()
+                assert w.dual().dual() == w
+
+    def test_bad_order_or_weight_raises(self):
+        for order, h in ((0, 0), (-2, 1), (3, -1), (1, -5)):
+            with pytest.raises(ValueError):
+                WeightString(order, 1, h)
+
+
 def _random_closed_multiset(rng, allow_trivial=True):
     out = []
     for _ in range(rng.randint(1, 3)):
@@ -185,9 +238,9 @@ def _random_closed_multiset(rng, allow_trivial=True):
         if not allow_trivial and m == 1 and h == 0:
             h = 1
         if m <= 2:
-            out.append(string_of(m, m - 1, h))
+            out.append(WeightString(m, m - 1, h))
         else:
-            out.extend(string_of(m, k, h) for k in range(1, m)
+            out.extend(WeightString(m, k, h) for k in range(1, m)
                        if math.gcd(k, m) == 1)
     return tuple(out)
 
@@ -271,9 +324,14 @@ def _dense(factors):
     return out
 
 
+def _alpha(w):
+    """The string's eigenvalue as a Cyclo, the dense reference's scalar."""
+    return Cyclo.root_of_unity(w.order, w.residue)
+
+
 def _dense_gamma_abs(strings, ord_psi):
-    num = _dense((w.alpha, -w.h) for w in strings)
-    den = _dense((w.alpha.conj(), -w.h - 2) for w in strings)
+    num = _dense((_alpha(w), -w.h) for w in strings)
+    den = _dense((_alpha(w).conj(), -w.h - 2) for w in strings)
     quo = num / den
     if quo.is_zero():
         return quo
@@ -285,13 +343,13 @@ def _dense_gamma_abs(strings, ord_psi):
 
 def _dense_L(fac, s):
     two_s = int(2 * Fraction(s))
-    return RF_ONE / _dense((w.alpha, -w.h - two_s) for w in fac.strings)
+    return RF_ONE / _dense((_alpha(w), -w.h - two_s) for w in fac.strings)
 
 
 def _dense_gamma(fac, s):
     two_s = int(2 * Fraction(s))
-    num = _dense((w.alpha, -w.h - two_s) for w in fac.strings)
-    den = _dense((w.alpha.conj(), -w.h - 2 + two_s) for w in fac.strings)
+    num = _dense((_alpha(w), -w.h - two_s) for w in fac.strings)
+    den = _dense((_alpha(w).conj(), -w.h - 2 + two_s) for w in fac.strings)
     return fac.eps_at(s) * num / den
 
 
@@ -305,7 +363,7 @@ def _random_orbit_multiset(rng):
     for _ in range(rng.randint(1, 3)):
         m = rng.choice(_ORDERS)
         h = rng.randint(0, 4)
-        out.extend(string_of(m, k, h) for k in range(m)
+        out.extend(WeightString(m, k, h) for k in range(m)
                    if math.gcd(k, m) == 1)
     rng.shuffle(out)
     return tuple(out)
@@ -352,7 +410,7 @@ class TestFactoredAgainstDense:
             for ord_psi in (0, -1):
                 fac = local_factors(ws, ord_psi)
                 for s in (0, 1, -1, "1/2", 2, 3):
-                    if any(w.h == 2 * Fraction(s) - 2 and w.alpha == 1
+                    if any(w.h == 2 * Fraction(s) - 2 and w.order == 1
                            for w in ws):
                         with pytest.raises(ValueError):
                             fac.gamma_at(s)
@@ -364,10 +422,66 @@ class TestFactoredAgainstDense:
         # 1 - (zeta_5 + zeta_5^4) t^E + t^2E has an irrational coefficient
         for h in (0, 1, 2):
             with pytest.raises(ValueError, match="Galois"):
-                local_factors([string_of(5, 1, h), string_of(5, 4, h)])
+                local_factors([WeightString(5, 1, h), WeightString(5, 4, h)])
             # every residue occurs, but not equally often
             with pytest.raises(ValueError, match="Galois"):
-                local_factors([string_of(5, k, h) for k in (1, 1, 2, 3, 4, 4)])
+                local_factors([WeightString(5, k, h)
+                               for k in (1, 1, 2, 3, 4, 4)])
+
+
+def adjoint_catalogue():
+    """Every adjoint catalogue type: classical up to rank 12 and every
+    exceptional type."""
+    out = [f"A{n}" for n in range(1, 13)] + [f"2A{n}" for n in range(2, 13)]
+    out += [f"{fam}{n}" for n in range(2, 13) for fam in "BC"]
+    out += [f"D{n}" for n in range(3, 13)] + [f"2D{n}" for n in range(4, 13)]
+    return out + ["3D4", "E6", "2E6", "E7", "E8", "F4", "G2"]
+
+
+@lru_cache(maxsize=None)
+def catalogue_reports():
+    return tuple(r for type_str in adjoint_catalogue()
+                 for r in full_report(f"{type_str}:adjoint:*"))
+
+
+def _oracle_eps(strings, ord_psi, s):
+    """epsilon at s with the unit multiplied out in Cyclo arithmetic."""
+    two_s = int(2 * Fraction(s))
+    unit = Cyclo.rational(1)
+    exp = ord_psi * sum(w.h + 1 for w in strings)
+    for w in strings:
+        unit = unit * _cyclo_pow(_alpha(w), (w.h + 1) * ord_psi + w.h)
+        if w.h % 2:
+            unit = -unit
+        exp += -two_s * (w.h + 1) * ord_psi + w.h * (1 - two_s)
+    assert unit.is_rational()
+    return RatFunc.from_fraction(unit.as_fraction()) * t(exp)
+
+
+class TestCatalogueWeights:
+    def test_eps_unit_against_cyclo(self):
+        weight_sets = {r.param.sl2_weights for r in catalogue_reports()
+                       if r.param.sl2_weights is not None}
+        assert len(weight_sets) > 20
+        # odd weights and whole orbits of every order, beyond the catalogue
+        rng = random.Random(37)
+        weight_sets |= {_random_orbit_multiset(rng) for _ in range(20)}
+        for ws in weight_sets:
+            for ord_psi in (0, -1):
+                fac = local_factors(ws, ord_psi)
+                for s in (0, "1/2", 1, -1):
+                    assert fac.eps_at(s) == _oracle_eps(ws, ord_psi, s)
+
+    def test_report_weights_sorted(self):
+        doc = reports_json(catalogue_reports())
+        seen = 0
+        for rec in doc["rows"]:
+            weights = rec["parameter"]["weights"]
+            if weights is None:
+                continue
+            seen += 1
+            assert weights == sorted(weights, key=lambda w: (w[2], w[0], w[1]))
+        assert seen > 0
 
 
 class TestE8Report:
@@ -419,16 +533,7 @@ class TestEquivariance:
 
 class TestInnerTorsionStrings:
     def _triples(self, strings):
-        out = []
-        for w in strings:
-            if w.alpha.is_rational():
-                m, k = (1, 0) if w.alpha.as_fraction() == 1 else (2, 1)
-            else:
-                m = w.alpha.conductor
-                k = next(j for j in range(1, m)
-                         if Cyclo.root_of_unity(m, j) == w.alpha)
-            out.append((m, k, w.h))
-        return sorted(out)
+        return sorted((w.order, w.residue, w.h) for w in strings)
 
     def test_g2_order_three_point(self):
         # g = sl3 + (3) + (3bar): strings 2,4 plus one 2 per cube root
@@ -483,9 +588,9 @@ class TestKacPoints:
             fam_d, rank_d, _ = dual_type(g)
             dim_dual = 2 * root_system(fam_d, rank_d).num_pos_roots + rank_d
             for form in enumerate_inner_forms(g):
-                for p in kac_points(g, form):
-                    assert p.class_size == euler_phi(p.n_s)
-                    cs = cuspidal_support(p, g)
+                for _, cls, row, p in kac_rows(g, form):
+                    assert cls.size == euler_phi(p.n_s)
+                    cs = cuspidal_support(row, g)
                     assert cs.exists
                     assert cs.total_count() >= 1
                     if p.kac_coordinates is not None:
@@ -511,8 +616,7 @@ class TestKacPoints:
                         g, form, host, datum.classes))]
                 assert [r[:3] for r in rows] == expected
                 for host, cls, row, p in rows:
-                    assert (p.support, p.pattern, p.n_s, p.class_size) == \
-                        (host.support, row.pattern, row.n_s, cls.size)
+                    assert p.n_s == row.n_s
 
     def test_centralizer_recompute_matches(self):
         g = build_group("E7", "adjoint")
@@ -547,14 +651,13 @@ class TestKacPoints:
         for form in enumerate_inner_forms(g):
             if form.quasi_split:
                 continue
-            params = kac_points(g, form)
-            assert len(params) == 1
-            p = params[0]
-            assert p.pattern == "lin.anisotropic"
+            rows = kac_rows(g, form)
+            assert len(rows) == 1
+            host, cls, row, p = rows[0]
+            assert row.pattern == "lin.anisotropic"
             assert p.v_node == 0 and p.n_s == 1
             assert p.kac_coordinates == (1, 0, 0)
             assert sorted(w.h for w in p.sl2_weights) == [2, 4]
-            host, cls = host_class_pairs(g, form)[0]
             fd = formal_degree(g, form, host, cls)
             expect = q(1) * (q(1) - RF_ONE) / \
                 (rf(3) * (q(3) - RF_ONE))
@@ -570,8 +673,8 @@ class TestKacPoints:
             if form.quasi_split:
                 continue
             (p,) = kac_points(g, form)
-            assert [(w.alpha.as_fraction(), w.h) for w in p.sl2_weights] == \
-                [(Fraction(1), 2)]
+            assert [(w.order, w.residue, w.h) for w in p.sl2_weights] == \
+                [(1, 0, 2)]
 
     def test_odd_orthogonal_cut_nodes(self):
         # block data (s, t) inverts to dual chain ranks (t_(a+b), t_(a-b))
@@ -598,8 +701,8 @@ class TestKacPoints:
         g = build_group("C4", "adjoint")
         seen = False
         for form in enumerate_inner_forms(g):
-            for p in kac_points(g, form):
-                if p.pattern == "symp.equal":
+            for *_, row, p in kac_rows(g, form):
+                if row.pattern == "symp.equal":
                     assert p.v_node == 0 and p.n_s == 1
                     assert p.centralizer.components == (("B", 4),)
                     assert p.sl2_weights is None
@@ -607,46 +710,47 @@ class TestKacPoints:
         assert seen
 
 
+def pattern_rows(g, pattern, forms):
+    """(case row, parameter) pairs of one case pattern over the forms."""
+    return [(row, p) for form in forms
+            for *_, row, p in kac_rows(g, form) if row.pattern == pattern]
+
+
+def quasi_split(g):
+    return [f for f in enumerate_inner_forms(g) if f.quasi_split][:1]
+
+
 class TestExceptionalAnchors:
     def test_split_e6_self_hosted(self):
         g = build_group("E6", "adjoint")
-        form = [f for f in enumerate_inner_forms(g) if f.quasi_split][0]
-        rows = [p for p in kac_points(g, form) if p.pattern == "exc.E6"]
+        rows = pattern_rows(g, "exc.E6", quasi_split(g))
         assert len(rows) == 1
-        p = rows[0]
-        assert p.n_s == 3 and p.b_adjoint == 2
+        row, p = rows[0]
+        assert p.n_s == 3 and row.b_ad == 2
         assert p.weight_dim() == 78
         assert p.centralizer.central_order == 9
-        cs = cuspidal_support(p, g)
+        cs = cuspidal_support(row, g)
         assert cs.total_count() == 2
         assert cs.component_invariants == (3, 3)
 
     def test_e6_triality_rows(self):
         g = build_group("E6", "adjoint")
-        rows = []
-        for form in enumerate_inner_forms(g):
-            rows += [p for p in kac_points(g, form)
-                     if p.pattern == "E6.triality"]
+        rows = pattern_rows(g, "E6.triality", enumerate_inner_forms(g))
         # both order-3 inner forms host the same pair of rows
-        assert sorted(p.n_s for p in rows) == [1, 1, 2, 2]
-        for p in rows:
-            assert cuspidal_support(p, g).total_count() == 1
+        assert sorted(p.n_s for _, p in rows) == [1, 1, 2, 2]
+        for row, p in rows:
+            assert cuspidal_support(row, g).total_count() == 1
             if p.n_s == 2:
                 assert p.v_node is None
-                with pytest.raises(LookupError):
-                    adjoint_wd_rep(p)
             else:
                 assert p.v_node == 0
                 assert p.centralizer.components == (("E", 6),)
-                with pytest.raises(LookupError):
-                    adjoint_wd_rep(p)
+            assert p.sl2_weights is None and p.gamma_abs_0 is None
 
     def test_e7_fused_rows_found_by_search(self):
         g = build_group("E7", "adjoint")
-        rows = []
-        for form in enumerate_inner_forms(g):
-            rows += [p for p in kac_points(g, form)
-                     if p.pattern == "E7.fusedE6"]
+        rows = [p for _, p in pattern_rows(g, "E7.fusedE6",
+                                           enumerate_inner_forms(g))]
         assert sorted(p.n_s for p in rows) == [2, 3]
         types = {p.n_s: p.centralizer.type_string for p in rows}
         assert sorted(types[2].split("x")) == ["A1", "D6"]
@@ -656,36 +760,33 @@ class TestExceptionalAnchors:
 
     def test_quasi_split_2e6_rows(self):
         g = build_group("2E6", "adjoint")
-        form = [f for f in enumerate_inner_forms(g) if f.quasi_split][0]
-        rows = kac_points(g, form)
-        by_ns = {p.n_s: p for p in rows if p.pattern == "exc.2E6"}
+        by_ns = {p.n_s: (row, p)
+                 for row, p in pattern_rows(g, "exc.2E6", quasi_split(g))}
         assert set(by_ns) == {1, 3}
-        assert by_ns[1].centralizer.components == (("F", 4),)
-        assert by_ns[3].centralizer.components == (("A", 2), ("A", 2))
-        assert cuspidal_support(by_ns[3], g).component_invariants == (3, 3)
-        assert cuspidal_support(by_ns[1], g).component_invariants is None
-        for p in by_ns.values():
-            with pytest.raises(LookupError):
-                adjoint_wd_rep(p)
+        assert by_ns[1][1].centralizer.components == (("F", 4),)
+        assert by_ns[3][1].centralizer.components == (("A", 2), ("A", 2))
+        assert cuspidal_support(by_ns[3][0], g).component_invariants == \
+            (3, 3)
+        assert cuspidal_support(by_ns[1][0], g).component_invariants is None
+        for _, p in by_ns.values():
+            assert p.sl2_weights is None and p.gamma_abs_0 is None
 
     def test_triality_d4_rows(self):
         g = build_group("3D4", "adjoint")
-        form = [f for f in enumerate_inner_forms(g) if f.quasi_split][0]
-        rows = [p for p in kac_points(g, form) if p.pattern == "exc.3D4"]
-        by_ns = {p.n_s: p for p in rows}
+        by_ns = {p.n_s: p
+                 for _, p in pattern_rows(g, "exc.3D4", quasi_split(g))}
         assert by_ns[1].centralizer.components == (("G", 2),)
         assert by_ns[2].centralizer.components == (("A", 1), ("A", 1))
 
     def test_g2_rows(self):
         g = build_group("G2", "adjoint")
         (form,) = enumerate_inner_forms(g)
-        rows = kac_points(g, form)
-        by_ns = {p.n_s: p for p in rows}
+        by_ns = {p.n_s: (row, p) for *_, row, p in kac_rows(g, form)}
         assert set(by_ns) == {1, 2, 3}
-        assert by_ns[3].centralizer.components == (("A", 2),)
-        assert by_ns[3].b_adjoint == 2
-        assert by_ns[2].centralizer.components == (("A", 1), ("A", 1))
-        assert by_ns[3].weight_dim() == 14
+        assert by_ns[3][1].centralizer.components == (("A", 2),)
+        assert by_ns[3][0].b_ad == 2
+        assert by_ns[2][1].centralizer.components == (("A", 1), ("A", 1))
+        assert by_ns[3][1].weight_dim() == 14
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +817,8 @@ class TestFormalDegreeIdentity:
                 except ValueError:
                     continue
                 for form in enumerate_inner_forms(g):
-                    params = kac_points(g, form)
-                    pairs = host_class_pairs(g, form)
-                    for p, (host, cls) in zip(params, pairs):
-                        if p.pattern != "lin.anisotropic":
+                    for host, cls, row, p in kac_rows(g, form):
+                        if row.pattern != "lin.anisotropic":
                             continue
                         fd = formal_degree(g, form, host, cls)
                         res = hii_check(fd, p, 1, len(g.omega_G))
@@ -763,6 +862,17 @@ class TestFormalDegreeIdentity:
             assert res.status == "unverifiable"
             assert not res.verifiable()
 
+    def test_unknown_s_sharp_is_unverifiable(self):
+        # a weighted row with a formal degree still needs |S#|
+        g = build_group("A2", "adjoint")
+        form = [f for f in enumerate_inner_forms(g) if f.token == "w1"][0]
+        ((host, cls, _, p),) = kac_rows(g, form)
+        fd = formal_degree(g, form, host, cls)
+        assert fd.value is not None and p.gamma_abs_0 is not None
+        assert hii_check(fd, p, 1, 3).status == "holds"
+        res = hii_check(fd, p, 1, None)
+        assert (res.status, res.lhs, res.rhs) == ("unverifiable", None, None)
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -773,19 +883,21 @@ class TestParamJson:
     def test_weighted_record(self):
         g = build_group("A3", "adjoint")
         form = [f for f in enumerate_inner_forms(g) if not f.quasi_split][0]
-        (p,) = kac_points(g, form)
-        rec = param_json(p)
+        ((*_, row, p),) = kac_rows(g, form)
+        rec = param_json(p, row.pattern)
+        assert rec["pattern"] == "lin.anisotropic"
         assert rec["node"] == 0 and rec["n_s"] == 1
         assert rec["kac"] == [1, 0, 0, 0]
         assert rec["weights"] == [[1, 0, 2], [1, 0, 4], [1, 0, 6]]
-        assert rec["gamma_abs_0"] is not None
+        assert rec["gamma_abs_0"] == \
+            local_factors(p.sl2_weights, -1).gamma_abs_at_0.to_ratfunc() \
+            .to_json()
 
     def test_unweighted_record(self):
         g = build_group("E6", "adjoint")
-        rows = []
-        for form in enumerate_inner_forms(g):
-            rows += [p for p in kac_points(g, form)
-                     if p.pattern == "E6.triality" and p.n_s == 2]
-        rec = param_json(rows[0])
+        rows = [p for _, p in pattern_rows(g, "E6.triality",
+                                           enumerate_inner_forms(g))
+                if p.n_s == 2]
+        rec = param_json(rows[0], "E6.triality")
         assert rec["weights"] is None and rec["gamma_abs_0"] is None
         assert rec["node"] is None

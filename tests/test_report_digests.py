@@ -27,11 +27,11 @@ SPEC_DIGESTS = {
     "A7:adjoint:*":
         "8564fce4f08a73ea1c4e4606c4ebefe744de2ed7a9b267d6ea25ba9fe623c201",
     "E6:adjoint:*":
-        "7d10403ca2db924084ff716134698673333a070d03fe3b356fe640e6bb264e11",
+        "cc19b90dc0540d83b52cb3079e18bae767fdccde9e003c917b6b89e06656bf58",
     "F4:adjoint:*":
-        "1484d87ffd5f609df98ec0c0044898a4d816b4ed23c8ff24ef876068f2253bad",
+        "c4b8c533cf98f3624bbb67a692ed82778f7c3561580cc0dba3a31aa6b310fb25",
     "G2:adjoint:*":
-        "20539a202e3a130dcc10960697e2f7d080ae77bb52404f52aefbd6721a094d37",
+        "5f21ac8515bc6a5c96f5dc5c800c18b0fcbfe7ca33dbed2568e25f0da751f1da",
     # rank
     "2D10:adjoint:*":
         "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
@@ -204,7 +204,7 @@ SPEC_DIGESTS = {
     "B12:adjoint:*":
         "e92f8396df414c2368f9bb5f0befb92af82ad6467b24bbd1aa7fc9d467d3fc02",
     "B2:adjoint:*":
-        "7a8bc703221561331baea301b4a1ecc672fa6206358dd6dee23269e6b5431292",
+        "b1449403689d8d49a584e1c505de21beead8aa140387a23ffaf4b5c63a952d40",
     "B3:adjoint:*":
         "c7e86762542bebe96379b81285bcdfa5c3641390784d547f7541b1457dcbf360",
     "B4:adjoint:*":
@@ -238,9 +238,9 @@ SPEC_DIGESTS = {
     "D3:adjoint:*":
         "b1b084551507dd4f9116eafd255f045c8e26242cea269faeb4c5c9f863394aff",
     "E7:adjoint:*":
-        "96b37c5b6cb1a4f5be427ba603ea69a9994ceeab45cb5fc5c1215a151f718298",
+        "b4e69f46a00b4d102db2cd7c9dacc7a61b89abc667556825bd51bd07209c9eaa",
     "E8:adjoint:*":
-        "2240ab8fe1b9e71ddfc250dbe4a09fd9298a7e4f0750c13e2f7baf75042268ef",
+        "3d865261207ec8e6b5ee0dfd11711af5dc90c454233cd91a7eebecb65df7412d",
 }
 
 
