@@ -419,7 +419,7 @@ def report_record(report):
         "tau_orbit": report.tau_orbit,
     }
     if report.fdeg.value is not None:
-        rec["fdeg"] = report.fdeg.value.to_ratfunc().to_json()
+        rec["fdeg"] = report.fdeg.value.to_json()
     return rec
 
 

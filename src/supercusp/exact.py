@@ -8,8 +8,12 @@ Two kinds of values underlie everything else in the package:
   c * t^k * prod Phi_n(t)^(e_n): products, quotients and the substitution
   t -> t^d are exponent arithmetic, and two values are equal exactly when
   their exponents are.  The dense canonical RatFunc is the form for sums,
-  printing, JSON and the local factors at a shift; a CyclotomicProduct
-  expands into one through the one RatFunc normalization;
+  printing and the local factors at a shift.  A CyclotomicProduct writes
+  its numerator and denominator from the exponents, already canonical:
+  distinct Phi_n are coprime and t divides none, and each Phi_n is monic
+  and primitive, so by Gauss's lemma the contents are the reduced
+  constant's numerator and denominator.  p_gcd serves only sums and
+  quotients of RatFuncs;
 - finite abelian groups equipped with an endomorphism (fundamental groups
   with their twisting action).
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 class InvariantError(RuntimeError):
@@ -37,8 +41,6 @@ class InvariantError(RuntimeError):
 # ---------------------------------------------------------------------------
 # dense integer/fraction polynomials, ascending powers
 # ---------------------------------------------------------------------------
-
-IntPoly = tuple  # tuple of int (or Fraction in intermediate steps)
 
 
 def p_trim(c):
@@ -103,21 +105,20 @@ def p_eval(a, x):
 
 def p_divmod(a, b):
     """Exact Fraction division with remainder; b nonzero."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in p_trim(b)]
-    if b == [Fraction(0)]:
+    b = p_trim(b)
+    if b == (0,):
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    while len(p_trim(r)) - 1 >= len(b) - 1 and not p_is_zero(tuple(r)):
-        d = len(p_trim(r)) - len(b)
-        c = p_trim(r)[-1] / b[-1]
-        q[d] += c
+    r = [Fraction(x) for x in p_trim(a)]
+    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
+    while len(r) >= len(b) and r != [0]:
+        d = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[d] = c
         for i, bc in enumerate(b):
             r[i + d] -= c * bc
-        r = list(p_trim(r)) + [Fraction(0)] * 0
-        r = [Fraction(x) for x in p_trim(r)]
-    return p_trim(q), p_trim(r)
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return p_trim(q), tuple(r)
 
 
 def p_content(a):
@@ -133,8 +134,6 @@ def p_primitive(a):
 
 
 def _clear_denoms(a):
-    from math import lcm
-
     L = 1
     for x in a:
         L = lcm(L, Fraction(x).denominator)
@@ -460,8 +459,6 @@ class Cyclo:
 
     def __add__(self, other):
         other = _coerce_cyclo(other)
-        from math import lcm
-
         L = lcm(self.conductor, other.conductor)
         a, b = self._lift(L), other._lift(L)
         return Cyclo(L, tuple(x + y for x, y in zip(a, b)))
@@ -479,8 +476,6 @@ class Cyclo:
 
     def __mul__(self, other):
         other = _coerce_cyclo(other)
-        from math import lcm
-
         L = lcm(self.conductor, other.conductor)
         a, b = self._lift(L), other._lift(L)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -615,19 +610,24 @@ class CyclotomicProduct:
             tuple((n * g, e) for n, e in self.phi for g in divisors
                   if gcd(n * g, d) == g))
 
-    def to_ratfunc(self):
+    def _expand(self):
+        """(num, den), canonical with no gcd taken: see the module doc."""
         num, den = (self.const.numerator,), (self.const.denominator,)
         for n, e in self.phi:
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = p_mul(num, cyclotomic_poly(n))
-                else:
-                    den = p_mul(den, cyclotomic_poly(n))
-        if self.t_exp >= 0:
-            num = p_shift(num, self.t_exp)
-        else:
-            den = p_shift(den, -self.t_exp)
-        return RatFunc(num, den)
+            for _ in range(e):
+                num = p_mul(num, cyclotomic_poly(n))
+            for _ in range(-e):
+                den = p_mul(den, cyclotomic_poly(n))
+        return (p_shift(num, max(self.t_exp, 0)),
+                p_shift(den, max(-self.t_exp, 0)))
+
+    def to_ratfunc(self):
+        return RatFunc(*self._expand())
+
+    def to_json(self):
+        """The JSON of to_ratfunc(), written from the exponents."""
+        num, den = self._expand()
+        return {"num": list(num), "den": list(den)}
 
 
 # ---------------------------------------------------------------------------

@@ -84,16 +84,17 @@ class WeightString:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _orbit_product(m, E):
     """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x."""
     if E == 0:
         return CyclotomicProduct(p_eval(cyclotomic_poly(m), 1))
-    orbit = CyclotomicProduct(1, 0, ((m, 1),)).subst_t_power(abs(E))
     if E > 0:
-        return orbit * CyclotomicProduct(-1 if m == 1 else 1)
+        return CyclotomicProduct(-1 if m == 1 else 1, 0,
+                                 ((m, 1),)).subst_t_power(E)
     # Phi_m(1/x) = x^(-phi(m)) Phi_m(x) for m >= 2; for m = 1 the sign of
     # -Phi_1 cancels against Phi_1(1/x) = -x^(-1) Phi_1(x)
-    return orbit * CyclotomicProduct(1, E * euler_phi(m))
+    return CyclotomicProduct(1, -euler_phi(m), ((m, 1),)).subst_t_power(-E)
 
 
 def _string_factors(strings, shift, conjugate=False):
@@ -110,16 +111,19 @@ def _galois_product(factors):
     for m, k, E in factors:
         residues = groups.setdefault((m, E), {})
         residues[k] = residues.get(k, 0) + 1
-    out = CyclotomicProduct(1)
-    for (m, E), residues in sorted(groups.items()):
+    const, t_exp, phi = Fraction(1), 0, []
+    for (m, E), residues in groups.items():
         units = [k for k in range(m) if gcd(k, m) == 1]
         counts = {residues.get(k, 0) for k in units}
         if len(counts) != 1 or sorted(residues) != units:
             raise ValueError(
                 "irrational coefficient: the eigenvalue multiset is not "
                 "stable under the Galois action")
-        out = out * _orbit_product(m, E) ** counts.pop()
-    return out
+        c, orbit = counts.pop(), _orbit_product(m, E)
+        const *= orbit.const ** c
+        t_exp += orbit.t_exp * c
+        phi += [(n, e * c) for n, e in orbit.phi]
+    return CyclotomicProduct(const, t_exp, phi)
 
 
 def _two_s(s):
@@ -577,23 +581,17 @@ def centralizer_type(param):
 # systems (the half-spin exception to the at-most-one rule)
 _SPIN_PAIR_PATTERNS = {"symp.mixed", "evenorth.mixed", "evenorth.unitary"}
 
-# tabulated component groups: invariant factors and a display form
-_COMPONENT_DATA = {
-    "exc.E6": ((3, 3), "(Z/3)^3 / C"),
-    "exc.E7": (None, "order 8, Z/4 mod center"),
-    "exc.2E6": ((3, 3), "Z x <s>"),
-}
+# tabulated component groups: invariant factors
+_COMPONENT_DATA = {"exc.E6": (3, 3), "exc.2E6": (3, 3)}
 
 
 @dataclass(frozen=True)
 class CuspidalSupport:
-    """Existence and count data for cuspidal systems on a centralizer,
-    split by central character, with component-group data where encoded."""
+    """Count data for cuspidal systems on a centralizer, split by central
+    character, with component-group data where encoded."""
 
-    exists: bool
     count_by_central_character: dict
     component_invariants: tuple | None
-    component_descriptor: str | None
     s_sharp: int | None
 
     def total_count(self):
@@ -610,21 +608,18 @@ def cuspidal_support(row, group):
     n_chars = row.b_ad // per_char
     counts = {f"chi{i}": per_char for i in range(n_chars)}
 
-    invariants = descriptor = s_sharp = None
+    invariants = s_sharp = None
     if pattern == "lin.anisotropic":
-        n = group.rank + 1
-        invariants, descriptor = (n,), f"Z/{n}"
+        invariants = (group.rank + 1,)
         # centralizer of the parameter in the dual of the group itself
         s_sharp = len(group.omega_G)
     elif pattern in _COMPONENT_DATA:
-        invariants, descriptor = _COMPONENT_DATA[pattern]
+        invariants = _COMPONENT_DATA[pattern]
         if pattern == "exc.2E6" and row.n_s == 1:
-            invariants = descriptor = None
+            invariants = None
     return CuspidalSupport(
-        exists=True,
         count_by_central_character=counts,
         component_invariants=invariants,
-        component_descriptor=descriptor,
         s_sharp=s_sharp)
 
 
@@ -682,5 +677,5 @@ def param_json(param, pattern):
     if param.sl2_weights is not None:
         rec["weights"] = [[w.order, w.residue, w.h]
                           for w in param.sl2_weights]
-        rec["gamma_abs_0"] = param.gamma_abs_0.to_ratfunc().to_json()
+        rec["gamma_abs_0"] = param.gamma_abs_0.to_json()
     return rec

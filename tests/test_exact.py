@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supercusp.exact import (
@@ -220,6 +220,17 @@ class TestCyclotomicProduct:
     def test_t_power_minus_one(self, e):
         want = RatFunc(p_subst_pow((-1, 1), e), (1,))
         assert CyclotomicProduct.t_power_minus_one(e).to_ratfunc() == want
+
+    @given(product_strategy())
+    @example(CyclotomicProduct(0, 3, ((2, 1),)))
+    @example(CyclotomicProduct(Fraction(-3, 4), -2, ((1, 1), (6, -2))))
+    @settings(max_examples=80, deadline=None)
+    def test_json_is_canonical_without_gcd(self, x):
+        # the pair written from the exponents is the normalized one, and
+        # the normalizing constructor leaves it as it is
+        doc = x.to_json()
+        assert doc == x.to_ratfunc().to_json()
+        assert RatFunc(tuple(doc["num"]), tuple(doc["den"])).to_json() == doc
 
     @given(product_strategy(), product_strategy(), st.randoms())
     @settings(max_examples=80, deadline=None)
