@@ -25,7 +25,7 @@ from supercusp.exact import euler_phi
 from supercusp.galois import cuspidal_support, hii_check, kac_rows, param_json
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              inner_forms_by_token, parahoric_classes)
-from supercusp.rootdata import aut_on_omega, parse_spec
+from supercusp.rootdata import parse_spec
 
 
 REPORT_SCHEMA_VERSION = "1.0"
@@ -43,14 +43,6 @@ class CorrespondenceError(ValueError):
 def _product_set(group, left, right):
     """The set product {x + y} of two subgroups, as a frozenset."""
     return frozenset(group.omega_add(x, y) for x in left for y in right)
-
-
-def _quotient_invariants(group, big, small):
-    """Invariant factors of big/small, from the image of big in the
-    presented quotient Omega / <small>."""
-    pres = group.rs.omega.quotient_presentation(small)
-    return pres.group.subgroup_structure(
-        [pres.project(list(x)) for x in big])
 
 
 def _index(big, small, what):
@@ -113,8 +105,8 @@ def _invariants(group, pc, n_sub, b, b_prime):
         a=len(fixed_part), b=b, a_prime=pc.g_prime * len(stab_g),
         b_prime=b_prime, g=_index(stab_g, fixed_part, "stabilizer index g"),
         g_prime=pc.g_prime,
-        stabilizer_param=_quotient_invariants(group, om_theta, fixed_part),
-        stabilizer_pair=_quotient_invariants(group, om_theta, stab_g))
+        stabilizer_param=group.rs.quotient_invariants(om_theta, fixed_part),
+        stabilizer_pair=group.rs.quotient_invariants(om_theta, stab_g))
 
 
 def compute_invariants(group, pc, cls, row):
@@ -302,7 +294,7 @@ def equivariance_check(group, reports, tau):
     the result records the orbit partition and any mismatches.  Nothing is
     thrown for a mismatch: broken rows are reported.
     """
-    act = aut_on_omega(group, tau.as_dict())
+    act = group.rs.aut_on_omega(tau.as_dict())
     node_map = tau.affine_perm()
     forms = {f.token: f for f in enumerate_inner_forms(group)}
     token_of = {frozenset(f.cls): token for token, f in forms.items()}
@@ -341,7 +333,7 @@ def equivariance_check(group, reports, tau):
         while j not in seen:
             seen.add(j)
             orbit.append(j)
-            mapped_cls = frozenset(act(x) for x in forms[rj.form_token].cls)
+            mapped_cls = frozenset(act[x] for x in forms[rj.form_token].cls)
             target_token = token_of.get(mapped_cls)
             if target_token is None:
                 mismatches.append((j, "form image not found"))
@@ -350,7 +342,7 @@ def equivariance_check(group, reports, tau):
             # representative; F_w = omega_x F_r omega_x^-1 for the target
             # representative r and any x with w = r + x - theta(x), so
             # omega_-x carries the image to a support of r
-            shift = conjugators[target_token][act(forms[rj.form_token].rep)]
+            shift = conjugators[target_token][act[forms[rj.form_token].rep]]
             mapped_sup = frozenset(group.omega_act_node(shift, node_map[n])
                                    for n in rj.support)
             canon = associates.get(target_token, {}).get(mapped_sup)

@@ -11,7 +11,15 @@ from math import gcd, lcm
 
 import pytest
 
-from supercusp.correspond import _quotient_invariants, full_report
+from supercusp import exact, rootdata
+from supercusp.correspond import full_report
+from supercusp.exact import (
+    det_adjugate,
+    group_from_presentation,
+    integer_inverse,
+    mat_mul,
+    smith_normal_form,
+)
 from supercusp.rootdata import (
     MAX_RANK,
     SimpleGroup,
@@ -24,6 +32,7 @@ from supercusp.rootdata import (
     standard_frobenius_perm,
     weyl_degrees,
 )
+from test_casetable import catalogue
 
 
 ROOT_COUNTS = {
@@ -133,6 +142,137 @@ class TestRootSystem:
         assert all(rs.pair(rs.hr_coeffs, a) >= 0 for a in simples)
 
 
+def _omega_G_orders(g):
+    """Invariant factors of Omega_G, the isogeny's fundamental group."""
+    return g.rs.omega.subgroup_structure(sorted(g.omega_G))
+
+
+def _isogenies(fam, rank, tw):
+    """Every Frobenius-stable isogeny of one type."""
+    for iso in isogeny_tokens(fam, rank):
+        try:
+            yield SimpleGroup(fam, rank, tw, iso)
+        except ValueError:
+            continue
+
+
+def _type_id(key):
+    fam, rank, tw = key
+    return f"{'' if tw == 1 else tw}{fam}{rank}"
+
+
+def _lattice_basis(cols):
+    """Basis matrix (columns) of the lattice spanned by integer columns."""
+    n = len(cols[0])
+    U, D, _ = smith_normal_form([[col[i] for col in cols] for i in range(n)])
+    Uinv = integer_inverse(U)
+    if any(D[i][i] == 0 for i in range(n)):
+        pytest.fail("lattice not full rank")
+    return [[Uinv[i][j] * D[j][j] for j in range(n)] for i in range(n)]
+
+
+def _cocharacter_quotient(g):
+    """X_*/Q^vee with the Frobenius, from the cocharacter lattice itself:
+    the coroot lattice extended by lifts of Omega_G, in fundamental-coweight
+    coordinates, presented in the lattice's own basis."""
+    n, pres = g.rank, g.rs.omega_pres
+    coroots = [[g.rs.cartan[i][j] for i in range(n)] for j in range(n)]
+    B = _lattice_basis(coroots + [pres.lift(x) for x in sorted(g.omega_G)])
+    det, adj = det_adjugate(B)
+
+    def in_basis(vec, what):
+        """Coordinates of an integer vector in the lattice basis."""
+        out = []
+        for row in adj:
+            c, r = divmod(sum(a * v for a, v in zip(row, vec)), det)
+            if r:
+                pytest.fail(f"{g.spec_string()}: {what}")
+            out.append(c)
+        return out
+
+    rels = [in_basis(col, "coroot outside the isogeny lattice")
+            for col in coroots]
+    P_theta = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        P_theta[g.theta_finite[i] - 1][i - 1] = 1
+    # theta in the lattice basis, B^-1 * P_theta * B, column by column
+    PB = mat_mul(P_theta, B)
+    theta_cols = [in_basis([PB[i][j] for i in range(n)],
+                           "isogeny lattice not Frobenius stable")
+                  for j in range(n)]
+    theta_L = [[theta_cols[j][i] for j in range(n)] for i in range(n)]
+    return group_from_presentation(n, rels, theta=theta_L).group
+
+
+def _coweight_action(g, perm):
+    """A finite-diagram automorphism on Omega through the coweights: lift x
+    to the coweight lattice, permute the fundamental coweights, project."""
+    pres = g.rs.omega_pres
+
+    def act(x):
+        vec = pres.lift(x)
+        out = [0] * g.rank
+        for i in range(1, g.rank + 1):
+            out[perm[i] - 1] = vec[i - 1]
+        return pres.project(out)
+
+    return act
+
+
+class TestLatticeOracle:
+    """The report reads an isogeny only through Omega_G and theta on it;
+    the cocharacter lattice, built here and nowhere in the package, must
+    give the same group and the same Kottwitz coinvariants."""
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_cocharacter_quotient_is_omega_G(self, key):
+        for g in _isogenies(*key):
+            fund = _cocharacter_quotient(g)
+            assert fund.order() == len(g.omega_G)
+            assert fund.orders == _omega_G_orders(g)
+            assert fund.coinvariant_structure().orders == \
+                g.kottwitz_data()["omega_coinv"]
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_theta_table_against_coweights(self, key):
+        # the node-conjugation tables against the coweight path, for theta
+        # and for every diagram automorphism
+        for g in _isogenies(*key):
+            for p in g.rs.finite_diagram_autos():
+                act, lifted = g.rs.aut_on_omega(p), _coweight_action(g, p)
+                assert all(act[x] == lifted(x) for x in g.omega_elements())
+            lifted = _coweight_action(g, g.theta_finite)
+            for x in g.omega_elements():
+                assert g.theta_on_omega(x) == lifted(x)
+                y = x
+                for _ in range(g.twist_order):
+                    y = g.theta_on_omega(y)
+                assert y == x
+
+    def test_group_build_runs_no_smith_form(self, monkeypatch):
+        calls = []
+        real = exact.smith_normal_form
+
+        def counting(A):
+            calls.append(len(A))
+            return real(A)
+
+        monkeypatch.setattr(exact, "smith_normal_form", counting)
+        # and any copy of the name imported into rootdata
+        monkeypatch.setattr(rootdata, "smith_normal_form", counting,
+                            raising=False)
+        # the counter sees the elimination behind a presentation
+        exact.group_from_presentation(1, [[2]])
+        assert calls
+        built = 0
+        for fam, rank, tw in catalogue():
+            root_system(fam, rank)
+            calls.clear()
+            built += sum(1 for _ in _isogenies(fam, rank, tw))
+            assert calls == [], f"{_type_id((fam, rank, tw))}"
+        assert built > 150
+
+
 FUNDAMENTAL_ORDERS = {
     "A4": 5, "A5": 6, "B3": 2, "C4": 2, "D4": 4, "D5": 4,
     "E6": 3, "E7": 2, "E8": 1, "F4": 1, "G2": 1,
@@ -148,8 +288,8 @@ class TestFundamentalGroup:
     def test_d_even_vs_odd(self):
         even = build_group("D6", "adjoint")
         odd = build_group("D5", "adjoint")
-        assert even.fundamental.orders == (2, 2)
-        assert odd.fundamental.orders == (4,)
+        assert _omega_G_orders(even) == (2, 2)
+        assert _omega_G_orders(odd) == (4,)
 
     THETA_FIXED = {
         "2A5": 2, "2A4": 1, "3D4": 1, "2E6": 1, "2D6": 2, "2D5": 2,
@@ -200,10 +340,10 @@ class TestIsogenies:
         assert isogeny_tokens("E", 8) == ["adjoint"]
 
     def test_intermediate_sizes(self):
-        assert build_group("A5", "d2").fundamental.orders == (2,)
-        assert build_group("A5", "d3").fundamental.orders == (3,)
-        assert build_group("D6", "so").fundamental.orders == (2,)
-        assert build_group("D6", "hs1").fundamental.orders == (2,)
+        assert _omega_G_orders(build_group("A5", "d2")) == (2,)
+        assert _omega_G_orders(build_group("A5", "d3")) == (3,)
+        assert _omega_G_orders(build_group("D6", "so")) == (2,)
+        assert _omega_G_orders(build_group("D6", "hs1")) == (2,)
 
     def test_frobenius_rejects_unstable_isogeny(self):
         # half-spin of 2D6 is not stable under the diagram flip
@@ -345,11 +485,11 @@ class TestOmegaInvariants:
                      for x in elems for y in elems}
         for H in subgroups:
             assert omega.subgroup_structure(sorted(H)) == \
-                _quotient_invariants(g, H, {g.omega_identity()})
+                g.rs.quotient_invariants(H, {g.omega_identity()})
             for K in subgroups:
                 if not K <= H:
                     continue
-                chain = _quotient_invariants(g, H, K)
+                chain = g.rs.quotient_invariants(H, K)
                 assert all(d > 1 for d in chain)
                 assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
                 size = 1
