@@ -93,8 +93,8 @@ _EXCEPTIONAL_ROWS = {
     ],
     # E7, nontrivial inner form, support of fused-E6 type
     ("E7.fusedE6", None): [
-        _entry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6"),
-        _entry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5"),
+        _entry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", (1,), "untwisted"),
+        _entry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", (3,), "untwisted"),
     ],
 }
 
@@ -335,22 +335,14 @@ def rows_for_host(group, form, host, classes):
 def resolve_named_subgroup(group, name):
     """Interpret a case table subgroup name inside the adjoint fundamental
     group of the given group."""
-    omega = group.rs.omega
-    elems = set(group.omega_elements())
     if name == "1":
         return frozenset({group.omega_identity()})
     if name == "full":
-        return frozenset(elems)
+        return frozenset(group.omega_elements())
     if name == "omega_theta":
         return frozenset(group.omega_ad_theta_fixed())
     if name == "eta":
-        eta = group.rs.coweight_class(1)
-        sub = {group.omega_identity()}
-        x = eta
-        while x not in sub:
-            sub.add(x)
-            x = omega.add(x, eta)
-        return frozenset(sub)
+        return group.rs.omega.subgroup_generated([group.rs.coweight_class(1)])
     raise CaseTableError(f"unknown subgroup name {name!r}")
 
 

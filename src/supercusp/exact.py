@@ -14,8 +14,9 @@ Two kinds of values underlie everything else in the package:
   and primitive, so by Gauss's lemma the contents are the reduced
   constant's numerator and denominator.  p_gcd serves only sums and
   quotients of RatFuncs;
-- finite abelian groups equipped with an endomorphism (fundamental groups
-  with their twisting action).
+- finite abelian groups in invariant-factor form: the fundamental groups.
+  The Frobenius acts on them through rootdata's node-conjugation tables,
+  so a group here carries no endomorphism.
 
 Cyclo, an element of Q(zeta_m) in the power basis, is not among them: a
 Frobenius eigenvalue zeta_m^k is the integer pair (m, k) of
@@ -796,52 +797,30 @@ def integer_inverse(U):
 
 
 # ---------------------------------------------------------------------------
-# finite abelian groups with an endomorphism
+# finite abelian groups
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FinAbGrpAut:
-    """Finite abelian group in invariant-factor form with an endomorphism.
+class FiniteAbelianGroup:
+    """Finite abelian group in invariant-factor form.
 
-    orders: (d_1, ..., d_k) with d_1 | d_2 | ... | d_k, all > 1.
-    theta:  k x k integer matrix acting on column vectors; entry (i, j)
-            is reduced mod orders[i].
+    orders: (d_1, ..., d_k) with d_1 | d_2 | ... | d_k, all > 1; an element
+    is the tuple of its coordinates, the i-th taken mod orders[i].
     """
 
     orders: tuple
-    theta: tuple
 
     def __post_init__(self):
         orders = tuple(int(d) for d in self.orders)
-        k = len(orders)
-        for i in range(k - 1):
+        for i in range(len(orders) - 1):
             if orders[i + 1] % orders[i] != 0:
                 raise ValueError("orders must form a divisibility chain")
         if any(d < 2 for d in orders):
             raise ValueError("orders must all exceed 1")
-        th = [list(row) for row in self.theta]
-        if len(th) != k or any(len(r) != k for r in th):
-            raise ValueError("theta shape mismatch")
-        for i in range(k):
-            for j in range(k):
-                if (th[i][j] * orders[j]) % orders[i] != 0:
-                    raise ValueError("theta is not a well-defined endomorphism")
-                th[i][j] %= orders[i]
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "theta", tuple(tuple(r) for r in th))
 
     # -- basic structure ----------------------------------------------------
-
-    @staticmethod
-    def trivial():
-        return FinAbGrpAut((), ())
-
-    @staticmethod
-    def cyclic(n, theta_scalar=1):
-        if n <= 1:
-            return FinAbGrpAut.trivial()
-        return FinAbGrpAut((n,), ((theta_scalar % n,),))
 
     def order(self):
         out = 1
@@ -861,33 +840,6 @@ class FinAbGrpAut:
     def neg(self, x):
         return tuple((-a) % d for a, d in zip(x, self.orders))
 
-    def apply_theta(self, x):
-        return tuple(sum(self.theta[i][j] * x[j] for j in range(len(x))) % self.orders[i]
-                     for i in range(len(self.orders)))
-
-    def element_order(self, x):
-        n = 1
-        y = x
-        while y != self.identity():
-            y = self.add(y, x)
-            n += 1
-        return n
-
-    def theta_order(self):
-        n = 1
-        cur = {e: self.apply_theta(e) for e in self.elements()}
-        ident = {e: e for e in self.elements()}
-        step = dict(cur)
-        while step != ident:
-            step = {e: self.apply_theta(v) for e, v in step.items()}
-            n += 1
-            if n > 64:
-                raise ValueError("theta does not have small finite order")
-        return n
-
-    def is_theta_trivial(self):
-        return all(self.apply_theta(e) == e for e in self.elements())
-
     # -- subgroup machinery (groups here are tiny; sets are fine) -----------
 
     def subgroup_generated(self, gens):
@@ -903,32 +855,15 @@ class FinAbGrpAut:
                     frontier.append(y)
         return frozenset(seen)
 
-    def invariant_subgroup(self):
-        """Elements fixed by theta."""
-        return frozenset(e for e in self.elements() if self.apply_theta(e) == e)
-
-    def theta_stable(self, subset):
-        return all(self.apply_theta(x) in subset for x in subset)
-
     def quotient_presentation(self, gens):
-        """G / <gens> presented over the generators of G, with theta
-        carried along (so <gens> should be theta-stable)."""
+        """G / <gens> presented over the generators of G."""
         k = len(self.orders)
         rels = [[d * (i == j) for j in range(k)]
                 for i, d in enumerate(self.orders)]
-        return group_from_presentation(k, rels + [list(g) for g in gens],
-                                       self.theta)
-
-    def quotient_structure(self, subgroup_gens):
-        """Invariant factors of G / <subgroup_gens>; the subgroup must be
-        theta-stable, and the induced theta comes along."""
-        H = self.subgroup_generated(subgroup_gens)
-        if not self.theta_stable(H):
-            raise ValueError("quotient by a non-theta-stable subgroup")
-        return self.quotient_presentation(H).group
+        return group_from_presentation(k, rels + [list(g) for g in gens])
 
     def subgroup_structure(self, gens):
-        """Invariant factors of the subgroup generated by gens (no theta)."""
+        """Invariant factors of the subgroup generated by gens."""
         gens = [list(g) for g in gens]
         if not gens or not self.orders:
             return ()
@@ -941,43 +876,19 @@ class FinAbGrpAut:
         rel_cols = [[v[j] for j in range(r)] for v in ker]
         return group_from_presentation(r, rel_cols).group.orders
 
-    def coinvariant_structure(self):
-        """G / (theta - 1)G with the (trivial) induced action."""
-        k = len(self.orders)
-        gens = []
-        for e in self.elements():
-            gens.append(self.add(self.apply_theta(e), self.neg(e)))
-        return self.quotient_structure(gens)
-
-    def dual(self):
-        """Character group with the adjoint endomorphism."""
-        k = len(self.orders)
-        th = [[0] * k for _ in range(k)]
-        for j in range(k):
-            for i in range(k):
-                num = self.theta[i][j] * self.orders[j]
-                if num % self.orders[i] != 0:
-                    raise InvariantError(
-                        "theta is not a well-defined endomorphism")
-                th[j][i] = (num // self.orders[i]) % self.orders[j]
-        return FinAbGrpAut(self.orders, tuple(tuple(r) for r in th))
-
 
 @dataclass
 class Presentation:
     """A finite abelian quotient of Z^n together with the projection and a
     section picking an integer-vector representative for each element."""
 
-    group: FinAbGrpAut
+    group: FiniteAbelianGroup
     project: object  # vector -> element tuple
     lift: object     # element tuple -> vector
 
 
-def group_from_presentation(n_gens, relations, theta=None):
-    """Finite abelian group Z^n / <relations (as vectors)>, with an optional
-    endomorphism given on the generators."""
-    if theta is None:
-        theta = mat_identity(n_gens)
+def group_from_presentation(n_gens, relations):
+    """Finite abelian group Z^n / <relations (as vectors)>."""
     C = [[rel[i] for rel in relations] for i in range(n_gens)] if relations else \
         [[0] for _ in range(n_gens)]
     U, D, V = smith_normal_form(C)
@@ -985,16 +896,11 @@ def group_from_presentation(n_gens, relations, theta=None):
     if any(d == 0 for d in diag):
         raise ValueError("presented group is not finite")
     Uinv = integer_inverse(U)
-    thU = mat_mul(mat_mul(U, [list(r) for r in theta]), Uinv)
     keep = [i for i in range(n_gens) if diag[i] > 1]
-    orders = tuple(diag[i] for i in keep)
-    theta_q = tuple(tuple(thU[i][j] % diag[i] for j in keep) for i in keep)
-    grp = FinAbGrpAut(orders, theta_q)
-
-    Umat = [row[:] for row in U]
+    grp = FiniteAbelianGroup(tuple(diag[i] for i in keep))
 
     def project(vec):
-        y = [sum(Umat[i][j] * vec[j] for j in range(n_gens)) for i in range(n_gens)]
+        y = [sum(U[i][j] * vec[j] for j in range(n_gens)) for i in range(n_gens)]
         return tuple(y[i] % diag[i] for i in keep)
 
     def lift(elem):

@@ -465,27 +465,6 @@ def _odd_orthogonal_cut(group, host):
     return n_minus
 
 
-def _search_cut_node(dual_family, dual_rank, geometric, n_s):
-    """Find a node of the untwisted dual affine diagram whose deletion has
-    the recorded type and whose mark is n_s.  Returns None if the string is
-    a parametric shape or nothing matches."""
-    if geometric is None or "-" in geometric \
-            or geometric in ("Sp", "SpxSO", "CxC", "DxB", "DxD", "BxB"):
-        return None
-    try:
-        want = _parse_type_string(geometric)
-    except (ValueError, IndexError):
-        return None
-    grp = _dual_group(dual_family, dual_rank)
-    for v in grp.affine_nodes():
-        if grp.rs.marks[v] != n_s:
-            continue
-        if centralizer_components(dual_family, dual_rank, "untwisted",
-                                  v) == want:
-            return v
-    return None
-
-
 def _build_param(group, host, cls, row):
     fam_d, rank_d, twist_d = dual_type(group)
     diagram = row.dual_diagram
@@ -500,9 +479,6 @@ def _build_param(group, host, cls, row):
     elif twist_d == 1 and row.n_s == 1:
         # the unique order-one torsion point is central: cut at node 0
         v_node, diagram = 0, "untwisted"
-    elif twist_d == 1:
-        v_node = _search_cut_node(fam_d, rank_d, row.geometric, row.n_s)
-        diagram = "untwisted" if v_node is not None else None
 
     kac = None
     if v_node is not None:

@@ -385,7 +385,7 @@ def parahoric_classes(group, form):
     perm = f_omega_perm(group, form)
     supports = maximal_supports(group, form)
     theta_fixed_ad = sorted(group.omega_ad_theta_fixed())
-    theta_fixed_G = sorted(group.omega_theta_fixed())
+    theta_fixed_G = group.omega_theta_fixed()
 
     def act_on_support(w, J):
         return tuple(sorted((group.omega_act_node(w, x) for x in J), key=str))
@@ -399,22 +399,23 @@ def parahoric_classes(group, form):
         seen |= orbit
         rep = min(orbit, key=str)
         stab_ad = frozenset(w for w in theta_fixed_ad if act_on_support(w, rep) == rep)
-        stab_G = frozenset(w for w in theta_fixed_G if act_on_support(w, rep) == rep)
-        orbit_G = {act_on_support(w, rep) for w in theta_fixed_G}
-        # g' = [ad orbit of the support] / [G orbit of the support]
-        g_prime = Fraction(len(orbit), len(orbit_G))
+        stab_G = stab_ad & theta_fixed_G
+        # g' = [ad orbit of the support] / [G orbit of the support], each
+        # orbit the size of its group over the stabilizer
+        g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
+                           len(stab_ad) * len(theta_fixed_G))
         if g_prime.denominator != 1:
             raise InvariantError(
-                f"G-orbit of {len(orbit_G)} supports does not divide the "
-                f"adjoint orbit of {len(orbit)}")
+                f"G-orbit of the support {rep} does not divide its adjoint "
+                f"orbit of {len(orbit)}")
         orbits = component_orbits(group, rep, perm)
         # rank plus the roots of the components, from the Weyl degrees: a
         # degree d adds d - 1 positive roots
-        dim = group.rank_total + sum(
+        dim = group.rank + sum(
             len(co.components) * 2 * sum(
                 d - 1 for d in weyl_degrees(co.family, co.rank))
             for co in orbits)
-        torus_rank = group.rank_total - sum(
+        torus_rank = group.rank - sum(
             co.orbit_size * co.rank for co in orbits)
         classes.append(ParahoricClass(
             support=rep,

@@ -478,7 +478,7 @@ class SimpleGroup:
             x for x, y in self._theta_omega.items() if x == y)
         self._omega_G_theta = self._omega_ad_theta & self.omega_G
 
-    # -- node interface (shared with product groups) ----------------------------
+    # -- affine diagram nodes ---------------------------------------------------
 
     def affine_nodes(self):
         return tuple(range(self.rank + 1))
@@ -488,10 +488,6 @@ class SimpleGroup:
 
     def node_pair(self, a, b):
         return self.rs.affine_cartan[a][b]
-
-    @property
-    def rank_total(self):
-        return self.rank
 
     # -- naming ---------------------------------------------------------------
 
@@ -511,7 +507,8 @@ class SimpleGroup:
                 return "sc"
             if tok == "adjoint":
                 return "adjoint"
-            m = re.match(r"^d(\d+)$", tok)
+            # a positive integer written without leading zeros
+            m = re.match(r"^d([1-9]\d*)$", tok)
             if m:
                 k = int(m.group(1))
                 if n % k != 0:
@@ -587,27 +584,30 @@ class SimpleGroup:
     def kottwitz_data(self):
         """Orders-level summary: invariants, coinvariants, their duals, and
         the inner-twist classes of the adjoint group."""
-        rs, omega = self.rs, self.rs.omega
+        rs = self.rs
         fixed = rs.quotient_invariants(self.omega_theta_fixed(),
-                                       [omega.identity()])
+                                       [rs.omega.identity()])
         # X_*/Q^vee is Omega_G, so its coinvariants are Omega_G/(theta - 1)
-        moved = omega.subgroup_generated(
-            [omega.add(self.theta_on_omega(x), omega.neg(x))
-             for x in self.omega_G])
         return {
             "omega_theta": fixed,
-            "omega_coinv": rs.quotient_invariants(self.omega_G, moved),
+            "omega_coinv": rs.quotient_invariants(
+                self.omega_G, self._theta_moved(self.omega_G)),
             "omega_theta_dual": fixed,
             "omega_ad_coinv": self.adjoint_coinvariant_classes(),
         }
+
+    def _theta_moved(self, subset):
+        """The subgroup of Omega_ad generated by theta(x) - x, x in subset."""
+        omega = self.rs.omega
+        return omega.subgroup_generated(
+            [omega.add(self.theta_on_omega(x), omega.neg(x)) for x in subset])
 
     def adjoint_coinvariant_classes(self):
         """Partition of the adjoint fundamental group into twisting classes
         (cosets of the augmentation subgroup (theta - 1)Omega_ad)."""
         omega = self.rs.omega
         elems = self.omega_elements()
-        diff_gens = [omega.add(self.theta_on_omega(x), omega.neg(x)) for x in elems]
-        B = omega.subgroup_generated(diff_gens)
+        B = self._theta_moved(elems)
         classes = []
         seen = set()
         for x in elems:

@@ -41,6 +41,8 @@ class TestReport:
         ("3A4:adjoint:*", "field 1"),
         ("2B3:adjoint:*", "field 1"),
         ("A3:d5:*", "field 2"),
+        ("A2:d0:*", "field 2"),
+        ("A5:d02:*", "field 2"),
         ("2D4:hs1:*", "field 2"),
         ("A3:adjoint:w9", "field 3"),
     ])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from supercusp.exact import (
     Cyclo,
     CyclotomicProduct,
-    FinAbGrpAut,
+    FiniteAbelianGroup,
     RatFunc,
     RF_ONE,
     RF_Q,
@@ -435,16 +435,7 @@ class TestPresentation:
         grp, proj = pres.group, pres.project
         assert grp.orders == (3,)
         gen = proj([1, 0])
-        assert grp.element_order(gen) == 3
-
-    def test_theta_transport(self):
-        # swap action on Z^2 descends to Z^2/<(2,0),(0,2)>
-        pres = group_from_presentation(
-            2, [[2, 0], [0, 2]], theta=[[0, 1], [1, 0]])
-        grp, proj = pres.group, pres.project
-        a, b = proj([1, 0]), proj([0, 1])
-        assert grp.apply_theta(a) == b
-        assert grp.apply_theta(b) == a
+        assert len(grp.subgroup_generated([gen])) == 3
 
     def test_infinite_quotient_rejected(self):
         with pytest.raises(ValueError):
@@ -452,125 +443,57 @@ class TestPresentation:
 
 
 # ---------------------------------------------------------------------------
-# FinAbGrpAut
+# FiniteAbelianGroup
 # ---------------------------------------------------------------------------
 
 
 def group_strategy():
-    chains = st.sampled_from([
+    return st.sampled_from([
         (), (2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 6), (5,), (2, 2, 2),
-    ])
-
-    @st.composite
-    def build(draw):
-        orders = draw(chains)
-        k = len(orders)
-        while True:
-            theta = [[draw(st.integers(min_value=0, max_value=11)) for _ in range(k)]
-                     for _ in range(k)]
-            try:
-                return FinAbGrpAut(orders, tuple(tuple(r) for r in theta))
-            except ValueError:
-                continue
-
-    return build()
+    ]).map(FiniteAbelianGroup)
 
 
-class TestFinAbGrpAut:
+class TestFiniteAbelianGroup:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FinAbGrpAut((4, 2), ((1, 0), (0, 1)))  # wrong chain order
+            FiniteAbelianGroup((4, 2))  # wrong chain order
         with pytest.raises(ValueError):
-            FinAbGrpAut((2, 4), ((0, 0), (1, 0)))  # Z/2 -> Z/4 by odd multiplier
+            FiniteAbelianGroup((1, 4))  # trivial factor
 
     def test_trivial_group(self):
-        g = FinAbGrpAut.trivial()
+        g = FiniteAbelianGroup(())
         assert g.order() == 1
         assert g.elements() == [()]
-        assert g.invariant_subgroup() == frozenset([()])
-        assert g.coinvariant_structure().order() == 1
-
-    def test_cyclic_inverse_action(self):
-        g = FinAbGrpAut.cyclic(5, -1)
-        inv = g.invariant_subgroup()
-        assert len(inv) == 1
-        coinv = g.coinvariant_structure()
-        assert coinv.order() == 1
-
-    def test_cyclic6_squaring_is_rejected(self):
-        # x -> 2x on Z/6 is a valid endomorphism, not an automorphism;
-        # still accepted as endomorphism data
-        g = FinAbGrpAut.cyclic(6, 2)
-        assert g.apply_theta((1,)) == (2,)
-
-    @given(group_strategy())
-    @settings(max_examples=80, deadline=None)
-    def test_invariants_match_coinvariants_for_automorphisms(self, g):
-        # |G^theta| = |G_theta| whenever theta is bijective
-        elems = g.elements()
-        if len({g.apply_theta(e) for e in elems}) != len(elems):
-            return
-        inv = g.invariant_subgroup()
-        coinv = g.coinvariant_structure()
-        assert len(inv) == coinv.order()
-
-    @given(group_strategy())
-    @settings(max_examples=80, deadline=None)
-    def test_double_dual_identity(self, g):
-        assert g.dual().dual() == g
-
-    def test_dual_adjoint_on_mixed_orders(self):
-        # theta: Z/2 x Z/4, e1 -> 2*e2, e2 -> e1 + e2
-        g = FinAbGrpAut((2, 4), ((0, 1), (2, 1)))
-        d = g.dual()
-        # adjoint transposes with the d_i/d_j weights
-        assert d.theta == ((0, 1), (2, 1))
-        assert d.dual() == g
+        assert g.subgroup_generated([()]) == frozenset([()])
+        assert g.quotient_presentation([]).group.order() == 1
 
     def test_subgroup_generated(self):
-        g = FinAbGrpAut((2, 4), ((1, 0), (0, 1)))
+        g = FiniteAbelianGroup((2, 4))
         h = g.subgroup_generated([(0, 2)])
         assert h == frozenset({(0, 0), (0, 2)})
         assert g.subgroup_structure([(0, 2)]) == (2,)
         assert g.subgroup_structure([(1, 0), (0, 1)]) == (2, 4)
 
     def test_subgroup_structure_of_trivial_group(self):
-        assert FinAbGrpAut.trivial().subgroup_structure([()]) == ()
+        assert FiniteAbelianGroup(()).subgroup_structure([()]) == ()
 
     def test_quotient_structure(self):
-        g = FinAbGrpAut((4,), ((1,),))
-        q = g.quotient_structure([(2,)])
-        assert q.orders == (2,)
+        g = FiniteAbelianGroup((4,))
+        assert g.quotient_presentation([(2,)]).group.orders == (2,)
+        # Z/2 x Z/2 modulo the diagonal
+        g = FiniteAbelianGroup((2, 2))
+        assert g.quotient_presentation([(1, 1)]).group.orders == (2,)
 
-    def test_quotient_requires_theta_stable(self):
-        # swap on Z/2 x Z/2; subgroup <(1,0)> is not stable
-        g = FinAbGrpAut((2, 2), ((0, 1), (1, 0)))
-        with pytest.raises(ValueError):
-            g.quotient_structure([(1, 0)])
-        q = g.quotient_structure([(1, 1)])
-        assert q.orders == (2,)
-        assert q.is_theta_trivial()
-
-    @given(group_strategy())
+    @given(group_strategy(), st.integers(min_value=0, max_value=63))
     @settings(max_examples=60, deadline=None)
-    def test_quotient_order_multiplicativity(self, g):
+    def test_quotient_order_multiplicativity(self, g, pick):
         elems = g.elements()
-        if not elems:
-            return
-        gen = elems[len(elems) // 2]
-        h = g.subgroup_generated([gen, g.apply_theta(gen)])
-        if not g.theta_stable(h):
-            return
-        q = g.quotient_structure([gen, g.apply_theta(gen)])
-        assert q.order() * len(h) == g.order()
-
-    def test_swap_action_invariants(self):
-        g = FinAbGrpAut((2, 2), ((0, 1), (1, 0)))
-        assert g.invariant_subgroup() == frozenset({(0, 0), (1, 1)})
-        assert g.coinvariant_structure().orders == (2,)
-
-    def test_theta_order(self):
-        g = FinAbGrpAut.cyclic(7, 2)  # 2^3 = 1 mod 7
-        assert g.theta_order() == 3
-        assert FinAbGrpAut.cyclic(5, -1).theta_order() == 2
-        assert FinAbGrpAut.trivial().theta_order() == 1
+        gens = [elems[pick % len(elems)], elems[(pick // 2) % len(elems)]]
+        h = g.subgroup_generated(gens)
+        pres = g.quotient_presentation(gens)
+        assert pres.group.order() * len(h) == g.order()
+        assert len(h) == FiniteAbelianGroup(
+            g.subgroup_structure(gens)).order()
+        # the projection kills exactly the subgroup
+        assert {x for x in elems
+                if pres.project(list(x)) == pres.group.identity()} == h

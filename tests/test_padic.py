@@ -31,6 +31,9 @@ from supercusp.padic import (
 )
 from supercusp.rootdata import SimpleGroup, build_group, isogeny_tokens
 
+from test_casetable import catalogue
+from test_rootdata import _isogenies, _type_id
+
 
 Q = RatFunc.q_power(1)
 
@@ -349,6 +352,31 @@ class TestSupportPatterns:
             _, _, rows = rows_for("E7", isog, "1")
             assert [(c.size, c.ns_tag) for _, d in rows for c in d.classes] \
                 == [(2, 4)]
+
+
+def _act_on_support(group, w, support):
+    return tuple(sorted((group.omega_act_node(w, x) for x in support),
+                        key=str))
+
+
+class TestGPrimeOracle:
+    """parahoric_classes reads stabilizer_G and g' off the adjoint
+    stabilizer by orbit-stabilizer; here both come from acting on the
+    supports with Omega_G^theta itself."""
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_g_prime_from_explicit_g_orbits(self, key):
+        for g in _isogenies(*key):
+            fixed_G = g.omega_theta_fixed()
+            for form in enumerate_inner_forms(g):
+                for pc in parahoric_classes(g, form):
+                    rep = pc.support
+                    images = {w: _act_on_support(g, w, rep) for w in fixed_G}
+                    orbit_G = set(images.values())
+                    assert pc.stabilizer_G == frozenset(
+                        w for w, image in images.items() if image == rep)
+                    assert orbit_G <= set(pc.associates)
+                    assert len(pc.associates) == pc.g_prime * len(orbit_G)
 
 
 class TestClassification:
