@@ -3,12 +3,17 @@
 Single versioned data source.  Each entry records, for one structural
 pattern of (family, twist, inner form, support), the torsion order n_s of
 the matching parameter, the adjoint-level class count, a named subgroup of
-the adjoint fundamental group that controls descent, the geometric
-centralizer type, and a provenance string naming the section of the source
-classification that the row transcribes.
+the adjoint fundamental group that controls descent, and a provenance
+string naming the section of the source classification that the row
+transcribes.  It is also the only record of where the parameter cuts the
+dual affine diagram: the cut node (vs_nodes, the node whose Kac coordinate
+is 1) and the diagram it lies on.  galois reads both from here and checks
+the centralizer the cut leaves against an explicit type string, where one
+is recorded; rules without a cut node record a shape name instead.
 
-Classical families are parametric rules keyed by the component structure;
-exceptional hosts are explicit per-class rows.  Anything else raises
+Exceptional hosts are explicit per-class rows keyed by the group type and
+the finite quotient of the support; classical families are parametric
+rules keyed by the component structure.  Anything else raises
 CaseTableError ("not in table").
 """
 
@@ -31,70 +36,71 @@ class CaseEntry:
     provenance: str
     n_s: int
     b_ad: int
-    n_name: str            # "1" | "eta" | "omega_theta" | "full"
-    geometric: str | None  # centralizer type, when recorded
-    vs_nodes: tuple | None  # nodes of the dual affine diagram cut at v(s)
-    dual_diagram: str | None  # "untwisted" | "E6(2)" | "D4(3)"
-    notes: str = ""
-
-
-def _entry(pattern, provenance, n_s, b_ad, n_name, geometric=None,
-           vs_nodes=None, dual_diagram=None, notes=""):
-    return CaseEntry(pattern, provenance, n_s, b_ad, n_name, geometric,
-                     vs_nodes, dual_diagram, notes)
+    n_name: str                # "1" | "eta" | "omega_theta" | "full"
+    # an explicit type string the cut must leave (exceptional rows), or a
+    # shape name on a rule with no cut node; None where a rule fixes it
+    geometric: str | None = None
+    # the cut node of the dual affine diagram (Kac coordinate 1) and the
+    # diagram it lies on; galois reads them from here only
+    vs_nodes: tuple | None = None
+    dual_diagram: str | None = None  # "untwisted" | "E6(2)" | "D4(3)"
 
 
 # ---------------------------------------------------------------------------
-# explicit per-class rows for self-hosted exceptional quotients
+# explicit per-class rows for exceptional quotients
 # ---------------------------------------------------------------------------
 
-# one list entry per equal-degree class, in the order the cuspidal class
-# table emits them
+# keyed by (group type, finite quotient of the support); one list entry per
+# equal-degree class, in the order the cuspidal class table emits them
 _EXCEPTIONAL_ROWS = {
-    ("G", 2): [
-        _entry("exc.G2", "§13", 1, 1, "1", "G2", (0,), "untwisted"),
-        _entry("exc.G2", "§13", 2, 1, "1", "A1xA1", (2,), "untwisted"),
-        _entry("exc.G2", "§13", 3, 2, "1", "A2", (1,), "untwisted"),
+    ("G2", "G2"): [
+        CaseEntry("exc.G2", "§13", 1, 1, "1", "G2", (0,), "untwisted"),
+        CaseEntry("exc.G2", "§13", 2, 1, "1", "A1xA1", (2,), "untwisted"),
+        CaseEntry("exc.G2", "§13", 3, 2, "1", "A2", (1,), "untwisted"),
     ],
-    ("F", 4): [
-        _entry("exc.F4", "§13", 1, 1, "1", "F4", (0,), "untwisted"),
-        _entry("exc.F4", "§13", 2, 1, "1", "A1xC3", (1,), "untwisted"),
-        _entry("exc.F4", "§13", 3, 2, "1", "A2xA2", (2,), "untwisted"),
-        _entry("exc.F4", "§13", 4, 2, "1", "A3xA1", (3,), "untwisted"),
-        _entry("exc.F4", "§13", 2, 1, "1", "B4", (4,), "untwisted"),
+    ("F4", "F4"): [
+        CaseEntry("exc.F4", "§13", 1, 1, "1", "F4", (0,), "untwisted"),
+        CaseEntry("exc.F4", "§13", 2, 1, "1", "A1xC3", (1,), "untwisted"),
+        CaseEntry("exc.F4", "§13", 3, 2, "1", "A2xA2", (2,), "untwisted"),
+        CaseEntry("exc.F4", "§13", 4, 2, "1", "A3xA1", (3,), "untwisted"),
+        CaseEntry("exc.F4", "§13", 2, 1, "1", "B4", (4,), "untwisted"),
     ],
-    ("E", 8): [
-        _entry("exc.E8", "§13", 1, 1, "1", "E8", (0,), "untwisted"),
-        _entry("exc.E8", "§13", 2, 1, "1", "D8", (1,), "untwisted"),
-        _entry("exc.E8", "§13", 2, 1, "1", "A1xE7", (8,), "untwisted"),
-        _entry("exc.E8", "§13", 3, 2, "1", "E6xA2", (7,), "untwisted"),
-        _entry("exc.E8", "§13", 4, 2, "1", "D5xA3", (6,), "untwisted"),
-        _entry("exc.E8", "§13", 6, 2, "1", "A5xA2xA1", (4,), "untwisted"),
-        _entry("exc.E8", "§13", 5, 4, "1", "A4xA4", (5,), "untwisted"),
+    ("E8", "E8"): [
+        CaseEntry("exc.E8", "§13", 1, 1, "1", "E8", (0,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 2, 1, "1", "D8", (1,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 2, 1, "1", "A1xE7", (8,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 3, 2, "1", "E6xA2", (7,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 4, 2, "1", "D5xA3", (6,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 6, 2, "1", "A5xA2xA1", (4,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 5, 4, "1", "A4xA4", (5,), "untwisted"),
     ],
-    ("D4", 3): [
-        _entry("exc.3D4", "§9", 1, 1, "1", "G2", (0,), "D4(3)"),
-        _entry("exc.3D4", "§9", 2, 1, "1", "A1xA1", (1,), "D4(3)"),
+    ("3D4", "3D4"): [
+        CaseEntry("exc.3D4", "§9", 1, 1, "1", "G2", (0,), "D4(3)"),
+        CaseEntry("exc.3D4", "§9", 2, 1, "1", "A1xA1", (1,), "D4(3)"),
     ],
-    ("E6", 1): [
-        _entry("exc.E6", "§10", 3, 2, "1", "A2xA2xA2", (4,), "untwisted"),
+    ("E6", "E6"): [
+        CaseEntry("exc.E6", "§10", 3, 2, "1", "A2xA2xA2", (4,), "untwisted"),
     ],
-    ("E6", 2): [
-        _entry("exc.2E6", "§11", 1, 1, "1", "F4", (0,), "E6(2)"),
-        _entry("exc.2E6", "§11", 3, 2, "1", "A2xA2", (2,), "E6(2)"),
+    ("2E6", "2E6"): [
+        CaseEntry("exc.2E6", "§11", 1, 1, "1", "F4", (0,), "E6(2)"),
+        CaseEntry("exc.2E6", "§11", 3, 2, "1", "A2xA2", (2,), "E6(2)"),
     ],
-    ("E7", 1): [
-        _entry("exc.E7", "§12", 4, 2, "1", "A3xA1xA3", (4,), "untwisted"),
+    ("E7", "E7"): [
+        CaseEntry("exc.E7", "§12", 4, 2, "1", "A3xA1xA3", (4,), "untwisted"),
     ],
-    # E6, inner form of order 3, support of triality type
-    ("E6.triality", None): [
-        _entry("E6.triality", "§10", 1, 1, "full"),
-        _entry("E6.triality", "§10", 2, 1, "full"),
+    # inner form of order 3, support of triality type; the central point
+    # cuts node 0, the order-2 point has no recorded node
+    ("E6", "3D4xT2"): [
+        CaseEntry("E6.triality", "§10", 1, 1, "full", vs_nodes=(0,),
+                  dual_diagram="untwisted"),
+        CaseEntry("E6.triality", "§10", 2, 1, "full"),
     ],
-    # E7, nontrivial inner form, support of fused-E6 type
-    ("E7.fusedE6", None): [
-        _entry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", (1,), "untwisted"),
-        _entry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", (3,), "untwisted"),
+    # nontrivial inner form, support of fused-E6 type
+    ("E7", "2E6xT1"): [
+        CaseEntry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", (1,),
+                  "untwisted"),
+        CaseEntry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", (3,),
+                  "untwisted"),
     ],
 }
 
@@ -103,30 +109,29 @@ _EXCEPTIONAL_ROWS = {
 # parametric classical rules
 # ---------------------------------------------------------------------------
 
-# one entry per classical pattern; the classifier below picks among them
+# one entry per classical pattern; the classifier below picks among them.
+# A rule with a fixed cut node records no shape: n_s = 1 means the central
+# point, node 0; the odd orthogonal rules take theirs from the block ranks
+_CENTRAL = {"vs_nodes": (0,), "dual_diagram": "untwisted"}
 _CLASSICAL_RULES = {e.pattern: e for e in (
-    _entry("lin.anisotropic", "§4", 1, 1, "full", "regular-elliptic",
-           notes="division algebra modulo center"),
-    _entry("unit.single", "§5", 1, 1, "1", "Sp"),
-    _entry("unit.pair", "§5", 2, 1, "1", "SpxSO"),
-    _entry("unit.equal", "§5", 2, 1, "omega_theta", "Sp-pair"),
-    _entry("oddorth.s0", "§6", 2, 1, "1", "CxC-equal"),
-    _entry("oddorth.pair", "§6", 2, 1, "full", "CxC",
-           notes="torsion order computed per support"),
-    _entry("symp.pair", "§7", 2, 1, "1", "DxB"),
-    _entry("symp.equal", "§7", 1, 1, "full", "B-single"),
-    _entry("symp.mixed", "§7", 2, 2, "1", "DxB",
-           notes="two cuspidal systems on the pinned cover"),
-    _entry("evenorth.full", "§8", 2, 1, "1", "DxD-equal"),
-    _entry("evenorth.pair", "§8", 2, 1, "eta", "DxD"),
-    _entry("evenorth.pair.equal", "§8", 1, 1, "full", "D-single"),
-    _entry("evenorth.fused", "§8", 1, 1, "full", "D-single"),
-    _entry("evenorth.mixed", "§8", 2, 2, "eta", "DxD"),
-    _entry("evenorth.unitary", "§8", 2, 2, "1", "DxD-equal",
-           notes="two cuspidal systems on the pinned cover"),
-    _entry("twistorth.full", "§9", 2, 1, "1", "BxB-equal"),
-    _entry("twistorth.pair", "§9", 2, 1, "eta", "BxB"),
-    _entry("twistorth.unitary", "§9", 2, 1, "1", "Sp"),
+    CaseEntry("lin.anisotropic", "§4", 1, 1, "full", **_CENTRAL),
+    CaseEntry("unit.single", "§5", 1, 1, "1", "Sp"),
+    CaseEntry("unit.pair", "§5", 2, 1, "1", "SpxSO"),
+    CaseEntry("unit.equal", "§5", 2, 1, "omega_theta", "Sp-pair"),
+    CaseEntry("oddorth.s0", "§6", 2, 1, "1", dual_diagram="untwisted"),
+    CaseEntry("oddorth.pair", "§6", 2, 1, "full", dual_diagram="untwisted"),
+    CaseEntry("symp.pair", "§7", 2, 1, "1", "DxB"),
+    CaseEntry("symp.equal", "§7", 1, 1, "full", **_CENTRAL),
+    CaseEntry("symp.mixed", "§7", 2, 2, "1", "DxB"),
+    CaseEntry("evenorth.full", "§8", 2, 1, "1", "DxD-equal"),
+    CaseEntry("evenorth.pair", "§8", 2, 1, "eta", "DxD"),
+    CaseEntry("evenorth.pair.equal", "§8", 1, 1, "full", **_CENTRAL),
+    CaseEntry("evenorth.fused", "§8", 1, 1, "full", **_CENTRAL),
+    CaseEntry("evenorth.mixed", "§8", 2, 2, "eta", "DxD"),
+    CaseEntry("evenorth.unitary", "§8", 2, 2, "1", "DxD-equal"),
+    CaseEntry("twistorth.full", "§9", 2, 1, "1", "BxB-equal"),
+    CaseEntry("twistorth.pair", "§9", 2, 1, "eta", "BxB"),
+    CaseEntry("twistorth.unitary", "§9", 2, 1, "1", "Sp"),
 )}
 
 
@@ -192,11 +197,14 @@ def _classify_classical(group, host):
             raise CaseTableError("odd orthogonal block ranks are not a "
                                  "square and a pronic number")
         a, b = blocks
+        # the cut on the dual chain C_n leaves C_t(a-b) x C_t(a+b), with
+        # t(m) = m(m+1)/2 >= 0 for every integer m, and t(a-b) + t(a+b) = n
+        node = ((a - b) * (a - b + 1) // 2,)
         if b == 0:
-            return _CLASSICAL_RULES["oddorth.s0"]
+            return replace(_CLASSICAL_RULES["oddorth.s0"], vs_nodes=node)
         # the matching involution has equal-or-adjacent defects exactly when
         # one block is empty, and is central then
-        return replace(_CLASSICAL_RULES["oddorth.pair"],
+        return replace(_CLASSICAL_RULES["oddorth.pair"], vs_nodes=node,
                        n_s=1 if b - a in (0, 1) else 2)
 
     if fam == "C":
@@ -279,53 +287,15 @@ def _classify_classical(group, host):
 # ---------------------------------------------------------------------------
 
 
-def _is_self_hosted_exceptional(group, host):
-    if len(host.orbits) != 1 or host.torus_rank != 0:
-        return None
-    co = host.orbits[0]
-    if co.orbit_size != 1:
-        return None
-    key = None
-    if (co.family, co.rank, co.twist) == ("G", 2, 1):
-        key = ("G", 2)
-    elif (co.family, co.rank, co.twist) == ("F", 4, 1):
-        key = ("F", 4)
-    elif (co.family, co.rank, co.twist) == ("E", 8, 1):
-        key = ("E", 8)
-    elif (co.family, co.rank, co.twist) == ("E", 6, 1):
-        key = ("E6", 1)
-    elif (co.family, co.rank, co.twist) == ("E", 7, 1):
-        key = ("E7", 1)
-    return key
-
-
 def rows_for_host(group, form, host, classes):
     """Case entries aligned positionally with the equal-degree classes."""
-    fam, tw = group.family, group.twist_order
-
-    key = _is_self_hosted_exceptional(group, host)
-    if key is not None:
-        rows = _EXCEPTIONAL_ROWS[key]
+    rows = _EXCEPTIONAL_ROWS.get((group.type_string(),
+                                  host.quotient_description()))
+    if rows is not None:
         if len(rows) != len(classes):
             raise CaseTableError(
                 f"class count mismatch for {group.type_string()}")
         return list(rows)
-
-    if len(host.orbits) == 1:
-        co = host.orbits[0]
-        if (co.family, co.rank, co.twist, co.orbit_size) == ("D", 4, 3, 1):
-            if (fam, group.rank, tw) == ("D", 4, 3):
-                return list(_EXCEPTIONAL_ROWS[("D4", 3)])
-            if (fam, group.rank, tw) == ("E", 6, 1):
-                return list(_EXCEPTIONAL_ROWS[("E6.triality", None)])
-            raise CaseTableError("triality support in unexpected ambient")
-        if (co.family, co.rank, co.twist, co.orbit_size) == ("E", 6, 2, 1):
-            if (fam, group.rank, tw) == ("E", 6, 2):
-                return list(_EXCEPTIONAL_ROWS[("E6", 2)])
-            if (fam, group.rank, tw) == ("E", 7, 1):
-                return list(_EXCEPTIONAL_ROWS[("E7.fusedE6", None)])
-            raise CaseTableError("fused E6 support in unexpected ambient")
-
     entry = _classify_classical(group, host)
     if len(classes) != 1:
         raise CaseTableError("classical host with more than one class")

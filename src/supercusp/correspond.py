@@ -22,7 +22,7 @@ from math import prod
 # from this namespace to check that tracing restores it
 from supercusp.casetable import resolve_named_subgroup, rows_for_host  # noqa: F401
 from supercusp.exact import euler_phi
-from supercusp.galois import cuspidal_support, hii_check, kac_rows, param_json
+from supercusp.galois import hii_check, kac_rows, param_json
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              inner_forms_by_token, parahoric_classes)
 from supercusp.rootdata import parse_spec
@@ -243,9 +243,10 @@ def reports_for_form(group, form):
         inv = compute_invariants(group, host, cls, row)
         orbit_count = inv.g_prime * euler_phi(row.n_s)
         fdeg = formal_degree(group, form, host, cls)
-        s_sharp = cuspidal_support(row, group).s_sharp
-        if s_sharp is None:
-            s_sharp = param.centralizer.central_order
+        # |S#|: the parameter's centralizer in the dual of G itself for a
+        # division algebra, else the torsion centralizer's central order
+        s_sharp = len(group.omega_G) if row.pattern == "lin.anisotropic" \
+            else param.centralizer.central_order
         hii_status = hii_check(fdeg, param, 1, s_sharp).status
         for member in range(cls.size):
             out.append(PacketReport(

@@ -2,9 +2,12 @@
 
 A parameter is pinned by a torsion point of the dual group, realized as a
 single cut node of the dual affine diagram together with its label n_s.
-Deleting the node gives the centralizer type; the matching cuspidal support
-lives on a distinguished unipotent class there.  When that class is regular
-(every factor of linear type) the full decomposition of the adjoint
+The case row is the only record of that node and of the diagram it lies on
+(CaseEntry.vs_nodes and dual_diagram); a row without one gives a parameter
+without one.  Deleting the node gives the centralizer type, checked against
+the row's explicit type string where it has one; the matching cuspidal
+support lives on a distinguished unipotent class there.  When that class is
+regular (every factor of linear type) the full decomposition of the adjoint
 representation into weight strings is computed exactly by root-space
 bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it once, when
 the parameter is built.  Otherwise both are left unavailable rather than
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from supercusp.casetable import odd_orthogonal_blocks, rows_for_host
+from supercusp.casetable import rows_for_host
 from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
                              cyclotomic_poly, euler_phi, p_eval)
 from supercusp.padic import (_connected_components, classify_component,
@@ -270,7 +273,7 @@ def centralizer_components(dual_family, dual_rank, diagram, v_node):
     diagram, as canonical (family, rank) pairs.  The untwisted diagram and
     the fused chains go through the same classifier, each with its own
     Cartan entries."""
-    if diagram in (None, "untwisted"):
+    if diagram == "untwisted":
         grp = _dual_group(dual_family, dual_rank)
         nodes, pair = grp.affine_nodes(), grp.node_pair
     else:
@@ -282,7 +285,7 @@ def centralizer_components(dual_family, dual_rank, diagram, v_node):
 
 
 def _dual_marks(dual_family, dual_rank, diagram):
-    if diagram in (None, "untwisted"):
+    if diagram == "untwisted":
         return _dual_group(dual_family, dual_rank).rs.marks
     return _FUSED_CHAINS[diagram]["marks"]
 
@@ -291,7 +294,9 @@ def _dual_marks(dual_family, dual_rank, diagram):
 class CentralizerType:
     """Lie type of the torsion centralizer with its central datum."""
 
-    components: tuple | None   # ((family, rank), ...) or None if only a shape
+    # ((family, rank), ...) left by cutting the case row's node, or None
+    # when the row records no node and type_string is its shape name
+    components: tuple | None
     type_string: str
     central_order: int | None
 
@@ -321,30 +326,10 @@ def _parse_type_string(s):
 
 def _shape_matches(geometric, norm):
     """Do the computed components (sorted, canonical as classify_component
-    gives them) match the recorded centralizer string?  Explicit strings
-    compare as normalized multisets; parametric shape names compare by
-    family pattern only."""
-    fams = sorted(f for f, _ in norm)
-    if geometric is None:
-        return True
-    shapes = {
-        "regular-elliptic": lambda: len(norm) == 1 and fams == ["A"],
-        "Sp": lambda: len(norm) == 1,
-        "SpxSO": lambda: len(norm) == 2,
-        "Sp-pair": lambda: len(norm) == 2,
-        "CxC-equal": lambda: 1 <= len(norm) <= 2,
-        "CxC": lambda: 1 <= len(norm) <= 2,
-        "DxB": lambda: 1 <= len(norm) <= 2,
-        "B-single": lambda: len(norm) == 1 and fams in (["B"], ["C"]),
-        "DxD-equal": lambda: 1 <= len(norm) <= 2,
-        "DxD": lambda: 1 <= len(norm) <= 2,
-        "D-single": lambda: len(norm) == 1,
-        "BxB-equal": lambda: 1 <= len(norm) <= 2,
-        "BxB": lambda: 1 <= len(norm) <= 2,
-    }
-    if geometric in shapes:
-        return shapes[geometric]()
-    return _parse_type_string(geometric) == norm
+    gives them) match the recorded centralizer string?  A row whose node
+    is fixed by a rule records none; an explicit string compares as a
+    normalized multiset."""
+    return geometric is None or _parse_type_string(geometric) == norm
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +409,15 @@ def regular_linear_strings(n):
 
 @dataclass(frozen=True)
 class UnramifiedParam:
-    """A discrete unramified parameter, pinned by its cut node when that is
-    recorded or derivable.  Where the adjoint weight strings are known it
+    """A discrete unramified parameter, pinned by its cut node when its case
+    row records one.  Where the adjoint weight strings are known it
     carries them with |gamma(0, Ad o phi, psi)| at ord psi = -1; the case
     row it was read from travels beside it (kac_rows)."""
 
     dual_family: str
     dual_rank: int
     dual_twist: int
-    dual_diagram: str | None    # None/"untwisted" or a fused chain name
+    dual_diagram: str | None    # the case row's; None without a cut node
     v_node: int | None
     kac_coordinates: tuple | None
     n_s: int
@@ -447,38 +432,10 @@ class UnramifiedParam:
         return sum(w.h + 1 for w in self.sl2_weights)
 
 
-def _tri(m):
-    # triangular number, algebraically continued: nonnegative for every m
-    return m * (m + 1) // 2
-
-
-def _odd_orthogonal_cut(group, host):
-    """Cut node on the dual chain for the odd orthogonal family: the block
-    data inverts to a pair of dual ranks summing to the full rank."""
-    blocks = odd_orthogonal_blocks(host)
-    if blocks is None:
-        return None
-    a, b = blocks
-    n_plus, n_minus = _tri(a + b), _tri(a - b)
-    if n_plus + n_minus != group.rank:
-        return None
-    return n_minus
-
-
-def _build_param(group, host, cls, row):
+def _build_param(group, cls, row):
     fam_d, rank_d, twist_d = dual_type(group)
     diagram = row.dual_diagram
-    v_node = None
-    if row.vs_nodes is not None:
-        v_node = row.vs_nodes[0]
-    elif row.pattern == "lin.anisotropic":
-        v_node, diagram = 0, "untwisted"
-    elif group.family == "B" and row.pattern.startswith("oddorth"):
-        v_node = _odd_orthogonal_cut(group, host)
-        diagram = "untwisted" if v_node is not None else None
-    elif twist_d == 1 and row.n_s == 1:
-        # the unique order-one torsion point is central: cut at node 0
-        v_node, diagram = 0, "untwisted"
+    v_node = row.vs_nodes[0] if row.vs_nodes is not None else None
 
     kac = None
     if v_node is not None:
@@ -503,8 +460,7 @@ def _build_param(group, host, cls, row):
                              type_string=row.geometric or "unrecorded",
                              central_order=None)
 
-    computable = (v_node is not None and twist_d == 1
-                  and diagram in (None, "untwisted") and cz.all_linear())
+    computable = twist_d == 1 and diagram == "untwisted" and cz.all_linear()
     tag = "regular" if computable else f"cuspidal:{cls.class_id or 'std'}"
     weights = gamma = None
     if computable:
@@ -526,8 +482,7 @@ def kac_rows(group, form):
     for host, datum in supports_with_cuspidals(group, form):
         rows = rows_for_host(group, form, host, datum.classes)
         for cls, row in zip(datum.classes, rows):
-            out.append((host, cls, row,
-                        _build_param(group, host, cls, row)))
+            out.append((host, cls, row, _build_param(group, cls, row)))
     return out
 
 
@@ -535,68 +490,6 @@ def kac_points(group, form):
     """One parameter per case row hosted by the inner form: the dual-side
     reading of the parahoric support classes."""
     return [param for *_, param in kac_rows(group, form)]
-
-
-def centralizer_type(param):
-    """Recompute the centralizer of a parameter by cutting its node."""
-    if param.v_node is None:
-        raise ValueError("parameter has no recorded cut node")
-    comps = centralizer_components(param.dual_family, param.dual_rank,
-                                   param.dual_diagram, param.v_node)
-    return CentralizerType(
-        components=comps,
-        type_string="x".join(f"{f}{r}" for f, r in comps),
-        central_order=param.centralizer.central_order)
-
-
-# ---------------------------------------------------------------------------
-# cuspidal support bookkeeping
-# ---------------------------------------------------------------------------
-
-# patterns where one central character carries a swapped pair of cuspidal
-# systems (the half-spin exception to the at-most-one rule)
-_SPIN_PAIR_PATTERNS = {"symp.mixed", "evenorth.mixed", "evenorth.unitary"}
-
-# tabulated component groups: invariant factors
-_COMPONENT_DATA = {"exc.E6": (3, 3), "exc.2E6": (3, 3)}
-
-
-@dataclass(frozen=True)
-class CuspidalSupport:
-    """Count data for cuspidal systems on a centralizer, split by central
-    character, with component-group data where encoded."""
-
-    count_by_central_character: dict
-    component_invariants: tuple | None
-    s_sharp: int | None
-
-    def total_count(self):
-        return sum(self.count_by_central_character.values())
-
-
-def cuspidal_support(row, group):
-    """Support data for one case row of the given group."""
-    pattern = row.pattern
-    per_char = 2 if pattern in _SPIN_PAIR_PATTERNS else 1
-    if row.b_ad % per_char:
-        raise LookupError(f"count {row.b_ad} not in table "
-                          f"for pattern {pattern}")
-    n_chars = row.b_ad // per_char
-    counts = {f"chi{i}": per_char for i in range(n_chars)}
-
-    invariants = s_sharp = None
-    if pattern == "lin.anisotropic":
-        invariants = (group.rank + 1,)
-        # centralizer of the parameter in the dual of the group itself
-        s_sharp = len(group.omega_G)
-    elif pattern in _COMPONENT_DATA:
-        invariants = _COMPONENT_DATA[pattern]
-        if pattern == "exc.2E6" and row.n_s == 1:
-            invariants = None
-    return CuspidalSupport(
-        count_by_central_character=counts,
-        component_invariants=invariants,
-        s_sharp=s_sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +507,13 @@ class HIIResult:
         return self.status != "unverifiable"
 
 
-def hii_check(fdeg, param, rho_dim, s_sharp, gamma_abs=None):
+def hii_check(fdeg, param, rho_dim, s_sharp):
     """Exact check of the formal degree identity, or "unverifiable" when the
     formal degree, the gamma magnitude or |S#| is unknown.
 
     The parameter's gamma magnitude is taken at ord psi = -1, matching the
-    volume normalization of the parahoric quotients.  gamma_abs overrides
-    it, which lets callers probe virtual inputs."""
-    if gamma_abs is None:
-        gamma_abs = param.gamma_abs_0
+    volume normalization of the parahoric quotients."""
+    gamma_abs = param.gamma_abs_0
     if gamma_abs is None or fdeg.value is None or s_sharp is None:
         return HIIResult("unverifiable", None, None)
     lhs = fdeg.value

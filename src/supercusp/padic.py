@@ -447,13 +447,11 @@ def _is_triangular(n):
 @dataclass(frozen=True)
 class CuspidalClass:
     """Equal-degree class of cuspidal unipotent representations of a finite
-    reductive group: the class size is the packet-side count, the tag names
-    the torsion order of the matching parameter (None for classical hosts,
-    where the tag is carried by the case table)."""
+    reductive group: the class size is the packet-side count.  The torsion
+    order of the matching parameter is the case table's (n_s)."""
 
     class_id: str
     size: int
-    ns_tag: int | None
     degree: CyclotomicProduct | None
 
 
@@ -463,14 +461,15 @@ _DEG_U3 = CyclotomicProduct(1, 2, ((1, 1), (2, 1)))
 _DEG_B2 = CyclotomicProduct(Fraction(1, 2), 2, ((1, 2), (2, 2)))
 
 
+# equal-degree class sizes, in the order of the case table's rows
 _EXCEPTIONAL_CLASSES = {
-    ("G", 2, 1): ((1, 1), (1, 2), (2, 3)),
-    ("F", 4, 1): ((1, 1), (1, 2), (2, 3), (2, 4), (1, 2)),
-    ("E", 6, 1): ((2, 3),),
-    ("E", 6, 2): ((1, 1), (2, 3)),
-    ("E", 7, 1): ((2, 4),),
-    ("E", 8, 1): ((1, 1), (1, 2), (1, 2), (2, 3), (2, 4), (2, 6), (4, 5)),
-    ("D", 4, 3): ((1, 1), (1, 2)),
+    ("G", 2, 1): (1, 1, 2),
+    ("F", 4, 1): (1, 1, 2, 2, 1),
+    ("E", 6, 1): (2,),
+    ("E", 6, 2): (1, 2),
+    ("E", 7, 1): (2,),
+    ("E", 8, 1): (1, 1, 1, 2, 2, 2, 4),
+    ("D", 4, 3): (1, 1),
 }
 
 
@@ -479,30 +478,30 @@ def component_cuspidal_classes(family, rank, twist):
     group has no cuspidal unipotent representation."""
     key = (family, rank, twist)
     if key in _EXCEPTIONAL_CLASSES:
-        return [CuspidalClass(f"c{i}", size, tag, None)
-                for i, (size, tag) in enumerate(_EXCEPTIONAL_CLASSES[key])]
+        return [CuspidalClass(f"c{i}", size, None)
+                for i, size in enumerate(_EXCEPTIONAL_CLASSES[key])]
     if family == "A" and twist == 1:
         return []
     if family == "A" and twist == 2:
         if not _is_triangular(rank + 1):
             return []
         deg = _DEG_U3 if rank == 2 else None
-        return [CuspidalClass("u", 1, None, deg)]
+        return [CuspidalClass("u", 1, deg)]
     if family in ("B", "C") and twist == 1:
         t = rank
         if not _is_square(4 * t + 1):
             return []
         deg = _DEG_B2 if rank == 2 else None
-        return [CuspidalClass("u", 1, None, deg)]
+        return [CuspidalClass("u", 1, deg)]
     if family == "D" and twist == 1:
         t = rank
         if _is_square(t) and t % 2 == 0:
-            return [CuspidalClass("u", 1, None, None)]
+            return [CuspidalClass("u", 1, None)]
         return []
     if family == "D" and twist == 2:
         t = rank
         if _is_square(t) and t % 2 == 1:
-            return [CuspidalClass("u", 1, None, None)]
+            return [CuspidalClass("u", 1, None)]
         return []
     return []
 
@@ -528,27 +527,26 @@ def cuspidal_data(group, form, host):
         scaled = []
         for c in classes:
             deg = c.degree.subst_t_power(co.orbit_size) if c.degree is not None else None
-            scaled.append(CuspidalClass(c.class_id, c.size, c.ns_tag, deg))
+            scaled.append(CuspidalClass(c.class_id, c.size, deg))
         per_orbit.append((co, scaled))
+    if sum((co.family, co.rank, co.twist) in _EXCEPTIONAL_CLASSES
+           for co in host.orbits) > 1:
+        raise InvariantError("two exceptional factors on one support")
 
-    combined = [CuspidalClass("", 1, None, CyclotomicProduct(1))]
+    combined = [CuspidalClass("", 1, CyclotomicProduct(1))]
     for co, classes in per_orbit:
         nxt = []
         for base in combined:
             for c in classes:
-                if base.ns_tag is not None and c.ns_tag is not None:
-                    raise InvariantError(
-                        "two exceptional factors on one support")
-                tag = base.ns_tag if c.ns_tag is None else c.ns_tag
                 deg = None
                 if base.degree is not None and c.degree is not None:
                     deg = base.degree * c.degree
                 cid = f"{base.class_id}+{co.descriptor()}.{c.class_id}" \
                     if base.class_id else f"{co.descriptor()}.{c.class_id}"
-                nxt.append(CuspidalClass(cid, base.size * c.size, tag, deg))
+                nxt.append(CuspidalClass(cid, base.size * c.size, deg))
         combined = nxt
     if not per_orbit:
-        combined = [CuspidalClass("triv", 1, None, CyclotomicProduct(1))]
+        combined = [CuspidalClass("triv", 1, CyclotomicProduct(1))]
     total = sum(c.size for c in combined)
     return CuspidalUnipotentDatum(host=host, count=total,
                                   classes=tuple(combined))

@@ -412,7 +412,7 @@ def _cartan_and_lengths(simples):
 # group data: type + Frobenius twist order + isogeny
 # ---------------------------------------------------------------------------
 
-_TYPE_RE = re.compile(r"^([123]?)([A-G])(\d+)$")
+_TYPE_RE = re.compile(r"^([123]?)([A-G])([1-9]\d*)$")
 
 
 def standard_frobenius_perm(family, rank, order):

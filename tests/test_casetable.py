@@ -90,11 +90,6 @@ class TestCountingIdentities:
             assert a * row.b_ad == a_prime * cls.size, \
                 (G.type_string(), form.token, host.support, row.pattern)
 
-    def test_exceptional_tag_alignment(self):
-        for G, form, host, row, cls in iter_rows():
-            if row.pattern.startswith("exc.") and cls.ns_tag is not None:
-                assert cls.ns_tag == row.n_s
-
 
 class TestReachability:
     def test_pattern_census(self):
@@ -289,15 +284,18 @@ class TestTableDump:
 
     def test_every_row_is_its_table_rule(self):
         # each rule is written once: a classical row is its table entry,
-        # with the per-support torsion order of oddorth.pair the one
-        # exception, and an exceptional row is one of the listed rows
+        # with the per-support cut node of the odd orthogonal rules and the
+        # torsion order of oddorth.pair the exceptions, and an exceptional
+        # row is one of the listed rows
         entries = all_pattern_entries()
         for G, form, host, row, cls in iter_rows():
             rule = _CLASSICAL_RULES.get(row.pattern)
             if rule is None:
                 assert row in entries, (G.type_string(), row)
-            elif row.pattern == "oddorth.pair":
-                assert row == replace(rule, n_s=row.n_s)
+            elif row.pattern.startswith("oddorth."):
+                assert rule.vs_nodes is None and row.vs_nodes is not None
+                n_s = row.n_s if row.pattern == "oddorth.pair" else rule.n_s
+                assert row == replace(rule, n_s=n_s, vs_nodes=row.vs_nodes)
             else:
                 assert row == rule, (G.type_string(), row)
         assert set(_CLASSICAL_RULES.values()) <= set(entries)

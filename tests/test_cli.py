@@ -35,6 +35,7 @@ class TestReport:
         ("X9:adjoint:*", "field 1"),
         ("A200:adjoint:*", "field 1"),
         ("A0:sc:*", "field 1"),
+        ("A03:adjoint:*", "field 1"),
         ("B1:adjoint:*", "field 1"),
         ("E5:adjoint:*", "field 1"),
         ("G3:adjoint:*", "field 1"),

@@ -5,18 +5,22 @@ formal degree, and the support patterns of low-rank classical groups."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 import sympy
 
 from supercusp.exact import InvariantError, RatFunc, p_subst_pow
 from supercusp.padic import (
     CentralTorusWrapper,
+    ComponentOrbit,
     ParahoricClass,
     _is_square,
     _is_triangular,
     _perm_orbits,
     classify_component,
     component_cuspidal_classes,
+    cuspidal_data,
     det_qw_minus_one,
     enumerate_inner_forms,
     f_omega_perm,
@@ -308,7 +312,7 @@ class TestSupportPatterns:
         assert len(rows) == 1
         host, datum = rows[0]
         assert host.quotient_description() == "3D4"
-        assert [(c.size, c.ns_tag) for c in datum.classes] == [(1, 1), (1, 2)]
+        assert [c.size for c in datum.classes] == [1, 1]
 
     def test_d4_split(self):
         g, form, rows = rows_for("D4", "adjoint", "1")
@@ -328,7 +332,7 @@ class TestSupportPatterns:
         assert len(rows) == 1
         host, datum = rows[0]
         assert host.quotient_description() == "2E6xT1"
-        assert [(c.size, c.ns_tag) for c in datum.classes] == [(1, 1), (2, 3)]
+        assert [c.size for c in datum.classes] == [1, 2]
 
     def test_e6_inner_form(self):
         _, _, rows = rows_for("E6", "adjoint", "w1")
@@ -350,8 +354,18 @@ class TestSupportPatterns:
     def test_isogeny_invariance_of_cuspidal_data(self):
         for isog in ["sc", "adjoint"]:
             _, _, rows = rows_for("E7", isog, "1")
-            assert [(c.size, c.ns_tag) for _, d in rows for c in d.classes] \
-                == [(2, 4)]
+            assert [c.size for _, d in rows for c in d.classes] == [2]
+
+    def test_two_exceptional_factors_raise(self):
+        # a support with two exceptional components would need a case row
+        # per pair of classes; none occurs, and cuspidal_data refuses one
+        g2 = ComponentOrbit("G", 2, 1, 1, ())
+        with pytest.raises(InvariantError):
+            cuspidal_data(None, None, SimpleNamespace(orbits=(g2, g2)))
+        # one exceptional factor beside a classical one multiplies out
+        b2 = ComponentOrbit("B", 2, 1, 1, ())
+        datum = cuspidal_data(None, None, SimpleNamespace(orbits=(g2, b2)))
+        assert [c.size for c in datum.classes] == [1, 1, 2]
 
 
 def _act_on_support(group, w, support):
