@@ -291,10 +291,10 @@ def equivariance_check(group, reports, tau):
     """Check that one diagram automorphism permutes the report rows without
     changing any numbers.
 
-    Rows are matched by mapped form, mapped support class, and row key;
-    the result records the orbit partition and any mismatches.  Nothing is
-    thrown for a mismatch: broken rows are reported.
-    """
+    Each row is mapped once, by mapped form, mapped support class and row
+    key; the images must be distinct rows with the same invariants and
+    formal degree.  Nothing is thrown for a mismatch: the result lists the
+    broken rows."""
     act = group.rs.aut_on_omega(tau.as_dict())
     node_map = tau.affine_perm()
     forms = {f.token: f for f in enumerate_inner_forms(group)}
@@ -306,12 +306,10 @@ def equivariance_check(group, reports, tau):
                             _row_key(rep)), []).append(i)
 
     associates = {}
-    for rep in reports:
-        associates.setdefault(rep.form_token, {})
-    for token in list(associates):
-        for pc in parahoric_classes(group, forms[token]):
-            for sup in pc.associates:
-                associates[token][frozenset(sup)] = frozenset(pc.support)
+    for token in {rep.form_token for rep in reports}:
+        associates[token] = {frozenset(sup): frozenset(pc.support)
+                             for pc in parahoric_classes(group, forms[token])
+                             for sup in pc.associates}
 
     # per form with representative r: w = r + x - theta(x) -> -x
     omega = group.rs.omega
@@ -323,56 +321,38 @@ def equivariance_check(group, reports, tau):
                                           omega.neg(x))
 
     mismatches = []
-    orbit_of = {}
-    next_orbit = 0
-    for i, rep in enumerate(reports):
-        if i in orbit_of:
+    images = set()
+    for j, rj in enumerate(reports):
+        mapped_cls = frozenset(act[x] for x in forms[rj.form_token].cls)
+        target_token = token_of.get(mapped_cls)
+        if target_token is None:
+            mismatches.append((j, "form image not found"))
             continue
-        orbit = []
-        j, rj = i, rep
-        seen = set()
-        while j not in seen:
-            seen.add(j)
-            orbit.append(j)
-            mapped_cls = frozenset(act[x] for x in forms[rj.form_token].cls)
-            target_token = token_of.get(mapped_cls)
-            if target_token is None:
-                mismatches.append((j, "form image not found"))
-                break
-            # the image is stable under F_w for w the image of the source
-            # representative; F_w = omega_x F_r omega_x^-1 for the target
-            # representative r and any x with w = r + x - theta(x), so
-            # omega_-x carries the image to a support of r
-            shift = conjugators[target_token][act[forms[rj.form_token].rep]]
-            mapped_sup = frozenset(group.omega_act_node(shift, node_map[n])
-                                   for n in rj.support)
-            canon = associates.get(target_token, {}).get(mapped_sup)
-            if canon is None:
-                mismatches.append((j, "support image not a class member"))
-                break
-            key = (target_token, canon, _row_key(rj))
-            hits = indexed.get(key, [])
-            if not hits:
-                mismatches.append((j, "no matching row under the map"))
-                break
-            k = hits[0]
-            if reports[k].invariants != rj.invariants:
-                mismatches.append((j, "invariants differ across the map"))
-            if rj.fdeg.value != reports[k].fdeg.value:
-                mismatches.append((j, "formal degree differs across the map"))
-            if k in seen:
-                break
-            j, rj = k, reports[k]
-        for j in orbit:
-            orbit_of[j] = next_orbit
-        next_orbit += 1
+        # the image is stable under F_w for w the image of the source
+        # representative; F_w = omega_x F_r omega_x^-1 for the target
+        # representative r and any x with w = r + x - theta(x), so
+        # omega_-x carries the image to a support of r
+        shift = conjugators[target_token][act[forms[rj.form_token].rep]]
+        mapped_sup = frozenset(group.omega_act_node(shift, node_map[n])
+                               for n in rj.support)
+        canon = associates.get(target_token, {}).get(mapped_sup)
+        if canon is None:
+            mismatches.append((j, "support image not a class member"))
+            continue
+        hits = indexed.get((target_token, canon, _row_key(rj)), [])
+        if not hits:
+            mismatches.append((j, "no matching row under the map"))
+            continue
+        k = hits[0]
+        if k in images:
+            mismatches.append((j, "two rows map to one"))
+        images.add(k)
+        if reports[k].invariants != rj.invariants:
+            mismatches.append((j, "invariants differ across the map"))
+        if rj.fdeg.value != reports[k].fdeg.value:
+            mismatches.append((j, "formal degree differs across the map"))
 
-    return {
-        "consistent": not mismatches,
-        "orbit_map": orbit_of,
-        "orbit_count": next_orbit,
-        "mismatches": mismatches,
-    }
+    return {"consistent": not mismatches, "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ Two kinds of values underlie everything else in the package:
   The Frobenius acts on them through rootdata's node-conjugation tables,
   so a group here carries no endomorphism.
 
+Every closure in the package, from the roots and subgroups to the diagram
+components and the node orbits, is one call to orbits(items, moves).
+
 Cyclo, an element of Q(zeta_m) in the power basis, is not among them: a
 Frobenius eigenvalue zeta_m^k is the integer pair (m, k) of
 galois.WeightString.  Cyclo stays as the dense reference against which the
@@ -797,6 +800,32 @@ def integer_inverse(U):
 
 
 # ---------------------------------------------------------------------------
+# orbits of a move relation
+# ---------------------------------------------------------------------------
+
+
+def orbits(items, moves):
+    """The classes of a symmetric move relation, moves(x) listing the
+    neighbours of x: each orbit starts at its first item, not in an earlier
+    orbit, and lists its items in the order reached, breadth first; the
+    orbits come in the order of their first items."""
+    seen, out = set(), []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        # the orbit is its own frontier: it is walked while it grows
+        frontier = [x]
+        for y in frontier:
+            for z in moves(y):
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+        out.append(frontier)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite abelian groups
 # ---------------------------------------------------------------------------
 
@@ -843,17 +872,9 @@ class FiniteAbelianGroup:
     # -- subgroup machinery (groups here are tiny; sets are fine) -----------
 
     def subgroup_generated(self, gens):
-        seen = {self.identity()}
-        frontier = [self.identity()]
         gens = [tuple(g) for g in gens]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        return frozenset(orbits([self.identity()],
+                                lambda x: [self.add(x, g) for g in gens])[0])
 
     def quotient_presentation(self, gens):
         """G / <gens> presented over the generators of G."""

@@ -4,8 +4,11 @@ A parameter is pinned by a torsion point of the dual group, realized as a
 single cut node of the dual affine diagram together with its label n_s.
 The case row is the only record of that node and of the diagram it lies on
 (CaseEntry.vs_nodes and dual_diagram); a row without one gives a parameter
-without one.  Deleting the node gives the centralizer type, checked against
-the row's explicit type string where it has one; the matching cuspidal
+without one.  Each dual diagram is read as one (marks, Cartan matrix)
+record: the untwisted one off the dual root system, the fused chains
+E6(2) and D4(3) from their squared lengths by rootdata.cartan_matrix.
+Deleting the node gives the centralizer type, checked against the row's
+explicit type string where it has one; the matching cuspidal
 support lives on a distinguished unipotent class there.  When that class is
 regular (every factor of linear type) the full decomposition of the adjoint
 representation into weight strings is computed exactly by root-space
@@ -43,9 +46,9 @@ from math import gcd
 from supercusp.casetable import rows_for_host
 from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
                              cyclotomic_poly, euler_phi, p_eval)
-from supercusp.padic import (_connected_components, classify_component,
+from supercusp.padic import (classify_component, connected_components,
                              supports_with_cuspidals)
-from supercusp.rootdata import SimpleGroup, root_system
+from supercusp.rootdata import cartan_matrix, root_system
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +241,12 @@ _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D",
                 "E": "E", "F": "F", "G": "G"}
 
 
-def _chain_pair(edges):
-    """Cartan entries <alpha_a, alpha_b^vee> of a chain diagram with the
-    given bond multiplicities between consecutive nodes: -m and -1 across a
-    bond of multiplicity m, the later node being the long one."""
-    def pair(a, b):
-        if a == b:
-            return 2
-        if abs(a - b) != 1:
-            return 0
-        return -edges[min(a, b)] if a > b else -1
-    return pair
-
-
-# chain layouts of the fused dual diagrams: node marks and Cartan entries
+# the fused dual diagrams, chains with their node marks and the squared
+# lengths of their nodes: E6^(2) has a double bond from node 2 to the long
+# node 3, D4^(3) a triple bond from node 1 to the long node 2
 _FUSED_CHAINS = {
-    "E6(2)": {"marks": (1, 2, 3, 2, 1), "pair": _chain_pair((1, 1, 2, 1))},
-    "D4(3)": {"marks": (1, 2, 1), "pair": _chain_pair((1, 3))},
+    "E6(2)": ((1, 2, 3, 2, 1), (1, 1, 1, 2, 2)),
+    "D4(3)": ((1, 2, 1), (1, 1, 3)),
 }
 
 
@@ -263,31 +255,30 @@ def dual_type(group):
     return (_DUAL_FAMILY[group.family], group.rank, group.twist_order)
 
 
-@lru_cache(maxsize=None)
-def _dual_group(dual_family, dual_rank):
-    return SimpleGroup(dual_family, dual_rank, 1, "adjoint")
+def _dual_diagram(dual_family, dual_rank, diagram):
+    """(marks, Cartan matrix) of a dual affine diagram: the untwisted one is
+    read off the dual root system, a fused chain off its lengths."""
+    if diagram == "untwisted":
+        rs = root_system(dual_family, dual_rank)
+        return rs.marks, rs.affine_cartan
+    marks, lengths = _FUSED_CHAINS[diagram]
+    return marks, cartan_matrix(
+        [(i, i + 1) for i in range(len(lengths) - 1)], lengths)
 
 
 def centralizer_components(dual_family, dual_rank, diagram, v_node):
     """Connected components left by cutting one node of the dual affine
     diagram, as canonical (family, rank) pairs.  The untwisted diagram and
     the fused chains go through the same classifier, each with its own
-    Cartan entries."""
-    if diagram == "untwisted":
-        grp = _dual_group(dual_family, dual_rank)
-        nodes, pair = grp.affine_nodes(), grp.node_pair
-    else:
-        chain = _FUSED_CHAINS[diagram]
-        nodes, pair = range(len(chain["marks"])), chain["pair"]
-    rest = [x for x in nodes if x != v_node]
+    Cartan matrix."""
+    marks, cartan = _dual_diagram(dual_family, dual_rank, diagram)
+
+    def pair(a, b):
+        return cartan[a][b]
+
+    rest = [x for x in range(len(marks)) if x != v_node]
     return tuple(sorted(classify_component(pair, comp)
-                        for comp in _connected_components(pair, rest)))
-
-
-def _dual_marks(dual_family, dual_rank, diagram):
-    if diagram == "untwisted":
-        return _dual_group(dual_family, dual_rank).rs.marks
-    return _FUSED_CHAINS[diagram]["marks"]
+                        for comp in connected_components(pair, rest)))
 
 
 @dataclass(frozen=True)
@@ -305,31 +296,13 @@ class CentralizerType:
             all(fam == "A" for fam, _ in self.components)
 
 
-def _normalize_component(fam, rank):
-    """Collapse the small-rank coincidences so shapes compare reliably."""
-    if rank == 1:
-        return ("A", 1)
-    if (fam, rank) in (("B", 2), ("C", 2)):
-        return ("B", 2)
-    if (fam, rank) == ("D", 3):
-        return ("A", 3)
-    return (fam, rank)
-
-
-def _parse_type_string(s):
-    out = []
-    for part in s.split("x"):
-        fam, rank = part[0], int(part[1:])
-        out.append(_normalize_component(fam, rank))
-    return tuple(sorted(out))
-
-
-def _shape_matches(geometric, norm):
-    """Do the computed components (sorted, canonical as classify_component
-    gives them) match the recorded centralizer string?  A row whose node
-    is fixed by a rule records none; an explicit string compares as a
-    normalized multiset."""
-    return geometric is None or _parse_type_string(geometric) == norm
+def _shape_matches(geometric, comps):
+    """Do the computed components (canonical as classify_component names
+    them) match the recorded centralizer string?  A row whose node is fixed
+    by a rule records none; an explicit string, written with the same
+    names, compares as a multiset."""
+    return geometric is None or sorted(geometric.split("x")) == \
+        sorted(f"{fam}{rank}" for fam, rank in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +412,7 @@ def _build_param(group, cls, row):
 
     kac = None
     if v_node is not None:
-        marks = _dual_marks(fam_d, rank_d, diagram)
+        marks = _dual_diagram(fam_d, rank_d, diagram)[0]
         if marks[v_node] != row.n_s:
             raise InvariantError(
                 f"Kac label mismatch at node {v_node}: mark {marks[v_node]}"
@@ -450,11 +423,11 @@ def _build_param(group, cls, row):
             raise InvariantError(
                 f"centralizer mismatch: cut {v_node} of {fam_d}{rank_d} "
                 f"gives {comps}, table says {row.geometric!r}")
-        dual_sc_center = len(_dual_group(fam_d, rank_d).omega_elements())
+        # |Z(G^vee_sc)| is the order of the dual adjoint fundamental group
         cz = CentralizerType(
             components=comps,
             type_string="x".join(f"{f}{r}" for f, r in comps),
-            central_order=row.n_s * dual_sc_center)
+            central_order=row.n_s * root_system(fam_d, rank_d).omega.order())
     else:
         cz = CentralizerType(components=None,
                              type_string=row.geometric or "unrecorded",

@@ -15,12 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
                              euler_phi, integer_kernel, mat_identity, mat_mul,
-                             mobius)
+                             mobius, orbits)
 from supercusp.rootdata import weyl_degrees
+
+# Nodes, supports and components sort by their strings, so B10 lists
+# (0, 1, 10, 2, ...): the report digests pin that order, and a numeric
+# order changes this key alone.
+_NODE_ORDER = str
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +72,11 @@ def inner_forms_by_token(group, token):
     if token == "*":
         return forms
     if token == "an":
-        if group.family != "A":
-            raise ValueError("token 'an' only names anisotropic inner forms of type A")
+        # over a p-adic field only the inner forms of split type A, the
+        # groups of a division algebra, are anisotropic
+        if group.family != "A" or group.twist_order != 1:
+            raise ValueError("token 'an' only names anisotropic inner forms "
+                             "of split type A")
         want = group.rs.coweight_class(1)
         for f in forms:
             if want in f.cls:
@@ -87,19 +95,7 @@ def f_omega_perm(group, form):
 
 
 def _perm_orbits(perm, nodes):
-    seen = set()
-    out = []
-    for x in nodes:
-        if x in seen:
-            continue
-        orb = [x]
-        y = perm[x]
-        while y != x:
-            orb.append(y)
-            y = perm[y]
-        seen |= set(orb)
-        out.append(tuple(orb))
-    return out
+    return orbits(nodes, lambda x: (perm[x],))
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +103,13 @@ def _perm_orbits(perm, nodes):
 # ---------------------------------------------------------------------------
 
 
-def _connected_components(pair, nodes):
-    """Connected components of the diagram on the given nodes; the Cartan
-    entry pair(a, b) = <alpha_a, alpha_b^vee> is nonzero across a bond."""
-    nodes = set(nodes)
-    comps = []
-    while nodes:
-        seed = min(nodes, key=str)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            a = frontier.pop()
-            for b in list(nodes):
-                if b not in comp and pair(a, b) != 0:
-                    comp.add(b)
-                    frontier.append(b)
-        nodes -= comp
-        comps.append(tuple(sorted(comp, key=str)))
-    return comps
+def connected_components(pair, nodes):
+    """Connected components of the diagram on the given nodes, each sorted;
+    the Cartan entry pair(a, b) = <alpha_a, alpha_b^vee> is nonzero across
+    a bond."""
+    nodes = sorted(nodes, key=_NODE_ORDER)
+    return [tuple(sorted(comp, key=_NODE_ORDER)) for comp in orbits(
+        nodes, lambda a: [b for b in nodes if pair(a, b)])]
 
 
 def classify_component(pair, nodes):
@@ -189,17 +174,6 @@ def classify_component(pair, nodes):
     raise ValueError(f"unclassifiable diagram on {nodes}")
 
 
-def _perm_order_on(perm, nodes):
-    order = 1
-    cur = {x: perm[x] for x in nodes}
-    while any(cur[x] != x for x in nodes):
-        cur = {x: perm[cur[x]] for x in nodes}
-        order += 1
-        if order > 6:
-            raise InvariantError("return map order out of range")
-    return order
-
-
 @dataclass(frozen=True)
 class ComponentOrbit:
     """An orbit of isomorphic components of the support under the twisted
@@ -221,35 +195,23 @@ class ComponentOrbit:
 
 
 def component_orbits(group, support, perm):
-    comps = _connected_components(group.node_pair, support)
-    comp_of = {}
-    for c in comps:
-        for x in c:
-            comp_of[x] = c
-    remaining = set(comps)
+    comps = connected_components(group.node_pair, support)
+    comp_of = {x: c for c in comps for x in c}
     out = []
-    for c in sorted(remaining, key=str):
-        if c not in remaining:
-            continue
-        orbit = [c]
-        cur = c
-        while True:
-            image = tuple(sorted((perm[x] for x in cur), key=str))
-            image = comp_of[image[0]]
-            if image == c:
-                break
-            orbit.append(image)
-            cur = image
-        for m in orbit:
-            remaining.discard(m)
-        d = len(orbit)
+    for orbit in orbits(sorted(comps, key=_NODE_ORDER),
+                        lambda c: (comp_of[perm[c[0]]],)):
+        c, d = orbit[0], len(orbit)
         ret = {x: x for x in c}
         for _ in range(d):
             ret = {x: perm[ret[x]] for x in ret}
+        # the return map's order is the lcm of its cycle lengths
+        twist = lcm(*(len(cyc) for cyc in _perm_orbits(ret, c)))
+        if twist > 6:
+            raise InvariantError("return map order out of range")
         fam, rank = classify_component(group.node_pair, c)
-        out.append(ComponentOrbit(fam, rank, _perm_order_on(ret, c), d,
-                                  tuple(orbit)))
-    out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size, str(co.components)))
+        out.append(ComponentOrbit(fam, rank, twist, d, tuple(orbit)))
+    out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size,
+                             _NODE_ORDER(co.components)))
     return out
 
 
@@ -377,7 +339,7 @@ def maximal_supports(group, form):
     complements of single node orbits."""
     perm = f_omega_perm(group, form)
     nodes = group.affine_nodes()
-    return [tuple(sorted((set(nodes) - set(orb)), key=str))
+    return [tuple(sorted((set(nodes) - set(orb)), key=_NODE_ORDER))
             for orb in _perm_orbits(perm, nodes)]
 
 
@@ -388,16 +350,17 @@ def parahoric_classes(group, form):
     theta_fixed_G = group.omega_theta_fixed()
 
     def act_on_support(w, J):
-        return tuple(sorted((group.omega_act_node(w, x) for x in J), key=str))
+        return tuple(sorted((group.omega_act_node(w, x) for x in J),
+                            key=_NODE_ORDER))
 
     classes = []
     seen = set()
-    for J in sorted(supports, key=str):
+    for J in sorted(supports, key=_NODE_ORDER):
         if J in seen:
             continue
         orbit = {act_on_support(w, J) for w in theta_fixed_ad}
         seen |= orbit
-        rep = min(orbit, key=str)
+        rep = min(orbit, key=_NODE_ORDER)
         stab_ad = frozenset(w for w in theta_fixed_ad if act_on_support(w, rep) == rep)
         stab_G = stab_ad & theta_fixed_G
         # g' = [ad orbit of the support] / [G orbit of the support], each
@@ -419,7 +382,7 @@ def parahoric_classes(group, form):
             co.orbit_size * co.rank for co in orbits)
         classes.append(ParahoricClass(
             support=rep,
-            associates=tuple(sorted(orbit, key=str)),
+            associates=tuple(sorted(orbit, key=_NODE_ORDER)),
             stabilizer_ad=stab_ad,
             stabilizer_G=stab_G,
             g_prime=int(g_prime),
@@ -427,7 +390,7 @@ def parahoric_classes(group, form):
             torus_rank=torus_rank,
             dim=dim,
         ))
-    classes.sort(key=lambda c: str(c.support))
+    classes.sort(key=lambda c: _NODE_ORDER(c.support))
     return classes
 
 

@@ -1,9 +1,9 @@
 """Root systems, based root data, affine diagrams, and fundamental groups.
 
-Each simple type is realized by concrete integer simple-root vectors, but
-the vectors are read only once, for the Cartan matrix and the squared lengths
-of the simple roots.  Everything downstream is integral: the roots are built
-by reflection in simple-root coordinates, the highest root is the root of
+Each simple type is given by its Dynkin diagram: Bourbaki's bonded pairs of
+simple roots and their squared lengths, from which cartan_matrix reads the
+Cartan matrix.  Everything downstream is integral: the roots are built by
+reflection in simple-root coordinates, the highest root is the root of
 largest height, and the affine diagram with its marks, the finite abelian
 group P_cowt/Q_corootlat and its diagram action all follow from the Cartan
 matrix and the lengths rather than being transcribed.  Node numbering
@@ -22,34 +22,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from supercusp.exact import (InvariantError, det_adjugate,
-                             group_from_presentation)
+                             group_from_presentation, orbits)
 
 
 # ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(a, c):
-    return tuple(x * c for x in a)
-
-
-def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
-# simple root realizations (Bourbaki numbering)
+# Dynkin diagrams (Bourbaki numbering)
 # ---------------------------------------------------------------------------
 
 
@@ -68,53 +48,36 @@ def _check_rank(family, rank):
         raise ValueError(f"{family} needs rank <= {hi}, not {rank}")
 
 
-def _simple_roots(family, rank):
-    # scaled by 2, so that E8 and F4 need no half-integers; neither the
-    # Cartan matrix nor the length ratios depend on the scale
+def dynkin_diagram(family, rank):
+    """(bonds, lengths) of the Dynkin diagram in Bourbaki's numbering:
+    the bonded pairs of simple roots, as positions (node i at i - 1), and
+    the squared lengths of the simple roots, the shortest being 1."""
     _check_rank(family, rank)
-
-    def e(i, dim):
-        return tuple(2 * (i == j) for j in range(dim))
-
-    if family == "A":
-        dim = rank + 1
-        return [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank)]
-    if family == "B":
-        dim = rank
-        out = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        out.append(e(rank - 1, dim))
-        return out
-    if family == "C":
-        dim = rank
-        out = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        out.append(vscale(e(rank - 1, dim), 2))
-        return out
+    chain = [(i, i + 1) for i in range(rank - 1)]
     if family == "D":
-        dim = rank
-        out = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        out.append(vadd(e(rank - 2, dim), e(rank - 1, dim)))
-        return out
+        # nodes n - 1 and n both hang off node n - 2
+        return chain[:-1] + [(rank - 3, rank - 1)], (1,) * rank
     if family == "E":
-        dim = 8
-        a1 = (1, -1, -1, -1, -1, -1, -1, 1)
-        a2 = vadd(e(0, dim), e(1, dim))
-        rest = [vsub(e(i, dim), e(i - 1, dim)) for i in range(1, 7)]  # e2-e1 ...
-        full = [a1, a2] + rest
-        return full[:rank]
-    if family == "F":
-        dim = 4
-        return [
-            vsub(e(1, dim), e(2, dim)),
-            vsub(e(2, dim), e(3, dim)),
-            e(3, dim),
-            (1, -1, -1, -1),
-        ]
-    if family == "G":
-        dim = 3
-        return [
-            vsub(e(0, dim), e(1, dim)),
-            (-4, 2, 2),
-        ]
+        # the chain 1-3-4-...-n with node 2 on node 4
+        return [(0, 2), (1, 3)] + chain[2:], (1,) * rank
+    lengths = {"A": (1,) * rank,
+               "B": (2,) * (rank - 1) + (1,),
+               "C": (1,) * (rank - 1) + (2,),
+               "F": (2, 2, 1, 1),
+               "G": (1, 3)}[family]
+    return chain, lengths
+
+
+def cartan_matrix(bonds, lengths):
+    """Cartan matrix <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) /
+    (alpha_j, alpha_j) of a diagram: 2 on the diagonal, and across a bond
+    -max(L_i, L_j) / L_j, from the squared lengths L."""
+    n = len(lengths)
+    out = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        longer = max(lengths[i], lengths[j])
+        out[i][j], out[j][i] = -longer // lengths[j], -longer // lengths[i]
+    return tuple(map(tuple, out))
 
 
 _DEGREES = {
@@ -160,8 +123,8 @@ class RootSystem:
     def __init__(self, family, rank):
         self.family = family
         self.rank = rank
-        self.cartan, self.lengths = _cartan_and_lengths(
-            _simple_roots(family, rank))
+        bonds, self.lengths = dynkin_diagram(family, rank)
+        self.cartan = cartan_matrix(bonds, self.lengths)
         self.roots = self._closure()
         self.num_pos_roots = len(self.roots) // 2
         # the highest root is the unique root of largest height
@@ -182,22 +145,19 @@ class RootSystem:
     def _closure(self):
         """Every root, from the simple roots by the reflections
         s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
-        n, A = self.rank, self.cartan
-        simples = [_unit(i, n) for i in range(n)]
-        roots = set(simples)
-        frontier = list(simples)
-        while frontier:
-            beta = frontier.pop()
-            for i in range(n):
-                c = sum(beta[j] * A[j][i] for j in range(n))
-                new = beta[:i] + (beta[i] - c,) + beta[i + 1:]
-                if new in roots:
-                    continue
-                if min(new) < 0 < max(new):
-                    raise InvariantError(
-                        f"{new} is neither a positive nor a negative root")
-                roots.add(new)
-                frontier.append(new)
+        n = self.rank
+        columns = list(enumerate(zip(*self.cartan)))
+
+        def reflections(beta):
+            return [beta[:i] + (beta[i] - sum(map(mul, beta, col)),)
+                    + beta[i + 1:] for i, col in columns]
+
+        roots = {beta for orb in orbits([_unit(i, n) for i in range(n)],
+                                        reflections) for beta in orb}
+        for beta in roots:
+            if min(beta) < 0 < max(beta):
+                raise InvariantError(
+                    f"{beta} is neither a positive nor a negative root")
         return roots
 
     def coroot(self, beta):
@@ -231,7 +191,8 @@ class RootSystem:
         rows = [[sum(a[i] * A[i][j] for i in range(n)) for j in range(n)]
                 for a in vecs]
         coroots = [self.coroot(b) for b in vecs]
-        return tuple(tuple(vdot(r, c) for c in coroots) for r in rows)
+        return tuple(tuple(sum(map(mul, r, c)) for c in coroots)
+                     for r in rows)
 
     # -- fundamental group of the adjoint form -------------------------------
 
@@ -279,10 +240,8 @@ class RootSystem:
             eta[0], eta[1] = 1, 0
             eta[n - 1], eta[n] = n, n - 1
             gens[self.coweight_class(1)] = eta
-            if n % 2 == 0:
-                rho = {i: n - i for i in nodes}
-            else:
-                rho = {i: n - i for i in nodes}
+            rho = {i: n - i for i in nodes}
+            if n % 2:
                 rho[0], rho[n] = n, 1
                 rho[1], rho[n - 1] = n - 1, 0
             gens[self.coweight_class(n)] = rho
@@ -294,28 +253,20 @@ class RootSystem:
             gens[self.coweight_class(7)] = perm
         # E8, F4, G2: trivial group, no generators
 
-        action = {ident: id_perm}
-        frontier = [ident]
-        while frontier:
-            x = frontier.pop()
-            for g, perm in gens.items():
-                y = self.omega.add(x, g)
-                composed = {i: perm[action[x][i]] for i in nodes}
-                if y not in action:
-                    action[y] = composed
-                    frontier.append(y)
-                elif action[y] != composed:
-                    raise InvariantError("omega action is not a homomorphism")
+        # the pairs (x, node images of x) reached from the identity: a
+        # homomorphism reaches each x only once
+        pairs = orbits([(ident, tuple(nodes))], lambda pair: [
+            (self.omega.add(pair[0], g), tuple(perm[i] for i in pair[1]))
+            for g, perm in gens.items()])[0]
+        action = dict(pairs)
+        if len(action) != len(pairs):
+            raise InvariantError("omega action is not a homomorphism")
         if len(action) != self.omega.order():
             raise InvariantError("omega action is incomplete")
         # faithfulness on the adjoint diagram
-        seen = {}
-        for x, perm in action.items():
-            key = tuple(perm[i] for i in nodes)
-            if key in seen:
-                raise InvariantError("omega action is not faithful")
-            seen[key] = x
-        self._omega_by_action = seen
+        self._omega_by_action = {perm: x for x, perm in pairs}
+        if len(self._omega_by_action) != len(pairs):
+            raise InvariantError("omega action is not faithful")
         # each action preserves the affine Cartan matrix and the marks
         for perm in action.values():
             if any(self.marks[perm[i]] != self.marks[i] for i in nodes):
@@ -368,15 +319,10 @@ class RootSystem:
                 gens.append(standard_frobenius_perm(fam, n, order))
             except ValueError:
                 pass
-        autos = [standard_frobenius_perm(fam, n, 1)]
-        frontier = list(autos)
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = {i: g[p[i]] for i in p}
-                if q not in autos:
-                    autos.append(q)
-                    frontier.append(q)
+        # a permutation is the tuple of the images of nodes 1..rank
+        autos = [dict(zip(range(1, n + 1), p)) for p in orbits(
+            [tuple(range(1, n + 1))],
+            lambda p: [tuple(g[i] for i in p) for g in gens])[0]]
         for p in autos:
             if any(self.cartan[p[i] - 1][p[j] - 1] != self.cartan[i - 1][j - 1]
                    for i in range(1, n + 1) for j in range(1, n + 1)):
@@ -387,25 +333,6 @@ class RootSystem:
 
 def _unit(i, n):
     return tuple(int(i == j) for j in range(n))
-
-
-def _cartan_and_lengths(simples):
-    """Cartan matrix <alpha_i, alpha_j^vee> and the squared lengths of the
-    simple roots, scaled so that the shortest is 1, from the vectors."""
-    gram = [[vdot(a, b) for b in simples] for a in simples]
-    shortest = min(gram[i][i] for i in range(len(gram)))
-
-    def exact(num, den, what):
-        q, r = divmod(num, den)
-        if r:
-            raise InvariantError(f"{what} {num}/{den} is not an integer")
-        return q
-
-    cartan = tuple(tuple(exact(2 * g, gram[j][j], "Cartan entry")
-                         for j, g in enumerate(row)) for row in gram)
-    lengths = tuple(exact(gram[i][i], shortest, "length ratio")
-                    for i in range(len(gram)))
-    return cartan, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +534,9 @@ class SimpleGroup:
         (cosets of the augmentation subgroup (theta - 1)Omega_ad)."""
         omega = self.rs.omega
         elems = self.omega_elements()
-        B = self._theta_moved(elems)
-        classes = []
-        seen = set()
-        for x in elems:
-            if x in seen:
-                continue
-            cls = frozenset(omega.add(x, b) for b in B)
-            seen |= cls
-            classes.append(cls)
-        return classes
+        moved = self._theta_moved(elems)
+        return [frozenset(cls) for cls in orbits(
+            elems, lambda x: [omega.add(x, b) for b in moved])]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from supercusp.casetable import (
     rows_for_host,
 )
 from supercusp.correspond import full_report
-from supercusp.galois import _dual_group
 from supercusp.padic import (enumerate_inner_forms, inner_forms_by_token,
                              supports_with_cuspidals)
 from supercusp.rootdata import SimpleGroup, parse_spec, root_system
@@ -320,7 +319,6 @@ class TestOnePass:
         # only the root systems of its type and of the dual type
         for fam, rank, tw in catalogue():
             root_system.cache_clear()
-            _dual_group.cache_clear()
             full_report(f"{tw if tw > 1 else ''}{fam}{rank}:adjoint:*")
             assert root_system.cache_info().currsize <= 2, (fam, rank, tw)
 

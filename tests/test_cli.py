@@ -46,6 +46,7 @@ class TestReport:
         ("A5:d02:*", "field 2"),
         ("2D4:hs1:*", "field 2"),
         ("A3:adjoint:w9", "field 3"),
+        ("2A3:adjoint:an", "field 3"),
     ])
     def test_bad_spec_exits_2(self, capsys, spec, field):
         with pytest.raises(SystemExit) as exc:

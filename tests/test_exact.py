@@ -28,6 +28,7 @@ from supercusp.exact import (
     integer_kernel,
     mat_identity,
     mat_mul,
+    orbits,
     p_subst_pow,
     smith_normal_form,
 )
@@ -497,3 +498,70 @@ class TestFiniteAbelianGroup:
         # the projection kills exactly the subgroup
         assert {x for x in elems
                 if pres.project(list(x)) == pres.group.identity()} == h
+
+
+# ---------------------------------------------------------------------------
+# orbits of a move relation
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def graph_strategy(draw):
+    """(items in a random order, symmetric neighbour lists) of a random
+    undirected graph on at most 10 vertices."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=15))
+    nbrs = {x: [] for x in range(n)}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return draw(st.permutations(range(n))), nbrs
+
+
+class TestOrbits:
+    @given(st.permutations(range(12)))
+    @settings(max_examples=80, deadline=None)
+    def test_permutation_orbits_are_its_cycles(self, images):
+        perm = dict(enumerate(images))
+        cycles, seen = [], set()
+        for x in range(len(images)):
+            if x not in seen:
+                cycle = [x]
+                while perm[cycle[-1]] != x:
+                    cycle.append(perm[cycle[-1]])
+                seen.update(cycle)
+                cycles.append(cycle)
+        assert orbits(range(len(images)), lambda x: (perm[x],)) == cycles
+
+    @given(graph_strategy())
+    @settings(max_examples=100, deadline=None)
+    def test_graph_orbits_are_its_components(self, graph):
+        items, nbrs = graph
+        n = len(items)
+        # brute-force closure: reachability by Warshall's algorithm
+        reach = [[i == j or j in nbrs[i] for j in range(n)]
+                 for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        components = {frozenset(j for j in range(n) if reach[i][j])
+                      for i in range(n)}
+        got = orbits(items, lambda x: nbrs[x])
+        assert {frozenset(o) for o in got} == components
+        assert sum(len(o) for o in got) == n
+        for o in got:
+            # each orbit starts at its first item in input order, and every
+            # later item is reached from one listed before it
+            assert o[0] == min(o, key=items.index)
+            assert all(any(y in nbrs[x] for x in o[:i])
+                       for i, y in enumerate(o) if i)
+        # the orbits come in the order of their first items
+        firsts = [items.index(o[0]) for o in got]
+        assert firsts == sorted(firsts)
+
+    def test_moves_may_leave_the_items(self):
+        # the items only seed the walk: the orbit of 0 under +2 mod 6
+        assert orbits([0, 2, 1], lambda x: [(x + 2) % 6]) == \
+            [[0, 2, 4], [1, 3, 5]]

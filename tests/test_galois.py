@@ -543,6 +543,42 @@ class TestEquivariance:
                     res = equivariance_check(g, reports, tau)
                     assert res["consistent"], (iso, tau, res["mismatches"])
 
+    @staticmethod
+    def _outer(type_str):
+        """The adjoint group, its reports and its non-identity diagram
+        automorphisms that act on it."""
+        g = build_group(type_str, "adjoint")
+        return g, full_report(f"{type_str}:adjoint:*"), [
+            tau for tau in diagram_automorphisms(g)
+            if tau.commutes_with_frobenius and tau.stabilizes_isogeny
+            and any(i != j for i, j in tau.perm)]
+
+    @pytest.mark.parametrize("type_str", ["E6", "D6"])
+    def test_changed_degree_is_inconsistent(self, type_str):
+        # the flip swaps the two inner forms other than the quasi-split
+        # one, so it moves their rows onto each other; a row of D4 is
+        # mapped onto itself, so changing it cannot show
+        g, reports, taus = self._outer(type_str)
+        assert taus
+        i = next(i for i, r in enumerate(reports) if r.form_token != "1")
+        fdeg = dataclasses.replace(reports[i].fdeg,
+                                   value=CyclotomicProduct(7))
+        broken = list(reports)
+        broken[i] = dataclasses.replace(reports[i], fdeg=fdeg)
+        for tau in taus:
+            assert equivariance_check(g, reports, tau)["consistent"]
+            res = equivariance_check(g, broken, tau)
+            assert not res["consistent"]
+            assert (i, "no matching row under the map") in res["mismatches"]
+
+    @pytest.mark.parametrize("type_str", ["D4", "E6"])
+    def test_images_must_be_distinct(self, type_str):
+        # a copied row maps where its original does
+        g, reports, taus = self._outer(type_str)
+        for tau in taus:
+            res = equivariance_check(g, reports + [reports[-1]], tau)
+            assert res["mismatches"] == [(len(reports), "two rows map to one")]
+
 
 # ---------------------------------------------------------------------------
 # root-space weight multisets

@@ -63,9 +63,12 @@ class TestInnerForms:
         assert maximal_supports(g, an) == [()]
 
     def test_an_rejected_outside_type_a(self):
-        g = build_group("B3", "adjoint")
-        with pytest.raises(ValueError):
-            inner_forms_by_token(g, "an")
+        # only split type A has an anisotropic inner form; the form of a
+        # twisted A2 or A3 holding the first coweight class is not one
+        for type_str in ("B3", "2A2", "2A3"):
+            g = build_group(type_str, "adjoint")
+            with pytest.raises(ValueError):
+                inner_forms_by_token(g, "an")
 
     def test_quasi_split_counts(self):
         for spec, expect in [("A3", 4), ("D6", 4), ("2D6", 2), ("3D4", 1),

@@ -87,6 +87,29 @@ class TestRootSystem:
     # 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) and the squared lengths of
     # the simple roots, the shortest being 1
     BOURBAKI = {
+        ("A", 4): (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1),
+                    (0, 0, -1, 2)), (1, 1, 1, 1)),
+        # chain 1-2-3 with 4 and 5 on 3
+        ("D", 5): (((2, -1, 0, 0, 0),
+                    (-1, 2, -1, 0, 0),
+                    (0, -1, 2, -1, -1),
+                    (0, 0, -1, 2, 0),
+                    (0, 0, -1, 0, 2)), (1,) * 5),
+        # chain 1-3-4-5-6 with 2 on 4
+        ("E", 6): (((2, 0, -1, 0, 0, 0),
+                    (0, 2, 0, -1, 0, 0),
+                    (-1, 0, 2, -1, 0, 0),
+                    (0, -1, -1, 2, -1, 0),
+                    (0, 0, 0, -1, 2, -1),
+                    (0, 0, 0, 0, -1, 2)), (1,) * 6),
+        # chain 1-3-4-5-6-7 with 2 on 4
+        ("E", 7): (((2, 0, -1, 0, 0, 0, 0),
+                    (0, 2, 0, -1, 0, 0, 0),
+                    (-1, 0, 2, -1, 0, 0, 0),
+                    (0, -1, -1, 2, -1, 0, 0),
+                    (0, 0, 0, -1, 2, -1, 0),
+                    (0, 0, 0, 0, -1, 2, -1),
+                    (0, 0, 0, 0, 0, -1, 2)), (1,) * 7),
         ("B", 3): (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (2, 2, 1)),
         ("C", 3): (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (1, 1, 2)),
         ("G", 2): (((2, -1), (-3, 2)), (1, 3)),
