@@ -312,7 +312,8 @@ def resolve_named_subgroup(group, name):
     if name == "omega_theta":
         return frozenset(group.omega_ad_theta_fixed())
     if name == "eta":
-        return group.rs.omega.subgroup_generated([group.rs.coweight_class(1)])
+        # the subgroup of SO(2n); only type D rules name it
+        return group.rs.isogenies["so"]
     raise CaseTableError(f"unknown subgroup name {name!r}")
 
 

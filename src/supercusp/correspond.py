@@ -21,7 +21,7 @@ from math import prod
 # rows_for_host is not called here, but perfbench's tracer test reads it
 # from this namespace to check that tracing restores it
 from supercusp.casetable import resolve_named_subgroup, rows_for_host  # noqa: F401
-from supercusp.exact import euler_phi
+from supercusp.exact import CyclotomicProduct, euler_phi
 from supercusp.galois import hii_check, kac_rows, param_json
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              inner_forms_by_token, parahoric_classes)
@@ -230,7 +230,7 @@ class PacketReport:
     n_s: int
     invariants: PacketInvariants
     orbit_count: int
-    fdeg: object              # FormalDegree
+    fdeg: CyclotomicProduct | None
     hii_status: str
     param: object             # UnramifiedParam
     tau_orbit: int | None = None
@@ -281,8 +281,8 @@ def full_report(spec):
 def _row_key(report):
     """Matching key for one report row under relabeling: everything a
     diagram automorphism must preserve except the support itself."""
-    fd = report.fdeg.value
-    deg = fd if fd is not None else report.class_id.rsplit(".", 1)[-1]
+    deg = report.fdeg if report.fdeg is not None else \
+        report.class_id.rsplit(".", 1)[-1]
     return (report.pattern, report.n_s, report.invariants.b_prime, deg,
             report.member_index)
 
@@ -294,7 +294,12 @@ def equivariance_check(group, reports, tau):
     Each row is mapped once, by mapped form, mapped support class and row
     key; the images must be distinct rows with the same invariants and
     formal degree.  Nothing is thrown for a mismatch: the result lists the
-    broken rows."""
+    broken rows.  A tau that does not commute with the Frobenius or does
+    not keep Omega_G is no automorphism of the group: ValueError."""
+    if not tau.commutes_with_frobenius:
+        raise ValueError(f"{tau.perm} does not commute with the Frobenius")
+    if not tau.stabilizes_isogeny:
+        raise ValueError(f"{tau.perm} does not stabilize the isogeny")
     act = group.rs.aut_on_omega(tau.as_dict())
     node_map = tau.affine_perm()
     forms = {f.token: f for f in enumerate_inner_forms(group)}
@@ -349,7 +354,7 @@ def equivariance_check(group, reports, tau):
         images.add(k)
         if reports[k].invariants != rj.invariants:
             mismatches.append((j, "invariants differ across the map"))
-        if rj.fdeg.value != reports[k].fdeg.value:
+        if rj.fdeg != reports[k].fdeg:
             mismatches.append((j, "formal degree differs across the map"))
 
     return {"consistent": not mismatches, "mismatches": mismatches}
@@ -368,7 +373,7 @@ CSV_COLUMNS = ("spec", "form", "support", "quotient", "pattern",
 
 def report_record(report):
     inv = report.invariants
-    rec = {
+    return {
         "spec": report.spec,
         "form": report.form_token,
         "support": list(report.support),
@@ -386,14 +391,11 @@ def report_record(report):
         "orbit_count": report.orbit_count,
         "class_id": report.class_id,
         "member": report.member_index,
-        "fdeg": None,
+        "fdeg": report.fdeg.to_json() if report.fdeg is not None else None,
         "hii": report.hii_status,
         "parameter": param_json(report.param, report.pattern),
         "tau_orbit": report.tau_orbit,
     }
-    if report.fdeg.value is not None:
-        rec["fdeg"] = report.fdeg.value.to_json()
-    return rec
 
 
 def reports_json(reports):

@@ -3,17 +3,15 @@
 Two kinds of values underlie everything else in the package:
 
 - rational functions in the formal variable t = q^(1/2) with integer
-  coefficients, in two forms.  Every formal degree, parahoric order and
-  volume, and adjoint gamma magnitude is a CyclotomicProduct
-  c * t^k * prod Phi_n(t)^(e_n): products, quotients and the substitution
-  t -> t^d are exponent arithmetic, and two values are equal exactly when
-  their exponents are.  The dense canonical RatFunc is the form for sums,
-  printing and the local factors at a shift.  A CyclotomicProduct writes
+  coefficients.  Every function value in the package (formal degree,
+  parahoric order and volume, local factor at a shift) is a
+  CyclotomicProduct c * t^k * prod Phi_n(t)^(e_n): products, quotients
+  and the substitution t -> t^d are exponent arithmetic, and two values
+  are equal exactly when their exponents are.  A CyclotomicProduct writes
   its numerator and denominator from the exponents, already canonical:
   distinct Phi_n are coprime and t divides none, and each Phi_n is monic
   and primitive, so by Gauss's lemma the contents are the reduced
-  constant's numerator and denominator.  p_gcd serves only sums and
-  quotients of RatFuncs;
+  constant's numerator and denominator;
 - finite abelian groups in invariant-factor form: the fundamental groups.
   The Frobenius acts on them through rootdata's node-conjugation tables,
   so a group here carries no endomorphism.
@@ -21,10 +19,11 @@ Two kinds of values underlie everything else in the package:
 Every closure in the package, from the roots and subgroups to the diagram
 components and the node orbits, is one call to orbits(items, moves).
 
-Cyclo, an element of Q(zeta_m) in the power basis, is not among them: a
-Frobenius eigenvalue zeta_m^k is the integer pair (m, k) of
-galois.WeightString.  Cyclo stays as the dense reference against which the
-tests check that integer arithmetic.
+RatFunc, the dense canonical quotient of polynomials (with p_gcd for its
+sums and quotients), and Cyclo, an element of Q(zeta_m) in the power basis,
+are only the tests' dense reference: nothing in the package returns them.
+The tests compare CyclotomicProducts with RatFuncs through to_ratfunc, and
+the integer eigenvalue pairs (m, k) of galois.WeightString with Cyclo.
 
 No floating point anywhere.
 """

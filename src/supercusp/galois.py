@@ -44,8 +44,8 @@ from functools import lru_cache
 from math import gcd
 
 from supercusp.casetable import rows_for_host
-from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
-                             cyclotomic_poly, euler_phi, p_eval)
+from supercusp.exact import (CyclotomicProduct, InvariantError,
+                             cyclotomic_poly, euler_phi)
 from supercusp.padic import (classify_component, connected_components,
                              supports_with_cuspidals)
 from supercusp.rootdata import cartan_matrix, root_system
@@ -94,7 +94,8 @@ class WeightString:
 def _orbit_product(m, E):
     """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x."""
     if E == 0:
-        return CyclotomicProduct(p_eval(cyclotomic_poly(m), 1))
+        # Phi_m(1) is the sum of the coefficients
+        return CyclotomicProduct(sum(cyclotomic_poly(m)))
     if E > 0:
         return CyclotomicProduct(-1 if m == 1 else 1, 0,
                                  ((m, 1),)).subst_t_power(E)
@@ -158,9 +159,10 @@ def _gamma0_magnitude(strings, ord_psi):
 @dataclass(frozen=True)
 class WDLocalFactors:
     """Exact L, epsilon and gamma of an inversion-closed multiset of
-    WeightStrings.  The shift s ranges over half integers; the values at s
-    are RatFuncs in t, read off the strings' (order, residue) pairs with no
-    cyclotomic field arithmetic, and |gamma(0)| is a CyclotomicProduct."""
+    WeightStrings.  The shift s ranges over half integers; the values at s,
+    like |gamma(0)|, are CyclotomicProducts in t, read off the strings'
+    (order, residue) pairs with no cyclotomic field arithmetic: epsilon is
+    +-t^k, and L and gamma are products of whole Galois orbits."""
 
     strings: tuple
     ord_psi: int
@@ -175,7 +177,7 @@ class WDLocalFactors:
 
     def L_at(self, s):
         inv = _galois_product(_string_factors(self.strings, _two_s(s)))
-        return (CyclotomicProduct(1) / inv).to_ratfunc()
+        return CyclotomicProduct(1) / inv
 
     def eps_at(self, s):
         # the unit is exp(2 pi i turns): each string adds its eigenvalue's
@@ -190,8 +192,7 @@ class WDLocalFactors:
         turns %= 1
         if turns not in (0, Fraction(1, 2)):
             raise ValueError("epsilon unit is irrational")
-        power = RatFunc.t_power(exp)
-        return power if turns == 0 else -power
+        return CyclotomicProduct(1 if turns == 0 else -1, exp)
 
     def gamma_at(self, s):
         two_s = _two_s(s)
@@ -201,7 +202,7 @@ class WDLocalFactors:
         num = _galois_product(_string_factors(self.strings, two_s))
         den = _galois_product(
             _string_factors(self.strings, 2 - two_s, conjugate=True))
-        return self.eps_at(s) * (num / den).to_ratfunc()
+        return self.eps_at(s) * num / den
 
 
 def local_factors(weights, ord_psi=0):
@@ -317,34 +318,29 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
 
     The torsion point acts on a root space by zeta^(c_v), the coefficient
     of the cut node; the regular class of the centralizer grades everything
-    by pairing against the sum of its positive coroots.  String counts fall
-    out of the graded multiplicities."""
+    by its neutral element h, which the cut diagram gives in closed form:
+    <alpha_i, h> = 2 on every affine simple root but the cut one, and at a
+    cut node v > 0 the root alpha_0 = -theta then forces
+    <alpha_v, h> = 2 - 2 (sum of the marks) / n_s.  String counts fall out
+    of the graded multiplicities."""
     rs = root_system(dual_family, dual_rank)
     n_s = rs.marks[v_node]
-    n = dual_rank
-    # a root is its simple-root coefficients: the level is the coefficient
-    # of the cut node, the sign of the height tells positive from negative
-    levels = {beta: 0 if v_node == 0 else beta[v_node - 1]
-              for beta in rs.roots}
-    cz_positive = [beta for beta, level in levels.items()
-                   if level == n_s or (level % n_s == 0 and sum(beta) > 0)]
-    if 2 * len(cz_positive) != sum(1 for lev in levels.values()
-                                   if lev % n_s == 0):
-        raise InvariantError("centralizer roots do not split in halves")
-
-    # grading by the regular class of the centralizer: the pairing
-    # sum_gamma <beta, gamma^vee> over its positive roots gamma, through the
-    # sum of their coroots and its pairing with each simple root
-    corho = [0] * n
-    for gamma in cz_positive:
-        corho = [a + b for a, b in zip(corho, rs.coroot(gamma))]
-    grade = [sum(rs.cartan[i][j] * corho[j] for j in range(n))
-             for i in range(n)]
-    mult = {}
-    for beta, level in levels.items():
-        key = (level % n_s, sum(b * g for b, g in zip(beta, grade)))
+    grade = [2] * dual_rank
+    if v_node:
+        h_v, rem = divmod(2 * n_s - 2 * sum(rs.marks), n_s)
+        if rem:
+            raise InvariantError(f"<alpha_{v_node}, h> is not an integer")
+        grade[v_node - 1] = h_v
+    # a root is its simple-root coefficients, its level the coefficient of
+    # the cut node; h is regular on the centralizer's roots (level 0 mod n_s)
+    mult = {(0, 0): dual_rank}
+    for beta in rs.roots:
+        key = ((beta[v_node - 1] if v_node else 0) % n_s,
+               sum(b * g for b, g in zip(beta, grade)))
+        if key == (0, 0):
+            raise InvariantError(f"h is not regular on the centralizer "
+                                 f"root {beta}")
         mult[key] = mult.get(key, 0) + 1
-    mult[(0, 0)] = mult.get((0, 0), 0) + dual_rank
 
     strings = []
     for residue in range(n_s):
@@ -487,12 +483,10 @@ def hii_check(fdeg, param, rho_dim, s_sharp):
     The parameter's gamma magnitude is taken at ord psi = -1, matching the
     volume normalization of the parahoric quotients."""
     gamma_abs = param.gamma_abs_0
-    if gamma_abs is None or fdeg.value is None or s_sharp is None:
+    if gamma_abs is None or fdeg is None or s_sharp is None:
         return HIIResult("unverifiable", None, None)
-    lhs = fdeg.value
     rhs = CyclotomicProduct(Fraction(rho_dim, s_sharp)) * gamma_abs
-    status = "holds" if lhs == rhs else "fails"
-    return HIIResult(status, lhs, rhs)
+    return HIIResult("holds" if fdeg == rhs else "fails", fdeg, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from supercusp.exact import (CyclotomicProduct, InvariantError, RatFunc,
-                             euler_phi, integer_kernel, mat_identity, mat_mul,
-                             mobius, orbits)
+from supercusp.exact import (CyclotomicProduct, InvariantError, euler_phi,
+                             integer_kernel, mat_identity, mat_mul, mobius,
+                             orbits)
 from supercusp.rootdata import weyl_degrees
 
 # Nodes, supports and components sort by their strings, so B10 lists
@@ -530,51 +530,12 @@ def supports_with_cuspidals(group, form):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalDegree:
-    """Formal degree in normal form: dim(sigma) over the stabilizer order
-    times the parahoric volume.  value is None when the dimension polynomial
-    is not available."""
-
-    value: CyclotomicProduct | None
-    dim_sigma: CyclotomicProduct | None
-    stabilizer_order: int
-    volume: CyclotomicProduct
-
-
 def formal_degree(group, form, host, cls):
     """Formal degree of the cuspidal class cls on the support class host:
     the class degree over |Omega^{theta,P}| times the parahoric volume, which
-    comes from the host's stored component orbits and dimension."""
-    vol = parahoric_volume(group, host, f_omega_perm(group, form))
-    stab = len(host.stabilizer_G)
+    comes from the host's stored component orbits and dimension.  None when
+    the class degree is unknown."""
     if cls.degree is None:
-        return FormalDegree(None, None, stab, vol)
-    value = cls.degree / (CyclotomicProduct(stab) * vol)
-    return FormalDegree(value, cls.degree, stab, vol)
-
-
-# ---------------------------------------------------------------------------
-# reductive wrapper: central anisotropic torus
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CentralTorusWrapper:
-    """Reductive group isogenous to (central anisotropic torus) x (derived
-    group); the torus is given by the integer matrix of Frobenius on its
-    cocharacter lattice."""
-
-    twist_matrix: tuple
-
-    def dim(self):
-        return len(self.twist_matrix)
-
-    def point_count(self):
-        matrix = [list(r) for r in self.twist_matrix]
-        return det_qw_minus_one(matrix).to_ratfunc()
-
-    def volume_ratio(self):
-        """q^(dim/2) / point count: the factor relating the formal degree of
-        the reductive group to that of its derived group."""
-        return RatFunc.t_power(self.dim()) / self.point_count()
+        return None
+    vol = parahoric_volume(group, host, f_omega_perm(group, form))
+    return cls.degree / (CyclotomicProduct(len(host.stabilizer_G)) * vol)

@@ -12,7 +12,8 @@ factor.
 
 An isogeny is named by its subgroup Omega_G of the adjoint fundamental
 group, with the Frobenius acting on it: X_*/Q^vee is Omega_G, so nothing
-here builds the cocharacter lattice X_* itself.
+here builds the cocharacter lattice X_* itself.  RootSystem.isogenies is
+the one table of them, from canonical token to Omega_G.
 
 Group specs are written TYPE:ISOGENY:TWIST, for example 2A5:adjoint:w1.
 """
@@ -138,6 +139,7 @@ class RootSystem:
                 f"{self.num_pos_roots} positive roots")
         self.affine_cartan = self._affine_cartan()
         self._build_omega()
+        self._build_isogenies()
         self._quotients = {}
 
     # -- root combinatorics --------------------------------------------------
@@ -160,37 +162,25 @@ class RootSystem:
                     f"{beta} is neither a positive nor a negative root")
         return roots
 
-    def coroot(self, beta):
-        """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates."""
-        n, A, lengths = self.rank, self.cartan, self.lengths
-        # 2 (beta, beta) = sum_i beta_i <beta, alpha_i^vee> (alpha_i, alpha_i)
-        norm = sum(beta[i] * lengths[i] * sum(beta[j] * A[j][i]
-                                              for j in range(n))
-                   for i in range(n))
-        out = []
-        for i in range(n):
-            c, r = divmod(2 * beta[i] * lengths[i], norm)
-            if r:
-                raise InvariantError(f"coroot of {beta} is not integral")
-            out.append(c)
-        return tuple(out)
-
-    def pair(self, beta, gamma):
-        """<beta, gamma^vee> for roots in simple-root coordinates."""
-        n, A, cor = self.rank, self.cartan, self.coroot(gamma)
-        return sum(beta[i] * A[i][j] * cor[j]
-                   for i in range(n) for j in range(n))
-
     def _affine_cartan(self):
-        # gradients of the affine simple roots; node 0 is minus the highest
-        # root
-        n, A = self.rank, self.cartan
+        """Cartan matrix of the affine diagram, node 0 being the gradient
+        -theta.  theta is long, so its coroot is read off the lengths:
+        theta^vee = sum_i theta_i L_i / max(L) alpha_i^vee."""
+        n, A, top = self.rank, self.cartan, max(self.lengths)
+        theta_vee = []
+        for c, length in zip(self.hr_coeffs, self.lengths):
+            q, r = divmod(c * length, top)
+            if r:
+                raise InvariantError(f"coroot of the highest root of "
+                                     f"{self.family}{n} is not integral")
+            theta_vee.append(q)
         vecs = [tuple(-c for c in self.hr_coeffs)] + \
             [_unit(i, n) for i in range(n)]
-        # <a, alpha_j^vee> per gradient a, and each coroot once
+        coroots = [tuple(-c for c in theta_vee)] + \
+            [_unit(i, n) for i in range(n)]
+        # <a, alpha_j^vee> per gradient a, then paired with each coroot
         rows = [[sum(a[i] * A[i][j] for i in range(n)) for j in range(n)]
                 for a in vecs]
-        coroots = [self.coroot(b) for b in vecs]
         return tuple(tuple(sum(map(mul, r, c)) for c in coroots)
                      for r in rows)
 
@@ -284,6 +274,33 @@ class RootSystem:
                     f"special node {j} is not labeled by its coweight class")
         self.omega_action = action
 
+    def _build_isogenies(self):
+        """isogenies maps each canonical isogeny token to Omega_G, its
+        subgroup of Omega, simply connected first: sc (none where Omega is
+        trivial); on A_n one d{k} per proper divisor k of n + 1, the
+        elements k kills; on D_n so = <class of node 1>, and for even n
+        also hs1 = <class of node n> and hs2 = <class of node n - 1>; and
+        adjoint."""
+        omega, n = self.omega, self.rank
+        elems = frozenset(omega.elements())
+        table = {"sc": frozenset([omega.identity()])} if len(elems) > 1 \
+            else {}
+        if self.family == "A":
+            for k in range(2, n + 1):
+                if (n + 1) % k == 0:
+                    table[f"d{k}"] = frozenset(
+                        e for e in elems
+                        if all(k * c % d == 0
+                               for c, d in zip(e, omega.orders)))
+        if self.family == "D":
+            nodes = {"so": 1, "hs1": n, "hs2": n - 1} if n % 2 == 0 \
+                else {"so": 1}
+            for token, j in nodes.items():
+                table[token] = omega.subgroup_generated(
+                    [self.coweight_class(j)])
+        table["adjoint"] = elems
+        self.isogenies = table
+
     def aut_on_omega(self, perm):
         """A finite-diagram automorphism (a permutation of 1..rank) acting
         on Omega, as a dict: extended to the affine diagram by fixing node
@@ -339,7 +356,7 @@ def _unit(i, n):
 # group data: type + Frobenius twist order + isogeny
 # ---------------------------------------------------------------------------
 
-_TYPE_RE = re.compile(r"^([123]?)([A-G])([1-9]\d*)$")
+_TYPE_RE = re.compile(r"^([23]?)([A-G])([1-9]\d*)$")
 
 
 def standard_frobenius_perm(family, rank, order):
@@ -365,20 +382,8 @@ def standard_frobenius_perm(family, rank, order):
 
 
 def isogeny_tokens(family, rank):
-    """Canonical isogeny names for the family, simply connected first."""
-    if family == "A":
-        n = rank + 1
-        inner = [f"d{k}" for k in range(2, n) if n % k == 0]
-        return ["sc"] + inner + ["adjoint"]
-    if family in ("B", "C"):
-        return ["sc", "adjoint"]
-    if family == "D":
-        if rank % 2 == 0:
-            return ["sc", "so", "hs1", "hs2", "adjoint"]
-        return ["sc", "so", "adjoint"]
-    if family == "E" and rank in (6, 7):
-        return ["sc", "adjoint"]
-    return ["adjoint"]
+    """Canonical isogeny names for the type, simply connected first."""
+    return list(root_system(family, rank).isogenies)
 
 
 class SimpleGroup:
@@ -397,7 +402,7 @@ class SimpleGroup:
         self.theta_affine[0] = 0
         self.isogeny = self._normalize_isogeny(isogeny)
         self._theta_omega = self.rs.aut_on_omega(self.theta_finite)
-        self.omega_G = self._isogeny_subgroup(self.isogeny)
+        self.omega_G = self.rs.isogenies[self.isogeny]
         if not self._theta_stable_subgroup(self.omega_G):
             raise ValueError(
                 f"isogeny {isogeny!r} is not stable under the Frobenius action")
@@ -426,31 +431,23 @@ class SimpleGroup:
         return f"{self.type_string()}:{self.isogeny}:{twist}"
 
     def _normalize_isogeny(self, token):
+        """The canonical token: a key of rs.isogenies, or one of the
+        aliases d1 = sc and d(n+1) = adjoint on A_n, so = adjoint on B_n,
+        and sc = adjoint where Omega is trivial."""
         fam, rank = self.family, self.rank
-        tok = token
+        if token in self.rs.isogenies:
+            return token
         if fam == "A":
-            n = rank + 1
-            if tok == "sc":
-                return "sc"
-            if tok == "adjoint":
-                return "adjoint"
             # a positive integer written without leading zeros
-            m = re.match(r"^d([1-9]\d*)$", tok)
-            if m:
-                k = int(m.group(1))
-                if n % k != 0:
-                    raise ValueError(f"A{rank} has no isogeny d{k}: {k} must divide {n}")
-                if k == 1:
-                    return "sc"
-                if k == n:
-                    return "adjoint"
-                return tok
-            raise ValueError(f"unknown isogeny {token!r} for type A")
-        if fam == "B" and tok == "so":
-            return "adjoint"
-        if tok in isogeny_tokens(fam, rank):
-            return tok
-        if tok in ("sc", "adjoint") and isogeny_tokens(fam, rank) == ["adjoint"]:
+            m = re.match(r"^d([1-9]\d*)$", token)
+            if not m:
+                raise ValueError(f"unknown isogeny {token!r} for type A")
+            k = int(m.group(1))
+            if (rank + 1) % k != 0:
+                raise ValueError(f"A{rank} has no isogeny d{k}: {k} must "
+                                 f"divide {rank + 1}")
+            return "sc" if k == 1 else "adjoint"
+        if token == "sc" or (fam, token) == ("B", "so"):
             return "adjoint"
         raise ValueError(f"unknown isogeny {token!r} for type {fam}{rank}")
 
@@ -477,27 +474,6 @@ class SimpleGroup:
 
     def _theta_stable_subgroup(self, subset):
         return all(self.theta_on_omega(x) in subset for x in subset)
-
-    def _isogeny_subgroup(self, token):
-        omega = self.rs.omega
-        elems = omega.elements()
-        if token == "sc":
-            return frozenset([omega.identity()])
-        if token == "adjoint":
-            return frozenset(elems)
-        if self.family == "A":
-            k = int(token[1:])
-            return frozenset(e for e in elems
-                             if all((k * c) % d == 0
-                                    for c, d in zip(e, omega.orders)))
-        if self.family == "D":
-            if token == "so":
-                return omega.subgroup_generated([self.rs.coweight_class(1)])
-            if token == "hs1":
-                return omega.subgroup_generated([self.rs.coweight_class(self.rank)])
-            if token == "hs2":
-                return omega.subgroup_generated([self.rs.coweight_class(self.rank - 1)])
-        raise ValueError(f"unhandled isogeny token {token!r}")
 
     # -- Kottwitz-style data ----------------------------------------------------
 

@@ -40,6 +40,7 @@ class TestReport:
         ("E5:adjoint:*", "field 1"),
         ("G3:adjoint:*", "field 1"),
         ("3A4:adjoint:*", "field 1"),
+        ("1A2:adjoint:*", "field 1"),
         ("2B3:adjoint:*", "field 1"),
         ("A3:d5:*", "field 2"),
         ("A2:d0:*", "field 2"),

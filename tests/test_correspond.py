@@ -99,7 +99,7 @@ class TestSerialization:
 
     def test_formal_degree_survives_csv(self):
         reports = full_report("A2:adjoint:an")
-        assert reports[0].fdeg.value is not None
+        assert reports[0].fdeg is not None
         (row,) = csv.DictReader(io.StringIO(reports_csv(reports)))
         assert json.loads(row["fdeg"]) == \
             reports_json(reports)["rows"][0]["fdeg"]

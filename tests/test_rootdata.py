@@ -159,10 +159,10 @@ class TestRootSystem:
             assert min(beta) >= 0 or max(beta) <= 0
             if sum(beta) > 0:
                 assert all(b <= h for b, h in zip(beta, rs.hr_coeffs))
-        # the highest root is dominant
-        simples = [tuple(int(i == j) for j in range(rs.rank))
-                   for i in range(rs.rank)]
-        assert all(rs.pair(rs.hr_coeffs, a) >= 0 for a in simples)
+        # the highest root is dominant: <theta, alpha_j^vee> >= 0
+        n, theta = rs.rank, rs.hr_coeffs
+        assert all(sum(theta[i] * rs.cartan[i][j] for i in range(n)) >= 0
+                   for j in range(n))
 
 
 def _omega_G_orders(g):
@@ -377,6 +377,36 @@ class TestIsogenies:
         # but so(2n) is stable
         build_group("2D6", "so")
 
+    def test_aliases(self):
+        # each alias names the canonical token it stands for
+        for type_str, alias, token in (("A3", "d1", "sc"),
+                                       ("A3", "d4", "adjoint"),
+                                       ("B3", "so", "adjoint"),
+                                       ("G2", "sc", "adjoint"),
+                                       ("E8", "sc", "adjoint")):
+            assert build_group(type_str, alias).isogeny == token
+            assert build_group(type_str, alias).omega_G == \
+                build_group(type_str, token).omega_G
+
+    def test_rejected_tokens_keep_their_messages(self):
+        with pytest.raises(ValueError) as exc:
+            build_group("A2", "d4")
+        assert str(exc.value) == "A2 has no isogeny d4: 4 must divide 3"
+        with pytest.raises(ValueError) as exc:
+            build_group("A5", "d02")
+        assert str(exc.value) == "unknown isogeny 'd02' for type A"
+
+    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    def test_table_orders(self, key):
+        # |Omega_G| is k for d{k}, 2 for so, hs1 and hs2, and runs from 1
+        # at sc to |Omega| at adjoint
+        rs = root_system(*key)
+        assert list(rs.isogenies) == isogeny_tokens(*key)
+        for token, sub in rs.isogenies.items():
+            want = {"sc": 1, "so": 2, "hs1": 2, "hs2": 2,
+                    "adjoint": rs.omega.order()}.get(token)
+            assert len(sub) == (want or int(token[1:])), token
+
     def test_sc_and_adjoint_always_stable(self):
         for ts in ["2A5", "2D5", "3D4", "2E6"]:
             build_group(ts, "sc")
@@ -421,6 +451,9 @@ class TestParsing:
         assert parse_type("E8") == ("E", 8, 1)
         with pytest.raises(ValueError):
             parse_type("4A5")
+        # a type is spelled one way only: no twist prefix 1
+        with pytest.raises(ValueError):
+            parse_type("1A2")
 
     def test_rank_cap(self):
         # the catalogue goes to rank 12
