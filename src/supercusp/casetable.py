@@ -131,7 +131,6 @@ _CLASSICAL_RULES = {e.pattern: e for e in (
     CaseEntry("evenorth.unitary", "§8", 2, 2, "1", "DxD-equal"),
     CaseEntry("twistorth.full", "§9", 2, 1, "1", "BxB-equal"),
     CaseEntry("twistorth.pair", "§9", 2, 1, "eta", "BxB"),
-    CaseEntry("twistorth.unitary", "§9", 2, 1, "1", "Sp"),
 )}
 
 
@@ -267,14 +266,10 @@ def _classify_classical(group, host):
             raise CaseTableError("twisted orthogonal support out of pattern")
         if a_parts and any(p[2] != 2 or p[3] != 1 for p in a_parts):
             raise CaseTableError("twisted orthogonal support out of pattern")
-        if len(a_parts) == 1 and not d_parts:
-            if host.torus_rank == 0:
-                return _CLASSICAL_RULES["twistorth.unitary"]
-            return _CLASSICAL_RULES["twistorth.pair"]
         if len(d_parts) == 1 and not a_parts and dcount == [1] \
                 and d_parts[0][2] == 2 and d_parts[0][1] == group.rank:
             return _CLASSICAL_RULES["twistorth.full"]
-        if d_parts:
+        if d_parts or len(a_parts) == 1:
             return _CLASSICAL_RULES["twistorth.pair"]
         raise CaseTableError("twisted orthogonal support out of pattern")
 
@@ -306,11 +301,11 @@ def resolve_named_subgroup(group, name):
     """Interpret a case table subgroup name inside the adjoint fundamental
     group of the given group."""
     if name == "1":
-        return frozenset({group.omega_identity()})
+        return frozenset({group.rs.omega.identity()})
     if name == "full":
-        return frozenset(group.omega_elements())
+        return group.rs.isogenies["adjoint"]
     if name == "omega_theta":
-        return frozenset(group.omega_ad_theta_fixed())
+        return group.omega_ad_theta
     if name == "eta":
         # the subgroup of SO(2n); only type D rules name it
         return group.rs.isogenies["so"]

@@ -42,7 +42,7 @@ class CorrespondenceError(ValueError):
 
 def _product_set(group, left, right):
     """The set product {x + y} of two subgroups, as a frozenset."""
-    return frozenset(group.omega_add(x, y) for x in left for y in right)
+    return frozenset(group.rs.omega.add(x, y) for x in left for y in right)
 
 
 def _index(big, small, what):
@@ -85,7 +85,7 @@ class PacketInvariants:
 def _n_subgroup(group, row, stab_ad):
     """The row's parameter-moving subgroup, cut down to the stable part."""
     raw = resolve_named_subgroup(group, row.n_name)
-    sub = frozenset(x for x in raw if x in group.omega_ad_theta_fixed())
+    sub = raw & group.omega_ad_theta
     if not sub <= stab_ad:
         raise CorrespondenceError(
             f"subgroup {row.n_name!r} not contained in the support "
@@ -98,8 +98,8 @@ def _invariants(group, pc, n_sub, b, b_prime):
     parameter-moving subgroup n_sub, enhancement count b and class size b':
     a is the twisting orbit of the parameter, a' the stabilizer order times
     the class-splitting count."""
-    om_theta = frozenset(group.omega_theta_fixed())
-    stab_g = frozenset(pc.stabilizer_G)
+    om_theta = group.omega_G_theta
+    stab_g = pc.stabilizer_G
     fixed_part = n_sub & om_theta
     return PacketInvariants(
         a=len(fixed_part), b=b, a_prime=pc.g_prime * len(stab_g),
@@ -120,10 +120,9 @@ def compute_invariants(group, pc, cls, row):
     equal-degree class sizes).  The identity a*b = a'*b' is asserted on
     construction, not assumed.
     """
-    stab_ad = frozenset(pc.stabilizer_ad)
-    stab_g = frozenset(pc.stabilizer_G)
+    stab_ad, stab_g = pc.stabilizer_ad, pc.stabilizer_G
     n_sub = _n_subgroup(group, row, stab_ad)
-    if not n_sub & frozenset(group.omega_theta_fixed()) <= stab_g:
+    if not n_sub & group.omega_G_theta <= stab_g:
         raise CorrespondenceError("parameter-moving subgroup escapes the "
                                   "support stabilizer")
     # the adjoint row's enhancement count scaled by the two subgroup
@@ -162,8 +161,8 @@ class TransferData:
 def transfer_data(group, pc, cls, row):
     """One case row's invariants with what isogeny_transfer needs."""
     return TransferData(compute_invariants(group, pc, cls, row),
-                        _n_subgroup(group, row, frozenset(pc.stabilizer_ad)),
-                        frozenset(pc.stabilizer_G))
+                        _n_subgroup(group, row, pc.stabilizer_ad),
+                        pc.stabilizer_G)
 
 
 def isogeny_transfer(base: TransferData, target, target_pc):
@@ -174,7 +173,7 @@ def isogeny_transfer(base: TransferData, target, target_pc):
     be an isogeny form of the same root datum on the same support class.
     """
     n_sub = base.n_subgroup
-    if not n_sub <= frozenset(target_pc.stabilizer_ad):
+    if not n_sub <= target_pc.stabilizer_ad:
         raise CorrespondenceError("parameter-moving subgroup not contained "
                                   "in the adjoint stabilizer")
     was = base.invariants
@@ -237,7 +236,7 @@ class PacketReport:
 
 
 def reports_for_form(group, form):
-    spec = f"{group.type_string()}:{group.isogeny}:{form.token}"
+    spec = group.spec_string(form.token)
     out = []
     for host, cls, row, param in kac_rows(group, form):
         inv = compute_invariants(group, host, cls, row)
@@ -317,10 +316,10 @@ def equivariance_check(group, reports, tau):
                              for sup in pc.associates}
 
     # per form with representative r: w = r + x - theta(x) -> -x
-    omega = group.rs.omega
+    omega, omega_action = group.rs.omega, group.rs.omega_action
     conjugators = {token: {} for token in forms}
-    for x in group.omega_elements():
-        twist = omega.add(x, omega.neg(group.theta_on_omega(x)))
+    for x in omega.elements():
+        twist = omega.add(x, omega.neg(group.theta_omega[x]))
         for token, form in forms.items():
             conjugators[token].setdefault(omega.add(form.rep, twist),
                                           omega.neg(x))
@@ -338,7 +337,7 @@ def equivariance_check(group, reports, tau):
         # representative r and any x with w = r + x - theta(x), so
         # omega_-x carries the image to a support of r
         shift = conjugators[target_token][act[forms[rj.form_token].rep]]
-        mapped_sup = frozenset(group.omega_act_node(shift, node_map[n])
+        mapped_sup = frozenset(omega_action[shift][node_map[n]]
                                for n in rj.support)
         canon = associates.get(target_token, {}).get(mapped_sup)
         if canon is None:

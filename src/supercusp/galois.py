@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from supercusp.casetable import rows_for_host
@@ -146,16 +146,6 @@ def _two_s(s):
 # ---------------------------------------------------------------------------
 
 
-def _gamma0_magnitude(strings, ord_psi):
-    """|gamma(0)| by pairing every factor with its inversion partner: the
-    kernel-line quotient is then real, and the epsilon magnitude is the
-    measure power times t^(sum of weights)."""
-    num = _galois_product(_string_factors(strings, 0))
-    den = _galois_product(_string_factors(strings, 2, conjugate=True))
-    exp = ord_psi * sum(w.h + 1 for w in strings) + sum(w.h for w in strings)
-    return abs(num / den) * CyclotomicProduct(1, exp)
-
-
 @dataclass(frozen=True)
 class WDLocalFactors:
     """Exact L, epsilon and gamma of an inversion-closed multiset of
@@ -166,7 +156,14 @@ class WDLocalFactors:
 
     strings: tuple
     ord_psi: int
-    gamma_abs_at_0: CyclotomicProduct
+
+    @cached_property
+    def gamma_abs_at_0(self):
+        """|gamma(0)|.  gamma_at(0) raises only on a multiset that is not
+        stable under the Galois action: a pole at s = 0 needs a trivial
+        string of weight -2, and on an inversion-closed multiset the
+        epsilon unit is +-1."""
+        return abs(self.gamma_at(0))
 
     def dim(self):
         return sum(w.h + 1 for w in self.strings)
@@ -223,8 +220,11 @@ def local_factors(weights, ord_psi=0):
         except ValueError:
             raise ValueError(
                 "weight multiset is not closed under inversion") from None
-    return WDLocalFactors(strings=strings, ord_psi=ord_psi,
-                          gamma_abs_at_0=_gamma0_magnitude(strings, ord_psi))
+    out = WDLocalFactors(strings=strings, ord_psi=ord_psi)
+    # |gamma(0)| is read now, so a multiset that is not stable under the
+    # Galois action fails here rather than at its first use
+    out.gamma_abs_at_0
+    return out
 
 
 def gamma0_virtual(plus, minus):
@@ -273,13 +273,9 @@ def centralizer_components(dual_family, dual_rank, diagram, v_node):
     the fused chains go through the same classifier, each with its own
     Cartan matrix."""
     marks, cartan = _dual_diagram(dual_family, dual_rank, diagram)
-
-    def pair(a, b):
-        return cartan[a][b]
-
     rest = [x for x in range(len(marks)) if x != v_node]
-    return tuple(sorted(classify_component(pair, comp)
-                        for comp in connected_components(pair, rest)))
+    return tuple(sorted(classify_component(cartan, comp)
+                        for comp in connected_components(cartan, rest)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 The group acts through its affine diagram: an inner form is a coinvariant
 class of the adjoint fundamental group, the twisted Frobenius permutes the
 affine nodes, and the maximal stable supports are exactly the complements of
-single node orbits.  Orders of the finite reductive quotients, volumes, and
-formal degrees are all cyclotomic products c * t^k * prod Phi_n(t)^(e_n) in
+single node orbits.  That permutation, F_omega = omega o theta for the
+form's representative omega, is computed once per form and kept on it
+(InnerForm.frobenius); every support, torus and volume below reads it
+there.  Orders of the finite reductive quotients, volumes, and formal
+degrees are all cyclotomic products c * t^k * prod Phi_n(t)^(e_n) in
 t = q^(1/2) (exact.CyclotomicProduct): a semisimple factor is a product of
 Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
 read off the Frobenius orbits of the affine nodes outside the support.
@@ -35,23 +38,26 @@ _NODE_ORDER = str
 
 @dataclass(frozen=True)
 class InnerForm:
-    """One twisting class of the adjoint group, named by a stable token."""
+    """One twisting class of the adjoint group, named by a stable token,
+    with its twisted Frobenius on the affine diagram."""
 
     token: str
     rep: tuple
     cls: tuple  # sorted members of the coinvariant class
     quasi_split: bool
+    # F_omega: node i goes to frobenius[i], the action of rep after theta
+    frobenius: tuple
 
 
 def enumerate_inner_forms(group):
     """Inner forms in deterministic order: the quasi-split one first."""
     classes = group.adjoint_coinvariant_classes()
-    ident = group.omega_identity()
+    ident = group.rs.omega.identity()
     keyed = []
     for cls in classes:
         members = tuple(sorted(cls))
         qs = ident in cls
-        fixed = [x for x in members if x in group.omega_ad_theta_fixed()]
+        fixed = [x for x in members if x in group.omega_ad_theta]
         rep = fixed[0] if fixed else members[0]
         keyed.append((not qs, members, rep))
     keyed.sort()
@@ -63,7 +69,9 @@ def enumerate_inner_forms(group):
             token = f"w{wi}"
         else:
             token = "1"
-        out.append(InnerForm(token, rep, members, not not_qs))
+        act = group.rs.omega_action[rep]
+        out.append(InnerForm(token, rep, members, not not_qs, tuple(
+            act[group.theta[node]] for node in range(group.rank + 1))))
     return out
 
 
@@ -88,12 +96,6 @@ def inner_forms_by_token(group, token):
     raise ValueError(f"no inner form {token!r} for {group.type_string()}")
 
 
-def f_omega_perm(group, form):
-    """Node permutation of the twisted Frobenius on the affine diagram."""
-    return {node: group.omega_act_node(form.rep, group.theta_node(node))
-            for node in group.affine_nodes()}
-
-
 def _perm_orbits(perm, nodes):
     return orbits(nodes, lambda x: (perm[x],))
 
@@ -103,25 +105,25 @@ def _perm_orbits(perm, nodes):
 # ---------------------------------------------------------------------------
 
 
-def connected_components(pair, nodes):
+def connected_components(cartan, nodes):
     """Connected components of the diagram on the given nodes, each sorted;
-    the Cartan entry pair(a, b) = <alpha_a, alpha_b^vee> is nonzero across
-    a bond."""
+    the Cartan entry cartan[a][b] = <alpha_a, alpha_b^vee> is nonzero
+    across a bond."""
     nodes = sorted(nodes, key=_NODE_ORDER)
     return [tuple(sorted(comp, key=_NODE_ORDER)) for comp in orbits(
-        nodes, lambda a: [b for b in nodes if pair(a, b)])]
+        nodes, lambda a: [b for b in nodes if cartan[a][b]])]
 
 
-def classify_component(pair, nodes):
+def classify_component(cartan, nodes):
     """(family, rank) of the connected subdiagram on the given nodes, with
-    Cartan entries pair(a, b) = <alpha_a, alpha_b^vee>.
+    Cartan entries cartan[a][b] = <alpha_a, alpha_b^vee>.
 
     Coincidences are canonicalized: rank 1 is A1, the double-bond rank-2
     diagram is B2, a branchless simply-laced chain is A_n."""
     n = len(nodes)
     if n == 1:
         return ("A", 1)
-    entry = {(a, b): pair(a, b) for a in nodes for b in nodes}
+    entry = {(a, b): cartan[a][b] for a in nodes for b in nodes}
     bonds = {}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
@@ -194,8 +196,8 @@ class ComponentOrbit:
         return base
 
 
-def component_orbits(group, support, perm):
-    comps = connected_components(group.node_pair, support)
+def component_orbits(cartan, support, perm):
+    comps = connected_components(cartan, support)
     comp_of = {x: c for c in comps for x in c}
     out = []
     for orbit in orbits(sorted(comps, key=_NODE_ORDER),
@@ -208,7 +210,7 @@ def component_orbits(group, support, perm):
         twist = lcm(*(len(cyc) for cyc in _perm_orbits(ret, c)))
         if twist > 6:
             raise InvariantError("return map order out of range")
-        fam, rank = classify_component(group.node_pair, c)
+        fam, rank = classify_component(cartan, c)
         out.append(ComponentOrbit(fam, rank, twist, d, tuple(orbit)))
     out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size,
                              _NODE_ORDER(co.components)))
@@ -258,7 +260,7 @@ def torus_factor(group, support, perm):
     leaves prod (q^|O| - 1) / (q - 1) over the node orbits O outside it."""
     if sorted(perm[x] for x in support) != sorted(support):
         raise InvariantError(f"support {support} splits a Frobenius orbit")
-    rest = [x for x in group.affine_nodes() if x not in support]
+    rest = [x for x in range(group.rank + 1) if x not in support]
     out = CyclotomicProduct(1) / CyclotomicProduct.t_power_minus_one(2)
     for orb in _perm_orbits(perm, rest):
         out = out * CyclotomicProduct.t_power_minus_one(2 * len(orb))
@@ -337,21 +339,19 @@ class ParahoricClass:
 def maximal_supports(group, form):
     """All maximal F_omega-stable proper subsets of the affine nodes: the
     complements of single node orbits."""
-    perm = f_omega_perm(group, form)
-    nodes = group.affine_nodes()
+    nodes = range(group.rank + 1)
     return [tuple(sorted((set(nodes) - set(orb)), key=_NODE_ORDER))
-            for orb in _perm_orbits(perm, nodes)]
+            for orb in _perm_orbits(form.frobenius, nodes)]
 
 
 def parahoric_classes(group, form):
-    perm = f_omega_perm(group, form)
     supports = maximal_supports(group, form)
-    theta_fixed_ad = sorted(group.omega_ad_theta_fixed())
-    theta_fixed_G = group.omega_theta_fixed()
+    theta_fixed_ad = sorted(group.omega_ad_theta)
+    theta_fixed_G = group.omega_G_theta
+    action = group.rs.omega_action
 
     def act_on_support(w, J):
-        return tuple(sorted((group.omega_act_node(w, x) for x in J),
-                            key=_NODE_ORDER))
+        return tuple(sorted((action[w][x] for x in J), key=_NODE_ORDER))
 
     classes = []
     seen = set()
@@ -371,7 +371,8 @@ def parahoric_classes(group, form):
             raise InvariantError(
                 f"G-orbit of the support {rep} does not divide its adjoint "
                 f"orbit of {len(orbit)}")
-        orbits = component_orbits(group, rep, perm)
+        orbits = component_orbits(group.rs.affine_cartan, rep,
+                                  form.frobenius)
         # rank plus the roots of the components, from the Weyl degrees: a
         # degree d adds d - 1 positive roots
         dim = group.rank + sum(
@@ -537,5 +538,5 @@ def formal_degree(group, form, host, cls):
     the class degree is unknown."""
     if cls.degree is None:
         return None
-    vol = parahoric_volume(group, host, f_omega_perm(group, form))
+    vol = parahoric_volume(group, host, form.frobenius)
     return cls.degree / (CyclotomicProduct(len(host.stabilizer_G)) * vol)

@@ -13,7 +13,10 @@ factor.
 An isogeny is named by its subgroup Omega_G of the adjoint fundamental
 group, with the Frobenius acting on it: X_*/Q^vee is Omega_G, so nothing
 here builds the cocharacter lattice X_* itself.  RootSystem.isogenies is
-the one table of them, from canonical token to Omega_G.
+the one table of them, from canonical token to Omega_G.  A SimpleGroup
+holds only what the Frobenius twist and the isogeny add to its root
+system; everything else, Omega_ad with its node action and the affine
+Cartan matrix among it, is read from the group's RootSystem, group.rs.
 
 Group specs are written TYPE:ISOGENY:TWIST, for example 2A5:adjoint:w1.
 """
@@ -302,10 +305,11 @@ class RootSystem:
         self.isogenies = table
 
     def aut_on_omega(self, perm):
-        """A finite-diagram automorphism (a permutation of 1..rank) acting
-        on Omega, as a dict: extended to the affine diagram by fixing node
-        0, it conjugates the node permutation of x into that of the image
-        of x, and Omega acts faithfully on the nodes."""
+        """A finite-diagram automorphism (a permutation of 1..rank, or of
+        0..rank fixing 0) acting on Omega, as a dict: extended to the affine
+        diagram by fixing node 0, it conjugates the node permutation of x
+        into that of the image of x, and Omega acts faithfully on the
+        nodes."""
         p = {0: 0, **perm}
         inv = {v: k for k, v in p.items()}
         return {x: self._omega_by_action[tuple(p[act[inv[i]]]
@@ -390,36 +394,31 @@ class SimpleGroup:
     """Unramified almost-simple group datum: simple type, Frobenius diagram
     action, and isogeny.  The isogeny is named by Omega_G, its subgroup of
     the adjoint fundamental group Omega_ad; as X_*/Q^vee is Omega_G,
-    Frobenius-equivariantly, building a group takes no lattice arithmetic."""
+    Frobenius-equivariantly, building a group takes no lattice arithmetic.
+
+    The group holds only what the twist and the isogeny add to its root
+    system, each set once here: theta, the Frobenius on the affine nodes
+    0..rank (theta[0] = 0); theta_omega, theta on Omega_ad; omega_G; and
+    the fixed points omega_ad_theta and omega_G_theta.  Root-system data,
+    Omega_ad itself, its node action and the affine Cartan matrix, is read
+    from rs."""
 
     def __init__(self, family, rank, twist_order=1, isogeny="adjoint"):
         self.family = family
         self.rank = rank
         self.twist_order = twist_order
         self.rs = root_system(family, rank)
-        self.theta_finite = standard_frobenius_perm(family, rank, twist_order)
-        self.theta_affine = dict(self.theta_finite)
-        self.theta_affine[0] = 0
+        self.theta = {0: 0, **standard_frobenius_perm(family, rank,
+                                                      twist_order)}
         self.isogeny = self._normalize_isogeny(isogeny)
-        self._theta_omega = self.rs.aut_on_omega(self.theta_finite)
+        self.theta_omega = self.rs.aut_on_omega(self.theta)
         self.omega_G = self.rs.isogenies[self.isogeny]
-        if not self._theta_stable_subgroup(self.omega_G):
+        if any(self.theta_omega[x] not in self.omega_G for x in self.omega_G):
             raise ValueError(
                 f"isogeny {isogeny!r} is not stable under the Frobenius action")
-        self._omega_ad_theta = frozenset(
-            x for x, y in self._theta_omega.items() if x == y)
-        self._omega_G_theta = self._omega_ad_theta & self.omega_G
-
-    # -- affine diagram nodes ---------------------------------------------------
-
-    def affine_nodes(self):
-        return tuple(range(self.rank + 1))
-
-    def finite_nodes(self):
-        return tuple(range(1, self.rank + 1))
-
-    def node_pair(self, a, b):
-        return self.rs.affine_cartan[a][b]
+        self.omega_ad_theta = frozenset(
+            x for x, y in self.theta_omega.items() if x == y)
+        self.omega_G_theta = self.omega_ad_theta & self.omega_G
 
     # -- naming ---------------------------------------------------------------
 
@@ -451,51 +450,18 @@ class SimpleGroup:
             return "adjoint"
         raise ValueError(f"unknown isogeny {token!r} for type {fam}{rank}")
 
-    # -- omega bookkeeping ----------------------------------------------------
-
-    def omega_elements(self):
-        return sorted(self.rs.omega.elements())
-
-    def omega_add(self, x, y):
-        return self.rs.omega.add(x, y)
-
-    def omega_identity(self):
-        return self.rs.omega.identity()
-
-    def omega_act_node(self, w, node):
-        return self.rs.omega_action[w][node]
-
-    def theta_node(self, node):
-        return self.theta_affine[node]
-
-    def theta_on_omega(self, w):
-        """Frobenius action on the adjoint fundamental group."""
-        return self._theta_omega[w]
-
-    def _theta_stable_subgroup(self, subset):
-        return all(self.theta_on_omega(x) in subset for x in subset)
-
     # -- Kottwitz-style data ----------------------------------------------------
 
-    def omega_theta_fixed(self):
-        """Omega_G^theta as a set of adjoint-omega elements."""
-        return self._omega_G_theta
-
-    def omega_ad_theta_fixed(self):
-        return self._omega_ad_theta
-
     def kottwitz_data(self):
-        """Orders-level summary: invariants, coinvariants, their duals, and
-        the inner-twist classes of the adjoint group."""
+        """Orders-level summary: the invariants, the coinvariants, and the
+        inner-twist classes of the adjoint group."""
         rs = self.rs
-        fixed = rs.quotient_invariants(self.omega_theta_fixed(),
-                                       [rs.omega.identity()])
         # X_*/Q^vee is Omega_G, so its coinvariants are Omega_G/(theta - 1)
         return {
-            "omega_theta": fixed,
+            "omega_theta": rs.quotient_invariants(self.omega_G_theta,
+                                                  [rs.omega.identity()]),
             "omega_coinv": rs.quotient_invariants(
                 self.omega_G, self._theta_moved(self.omega_G)),
-            "omega_theta_dual": fixed,
             "omega_ad_coinv": self.adjoint_coinvariant_classes(),
         }
 
@@ -503,13 +469,13 @@ class SimpleGroup:
         """The subgroup of Omega_ad generated by theta(x) - x, x in subset."""
         omega = self.rs.omega
         return omega.subgroup_generated(
-            [omega.add(self.theta_on_omega(x), omega.neg(x)) for x in subset])
+            [omega.add(self.theta_omega[x], omega.neg(x)) for x in subset])
 
     def adjoint_coinvariant_classes(self):
         """Partition of the adjoint fundamental group into twisting classes
         (cosets of the augmentation subgroup (theta - 1)Omega_ad)."""
         omega = self.rs.omega
-        elems = self.omega_elements()
+        elems = omega.elements()
         moved = self._theta_moved(elems)
         return [frozenset(cls) for cls in orbits(
             elems, lambda x: [omega.add(x, b) for b in moved])]
@@ -543,8 +509,7 @@ def diagram_automorphisms(group):
     stabilize the isogeny subgroup (only those can act on the group)."""
     out = []
     for p in group.rs.finite_diagram_autos():
-        commutes = all(p[group.theta_finite[i]] == group.theta_finite[p[i]]
-                       for i in p)
+        commutes = all(p[group.theta[i]] == group.theta[p[i]] for i in p)
         act = group.rs.aut_on_omega(p)
         stab = all(act[x] in group.omega_G for x in group.omega_G)
         out.append(DiagramAut(tuple(sorted(p.items())), commutes, stab))

@@ -82,7 +82,7 @@ class TestCountingIdentities:
     def test_packet_count_identity(self):
         # a = |N meet Omega^theta| against a' = g' * |stabilizer|, b' = class size
         for G, form, host, row, cls in iter_rows():
-            omega_theta = frozenset(G.omega_ad_theta_fixed())
+            omega_theta = G.omega_ad_theta
             N = resolve_named_subgroup(G, row.n_name)
             a = len(N & omega_theta)
             a_prime = host.g_prime * len(host.stabilizer_ad)
@@ -123,6 +123,8 @@ class TestReachability:
             "E6.triality": 4,
             "E7.fusedE6": 2,
         }
+        # every parametric rule is reached somewhere in the catalogue
+        assert set(_CLASSICAL_RULES) <= set(census)
 
 
 def _rows_of(fam, rank, tw, token):

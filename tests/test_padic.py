@@ -22,7 +22,6 @@ from supercusp.padic import (
     cuspidal_data,
     det_qw_minus_one,
     enumerate_inner_forms,
-    f_omega_perm,
     finite_semisimple_order,
     formal_degree,
     inner_forms_by_token,
@@ -79,6 +78,19 @@ class TestInnerForms:
         g = build_group("A2", "adjoint")
         assert len(inner_forms_by_token(g, "*")) == 3
 
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_frobenius_is_a_diagram_automorphism(self, key):
+        # F_omega permutes the affine nodes and keeps the affine Cartan
+        # matrix and the marks, as torus_factor assumes
+        for g in _isogenies(*key):
+            A, marks, nodes = g.rs.affine_cartan, g.rs.marks, range(g.rank + 1)
+            for form in enumerate_inner_forms(g):
+                F, where = form.frobenius, g.spec_string(form.token)
+                assert sorted(F) == list(nodes), where
+                assert all(marks[F[i]] == marks[i] for i in nodes), where
+                assert all(A[F[i]][F[j]] == A[i][j]
+                           for i in nodes for j in nodes), where
+
 
 class TestOrders:
     def test_untwisted(self):
@@ -123,7 +135,7 @@ def frobenius_matrix(group, perm):
     of finite simple roots; the affine node 0 is minus the highest root."""
     n = group.rank
     W = [[0] * n for _ in range(n)]
-    for j in group.finite_nodes():
+    for j in range(1, group.rank + 1):
         image = perm[j]
         if image == 0:
             for i, c in enumerate(group.rs.hr_coeffs):
@@ -170,7 +182,7 @@ class TestTorusFactor:
         for g in groups_up_to_rank(8):
             for form in enumerate_inner_forms(g):
                 forms += 1
-                perm = f_omega_perm(g, form)
+                perm = form.frobenius
                 W = frobenius_matrix(g, perm)
                 key = tuple(map(tuple, W))
                 full = det_qw_minus_one(W).to_ratfunc()
@@ -190,7 +202,7 @@ class TestTorusFactor:
         g = build_group("A2", "adjoint")
         form = inner_forms_by_token(g, "w1")[0]
         with pytest.raises(InvariantError):
-            torus_factor(g, (1,), f_omega_perm(g, form))
+            torus_factor(g, (1,), form.frobenius)
 
     def test_infinite_order_rejected(self):
         with pytest.raises(ValueError):
@@ -213,7 +225,7 @@ class TestVolumes:
         qs = inner_forms_by_token(g, "1")[0]
         (host,) = parahoric_classes(g, qs)
         assert (1,) in host.associates
-        vol = parahoric_volume(g, host, f_omega_perm(g, qs)).to_ratfunc()
+        vol = parahoric_volume(g, host, qs.frobenius).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * Q * (Q ** 2 - 1)
 
     def test_split_torus(self):
@@ -225,14 +237,14 @@ class TestVolumes:
             support=(), associates=((),), stabilizer_ad=frozenset(),
             stabilizer_G=frozenset(), g_prime=1, orbits=(), torus_rank=3,
             dim=3)
-        vol = parahoric_volume(g, iwahori, f_omega_perm(g, qs)).to_ratfunc()
+        vol = parahoric_volume(g, iwahori, qs.frobenius).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * (Q - 1) ** 3
 
     def test_positive(self):
         for spec, tok in [("A4", "an"), ("2A5", "1"), ("B3", "w1"), ("E6", "w1")]:
             g = build_group(spec, "adjoint")
             form = inner_forms_by_token(g, tok)[0]
-            perm = f_omega_perm(g, form)
+            perm = form.frobenius
             for pc in parahoric_classes(g, form):
                 vol = parahoric_volume(g, pc, perm).to_ratfunc()
                 assert vol.eval_q(4) > 0 and vol.eval_q(9) > 0
@@ -371,7 +383,7 @@ class TestSupportPatterns:
 
 
 def _act_on_support(group, w, support):
-    return tuple(sorted((group.omega_act_node(w, x) for x in support),
+    return tuple(sorted((group.rs.omega_action[w][x] for x in support),
                         key=str))
 
 
@@ -383,7 +395,7 @@ class TestGPrimeOracle:
     @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
     def test_g_prime_from_explicit_g_orbits(self, key):
         for g in _isogenies(*key):
-            fixed_G = g.omega_theta_fixed()
+            fixed_G = g.omega_G_theta
             for form in enumerate_inner_forms(g):
                 for pc in parahoric_classes(g, form):
                     rep = pc.support
@@ -399,14 +411,14 @@ class TestClassification:
     def test_component_rules(self):
         g = build_group("B6", "adjoint")
         # nodes 0,1 fork at 2 in affine type B
-        assert classify_component(g.node_pair, (0, 1, 2, 3)) == ("D", 4)
-        assert classify_component(g.node_pair, (0, 2, 3)) == ("A", 3)
-        assert classify_component(g.node_pair, (3, 4, 5, 6)) == ("B", 4)
+        assert classify_component(g.rs.affine_cartan, (0, 1, 2, 3)) == ("D", 4)
+        assert classify_component(g.rs.affine_cartan, (0, 2, 3)) == ("A", 3)
+        assert classify_component(g.rs.affine_cartan, (3, 4, 5, 6)) == ("B", 4)
 
     def test_c_vs_b_leaf(self):
         g = build_group("C4", "adjoint")
-        assert classify_component(g.node_pair, (0, 1, 2)) == ("C", 3)
-        assert classify_component(g.node_pair, (2, 3, 4)) == ("C", 3)
+        assert classify_component(g.rs.affine_cartan, (0, 1, 2)) == ("C", 3)
+        assert classify_component(g.rs.affine_cartan, (2, 3, 4)) == ("C", 3)
 
     def test_cuspidal_existence_rules(self):
         assert component_cuspidal_classes("A", 4, 1) == []

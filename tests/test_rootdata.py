@@ -218,7 +218,7 @@ def _cocharacter_quotient(g):
             for col in coroots]
     P_theta = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
-        P_theta[g.theta_finite[i] - 1][i - 1] = 1
+        P_theta[g.theta[i] - 1][i - 1] = 1
     # theta in the lattice basis, B^-1 * P_theta * B, column by column
     PB = mat_mul(P_theta, B)
     theta_cols = [in_basis([PB[i][j] for i in range(n)],
@@ -265,13 +265,13 @@ class TestLatticeOracle:
         for g in _isogenies(*key):
             for p in g.rs.finite_diagram_autos():
                 act, lifted = g.rs.aut_on_omega(p), _coweight_action(g, p)
-                assert all(act[x] == lifted(x) for x in g.omega_elements())
-            lifted = _coweight_action(g, g.theta_finite)
-            for x in g.omega_elements():
-                assert g.theta_on_omega(x) == lifted(x)
+                assert all(act[x] == lifted(x) for x in g.rs.omega.elements())
+            lifted = _coweight_action(g, g.theta)
+            for x in g.rs.omega.elements():
+                assert g.theta_omega[x] == lifted(x)
                 y = x
                 for _ in range(g.twist_order):
-                    y = g.theta_on_omega(y)
+                    y = g.theta_omega[y]
                 assert y == x
 
     def test_group_build_runs_no_smith_form(self, monkeypatch):
@@ -308,7 +308,7 @@ class TestFundamentalGroup:
     @pytest.mark.parametrize("ts", sorted(FUNDAMENTAL_ORDERS))
     def test_order(self, ts):
         g = build_group(ts, "adjoint")
-        assert len(g.omega_elements()) == FUNDAMENTAL_ORDERS[ts]
+        assert len(g.rs.omega.elements()) == FUNDAMENTAL_ORDERS[ts]
 
     def test_d_even_vs_odd(self):
         even = build_group("D6", "adjoint")
@@ -323,7 +323,7 @@ class TestFundamentalGroup:
     @pytest.mark.parametrize("ts", sorted(THETA_FIXED))
     def test_theta_fixed_sizes(self, ts):
         g = build_group(ts, "adjoint")
-        assert len(g.omega_ad_theta_fixed()) == self.THETA_FIXED[ts]
+        assert len(g.omega_ad_theta) == self.THETA_FIXED[ts]
 
     def test_theta_fixed_is_the_definition(self):
         # the sets kept by the group against theta on Omega, element by
@@ -340,10 +340,10 @@ class TestFundamentalGroup:
                     g = SimpleGroup(fam, rank, tw, iso)
                 except ValueError:
                     continue
-                assert g.omega_ad_theta_fixed() == frozenset(
-                    x for x in g.omega_elements() if g.theta_on_omega(x) == x)
-                assert g.omega_theta_fixed() == frozenset(
-                    x for x in g.omega_G if g.theta_on_omega(x) == x)
+                assert g.omega_ad_theta == frozenset(
+                    x for x in g.rs.omega.elements() if g.theta_omega[x] == x)
+                assert g.omega_G_theta == frozenset(
+                    x for x in g.omega_G if g.theta_omega[x] == x)
                 checked += 1
         assert checked > 100
 
@@ -477,8 +477,7 @@ class TestParsing:
     def test_kottwitz_data_shape(self):
         g = build_group("2A5", "sc")
         data = g.kottwitz_data()
-        assert set(data) == {"omega_theta", "omega_coinv",
-                             "omega_theta_dual", "omega_ad_coinv"}
+        assert set(data) == {"omega_theta", "omega_coinv", "omega_ad_coinv"}
         # PU_6 versus SU_6: two adjoint twisting classes either way
         assert len(data["omega_ad_coinv"]) == 2
 
@@ -491,23 +490,23 @@ class TestOmegaAction:
         node, seen = 0, set()
         for _ in range(5):
             seen.add(node)
-            node = g.omega_act_node(w, node)
+            node = g.rs.omega_action[w][node]
         assert node == 0 and len(seen) == 5
 
     def test_e7_action_is_flip(self):
         g = build_group("E7", "adjoint")
-        w = [x for x in g.omega_elements() if x != g.omega_identity()][0]
-        perm = {n: g.omega_act_node(w, n) for n in g.affine_nodes()}
+        w = [x for x in g.rs.omega.elements() if x != g.rs.omega.identity()][0]
+        perm = g.rs.omega_action[w]
         assert perm[0] == 7 and perm[7] == 0
         assert perm[2] == 2 and perm[4] == 4
 
     def test_faithful(self):
         for ts in ["A5", "D4", "D5", "E6"]:
             g = build_group(ts, "adjoint")
-            ident = {n: n for n in g.affine_nodes()}
-            fixing = [w for w in g.omega_elements()
-                      if {n: g.omega_act_node(w, n) for n in g.affine_nodes()} == ident]
-            assert fixing == [g.omega_identity()]
+            ident = tuple(range(g.rank + 1))
+            fixing = [w for w in g.rs.omega.elements()
+                      if g.rs.omega_action[w] == ident]
+            assert fixing == [g.rs.omega.identity()]
 
 
 def _order_statistics(orders):
@@ -538,12 +537,12 @@ class TestOmegaInvariants:
         invariant factors, so two generators reach every subgroup."""
         g = SimpleGroup(*key)
         omega = g.rs.omega
-        elems = g.omega_elements()
+        elems = g.rs.omega.elements()
         subgroups = {omega.subgroup_generated([x, y])
                      for x in elems for y in elems}
         for H in subgroups:
             assert omega.subgroup_structure(sorted(H)) == \
-                g.rs.quotient_invariants(H, {g.omega_identity()})
+                g.rs.quotient_invariants(H, {g.rs.omega.identity()})
             for K in subgroups:
                 if not K <= H:
                     continue
