@@ -282,7 +282,7 @@ def _classify_classical(group, host):
 # ---------------------------------------------------------------------------
 
 
-def rows_for_host(group, form, host, classes):
+def rows_for_host(group, host, classes):
     """Case entries aligned positionally with the equal-degree classes."""
     rows = _EXCEPTIONAL_ROWS.get((group.type_string(),
                                   host.quotient_description()))

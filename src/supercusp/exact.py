@@ -14,7 +14,10 @@ Two kinds of values underlie everything else in the package:
   constant's numerator and denominator;
 - finite abelian groups in invariant-factor form: the fundamental groups.
   The Frobenius acts on them through rootdata's node-conjugation tables,
-  so a group here carries no endomorphism.
+  so a group here carries no endomorphism.  smith_normal_form is the one
+  integer elimination in the package: group_from_presentation runs it once
+  per root system to present Omega, and every later subgroup and quotient
+  of Omega is an element set and a count.
 
 Every closure in the package, from the roots and subgroups to the diagram
 components and the node orbits, is one call to orbits(items, moves).
@@ -634,7 +637,7 @@ class CyclotomicProduct:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: Smith normal form and kernels
+# integer matrices: Smith normal form
 # ---------------------------------------------------------------------------
 
 
@@ -741,63 +744,6 @@ def smith_normal_form(A):
     return U, A, V
 
 
-def mat_mul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-            for i in range(len(A))]
-
-
-def mat_identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def integer_kernel(A):
-    """Basis (list of columns) of the integer kernel of A."""
-    m = len(A)
-    if m == 0:
-        raise ValueError("a matrix with no rows has no column count")
-    n = len(A[0])
-    U, D, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    basis = []
-    for j in range(rank, n):
-        basis.append([V[i][j] for i in range(n)])
-    return basis
-
-
-def det_adjugate(M):
-    """(det M, adj M) of a nonsingular square integer matrix, so that
-    M * adj M = adj M * M = det M * I.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every
-    division is exact, and the row operations T end with T * M = d * I, so
-    T = d * M^-1, where d is det M up to the sign of the row swaps."""
-    n = len(M)
-    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        p = A[k][k]
-        for i in range(n):
-            if i != k:
-                f = A[i][k]
-                A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], A[k])]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in A]
-
-
-def integer_inverse(U):
-    """Inverse of a unimodular integer matrix."""
-    det, adj = det_adjugate(U)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [[det * x for x in row] for row in adj]
-
-
 # ---------------------------------------------------------------------------
 # orbits of a move relation
 # ---------------------------------------------------------------------------
@@ -875,47 +821,23 @@ class FiniteAbelianGroup:
         return frozenset(orbits([self.identity()],
                                 lambda x: [self.add(x, g) for g in gens])[0])
 
-    def quotient_presentation(self, gens):
-        """G / <gens> presented over the generators of G."""
-        k = len(self.orders)
-        rels = [[d * (i == j) for j in range(k)]
-                for i, d in enumerate(self.orders)]
-        return group_from_presentation(k, rels + [list(g) for g in gens])
-
-    def subgroup_structure(self, gens):
-        """Invariant factors of the subgroup generated by gens."""
-        gens = [list(g) for g in gens]
-        if not gens or not self.orders:
-            return ()
-        k = len(self.orders)
-        r = len(gens)
-        # kernel of Z^r -> G
-        A = [[gens[j][i] for j in range(r)] + [self.orders[i] if c == i else 0
-             for c in range(k)] for i in range(k)]
-        ker = integer_kernel(A)
-        rel_cols = [[v[j] for j in range(r)] for v in ker]
-        return group_from_presentation(r, rel_cols).group.orders
-
 
 @dataclass
 class Presentation:
-    """A finite abelian quotient of Z^n together with the projection and a
-    section picking an integer-vector representative for each element."""
+    """A finite abelian quotient of Z^n together with the projection."""
 
     group: FiniteAbelianGroup
     project: object  # vector -> element tuple
-    lift: object     # element tuple -> vector
 
 
 def group_from_presentation(n_gens, relations):
     """Finite abelian group Z^n / <relations (as vectors)>."""
     C = [[rel[i] for rel in relations] for i in range(n_gens)] if relations else \
         [[0] for _ in range(n_gens)]
-    U, D, V = smith_normal_form(C)
+    U, D, _ = smith_normal_form(C)
     diag = [D[i][i] if i < len(D[0]) else 0 for i in range(n_gens)]
     if any(d == 0 for d in diag):
         raise ValueError("presented group is not finite")
-    Uinv = integer_inverse(U)
     keep = [i for i in range(n_gens) if diag[i] > 1]
     grp = FiniteAbelianGroup(tuple(diag[i] for i in keep))
 
@@ -923,10 +845,4 @@ def group_from_presentation(n_gens, relations):
         y = [sum(U[i][j] * vec[j] for j in range(n_gens)) for i in range(n_gens)]
         return tuple(y[i] % diag[i] for i in keep)
 
-    def lift(elem):
-        y = [0] * n_gens
-        for pos, i in enumerate(keep):
-            y[i] = elem[pos]
-        return [sum(Uinv[i][j] * y[j] for j in range(n_gens)) for i in range(n_gens)]
-
-    return Presentation(grp, project, lift)
+    return Presentation(grp, project)

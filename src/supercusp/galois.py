@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from supercusp.casetable import rows_for_host
 from supercusp.exact import (CyclotomicProduct, InvariantError,
@@ -177,17 +177,19 @@ class WDLocalFactors:
         return CyclotomicProduct(1) / inv
 
     def eps_at(self, s):
-        # the unit is exp(2 pi i turns): each string adds its eigenvalue's
-        # angle times (h + 1) ord_psi + h, and half a turn when h is odd
+        # the unit is exp(2 pi i turns / L): each string adds its
+        # eigenvalue's angle times (h + 1) ord_psi + h, and half a turn when
+        # h is odd, all counted over the common denominator L
         two_s = _two_s(s)
-        turns = Fraction(0)
+        L = lcm(2, *(w.order for w in self.strings))
+        turns = 0
         exp = self.ord_psi * self.dim()
         for w in self.strings:
-            turns += Fraction(w.residue * ((w.h + 1) * self.ord_psi + w.h),
-                              w.order) + Fraction(w.h % 2, 2)
+            turns += (w.residue * ((w.h + 1) * self.ord_psi + w.h)
+                      * (L // w.order) + w.h % 2 * (L // 2))
             exp += -two_s * (w.h + 1) * self.ord_psi + w.h * (1 - two_s)
-        turns %= 1
-        if turns not in (0, Fraction(1, 2)):
+        turns %= L
+        if turns not in (0, L // 2):
             raise ValueError("epsilon unit is irrational")
         return CyclotomicProduct(1 if turns == 0 else -1, exp)
 
@@ -361,12 +363,6 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
     return tuple(sorted(strings, key=lambda w: (w.h, w.order, w.residue)))
 
 
-def regular_linear_strings(n):
-    """Adjoint strings of the fully anisotropic linear case: one string of
-    each highest weight 2, 4, ..., 2(n-1), trivial eigenvalue."""
-    return inner_torsion_strings("A", n - 1, 0)
-
-
 # ---------------------------------------------------------------------------
 # unramified parameters
 # ---------------------------------------------------------------------------
@@ -445,7 +441,7 @@ def kac_rows(group, form):
     parahoric side and the dual-side reading."""
     out = []
     for host, datum in supports_with_cuspidals(group, form):
-        rows = rows_for_host(group, form, host, datum.classes)
+        rows = rows_for_host(group, host, datum.classes)
         for cls, row in zip(datum.classes, rows):
             out.append((host, cls, row, _build_param(group, cls, row)))
     return out

@@ -6,9 +6,12 @@ affine nodes, and the maximal stable supports are exactly the complements of
 single node orbits.  That permutation, F_omega = omega o theta for the
 form's representative omega, is computed once per form and kept on it
 (InnerForm.frobenius); every support, torus and volume below reads it
-there.  Orders of the finite reductive quotients, volumes, and formal
-degrees are all cyclotomic products c * t^k * prod Phi_n(t)^(e_n) in
-t = q^(1/2) (exact.CyclotomicProduct): a semisimple factor is a product of
+there.  Omega is presented once, in rootdata; the coinvariant classes,
+fixed points and support stabilizers here are element sets of it, and
+their orders are counts, with no integer elimination.  Orders of the
+finite reductive quotients, volumes, and formal degrees are all cyclotomic
+products c * t^k * prod Phi_n(t)^(e_n) in t = q^(1/2)
+(exact.CyclotomicProduct): a semisimple factor is a product of
 Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
 read off the Frobenius orbits of the affine nodes outside the support.
 """
@@ -20,9 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from supercusp.exact import (CyclotomicProduct, InvariantError, euler_phi,
-                             integer_kernel, mat_identity, mat_mul, mobius,
-                             orbits)
+from supercusp.exact import CyclotomicProduct, InvariantError, orbits
 from supercusp.rootdata import weyl_degrees
 
 # Nodes, supports and components sort by their strings, so B10 lists
@@ -220,35 +221,6 @@ def component_orbits(cartan, support, perm):
 # ---------------------------------------------------------------------------
 # order polynomials
 # ---------------------------------------------------------------------------
-
-
-def det_qw_minus_one(W):
-    """|det(q*W - 1)| of an integer matrix W of finite order.
-
-    W has characteristic polynomial prod Phi_m^(a_m), so the value is
-    prod Phi_m(q)^(a_m).  a_m * phi(m) counts the eigenvalues of order m,
-    and Moebius inversion reads it off the fixed spaces:
-    dim Fix(W^d) = sum over m | d of a_m * phi(m).  Those counts fall short
-    of n exactly when W does not have finite order: ValueError."""
-    n = len(W)
-    if n == 0:
-        return CyclotomicProduct(1)
-    # phi(m) >= sqrt(m / 2), so an eigenvalue order m has m <= 2 n^2
-    orders = [m for m in range(1, 2 * n * n + 1) if euler_phi(m) <= n]
-    fixed, power = [], mat_identity(n)
-    for _ in range(orders[-1]):
-        power = mat_mul(power, W)
-        fixed.append(len(integer_kernel(
-            [[x - (i == j) for j, x in enumerate(row)]
-             for i, row in enumerate(power)])))
-    counts = {m: sum(mobius(m // d) * fixed[d - 1]
-                     for d in range(1, m + 1) if m % d == 0)
-              for m in orders}
-    if sum(counts.values()) != n:
-        raise ValueError("matrix does not have finite order")
-    return CyclotomicProduct(
-        1, 0, tuple((m, c // euler_phi(m)) for m, c in counts.items())
-    ).subst_t_power(2)
 
 
 def torus_factor(group, support, perm):
@@ -480,7 +452,7 @@ class CuspidalUnipotentDatum:
     classes: tuple
 
 
-def cuspidal_data(group, form, host):
+def cuspidal_data(host):
     """Cuspidal unipotent classes of the host's finite quotient, or None if
     the support carries none."""
     per_orbit = []
@@ -520,7 +492,7 @@ def supports_with_cuspidals(group, form):
     """The case rows on the p-adic side: (support class, cuspidal datum)."""
     out = []
     for host in parahoric_classes(group, form):
-        datum = cuspidal_data(group, form, host)
+        datum = cuspidal_data(host)
         if datum is not None:
             out.append((host, datum))
     return out

@@ -6,9 +6,12 @@ Cartan matrix.  Everything downstream is integral: the roots are built by
 reflection in simple-root coordinates, the highest root is the root of
 largest height, and the affine diagram with its marks, the finite abelian
 group P_cowt/Q_corootlat and its diagram action all follow from the Cartan
-matrix and the lengths rather than being transcribed.  Node numbering
-follows Bourbaki, and the extending affine node is index 0 in every simple
-factor.
+matrix and the lengths rather than being transcribed.  Omega is presented
+once, by the Smith form of the Cartan matrix, which also gives
+coweight_class its coordinates; after that every subgroup of Omega is an
+element set, and RootSystem.quotient_invariants reads a subquotient from
+its order and exponent, by counting.  Node numbering follows Bourbaki,
+and the extending affine node is index 0 in every simple factor.
 
 An isogeny is named by its subgroup Omega_G of the adjoint fundamental
 group, with the Frobenius acting on it: X_*/Q^vee is Omega_G, so nothing
@@ -26,10 +29,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
-from supercusp.exact import (InvariantError, det_adjugate,
-                             group_from_presentation, orbits)
+from supercusp.exact import InvariantError, group_from_presentation, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,6 @@ class RootSystem:
         self.affine_cartan = self._affine_cartan()
         self._build_omega()
         self._build_isogenies()
-        self._quotients = {}
 
     # -- root combinatorics --------------------------------------------------
 
@@ -196,13 +198,14 @@ class RootSystem:
         relations = [[self.cartan[i][j] for i in range(n)] for j in range(n)]
         self.omega_pres = group_from_presentation(n, relations)
         self.omega = self.omega_pres.group
-        # the determinant comes from a second elimination, independent of
-        # the Smith form behind the presentation
-        det, _ = det_adjugate(self.cartan)
-        if self.omega.order() != abs(det):
+        # Omega acts simply transitively on the special nodes, those of
+        # mark 1, and the marks come from the highest root, not from the
+        # Smith form behind the presentation
+        special = self.marks.count(1)
+        if self.omega.order() != special:
             raise InvariantError(
                 f"fundamental group of order {self.omega.order()} against "
-                f"Cartan determinant {det}")
+                f"{special} special nodes")
         self._build_omega_action()
 
     def coweight_class(self, j):
@@ -317,15 +320,25 @@ class RootSystem:
                 for x, act in self.omega_action.items()}
 
     def quotient_invariants(self, big, small):
-        """Invariant factors of big/(big cap small) for subgroups of Omega,
-        from the image of big in the presented quotient Omega/<small>.
-        Memoized: the results are tuples, and a report asks for few pairs."""
-        key = (frozenset(big), frozenset(small))
-        if key not in self._quotients:
-            pres = self.omega.quotient_presentation(sorted(key[1]))
-            self._quotients[key] = pres.group.subgroup_structure(
-                [pres.project(list(x)) for x in key[0]])
-        return self._quotients[key]
+        """Invariant factors of big/(big cap small) for subgroups big and
+        small of Omega, by counting.  Omega has at most two invariant
+        factors, so the quotient is Z/(N/e) x Z/e: N is its order and e its
+        exponent, the lcm of the orders of big's elements modulo small.
+        Factors 1 are dropped."""
+        add = self.omega.add
+
+        def order_mod_small(x):
+            m, y = 1, x
+            while y not in small:
+                y, m = add(y, x), m + 1
+            return m
+
+        N = len(big) // sum(x in small for x in big)
+        e = lcm(1, *map(order_mod_small, big))
+        if e % (N // e):
+            raise InvariantError(f"subquotient of order {N} and exponent "
+                                 f"{e} is not a product of two cyclics")
+        return tuple(d for d in (N // e, e) if d > 1)
 
     # -- finite diagram automorphisms ----------------------------------------
 

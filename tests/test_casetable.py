@@ -52,7 +52,7 @@ def iter_rows():
         G = SimpleGroup(fam, rank, tw, "adjoint")
         for form in enumerate_inner_forms(G):
             for host, datum in supports_with_cuspidals(G, form):
-                rows = rows_for_host(G, form, host, datum.classes)
+                rows = rows_for_host(G, host, datum.classes)
                 for row, cls in zip(rows, datum.classes):
                     yield G, form, host, row, cls
 
@@ -64,7 +64,7 @@ class TestCountingIdentities:
             G = SimpleGroup(fam, rank, tw, "adjoint")
             for form in enumerate_inner_forms(G):
                 for host, datum in supports_with_cuspidals(G, form):
-                    rows = rows_for_host(G, form, host, datum.classes)
+                    rows = rows_for_host(G, host, datum.classes)
                     assert len(rows) == len(datum.classes)
                     seen += len(rows)
         assert seen == 137
@@ -134,7 +134,7 @@ def _rows_of(fam, rank, tw, token):
         if form.token != token:
             continue
         for host, datum in supports_with_cuspidals(G, form):
-            rows = rows_for_host(G, form, host, datum.classes)
+            rows = rows_for_host(G, host, datum.classes)
             for row in rows:
                 out.append((host, row))
     return out

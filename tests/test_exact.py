@@ -21,13 +21,8 @@ from supercusp.exact import (
     RF_T,
     RF_ZERO,
     cyclotomic_poly,
-    det_adjugate,
     euler_phi,
     group_from_presentation,
-    integer_inverse,
-    integer_kernel,
-    mat_identity,
-    mat_mul,
     orbits,
     p_subst_pow,
     smith_normal_form,
@@ -349,6 +344,50 @@ def random_matrix(rng, m, n, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
 
 
+def mat_mul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+def mat_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def det_adjugate(M):
+    """(det M, adj M) of a nonsingular square integer matrix, so that
+    M * adj M = adj M * M = det M * I: the lattice oracle of test_rootdata
+    inverts with it, and sympy's own adjugate is far slower there.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every
+    division is exact, and the row operations T end with T * M = d * I, so
+    T = d * M^-1, where d is det M up to the sign of the row swaps."""
+    n = len(M)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p = A[k][k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], A[k])]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in A]
+
+
+def integer_inverse(U):
+    """Inverse of a unimodular integer matrix."""
+    det, adj = det_adjugate(U)
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[det * x for x in row] for row in adj]
+
+
 class TestSmith:
     @pytest.mark.parametrize("seed", range(25))
     def test_snf_matches_sympy(self, seed):
@@ -401,18 +440,18 @@ class TestSmith:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kernel(self, seed):
+        # the columns of V past the rank of D are a basis of the integer
+        # kernel of A
         rng = random.Random(100 + seed)
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         A = random_matrix(rng, m, n)
-        for v in integer_kernel(A):
-            assert all(sum(A[i][j] * v[j] for j in range(n)) == 0 for i in range(m))
-        ker_rank = len(integer_kernel(A))
-        assert ker_rank == n - sympy.Matrix(A).rank()
-
-    def test_kernel_needs_a_row(self):
-        # with no rows the number of columns, so the kernel Z^n, is unknown
-        with pytest.raises(ValueError):
-            integer_kernel([])
+        _, D, V = smith_normal_form(A)
+        rank = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
+        for j in range(rank, n):
+            assert all(sum(A[i][k] * V[k][j] for k in range(n)) == 0
+                       for i in range(m))
+        assert rank == sympy.Matrix(A).rank()
+        assert abs(sympy.Matrix(V).det()) == 1
 
 
 class TestPresentation:
@@ -421,8 +460,6 @@ class TestPresentation:
         grp, proj = pres.group, pres.project
         assert grp.orders == (5,)
         assert proj([7]) == proj([2])
-        lifted = pres.lift(proj([3]))
-        assert proj(lifted) == proj([3])
 
     def test_klein_vs_cyclic4(self):
         g1 = group_from_presentation(2, [[2, 0], [0, 2]]).group
@@ -448,12 +485,6 @@ class TestPresentation:
 # ---------------------------------------------------------------------------
 
 
-def group_strategy():
-    return st.sampled_from([
-        (), (2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 6), (5,), (2, 2, 2),
-    ]).map(FiniteAbelianGroup)
-
-
 class TestFiniteAbelianGroup:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -466,38 +497,12 @@ class TestFiniteAbelianGroup:
         assert g.order() == 1
         assert g.elements() == [()]
         assert g.subgroup_generated([()]) == frozenset([()])
-        assert g.quotient_presentation([]).group.order() == 1
 
     def test_subgroup_generated(self):
         g = FiniteAbelianGroup((2, 4))
         h = g.subgroup_generated([(0, 2)])
         assert h == frozenset({(0, 0), (0, 2)})
-        assert g.subgroup_structure([(0, 2)]) == (2,)
-        assert g.subgroup_structure([(1, 0), (0, 1)]) == (2, 4)
-
-    def test_subgroup_structure_of_trivial_group(self):
-        assert FiniteAbelianGroup(()).subgroup_structure([()]) == ()
-
-    def test_quotient_structure(self):
-        g = FiniteAbelianGroup((4,))
-        assert g.quotient_presentation([(2,)]).group.orders == (2,)
-        # Z/2 x Z/2 modulo the diagonal
-        g = FiniteAbelianGroup((2, 2))
-        assert g.quotient_presentation([(1, 1)]).group.orders == (2,)
-
-    @given(group_strategy(), st.integers(min_value=0, max_value=63))
-    @settings(max_examples=60, deadline=None)
-    def test_quotient_order_multiplicativity(self, g, pick):
-        elems = g.elements()
-        gens = [elems[pick % len(elems)], elems[(pick // 2) % len(elems)]]
-        h = g.subgroup_generated(gens)
-        pres = g.quotient_presentation(gens)
-        assert pres.group.order() * len(h) == g.order()
-        assert len(h) == FiniteAbelianGroup(
-            g.subgroup_structure(gens)).order()
-        # the projection kills exactly the subgroup
-        assert {x for x in elems
-                if pres.project(list(x)) == pres.group.identity()} == h
+        assert len(g.subgroup_generated([(1, 0), (0, 1)])) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from supercusp.galois import (WeightString, _orbit_product,
                               centralizer_components, dual_type,
                               gamma0_virtual, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
-                              local_factors, param_json,
-                              regular_linear_strings)
+                              local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
 from supercusp.rootdata import (build_group, diagram_automorphisms,
@@ -95,7 +94,7 @@ class TestTrivialCharacter:
     def test_dim_zero_gamma_is_one(self):
         empty = local_factors([])
         assert (empty.gamma_abs_at_0.to_ratfunc() - RF_ONE).is_zero()
-        plus = local_factors(regular_linear_strings(3))
+        plus = local_factors(inner_torsion_strings("A", 2, 0))
         assert (gamma0_virtual(plus, plus).to_ratfunc() - RF_ONE).is_zero()
 
 
@@ -135,16 +134,19 @@ class TestSymmetricSquareString:
 
 class TestRegularLinearStrings:
     def test_exponent_ladder(self):
-        # one string of each even weight 2..2(n-1), trivial eigenvalue
+        # the fully anisotropic linear case, cut at node 0 of A_(n-1): one
+        # string of each even weight 2..2(n-1), trivial eigenvalue
         for n in range(2, 9):
             expect = [WeightString(1, 0, 2 * d) for d in range(1, n)]
-            got = sorted(regular_linear_strings(n), key=lambda w: w.h)
+            got = sorted(inner_torsion_strings("A", n - 1, 0),
+                         key=lambda w: w.h)
             assert got == expect
 
     def test_division_gamma_magnitude(self):
         # |gamma(0)| = q^((n-1)/2) (q - 1) / (q^n - 1) at ord_psi = -1
         for n in range(2, 7):
-            fac = local_factors(regular_linear_strings(n), ord_psi=-1)
+            fac = local_factors(inner_torsion_strings("A", n - 1, 0),
+                                ord_psi=-1)
             expect = t(n - 1) * (q(1) - RF_ONE) / (q(n) - RF_ONE)
             assert (fac.gamma_abs_at_0.to_ratfunc() - expect).is_zero()
 
@@ -720,7 +722,7 @@ class TestKacPoints:
                     (host, cls, row)
                     for host, datum in supports_with_cuspidals(g, form)
                     for cls, row in zip(datum.classes, rows_for_host(
-                        g, form, host, datum.classes))]
+                        g, host, datum.classes))]
                 assert [r[:3] for r in rows] == expected
                 for host, cls, row, p in rows:
                     assert p.n_s == row.n_s

@@ -20,7 +20,6 @@ from supercusp.padic import (
     classify_component,
     component_cuspidal_classes,
     cuspidal_data,
-    det_qw_minus_one,
     enumerate_inner_forms,
     finite_semisimple_order,
     formal_degree,
@@ -122,13 +121,6 @@ class TestOrders:
             prod = prod * (Q ** d + s)
         assert got == prod
 
-    def test_det_helper(self):
-        assert det_qw_minus_one([[1]]).to_ratfunc() == Q - 1
-        assert det_qw_minus_one([[-1]]).to_ratfunc() == Q + 1
-        # rotation of order 3 on the A_2 root plane: q^2 + q + 1
-        w = [[0, -1], [1, -1]]
-        assert det_qw_minus_one(w).to_ratfunc() == Q ** 2 + Q + 1
-
 
 def frobenius_matrix(group, perm):
     """Linear part of the twisted Frobenius on the root space, in the basis
@@ -175,8 +167,8 @@ def groups_up_to_rank(top):
 class TestTorusFactor:
     def test_node_orbits_match_the_determinant(self):
         # the orbit formula against |det(qW - 1)| of the Frobenius matrix on
-        # the root space, divided by the span of the support; and that
-        # determinant against sympy
+        # the root space, from sympy's characteristic polynomial, divided by
+        # the span of the support
         dense = {}
         forms = supports = 0
         for g in groups_up_to_rank(8):
@@ -185,10 +177,9 @@ class TestTorusFactor:
                 perm = form.frobenius
                 W = frobenius_matrix(g, perm)
                 key = tuple(map(tuple, W))
-                full = det_qw_minus_one(W).to_ratfunc()
                 if key not in dense:
                     dense[key] = dense_det_qw_minus_one(W)
-                assert full == dense[key], (g.type_string(), W)
+                full = dense[key]
                 for J in maximal_supports(g, form) + [()]:
                     supports += 1
                     span = RatFunc.from_int(1)
@@ -203,10 +194,6 @@ class TestTorusFactor:
         form = inner_forms_by_token(g, "w1")[0]
         with pytest.raises(InvariantError):
             torus_factor(g, (1,), form.frobenius)
-
-    def test_infinite_order_rejected(self):
-        with pytest.raises(ValueError):
-            det_qw_minus_one([[1, 1], [0, 1]])
 
     def test_small_integer_predicates(self):
         for n in range(200):
@@ -375,10 +362,10 @@ class TestSupportPatterns:
         # per pair of classes; none occurs, and cuspidal_data refuses one
         g2 = ComponentOrbit("G", 2, 1, 1, ())
         with pytest.raises(InvariantError):
-            cuspidal_data(None, None, SimpleNamespace(orbits=(g2, g2)))
+            cuspidal_data(SimpleNamespace(orbits=(g2, g2)))
         # one exceptional factor beside a classical one multiplies out
         b2 = ComponentOrbit("B", 2, 1, 1, ())
-        datum = cuspidal_data(None, None, SimpleNamespace(orbits=(g2, b2)))
+        datum = cuspidal_data(SimpleNamespace(orbits=(g2, b2)))
         assert [c.size for c in datum.classes] == [1, 1, 2]
 
 

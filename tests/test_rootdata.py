@@ -8,20 +8,18 @@ from __future__ import annotations
 import time
 from itertools import product
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from supercusp import exact, rootdata
 from supercusp.correspond import full_report
-from supercusp.exact import (
-    det_adjugate,
-    group_from_presentation,
-    integer_inverse,
-    mat_mul,
-    smith_normal_form,
-)
+from supercusp.exact import (FiniteAbelianGroup, InvariantError,
+                             group_from_presentation, smith_normal_form)
 from supercusp.rootdata import (
     MAX_RANK,
+    RootSystem,
     SimpleGroup,
     build_group,
     diagram_automorphisms,
@@ -33,6 +31,7 @@ from supercusp.rootdata import (
     weyl_degrees,
 )
 from test_casetable import catalogue
+from test_exact import det_adjugate, integer_inverse, mat_mul
 
 
 ROOT_COUNTS = {
@@ -167,7 +166,7 @@ class TestRootSystem:
 
 def _omega_G_orders(g):
     """Invariant factors of Omega_G, the isogeny's fundamental group."""
-    return g.rs.omega.subgroup_structure(sorted(g.omega_G))
+    return g.rs.quotient_invariants(g.omega_G, {g.rs.omega.identity()})
 
 
 def _isogenies(fam, rank, tw):
@@ -194,14 +193,22 @@ def _lattice_basis(cols):
     return [[Uinv[i][j] * D[j][j] for j in range(n)] for i in range(n)]
 
 
+def _lift(g, x):
+    """x as a coweight: Omega is simply transitive on the special nodes, so
+    x is the class of the fundamental coweight of the special node that it
+    moves node 0 to, or of 0 when that node is 0."""
+    j = g.rs.omega_action[x][0]
+    return [int(i == j) for i in range(1, g.rank + 1)]
+
+
 def _cocharacter_quotient(g):
     """X_*/Q^vee and its Frobenius coinvariants, from the cocharacter
     lattice itself: the coroot lattice extended by lifts of Omega_G, in
     fundamental-coweight coordinates, presented in the lattice's own basis.
     The coinvariants are Z^n / <coroots, columns of theta - 1>."""
-    n, pres = g.rank, g.rs.omega_pres
+    n = g.rank
     coroots = [[g.rs.cartan[i][j] for i in range(n)] for j in range(n)]
-    B = _lattice_basis(coroots + [pres.lift(x) for x in sorted(g.omega_G)])
+    B = _lattice_basis(coroots + [_lift(g, x) for x in sorted(g.omega_G)])
     det, adj = det_adjugate(B)
 
     def in_basis(vec, what):
@@ -233,14 +240,12 @@ def _cocharacter_quotient(g):
 def _coweight_action(g, perm):
     """A finite-diagram automorphism on Omega through the coweights: lift x
     to the coweight lattice, permute the fundamental coweights, project."""
-    pres = g.rs.omega_pres
-
     def act(x):
-        vec = pres.lift(x)
+        vec = _lift(g, x)
         out = [0] * g.rank
         for i in range(1, g.rank + 1):
             out[perm[i] - 1] = vec[i - 1]
-        return pres.project(out)
+        return g.rs.omega_pres.project(out)
 
     return act
 
@@ -274,7 +279,9 @@ class TestLatticeOracle:
                     y = g.theta_omega[y]
                 assert y == x
 
-    def test_group_build_runs_no_smith_form(self, monkeypatch):
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        """The sizes of the matrices handed to the Smith normal form."""
         calls = []
         real = exact.smith_normal_form
 
@@ -289,13 +296,30 @@ class TestLatticeOracle:
         # the counter sees the elimination behind a presentation
         exact.group_from_presentation(1, [[2]])
         assert calls
+        calls.clear()
+        return calls
+
+    def test_group_build_runs_no_smith_form(self, smith_calls):
         built = 0
         for fam, rank, tw in catalogue():
             root_system(fam, rank)
-            calls.clear()
+            smith_calls.clear()
             built += sum(1 for _ in _isogenies(fam, rank, tw))
-            assert calls == [], f"{_type_id((fam, rank, tw))}"
+            assert smith_calls == [], f"{_type_id((fam, rank, tw))}"
         assert built > 150
+
+    def test_one_smith_form_per_root_system(self, smith_calls):
+        # every catalogue report, on root systems built afresh: Omega is
+        # presented once per root system, and every subquotient after that
+        # is counted
+        specs = [g.spec_string("*") for key in catalogue()
+                 for g in _isogenies(*key)]
+        root_system.cache_clear()
+        smith_calls.clear()
+        for spec in specs:
+            full_report(spec)
+        assert len(specs) == 192
+        assert len(smith_calls) == root_system.cache_info().currsize == 49
 
 
 FUNDAMENTAL_ORDERS = {
@@ -309,6 +333,20 @@ class TestFundamentalGroup:
     def test_order(self, ts):
         g = build_group(ts, "adjoint")
         assert len(g.rs.omega.elements()) == FUNDAMENTAL_ORDERS[ts]
+
+    @pytest.mark.parametrize("family", "ABCDEFG")
+    def test_order_is_the_cartan_determinant(self, family):
+        # |Omega| from the Smith form, against sympy's determinant of the
+        # Cartan matrix (over ZZ, much faster than the default on Matrix)
+        # and the special nodes counted from the marks
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                rs = root_system(family, rank)
+            except ValueError:
+                continue
+            det = sympy.Matrix(rs.cartan).to_DM().det()
+            assert rs.omega.order() == abs(det) == rs.marks.count(1), \
+                f"{family}{rank}"
 
     def test_d_even_vs_odd(self):
         even = build_group("D6", "adjoint")
@@ -530,6 +568,14 @@ class TestOmegaInvariants:
         assert data["omega_theta"] == cyclic
         assert data["omega_coinv"] == cyclic
 
+    def test_three_invariant_factors_raise(self):
+        # order and exponent fix the invariant factors only up to two of
+        # them: (Z/2)^3 has order 8 and exponent 2, so no Z/a x Z/2 fits
+        cube = SimpleNamespace(omega=FiniteAbelianGroup((2, 2, 2)))
+        with pytest.raises(InvariantError, match="two cyclics"):
+            RootSystem.quotient_invariants(
+                cube, cube.omega.elements(), {cube.omega.identity()})
+
     @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
     def test_every_subquotient(self, key):
         """H/K for all subgroups K <= H of Omega: subgroups (K trivial),
@@ -541,8 +587,6 @@ class TestOmegaInvariants:
         subgroups = {omega.subgroup_generated([x, y])
                      for x in elems for y in elems}
         for H in subgroups:
-            assert omega.subgroup_structure(sorted(H)) == \
-                g.rs.quotient_invariants(H, {g.rs.omega.identity()})
             for K in subgroups:
                 if not K <= H:
                     continue
