@@ -14,6 +14,19 @@ products c * t^k * prod Phi_n(t)^(e_n) in t = q^(1/2)
 (exact.CyclotomicProduct): a semisimple factor is a product of
 Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
 read off the Frobenius orbits of the affine nodes outside the support.
+
+The p-adic side splits by what it depends on.  The inner forms depend only
+on the root system and the Frobenius twist, and the support classes (the
+maximal supports, their Omega_ad^theta orbits, stabilizer_ad, the
+component orbits, dim and torus_rank) only on the root system, F_omega and
+Omega_ad^theta.  That adjoint half is computed once per key and shared, in
+one memo, by every isogeny of the type: the keys are (group.rs,
+twist_order) for the forms and (group.rs, form.frobenius,
+group.omega_ad_theta) for the classes, and neither names the isogeny,
+which adds only Omega_G^theta, so stabilizer_G and g'.  group.rs is one
+object per type (rootdata.root_system), the memo's values are immutable,
+and every caller gets a fresh list.  A computation that raises stores
+nothing, so its checks run again on the next call.
 """
 
 from __future__ import annotations
@@ -50,8 +63,25 @@ class InnerForm:
     frobenius: tuple
 
 
+# the adjoint half of the p-adic side: key -> immutable value
+_ADJOINT_MEMO = {}
+
+
+def _shared(key, compute):
+    """The memo's value at key, computed on a miss; nothing is stored when
+    compute raises."""
+    if key not in _ADJOINT_MEMO:
+        _ADJOINT_MEMO[key] = compute()
+    return _ADJOINT_MEMO[key]
+
+
 def enumerate_inner_forms(group):
     """Inner forms in deterministic order: the quasi-split one first."""
+    return list(_shared(("forms", group.rs, group.twist_order),
+                        lambda: _inner_forms(group)))
+
+
+def _inner_forms(group):
     classes = group.adjoint_coinvariant_classes()
     ident = group.rs.omega.identity()
     keyed = []
@@ -73,7 +103,7 @@ def enumerate_inner_forms(group):
         act = group.rs.omega_action[rep]
         out.append(InnerForm(token, rep, members, not not_qs, tuple(
             act[group.theta[node]] for node in range(group.rank + 1))))
-    return out
+    return tuple(out)
 
 
 def inner_forms_by_token(group, token):
@@ -215,7 +245,7 @@ def component_orbits(cartan, support, perm):
         out.append(ComponentOrbit(fam, rank, twist, d, tuple(orbit)))
     out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size,
                              _NODE_ORDER(co.components)))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +347,43 @@ def maximal_supports(group, form):
 
 
 def parahoric_classes(group, form):
+    """The association classes of maximal F_omega-stable supports, sorted by
+    their representatives.  The adjoint half, everything but stabilizer_G
+    and g', is shared by every isogeny of the type (see the module
+    docstring); Omega_G^theta adds the rest here."""
+    key = ("classes", group.rs, form.frobenius, group.omega_ad_theta)
+    theta_fixed_ad, theta_fixed_G = group.omega_ad_theta, group.omega_G_theta
+    classes = []
+    for rep, associates, stab_ad, orbits, torus_rank, dim in _shared(
+            key, lambda: _adjoint_classes(group, form)):
+        stab_G = stab_ad & theta_fixed_G
+        # g' = [ad orbit of the support] / [G orbit of the support], each
+        # orbit the size of its group over the stabilizer
+        g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
+                           len(stab_ad) * len(theta_fixed_G))
+        if g_prime.denominator != 1:
+            raise InvariantError(
+                f"G-orbit of the support {rep} does not divide its adjoint "
+                f"orbit of {len(associates)}")
+        classes.append(ParahoricClass(
+            support=rep,
+            associates=associates,
+            stabilizer_ad=stab_ad,
+            stabilizer_G=stab_G,
+            g_prime=int(g_prime),
+            orbits=orbits,
+            torus_rank=torus_rank,
+            dim=dim,
+        ))
+    return classes
+
+
+def _adjoint_classes(group, form):
+    """(support, associates, stabilizer_ad, orbits, torus_rank, dim) per
+    class, sorted by support: read from group.rs, form.frobenius and
+    group.omega_ad_theta alone."""
     supports = maximal_supports(group, form)
     theta_fixed_ad = sorted(group.omega_ad_theta)
-    theta_fixed_G = group.omega_G_theta
     action = group.rs.omega_action
 
     def act_on_support(w, J):
@@ -334,15 +398,6 @@ def parahoric_classes(group, form):
         seen |= orbit
         rep = min(orbit, key=_NODE_ORDER)
         stab_ad = frozenset(w for w in theta_fixed_ad if act_on_support(w, rep) == rep)
-        stab_G = stab_ad & theta_fixed_G
-        # g' = [ad orbit of the support] / [G orbit of the support], each
-        # orbit the size of its group over the stabilizer
-        g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
-                           len(stab_ad) * len(theta_fixed_G))
-        if g_prime.denominator != 1:
-            raise InvariantError(
-                f"G-orbit of the support {rep} does not divide its adjoint "
-                f"orbit of {len(orbit)}")
         orbits = component_orbits(group.rs.affine_cartan, rep,
                                   form.frobenius)
         # rank plus the roots of the components, from the Weyl degrees: a
@@ -353,18 +408,10 @@ def parahoric_classes(group, form):
             for co in orbits)
         torus_rank = group.rank - sum(
             co.orbit_size * co.rank for co in orbits)
-        classes.append(ParahoricClass(
-            support=rep,
-            associates=tuple(sorted(orbit, key=_NODE_ORDER)),
-            stabilizer_ad=stab_ad,
-            stabilizer_G=stab_G,
-            g_prime=int(g_prime),
-            orbits=orbits,
-            torus_rank=torus_rank,
-            dim=dim,
-        ))
-    classes.sort(key=lambda c: _NODE_ORDER(c.support))
-    return classes
+        classes.append((rep, tuple(sorted(orbit, key=_NODE_ORDER)), stab_ad,
+                        orbits, torus_rank, dim))
+    classes.sort(key=lambda c: _NODE_ORDER(c[0]))
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -535,10 +535,10 @@ def diagram_automorphisms(group):
 
 
 # largest rank a type string may name: the catalogue goes to 12, and a
-# rank-20 adjoint report takes at most about 0.2 s (A20 0.12 s, B20 0.19 s,
-# C20 0.01 s, D20 0.11 s, each cold, Python 3.11 on a shared 2-core x86-64
-# VM), but the cost grows fast with the rank, so a huge rank fails at once
-# instead of running for hours
+# rank-20 adjoint report takes at most about 0.12 s (A20 0.07 s, B20 0.12 s,
+# C20 0.07 s, D20 0.07 s, 2A20 0.04 s, 2D20 0.07 s, medians of 9 cold runs,
+# Python 3.11 on a shared 2-core x86-64 VM), but the cost grows fast with
+# the rank, so a huge rank fails at once instead of running for hours
 MAX_RANK = 20
 
 

@@ -5,11 +5,15 @@ formal degree, and the support patterns of low-rank classical groups."""
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 import sympy
 
+from supercusp import padic
+from supercusp.correspond import full_report, reports_json
 from supercusp.exact import InvariantError, RatFunc, p_subst_pow
 from supercusp.padic import (
     ComponentOrbit,
@@ -19,6 +23,7 @@ from supercusp.padic import (
     _perm_orbits,
     classify_component,
     component_cuspidal_classes,
+    component_orbits,
     cuspidal_data,
     enumerate_inner_forms,
     finite_semisimple_order,
@@ -30,7 +35,8 @@ from supercusp.padic import (
     supports_with_cuspidals,
     torus_factor,
 )
-from supercusp.rootdata import SimpleGroup, build_group, isogeny_tokens
+from supercusp.rootdata import (SimpleGroup, build_group, isogeny_tokens,
+                                weyl_degrees)
 
 from test_casetable import catalogue
 from test_rootdata import _isogenies, _type_id
@@ -392,6 +398,137 @@ class TestGPrimeOracle:
                         w for w, image in images.items() if image == rep)
                     assert orbit_G <= set(pc.associates)
                     assert len(pc.associates) == pc.g_prime * len(orbit_G)
+
+
+def _oracle_parahoric_classes(group, form):
+    """parahoric_classes computed for one group alone, with no memo."""
+    supports = maximal_supports(group, form)
+    theta_fixed_ad = sorted(group.omega_ad_theta)
+    theta_fixed_G = group.omega_G_theta
+
+    classes = []
+    seen = set()
+    for J in sorted(supports, key=str):
+        if J in seen:
+            continue
+        orbit = {_act_on_support(group, w, J) for w in theta_fixed_ad}
+        seen |= orbit
+        rep = min(orbit, key=str)
+        stab_ad = frozenset(w for w in theta_fixed_ad
+                            if _act_on_support(group, w, rep) == rep)
+        stab_G = stab_ad & theta_fixed_G
+        g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
+                           len(stab_ad) * len(theta_fixed_G))
+        assert g_prime.denominator == 1
+        orbits = component_orbits(group.rs.affine_cartan, rep,
+                                  form.frobenius)
+        dim = group.rank + sum(
+            len(co.components) * 2 * sum(
+                d - 1 for d in weyl_degrees(co.family, co.rank))
+            for co in orbits)
+        torus_rank = group.rank - sum(
+            co.orbit_size * co.rank for co in orbits)
+        classes.append(ParahoricClass(
+            support=rep, associates=tuple(sorted(orbit, key=str)),
+            stabilizer_ad=stab_ad, stabilizer_G=stab_G,
+            g_prime=int(g_prime), orbits=orbits, torus_rank=torus_rank,
+            dim=dim))
+    classes.sort(key=lambda c: str(c.support))
+    return classes
+
+
+def _report_text(spec):
+    return json.dumps(reports_json(full_report(spec)), sort_keys=True)
+
+
+class TestSharedAdjointSide:
+    """The inner forms and the adjoint half of parahoric_classes are
+    computed once per root system, twist and form, and shared by every
+    isogeny of the type."""
+
+    def test_one_adjoint_pass_per_type(self, monkeypatch):
+        # every isogeny's report together costs what the adjoint one does
+        calls = []
+        real = padic.component_orbits
+
+        def counted(cartan, support, perm):
+            calls.append(support)
+            return real(cartan, support, perm)
+
+        monkeypatch.setattr(padic, "component_orbits", counted)
+        for key in catalogue():
+            specs = [g.spec_string("*") for g in _isogenies(*key)]
+            assert specs[-1].split(":")[1] == "adjoint"
+            counts = []
+            for batch in (specs[-1:], specs):
+                padic._ADJOINT_MEMO.clear()
+                calls.clear()
+                for spec in batch:
+                    full_report(spec)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0, (_type_id(key), counts)
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_classes_match_the_oracle_in_either_order(self, key):
+        groups = list(_isogenies(*key))
+        for ordered in (groups, groups[::-1]):
+            padic._ADJOINT_MEMO.clear()
+            for g in ordered:
+                for form in enumerate_inner_forms(g):
+                    assert parahoric_classes(g, form) == \
+                        _oracle_parahoric_classes(g, form), g.spec_string(
+                            form.token)
+
+    def test_reports_do_not_depend_on_the_isogeny_order(self):
+        specs = [[g.spec_string("*") for g in _isogenies(*key)]
+                 for key in catalogue()]
+        texts = []
+        for order in (1, -1):
+            padic._ADJOINT_MEMO.clear()
+            texts.append({spec: _report_text(spec)
+                          for batch in specs for spec in batch[::order]})
+        assert len(texts[0]) == 192
+        assert texts[0] == texts[1]
+
+    def test_callers_cannot_corrupt_the_memo(self):
+        # snapshots first: a list handed out by the memo itself would show
+        # its own mutation and still compare equal
+        g, other = build_group("D8", "so"), build_group("D8", "adjoint")
+        forms = tuple(enumerate_inner_forms(g))
+        classes = {f.token: tuple(parahoric_classes(g, f)) for f in forms}
+        reports = [_report_text(h.spec_string("*")) for h in (g, other)]
+        assert len(forms) > 1 and all(len(c) > 1 for c in classes.values())
+
+        listed = enumerate_inner_forms(g)
+        listed.append(listed[0])
+        listed.sort(key=lambda f: f.token, reverse=True)
+        for f in forms:
+            listed = parahoric_classes(g, f)
+            listed.append(listed[0])
+            listed.sort(key=lambda c: str(c.support), reverse=True)
+
+        assert tuple(enumerate_inner_forms(g)) == forms
+        assert tuple(enumerate_inner_forms(other)) == forms
+        assert {f.token: tuple(parahoric_classes(g, f))
+                for f in forms} == classes
+        assert [_report_text(h.spec_string("*"))
+                for h in (g, other)] == reports
+
+    def test_a_raising_key_raises_on_every_call(self, monkeypatch):
+        g = build_group("E6", "adjoint")
+        (form, *_) = enumerate_inner_forms(g)
+        want = parahoric_classes(g, form)
+
+        def broken(cartan, support, perm):
+            raise InvariantError("return map order out of range")
+
+        padic._ADJOINT_MEMO.clear()
+        monkeypatch.setattr(padic, "component_orbits", broken)
+        for _ in range(2):
+            with pytest.raises(InvariantError):
+                parahoric_classes(g, form)
+        monkeypatch.undo()
+        assert parahoric_classes(g, form) == want
 
 
 class TestClassification:
