@@ -1,15 +1,15 @@
 """The case table: verified bookkeeping for every supported pattern.
 
-Single versioned data source.  Each entry records, for one structural
-pattern of (family, twist, inner form, support), the torsion order n_s of
-the matching parameter, the adjoint-level class count, a named subgroup of
-the adjoint fundamental group that controls descent, and a provenance
-string naming the section of the source classification that the row
-transcribes.  It is also the only record of where the parameter cuts the
-dual affine diagram: the cut node (vs_nodes, the node whose Kac coordinate
-is 1) and the diagram it lies on.  galois reads both from here and checks
-the centralizer the cut leaves against an explicit type string, where one
-is recorded; rules without a cut node record a shape name instead.
+Each entry records, for one structural pattern of (family, twist, inner
+form, support), the torsion order n_s of the matching parameter, the
+adjoint-level class count, a named subgroup of the adjoint fundamental
+group that controls descent, and a provenance string naming the section of
+the source classification that the row transcribes.  It is also the only
+record of where the parameter cuts the dual affine diagram: the cut node
+(cut_node, the node whose Kac coordinate is 1) and the diagram it lies on.
+galois reads both from here and checks the centralizer the cut leaves
+against an explicit type string, where one is recorded; rules without a
+cut node record a shape name instead.
 
 Exceptional hosts are explicit per-class rows keyed by the group type and
 the finite quotient of the support; classical families are parametric
@@ -21,9 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isqrt
-
-
-TABLE_VERSION = "1.0"
 
 
 class CaseTableError(LookupError):
@@ -42,7 +39,7 @@ class CaseEntry:
     geometric: str | None = None
     # the cut node of the dual affine diagram (Kac coordinate 1) and the
     # diagram it lies on; galois reads them from here only
-    vs_nodes: tuple | None = None
+    cut_node: int | None = None
     dual_diagram: str | None = None  # "untwisted" | "E6(2)" | "D4(3)"
 
 
@@ -54,53 +51,51 @@ class CaseEntry:
 # equal-degree class, in the order the cuspidal class table emits them
 _EXCEPTIONAL_ROWS = {
     ("G2", "G2"): [
-        CaseEntry("exc.G2", "§13", 1, 1, "1", "G2", (0,), "untwisted"),
-        CaseEntry("exc.G2", "§13", 2, 1, "1", "A1xA1", (2,), "untwisted"),
-        CaseEntry("exc.G2", "§13", 3, 2, "1", "A2", (1,), "untwisted"),
+        CaseEntry("exc.G2", "§13", 1, 1, "1", "G2", 0, "untwisted"),
+        CaseEntry("exc.G2", "§13", 2, 1, "1", "A1xA1", 2, "untwisted"),
+        CaseEntry("exc.G2", "§13", 3, 2, "1", "A2", 1, "untwisted"),
     ],
     ("F4", "F4"): [
-        CaseEntry("exc.F4", "§13", 1, 1, "1", "F4", (0,), "untwisted"),
-        CaseEntry("exc.F4", "§13", 2, 1, "1", "A1xC3", (1,), "untwisted"),
-        CaseEntry("exc.F4", "§13", 3, 2, "1", "A2xA2", (2,), "untwisted"),
-        CaseEntry("exc.F4", "§13", 4, 2, "1", "A3xA1", (3,), "untwisted"),
-        CaseEntry("exc.F4", "§13", 2, 1, "1", "B4", (4,), "untwisted"),
+        CaseEntry("exc.F4", "§13", 1, 1, "1", "F4", 0, "untwisted"),
+        CaseEntry("exc.F4", "§13", 2, 1, "1", "A1xC3", 1, "untwisted"),
+        CaseEntry("exc.F4", "§13", 3, 2, "1", "A2xA2", 2, "untwisted"),
+        CaseEntry("exc.F4", "§13", 4, 2, "1", "A3xA1", 3, "untwisted"),
+        CaseEntry("exc.F4", "§13", 2, 1, "1", "B4", 4, "untwisted"),
     ],
     ("E8", "E8"): [
-        CaseEntry("exc.E8", "§13", 1, 1, "1", "E8", (0,), "untwisted"),
-        CaseEntry("exc.E8", "§13", 2, 1, "1", "D8", (1,), "untwisted"),
-        CaseEntry("exc.E8", "§13", 2, 1, "1", "A1xE7", (8,), "untwisted"),
-        CaseEntry("exc.E8", "§13", 3, 2, "1", "E6xA2", (7,), "untwisted"),
-        CaseEntry("exc.E8", "§13", 4, 2, "1", "D5xA3", (6,), "untwisted"),
-        CaseEntry("exc.E8", "§13", 6, 2, "1", "A5xA2xA1", (4,), "untwisted"),
-        CaseEntry("exc.E8", "§13", 5, 4, "1", "A4xA4", (5,), "untwisted"),
+        CaseEntry("exc.E8", "§13", 1, 1, "1", "E8", 0, "untwisted"),
+        CaseEntry("exc.E8", "§13", 2, 1, "1", "D8", 1, "untwisted"),
+        CaseEntry("exc.E8", "§13", 2, 1, "1", "A1xE7", 8, "untwisted"),
+        CaseEntry("exc.E8", "§13", 3, 2, "1", "E6xA2", 7, "untwisted"),
+        CaseEntry("exc.E8", "§13", 4, 2, "1", "D5xA3", 6, "untwisted"),
+        CaseEntry("exc.E8", "§13", 6, 2, "1", "A5xA2xA1", 4, "untwisted"),
+        CaseEntry("exc.E8", "§13", 5, 4, "1", "A4xA4", 5, "untwisted"),
     ],
     ("3D4", "3D4"): [
-        CaseEntry("exc.3D4", "§9", 1, 1, "1", "G2", (0,), "D4(3)"),
-        CaseEntry("exc.3D4", "§9", 2, 1, "1", "A1xA1", (1,), "D4(3)"),
+        CaseEntry("exc.3D4", "§9", 1, 1, "1", "G2", 0, "D4(3)"),
+        CaseEntry("exc.3D4", "§9", 2, 1, "1", "A1xA1", 1, "D4(3)"),
     ],
     ("E6", "E6"): [
-        CaseEntry("exc.E6", "§10", 3, 2, "1", "A2xA2xA2", (4,), "untwisted"),
+        CaseEntry("exc.E6", "§10", 3, 2, "1", "A2xA2xA2", 4, "untwisted"),
     ],
     ("2E6", "2E6"): [
-        CaseEntry("exc.2E6", "§11", 1, 1, "1", "F4", (0,), "E6(2)"),
-        CaseEntry("exc.2E6", "§11", 3, 2, "1", "A2xA2", (2,), "E6(2)"),
+        CaseEntry("exc.2E6", "§11", 1, 1, "1", "F4", 0, "E6(2)"),
+        CaseEntry("exc.2E6", "§11", 3, 2, "1", "A2xA2", 2, "E6(2)"),
     ],
     ("E7", "E7"): [
-        CaseEntry("exc.E7", "§12", 4, 2, "1", "A3xA1xA3", (4,), "untwisted"),
+        CaseEntry("exc.E7", "§12", 4, 2, "1", "A3xA1xA3", 4, "untwisted"),
     ],
     # inner form of order 3, support of triality type; the central point
     # cuts node 0, the order-2 point has no recorded node
     ("E6", "3D4xT2"): [
-        CaseEntry("E6.triality", "§10", 1, 1, "full", vs_nodes=(0,),
+        CaseEntry("E6.triality", "§10", 1, 1, "full", cut_node=0,
                   dual_diagram="untwisted"),
         CaseEntry("E6.triality", "§10", 2, 1, "full"),
     ],
     # nontrivial inner form, support of fused-E6 type
     ("E7", "2E6xT1"): [
-        CaseEntry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", (1,),
-                  "untwisted"),
-        CaseEntry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", (3,),
-                  "untwisted"),
+        CaseEntry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", 1, "untwisted"),
+        CaseEntry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", 3, "untwisted"),
     ],
 }
 
@@ -112,7 +107,7 @@ _EXCEPTIONAL_ROWS = {
 # one entry per classical pattern; the classifier below picks among them.
 # A rule with a fixed cut node records no shape: n_s = 1 means the central
 # point, node 0; the odd orthogonal rules take theirs from the block ranks
-_CENTRAL = {"vs_nodes": (0,), "dual_diagram": "untwisted"}
+_CENTRAL = {"cut_node": 0, "dual_diagram": "untwisted"}
 _CLASSICAL_RULES = {e.pattern: e for e in (
     CaseEntry("lin.anisotropic", "§4", 1, 1, "full", **_CENTRAL),
     CaseEntry("unit.single", "§5", 1, 1, "1", "Sp"),
@@ -198,12 +193,12 @@ def _classify_classical(group, host):
         a, b = blocks
         # the cut on the dual chain C_n leaves C_t(a-b) x C_t(a+b), with
         # t(m) = m(m+1)/2 >= 0 for every integer m, and t(a-b) + t(a+b) = n
-        node = ((a - b) * (a - b + 1) // 2,)
+        node = (a - b) * (a - b + 1) // 2
         if b == 0:
-            return replace(_CLASSICAL_RULES["oddorth.s0"], vs_nodes=node)
+            return replace(_CLASSICAL_RULES["oddorth.s0"], cut_node=node)
         # the matching involution has equal-or-adjacent defects exactly when
         # one block is empty, and is central then
-        return replace(_CLASSICAL_RULES["oddorth.pair"], vs_nodes=node,
+        return replace(_CLASSICAL_RULES["oddorth.pair"], cut_node=node,
                        n_s=1 if b - a in (0, 1) else 2)
 
     if fam == "C":

@@ -228,11 +228,9 @@ class PacketReport:
     provenance: str
     n_s: int
     invariants: PacketInvariants
-    orbit_count: int
     fdeg: CyclotomicProduct | None
     hii_status: str
     param: object             # UnramifiedParam
-    tau_orbit: int | None = None
 
 
 def reports_for_form(group, form):
@@ -240,12 +238,11 @@ def reports_for_form(group, form):
     out = []
     for host, cls, row, param in kac_rows(group, form):
         inv = compute_invariants(group, host, cls, row)
-        orbit_count = inv.g_prime * euler_phi(row.n_s)
         fdeg = formal_degree(group, form, host, cls)
         # |S#|: the parameter's centralizer in the dual of G itself for a
         # division algebra, else the torsion centralizer's central order
         s_sharp = len(group.omega_G) if row.pattern == "lin.anisotropic" \
-            else param.centralizer.central_order
+            else param.central_order
         hii_status = hii_check(fdeg, param, 1, s_sharp).status
         for member in range(cls.size):
             out.append(PacketReport(
@@ -254,8 +251,8 @@ def reports_for_form(group, form):
                 quotient=host.quotient_description(),
                 class_id=cls.class_id, member_index=member,
                 pattern=row.pattern, provenance=row.provenance,
-                n_s=row.n_s, invariants=inv, orbit_count=orbit_count,
-                fdeg=fdeg, hii_status=hii_status, param=param))
+                n_s=row.n_s, invariants=inv, fdeg=fdeg,
+                hii_status=hii_status, param=param))
     return out
 
 
@@ -387,13 +384,14 @@ def report_record(report):
             "stabilizer_param": list(inv.stabilizer_param),
             "stabilizer_pair": list(inv.stabilizer_pair),
         },
-        "orbit_count": report.orbit_count,
+        "orbit_count": inv.g_prime * euler_phi(report.n_s),
         "class_id": report.class_id,
         "member": report.member_index,
         "fdeg": report.fdeg.to_json() if report.fdeg is not None else None,
         "hii": report.hii_status,
         "parameter": param_json(report.param, report.pattern),
-        "tau_orbit": report.tau_orbit,
+        # never computed; the column stays until the next schema version
+        "tau_orbit": None,
     }
 
 

@@ -3,7 +3,7 @@
 A parameter is pinned by a torsion point of the dual group, realized as a
 single cut node of the dual affine diagram together with its label n_s.
 The case row is the only record of that node and of the diagram it lies on
-(CaseEntry.vs_nodes and dual_diagram); a row without one gives a parameter
+(CaseEntry.cut_node and dual_diagram); a row without one gives a parameter
 without one.  Each dual diagram is read as one (marks, Cartan matrix)
 record: the untwisted one off the dual root system, the fused chains
 E6(2) and D4(3) from their squared lengths by rootdata.cartan_matrix.
@@ -14,8 +14,9 @@ regular (every factor of linear type) the full decomposition of the adjoint
 representation into weight strings is computed exactly by root-space
 bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it once, when
 the parameter is built.  Otherwise both are left unavailable rather than
-guessed.  The parameter holds dual-side data only: kac_rows hands out the
-support, class and case row it was read from beside it.
+guessed.  The parameter holds dual-side data only, the centralizer's
+components, printed type and central order among them: kac_rows hands out
+the support, class and case row it was read from beside it.
 
 Local factor conventions, fixed once for the whole package: a string of
 highest weight h with torsion eigenvalue alpha = zeta_m^k, held as the
@@ -280,21 +281,6 @@ def centralizer_components(dual_family, dual_rank, diagram, v_node):
                         for comp in connected_components(cartan, rest)))
 
 
-@dataclass(frozen=True)
-class CentralizerType:
-    """Lie type of the torsion centralizer with its central datum."""
-
-    # ((family, rank), ...) left by cutting the case row's node, or None
-    # when the row records no node and type_string is its shape name
-    components: tuple | None
-    type_string: str
-    central_order: int | None
-
-    def all_linear(self):
-        return self.components is not None and \
-            all(fam == "A" for fam, _ in self.components)
-
-
 def _shape_matches(geometric, comps):
     """Do the computed components (canonical as classify_component names
     them) match the recorded centralizer string?  A row whose node is fixed
@@ -375,30 +361,26 @@ class UnramifiedParam:
     carries them with |gamma(0, Ad o phi, psi)| at ord psi = -1; the case
     row it was read from travels beside it (kac_rows)."""
 
-    dual_family: str
-    dual_rank: int
-    dual_twist: int
-    dual_diagram: str | None    # the case row's; None without a cut node
     v_node: int | None
     kac_coordinates: tuple | None
     n_s: int
-    centralizer: CentralizerType
+    # the torsion centralizer: ((family, rank), ...) left by cutting the
+    # case row's node, its printed type (the row's shape name when the row
+    # records no node, and components is None) and its central order
+    components: tuple | None
+    centralizer: str
+    central_order: int | None
     unipotent_class_tag: str
     sl2_weights: tuple | None
     gamma_abs_0: CyclotomicProduct | None
 
-    def weight_dim(self):
-        if self.sl2_weights is None:
-            return None
-        return sum(w.h + 1 for w in self.sl2_weights)
-
 
 def _build_param(group, cls, row):
     fam_d, rank_d, twist_d = dual_type(group)
-    diagram = row.dual_diagram
-    v_node = row.vs_nodes[0] if row.vs_nodes is not None else None
+    diagram, v_node = row.dual_diagram, row.cut_node
 
-    kac = None
+    kac = comps = central_order = None
+    centralizer = row.geometric or "unrecorded"
     if v_node is not None:
         marks = _dual_diagram(fam_d, rank_d, diagram)[0]
         if marks[v_node] != row.n_s:
@@ -411,17 +393,12 @@ def _build_param(group, cls, row):
             raise InvariantError(
                 f"centralizer mismatch: cut {v_node} of {fam_d}{rank_d} "
                 f"gives {comps}, table says {row.geometric!r}")
+        centralizer = "x".join(f"{f}{r}" for f, r in comps)
         # |Z(G^vee_sc)| is the order of the dual adjoint fundamental group
-        cz = CentralizerType(
-            components=comps,
-            type_string="x".join(f"{f}{r}" for f, r in comps),
-            central_order=row.n_s * root_system(fam_d, rank_d).omega.order())
-    else:
-        cz = CentralizerType(components=None,
-                             type_string=row.geometric or "unrecorded",
-                             central_order=None)
+        central_order = row.n_s * root_system(fam_d, rank_d).omega.order()
 
-    computable = twist_d == 1 and diagram == "untwisted" and cz.all_linear()
+    computable = twist_d == 1 and diagram == "untwisted" and \
+        comps is not None and all(fam == "A" for fam, _ in comps)
     tag = "regular" if computable else f"cuspidal:{cls.class_id or 'std'}"
     weights = gamma = None
     if computable:
@@ -429,10 +406,9 @@ def _build_param(group, cls, row):
         gamma = local_factors(weights, ord_psi=-1).gamma_abs_at_0
 
     return UnramifiedParam(
-        dual_family=fam_d, dual_rank=rank_d, dual_twist=twist_d,
-        dual_diagram=diagram, v_node=v_node, kac_coordinates=kac,
-        n_s=row.n_s, centralizer=cz, unipotent_class_tag=tag,
-        sl2_weights=weights, gamma_abs_0=gamma)
+        v_node=v_node, kac_coordinates=kac, n_s=row.n_s, components=comps,
+        centralizer=centralizer, central_order=central_order,
+        unipotent_class_tag=tag, sl2_weights=weights, gamma_abs_0=gamma)
 
 
 def kac_rows(group, form):
@@ -440,9 +416,9 @@ def kac_rows(group, form):
     form, in catalogue order: one pass over the supports feeds both the
     parahoric side and the dual-side reading."""
     out = []
-    for host, datum in supports_with_cuspidals(group, form):
-        rows = rows_for_host(group, host, datum.classes)
-        for cls, row in zip(datum.classes, rows):
+    for host, classes in supports_with_cuspidals(group, form):
+        rows = rows_for_host(group, host, classes)
+        for cls, row in zip(classes, rows):
             out.append((host, cls, row, _build_param(group, cls, row)))
     return out
 
@@ -493,8 +469,8 @@ def param_json(param, pattern):
         "node": param.v_node,
         "kac": list(param.kac_coordinates) if param.kac_coordinates else None,
         "n_s": param.n_s,
-        "centralizer": param.centralizer.type_string,
-        "central_order": param.centralizer.central_order,
+        "centralizer": param.centralizer,
+        "central_order": param.central_order,
         "pattern": pattern,
         "class_tag": param.unipotent_class_tag,
         "weights": None,

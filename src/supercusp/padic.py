@@ -489,19 +489,9 @@ def component_cuspidal_classes(family, rank, twist):
     return []
 
 
-@dataclass(frozen=True)
-class CuspidalUnipotentDatum:
-    """All cuspidal unipotent representations on one support, grouped into
-    equal-degree classes."""
-
-    host: ParahoricClass
-    count: int
-    classes: tuple
-
-
 def cuspidal_data(host):
-    """Cuspidal unipotent classes of the host's finite quotient, or None if
-    the support carries none."""
+    """Equal-degree cuspidal unipotent classes of the host's finite
+    quotient, as a tuple, or None if the support carries none."""
     per_orbit = []
     for co in host.orbits:
         classes = component_cuspidal_classes(co.family, co.rank, co.twist)
@@ -530,18 +520,17 @@ def cuspidal_data(host):
         combined = nxt
     if not per_orbit:
         combined = [CuspidalClass("triv", 1, CyclotomicProduct(1))]
-    total = sum(c.size for c in combined)
-    return CuspidalUnipotentDatum(host=host, count=total,
-                                  classes=tuple(combined))
+    return tuple(combined)
 
 
 def supports_with_cuspidals(group, form):
-    """The case rows on the p-adic side: (support class, cuspidal datum)."""
+    """The case rows on the p-adic side: (support class, cuspidal classes)
+    for each support class of the form that carries any."""
     out = []
     for host in parahoric_classes(group, form):
-        datum = cuspidal_data(host)
-        if datum is not None:
-            out.append((host, datum))
+        classes = cuspidal_data(host)
+        if classes is not None:
+            out.append((host, classes))
     return out
 
 

@@ -15,7 +15,6 @@ import pytest
 from supercusp.casetable import (
     _CLASSICAL_RULES,
     CaseTableError,
-    TABLE_VERSION,
     all_pattern_entries,
     resolve_named_subgroup,
     rows_for_host,
@@ -51,9 +50,9 @@ def iter_rows():
     for fam, rank, tw in catalogue():
         G = SimpleGroup(fam, rank, tw, "adjoint")
         for form in enumerate_inner_forms(G):
-            for host, datum in supports_with_cuspidals(G, form):
-                rows = rows_for_host(G, host, datum.classes)
-                for row, cls in zip(rows, datum.classes):
+            for host, classes in supports_with_cuspidals(G, form):
+                rows = rows_for_host(G, host, classes)
+                for row, cls in zip(rows, classes):
                     yield G, form, host, row, cls
 
 
@@ -63,9 +62,9 @@ class TestCountingIdentities:
         for fam, rank, tw in catalogue():
             G = SimpleGroup(fam, rank, tw, "adjoint")
             for form in enumerate_inner_forms(G):
-                for host, datum in supports_with_cuspidals(G, form):
-                    rows = rows_for_host(G, host, datum.classes)
-                    assert len(rows) == len(datum.classes)
+                for host, classes in supports_with_cuspidals(G, form):
+                    rows = rows_for_host(G, host, classes)
+                    assert len(rows) == len(classes)
                     seen += len(rows)
         assert seen == 137
 
@@ -133,8 +132,8 @@ def _rows_of(fam, rank, tw, token):
     for form in enumerate_inner_forms(G):
         if form.token != token:
             continue
-        for host, datum in supports_with_cuspidals(G, form):
-            rows = rows_for_host(G, host, datum.classes)
+        for host, classes in supports_with_cuspidals(G, form):
+            rows = rows_for_host(G, host, classes)
             for row in rows:
                 out.append((host, row))
     return out
@@ -274,9 +273,6 @@ class TestNamedSubgroups:
 
 
 class TestTableDump:
-    def test_version(self):
-        assert TABLE_VERSION == "1.0"
-
     def test_all_entries_have_provenance(self):
         for e in all_pattern_entries():
             assert e.provenance.startswith("§")
@@ -294,9 +290,9 @@ class TestTableDump:
             if rule is None:
                 assert row in entries, (G.type_string(), row)
             elif row.pattern.startswith("oddorth."):
-                assert rule.vs_nodes is None and row.vs_nodes is not None
+                assert rule.cut_node is None and row.cut_node is not None
                 n_s = row.n_s if row.pattern == "oddorth.pair" else rule.n_s
-                assert row == replace(rule, n_s=n_s, vs_nodes=row.vs_nodes)
+                assert row == replace(rule, n_s=n_s, cut_node=row.cut_node)
             else:
                 assert row == rule, (G.type_string(), row)
         assert set(_CLASSICAL_RULES.values()) <= set(entries)

@@ -40,8 +40,8 @@ def rf(num, den=1):
 
 def host_class_pairs(group, form):
     out = []
-    for host, datum in supports_with_cuspidals(group, form):
-        for cls in datum.classes:
+    for host, classes in supports_with_cuspidals(group, form):
+        for cls in classes:
             out.append((host, cls))
     return out
 
@@ -707,7 +707,8 @@ class TestKacPoints:
                         assert p.kac_coordinates[p.v_node] == 1
                     if p.sl2_weights is not None:
                         seen_weighted += 1
-                        assert p.weight_dim() == dim_dual
+                        assert sum(w.dim() for w in p.sl2_weights) == \
+                            dim_dual
                         local_factors(p.sl2_weights)
         assert seen_weighted > 80
 
@@ -720,9 +721,9 @@ class TestKacPoints:
                 assert [p for *_, p in rows] == kac_points(g, form)
                 expected = [
                     (host, cls, row)
-                    for host, datum in supports_with_cuspidals(g, form)
-                    for cls, row in zip(datum.classes, rows_for_host(
-                        g, host, datum.classes))]
+                    for host, classes in supports_with_cuspidals(g, form)
+                    for cls, row in zip(classes, rows_for_host(
+                        g, host, classes))]
                 assert [r[:3] for r in rows] == expected
                 for host, cls, row, p in rows:
                     assert p.n_s == row.n_s
@@ -788,7 +789,7 @@ class TestKacPoints:
             for form in enumerate_inner_forms(g):
                 for p in kac_points(g, form):
                     got.append((p.v_node, p.n_s,
-                                tuple(sorted(p.centralizer.components))))
+                                tuple(sorted(p.components))))
             for row in rows:
                 assert row in got, f"missing cut {row} among {got}"
 
@@ -817,21 +818,21 @@ class TestKacPoints:
                         if row.geometric is not None:
                             continue
                         seen[row.pattern] = seen.get(row.pattern, 0) + 1
-                        if row.vs_nodes is None:
+                        if row.cut_node is None:
                             assert (row.pattern, row.n_s) == \
                                 ("E6.triality", 2)
                             assert p.v_node is None
-                            assert p.centralizer.components is None
+                            assert p.components is None
                         elif row.pattern.startswith("oddorth."):
                             a, b = odd_orthogonal_blocks(host)
                             ranks = ((a - b) * (a - b + 1) // 2,
                                      (a + b) * (a + b + 1) // 2)
                             assert p.v_node == ranks[0]
-                            assert p.centralizer.components == tuple(
+                            assert p.components == tuple(
                                 sorted(named("C", k) for k in ranks if k))
                         else:
                             assert p.v_node == 0 and p.n_s == 1
-                            assert p.centralizer.components == \
+                            assert p.components == \
                                 (named(fam_d, rank_d),), (g.type_string(),
                                                           row.pattern)
         assert set(seen) == {
@@ -845,7 +846,7 @@ class TestKacPoints:
             for *_, row, p in kac_rows(g, form):
                 if row.pattern == "symp.equal":
                     assert p.v_node == 0 and p.n_s == 1
-                    assert p.centralizer.components == (("B", 4),)
+                    assert p.components == (("B", 4),)
                     assert p.sl2_weights is None
                     seen = True
         assert seen
@@ -868,8 +869,8 @@ class TestExceptionalAnchors:
         assert len(rows) == 1
         row, p = rows[0]
         assert p.n_s == 3 and row.b_ad == 2
-        assert p.weight_dim() == 78
-        assert p.centralizer.central_order == 9
+        assert sum(w.dim() for w in p.sl2_weights) == 78
+        assert p.central_order == 9
 
     def test_e6_triality_rows(self):
         g = build_group("E6", "adjoint")
@@ -881,7 +882,7 @@ class TestExceptionalAnchors:
                 assert p.v_node is None
             else:
                 assert p.v_node == 0
-                assert p.centralizer.components == (("E", 6),)
+                assert p.components == (("E", 6),)
             assert p.sl2_weights is None and p.gamma_abs_0 is None
 
     def test_e7_fused_rows_found_by_search(self):
@@ -889,7 +890,7 @@ class TestExceptionalAnchors:
         rows = [p for _, p in pattern_rows(g, "E7.fusedE6",
                                            enumerate_inner_forms(g))]
         assert sorted(p.n_s for p in rows) == [2, 3]
-        types = {p.n_s: p.centralizer.type_string for p in rows}
+        types = {p.n_s: p.centralizer for p in rows}
         assert sorted(types[2].split("x")) == ["A1", "D6"]
         assert sorted(types[3].split("x")) == ["A2", "A5"]
         for p in rows:
@@ -900,8 +901,8 @@ class TestExceptionalAnchors:
         by_ns = {p.n_s: (row, p)
                  for row, p in pattern_rows(g, "exc.2E6", quasi_split(g))}
         assert set(by_ns) == {1, 3}
-        assert by_ns[1][1].centralizer.components == (("F", 4),)
-        assert by_ns[3][1].centralizer.components == (("A", 2), ("A", 2))
+        assert by_ns[1][1].components == (("F", 4),)
+        assert by_ns[3][1].components == (("A", 2), ("A", 2))
         for _, p in by_ns.values():
             assert p.sl2_weights is None and p.gamma_abs_0 is None
 
@@ -909,18 +910,18 @@ class TestExceptionalAnchors:
         g = build_group("3D4", "adjoint")
         by_ns = {p.n_s: p
                  for _, p in pattern_rows(g, "exc.3D4", quasi_split(g))}
-        assert by_ns[1].centralizer.components == (("G", 2),)
-        assert by_ns[2].centralizer.components == (("A", 1), ("A", 1))
+        assert by_ns[1].components == (("G", 2),)
+        assert by_ns[2].components == (("A", 1), ("A", 1))
 
     def test_g2_rows(self):
         g = build_group("G2", "adjoint")
         (form,) = enumerate_inner_forms(g)
         by_ns = {p.n_s: (row, p) for *_, row, p in kac_rows(g, form)}
         assert set(by_ns) == {1, 2, 3}
-        assert by_ns[3][1].centralizer.components == (("A", 2),)
+        assert by_ns[3][1].components == (("A", 2),)
         assert by_ns[3][0].b_ad == 2
-        assert by_ns[2][1].centralizer.components == (("A", 1), ("A", 1))
-        assert by_ns[3][1].weight_dim() == 14
+        assert by_ns[2][1].components == (("A", 1), ("A", 1))
+        assert sum(w.dim() for w in by_ns[3][1].sl2_weights) == 14
 
 
 # ---------------------------------------------------------------------------
