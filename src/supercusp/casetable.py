@@ -6,10 +6,11 @@ adjoint-level class count, a named subgroup of the adjoint fundamental
 group that controls descent, and a provenance string naming the section of
 the source classification that the row transcribes.  It is also the only
 record of where the parameter cuts the dual affine diagram: the cut node
-(cut_node, the node whose Kac coordinate is 1) and the diagram it lies on.
-galois reads both from here and checks the centralizer the cut leaves
-against an explicit type string, where one is recorded; rules without a
-cut node record a shape name instead.
+(cut_node, the node whose Kac coordinate is 1).  The diagram itself
+depends on the group alone, so galois reads it from the dual type
+(galois.dual_affine_diagram), takes the node from here, and checks the
+centralizer the cut leaves against an explicit type string, where one is
+recorded; rules without a cut node record a shape name instead.
 
 Exceptional hosts are explicit per-class rows keyed by the group type and
 the finite quotient of the support; classical families are parametric
@@ -37,10 +38,9 @@ class CaseEntry:
     # an explicit type string the cut must leave (exceptional rows), or a
     # shape name on a rule with no cut node; None where a rule fixes it
     geometric: str | None = None
-    # the cut node of the dual affine diagram (Kac coordinate 1) and the
-    # diagram it lies on; galois reads them from here only
+    # the cut node of the dual affine diagram (Kac coordinate 1); galois
+    # reads it from here only, and the diagram from the group's dual type
     cut_node: int | None = None
-    dual_diagram: str | None = None  # "untwisted" | "E6(2)" | "D4(3)"
 
 
 # ---------------------------------------------------------------------------
@@ -51,51 +51,50 @@ class CaseEntry:
 # equal-degree class, in the order the cuspidal class table emits them
 _EXCEPTIONAL_ROWS = {
     ("G2", "G2"): [
-        CaseEntry("exc.G2", "§13", 1, 1, "1", "G2", 0, "untwisted"),
-        CaseEntry("exc.G2", "§13", 2, 1, "1", "A1xA1", 2, "untwisted"),
-        CaseEntry("exc.G2", "§13", 3, 2, "1", "A2", 1, "untwisted"),
+        CaseEntry("exc.G2", "§13", 1, 1, "1", "G2", 0),
+        CaseEntry("exc.G2", "§13", 2, 1, "1", "A1xA1", 2),
+        CaseEntry("exc.G2", "§13", 3, 2, "1", "A2", 1),
     ],
     ("F4", "F4"): [
-        CaseEntry("exc.F4", "§13", 1, 1, "1", "F4", 0, "untwisted"),
-        CaseEntry("exc.F4", "§13", 2, 1, "1", "A1xC3", 1, "untwisted"),
-        CaseEntry("exc.F4", "§13", 3, 2, "1", "A2xA2", 2, "untwisted"),
-        CaseEntry("exc.F4", "§13", 4, 2, "1", "A3xA1", 3, "untwisted"),
-        CaseEntry("exc.F4", "§13", 2, 1, "1", "B4", 4, "untwisted"),
+        CaseEntry("exc.F4", "§13", 1, 1, "1", "F4", 0),
+        CaseEntry("exc.F4", "§13", 2, 1, "1", "A1xC3", 1),
+        CaseEntry("exc.F4", "§13", 3, 2, "1", "A2xA2", 2),
+        CaseEntry("exc.F4", "§13", 4, 2, "1", "A3xA1", 3),
+        CaseEntry("exc.F4", "§13", 2, 1, "1", "B4", 4),
     ],
     ("E8", "E8"): [
-        CaseEntry("exc.E8", "§13", 1, 1, "1", "E8", 0, "untwisted"),
-        CaseEntry("exc.E8", "§13", 2, 1, "1", "D8", 1, "untwisted"),
-        CaseEntry("exc.E8", "§13", 2, 1, "1", "A1xE7", 8, "untwisted"),
-        CaseEntry("exc.E8", "§13", 3, 2, "1", "E6xA2", 7, "untwisted"),
-        CaseEntry("exc.E8", "§13", 4, 2, "1", "D5xA3", 6, "untwisted"),
-        CaseEntry("exc.E8", "§13", 6, 2, "1", "A5xA2xA1", 4, "untwisted"),
-        CaseEntry("exc.E8", "§13", 5, 4, "1", "A4xA4", 5, "untwisted"),
+        CaseEntry("exc.E8", "§13", 1, 1, "1", "E8", 0),
+        CaseEntry("exc.E8", "§13", 2, 1, "1", "D8", 1),
+        CaseEntry("exc.E8", "§13", 2, 1, "1", "A1xE7", 8),
+        CaseEntry("exc.E8", "§13", 3, 2, "1", "E6xA2", 7),
+        CaseEntry("exc.E8", "§13", 4, 2, "1", "D5xA3", 6),
+        CaseEntry("exc.E8", "§13", 6, 2, "1", "A5xA2xA1", 4),
+        CaseEntry("exc.E8", "§13", 5, 4, "1", "A4xA4", 5),
     ],
     ("3D4", "3D4"): [
-        CaseEntry("exc.3D4", "§9", 1, 1, "1", "G2", 0, "D4(3)"),
-        CaseEntry("exc.3D4", "§9", 2, 1, "1", "A1xA1", 1, "D4(3)"),
+        CaseEntry("exc.3D4", "§9", 1, 1, "1", "G2", 0),
+        CaseEntry("exc.3D4", "§9", 2, 1, "1", "A1xA1", 1),
     ],
     ("E6", "E6"): [
-        CaseEntry("exc.E6", "§10", 3, 2, "1", "A2xA2xA2", 4, "untwisted"),
+        CaseEntry("exc.E6", "§10", 3, 2, "1", "A2xA2xA2", 4),
     ],
     ("2E6", "2E6"): [
-        CaseEntry("exc.2E6", "§11", 1, 1, "1", "F4", 0, "E6(2)"),
-        CaseEntry("exc.2E6", "§11", 3, 2, "1", "A2xA2", 2, "E6(2)"),
+        CaseEntry("exc.2E6", "§11", 1, 1, "1", "F4", 0),
+        CaseEntry("exc.2E6", "§11", 3, 2, "1", "A2xA2", 2),
     ],
     ("E7", "E7"): [
-        CaseEntry("exc.E7", "§12", 4, 2, "1", "A3xA1xA3", 4, "untwisted"),
+        CaseEntry("exc.E7", "§12", 4, 2, "1", "A3xA1xA3", 4),
     ],
     # inner form of order 3, support of triality type; the central point
     # cuts node 0, the order-2 point has no recorded node
     ("E6", "3D4xT2"): [
-        CaseEntry("E6.triality", "§10", 1, 1, "full", cut_node=0,
-                  dual_diagram="untwisted"),
+        CaseEntry("E6.triality", "§10", 1, 1, "full", cut_node=0),
         CaseEntry("E6.triality", "§10", 2, 1, "full"),
     ],
     # nontrivial inner form, support of fused-E6 type
     ("E7", "2E6xT1"): [
-        CaseEntry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", 1, "untwisted"),
-        CaseEntry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", 3, "untwisted"),
+        CaseEntry("E7.fusedE6", "§12", 2, 1, "full", "A1xD6", 1),
+        CaseEntry("E7.fusedE6", "§12", 3, 2, "full", "A2xA5", 3),
     ],
 }
 
@@ -107,14 +106,14 @@ _EXCEPTIONAL_ROWS = {
 # one entry per classical pattern; the classifier below picks among them.
 # A rule with a fixed cut node records no shape: n_s = 1 means the central
 # point, node 0; the odd orthogonal rules take theirs from the block ranks
-_CENTRAL = {"cut_node": 0, "dual_diagram": "untwisted"}
+_CENTRAL = {"cut_node": 0}
 _CLASSICAL_RULES = {e.pattern: e for e in (
     CaseEntry("lin.anisotropic", "§4", 1, 1, "full", **_CENTRAL),
     CaseEntry("unit.single", "§5", 1, 1, "1", "Sp"),
     CaseEntry("unit.pair", "§5", 2, 1, "1", "SpxSO"),
     CaseEntry("unit.equal", "§5", 2, 1, "omega_theta", "Sp-pair"),
-    CaseEntry("oddorth.s0", "§6", 2, 1, "1", dual_diagram="untwisted"),
-    CaseEntry("oddorth.pair", "§6", 2, 1, "full", dual_diagram="untwisted"),
+    CaseEntry("oddorth.s0", "§6", 2, 1, "1"),
+    CaseEntry("oddorth.pair", "§6", 2, 1, "full"),
     CaseEntry("symp.pair", "§7", 2, 1, "1", "DxB"),
     CaseEntry("symp.equal", "§7", 1, 1, "full", **_CENTRAL),
     CaseEntry("symp.mixed", "§7", 2, 2, "1", "DxB"),

@@ -215,18 +215,19 @@ def matched_class(group, form, support_class_associates):
 
 @dataclass(frozen=True)
 class PacketReport:
-    """One representation's worth of bookkeeping: case row data, the six
-    invariants, and the degree and gamma checks where available."""
+    """One representation's worth of bookkeeping: the support class, the
+    cuspidal class and the case row it was read from (one (host, cls, row)
+    triple of galois.kac_rows), the six invariants, and the degree and
+    gamma checks where available.  The support, quotient, class id,
+    pattern, provenance and n_s a record prints are read through those
+    three."""
 
     spec: str
     form_token: str
-    support: tuple
-    quotient: str
-    class_id: str
+    host: object              # padic.ParahoricClass
+    cls: object               # padic.CuspidalClass
+    row: object               # casetable.CaseEntry
     member_index: int
-    pattern: str
-    provenance: str
-    n_s: int
     invariants: PacketInvariants
     fdeg: CyclotomicProduct | None
     hii_status: str
@@ -246,12 +247,8 @@ def reports_for_form(group, form):
         hii_status = hii_check(fdeg, param, 1, s_sharp).status
         for member in range(cls.size):
             out.append(PacketReport(
-                spec=spec, form_token=form.token,
-                support=tuple(host.support),
-                quotient=host.quotient_description(),
-                class_id=cls.class_id, member_index=member,
-                pattern=row.pattern, provenance=row.provenance,
-                n_s=row.n_s, invariants=inv, fdeg=fdeg,
+                spec=spec, form_token=form.token, host=host, cls=cls,
+                row=row, member_index=member, invariants=inv, fdeg=fdeg,
                 hii_status=hii_status, param=param))
     return out
 
@@ -278,9 +275,9 @@ def _row_key(report):
     """Matching key for one report row under relabeling: everything a
     diagram automorphism must preserve except the support itself."""
     deg = report.fdeg if report.fdeg is not None else \
-        report.class_id.rsplit(".", 1)[-1]
-    return (report.pattern, report.n_s, report.invariants.b_prime, deg,
-            report.member_index)
+        report.cls.class_id.rsplit(".", 1)[-1]
+    return (report.row.pattern, report.row.n_s, report.invariants.b_prime,
+            deg, report.member_index)
 
 
 def equivariance_check(group, reports, tau):
@@ -303,7 +300,7 @@ def equivariance_check(group, reports, tau):
 
     indexed = {}
     for i, rep in enumerate(reports):
-        indexed.setdefault((rep.form_token, frozenset(rep.support),
+        indexed.setdefault((rep.form_token, frozenset(rep.host.support),
                             _row_key(rep)), []).append(i)
 
     associates = {}
@@ -335,7 +332,7 @@ def equivariance_check(group, reports, tau):
         # omega_-x carries the image to a support of r
         shift = conjugators[target_token][act[forms[rj.form_token].rep]]
         mapped_sup = frozenset(omega_action[shift][node_map[n]]
-                               for n in rj.support)
+                               for n in rj.host.support)
         canon = associates.get(target_token, {}).get(mapped_sup)
         if canon is None:
             mismatches.append((j, "support image not a class member"))
@@ -368,15 +365,15 @@ CSV_COLUMNS = ("spec", "form", "support", "quotient", "pattern",
 
 
 def report_record(report):
-    inv = report.invariants
+    inv, host, row = report.invariants, report.host, report.row
     return {
         "spec": report.spec,
         "form": report.form_token,
-        "support": list(report.support),
-        "quotient": report.quotient,
-        "pattern": report.pattern,
-        "provenance": report.provenance,
-        "n_s": report.n_s,
+        "support": list(host.support),
+        "quotient": host.quotient_description(),
+        "pattern": row.pattern,
+        "provenance": row.provenance,
+        "n_s": row.n_s,
         "invariants": {
             "a": inv.a, "b": inv.b,
             "a_prime": inv.a_prime, "b_prime": inv.b_prime,
@@ -384,12 +381,12 @@ def report_record(report):
             "stabilizer_param": list(inv.stabilizer_param),
             "stabilizer_pair": list(inv.stabilizer_pair),
         },
-        "orbit_count": inv.g_prime * euler_phi(report.n_s),
-        "class_id": report.class_id,
+        "orbit_count": inv.g_prime * euler_phi(row.n_s),
+        "class_id": report.cls.class_id,
         "member": report.member_index,
         "fdeg": report.fdeg.to_json() if report.fdeg is not None else None,
         "hii": report.hii_status,
-        "parameter": param_json(report.param, report.pattern),
+        "parameter": param_json(report.param, row.pattern),
         # never computed; the column stays until the next schema version
         "tau_orbit": None,
     }

@@ -2,11 +2,11 @@
 
 A parameter is pinned by a torsion point of the dual group, realized as a
 single cut node of the dual affine diagram together with its label n_s.
-The case row is the only record of that node and of the diagram it lies on
-(CaseEntry.cut_node and dual_diagram); a row without one gives a parameter
-without one.  Each dual diagram is read as one (marks, Cartan matrix)
-record: the untwisted one off the dual root system, the fused chains
-E6(2) and D4(3) from their squared lengths by rootdata.cartan_matrix.
+The case row is the only record of that node (CaseEntry.cut_node); a row
+without one gives a parameter without one.  The diagram depends on the
+group alone: dual_affine_diagram reads it off the dual type as one (marks,
+Cartan matrix) record, the untwisted one off the dual root system, the
+fused chains E6^(2) and D4^(3) from their lengths by rootdata.cartan_matrix.
 Deleting the node gives the centralizer type, checked against the row's
 explicit type string where it has one; the matching cuspidal
 support lives on a distinguished unipotent class there.  When that class is
@@ -245,12 +245,12 @@ _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D",
                 "E": "E", "F": "F", "G": "G"}
 
 
-# the fused dual diagrams, chains with their node marks and the squared
-# lengths of their nodes: E6^(2) has a double bond from node 2 to the long
-# node 3, D4^(3) a triple bond from node 1 to the long node 2
+# the fused dual diagrams by dual type, chains with their node marks and
+# the squared lengths of their nodes: E6^(2) has a double bond from node 2
+# to the long node 3, D4^(3) a triple bond from node 1 to the long node 2
 _FUSED_CHAINS = {
-    "E6(2)": ((1, 2, 3, 2, 1), (1, 1, 1, 2, 2)),
-    "D4(3)": ((1, 2, 1), (1, 1, 3)),
+    ("E", 6, 2): ((1, 2, 3, 2, 1), (1, 1, 1, 2, 2)),
+    ("D", 4, 3): ((1, 2, 1), (1, 1, 3)),
 }
 
 
@@ -259,23 +259,28 @@ def dual_type(group):
     return (_DUAL_FAMILY[group.family], group.rank, group.twist_order)
 
 
-def _dual_diagram(dual_family, dual_rank, diagram):
-    """(marks, Cartan matrix) of a dual affine diagram: the untwisted one is
-    read off the dual root system, a fused chain off its lengths."""
-    if diagram == "untwisted":
-        rs = root_system(dual_family, dual_rank)
+def dual_affine_diagram(dual):
+    """(marks, Cartan matrix) of the affine diagram of the dual type
+    (family, rank, twist) with its Frobenius action: for twist 1 the dual
+    root system's, for 2E6 and 3D4 a fused chain's, read off its lengths.
+    Any other twisted dual has no diagram here: InvariantError."""
+    family, rank, twist = dual
+    if twist == 1:
+        rs = root_system(family, rank)
         return rs.marks, rs.affine_cartan
-    marks, lengths = _FUSED_CHAINS[diagram]
+    if dual not in _FUSED_CHAINS:
+        raise InvariantError(f"no affine diagram for the twisted dual type "
+                             f"{twist}{family}{rank}")
+    marks, lengths = _FUSED_CHAINS[dual]
     return marks, cartan_matrix(
         [(i, i + 1) for i in range(len(lengths) - 1)], lengths)
 
 
-def centralizer_components(dual_family, dual_rank, diagram, v_node):
-    """Connected components left by cutting one node of the dual affine
-    diagram, as canonical (family, rank) pairs.  The untwisted diagram and
-    the fused chains go through the same classifier, each with its own
-    Cartan matrix."""
-    marks, cartan = _dual_diagram(dual_family, dual_rank, diagram)
+def centralizer_components(dual, v_node):
+    """Connected components left by cutting one node of the dual type's
+    affine diagram, as canonical (family, rank) pairs.  The untwisted
+    diagrams and the fused chains go through the same classifier."""
+    marks, cartan = dual_affine_diagram(dual)
     rest = [x for x in range(len(marks)) if x != v_node]
     return tuple(sorted(classify_component(cartan, comp)
                         for comp in connected_components(cartan, rest)))
@@ -376,19 +381,20 @@ class UnramifiedParam:
 
 
 def _build_param(group, cls, row):
-    fam_d, rank_d, twist_d = dual_type(group)
-    diagram, v_node = row.dual_diagram, row.cut_node
+    dual = dual_type(group)
+    fam_d, rank_d, twist_d = dual
+    v_node = row.cut_node
 
     kac = comps = central_order = None
     centralizer = row.geometric or "unrecorded"
     if v_node is not None:
-        marks = _dual_diagram(fam_d, rank_d, diagram)[0]
+        marks = dual_affine_diagram(dual)[0]
         if marks[v_node] != row.n_s:
             raise InvariantError(
                 f"Kac label mismatch at node {v_node}: mark {marks[v_node]}"
                 f" vs recorded {row.n_s}")
         kac = tuple(int(i == v_node) for i in range(len(marks)))
-        comps = centralizer_components(fam_d, rank_d, diagram, v_node)
+        comps = centralizer_components(dual, v_node)
         if not _shape_matches(row.geometric, comps):
             raise InvariantError(
                 f"centralizer mismatch: cut {v_node} of {fam_d}{rank_d} "
@@ -397,9 +403,9 @@ def _build_param(group, cls, row):
         # |Z(G^vee_sc)| is the order of the dual adjoint fundamental group
         central_order = row.n_s * root_system(fam_d, rank_d).omega.order()
 
-    computable = twist_d == 1 and diagram == "untwisted" and \
-        comps is not None and all(fam == "A" for fam, _ in comps)
-    tag = "regular" if computable else f"cuspidal:{cls.class_id or 'std'}"
+    computable = twist_d == 1 and comps is not None and \
+        all(fam == "A" for fam, _ in comps)
+    tag = "regular" if computable else f"cuspidal:{cls.class_id}"
     weights = gamma = None
     if computable:
         weights = inner_torsion_strings(fam_d, rank_d, v_node)

@@ -19,14 +19,14 @@ The p-adic side splits by what it depends on.  The inner forms depend only
 on the root system and the Frobenius twist, and the support classes (the
 maximal supports, their Omega_ad^theta orbits, stabilizer_ad, the
 component orbits, dim and torus_rank) only on the root system, F_omega and
-Omega_ad^theta.  That adjoint half is computed once per key and shared, in
-one memo, by every isogeny of the type: the keys are (group.rs,
-twist_order) for the forms and (group.rs, form.frobenius,
-group.omega_ad_theta) for the classes, and neither names the isogeny,
-which adds only Omega_G^theta, so stabilizer_G and g'.  group.rs is one
-object per type (rootdata.root_system), the memo's values are immutable,
-and every caller gets a fresh list.  A computation that raises stores
-nothing, so its checks run again on the next call.
+Omega_ad^theta.  That adjoint half is computed once per key and shared by
+every isogeny of the type, through an lru_cache on each of _inner_forms
+(rs, twist_order) and _adjoint_classes (rs, frobenius, omega_ad_theta).
+Neither key names the isogeny, which adds only Omega_G^theta, so
+stabilizer_G and g'.  rs is one object per type (rootdata.root_system),
+the cached values are immutable, and every caller gets a fresh list.  A
+computation that raises caches nothing, so its checks run again on the
+next call.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from supercusp.exact import CyclotomicProduct, InvariantError, orbits
-from supercusp.rootdata import weyl_degrees
+from supercusp.rootdata import SimpleGroup, weyl_degrees
 
 # Nodes, supports and components sort by their strings, so B10 lists
 # (0, 1, 10, 2, ...): the report digests pin that order, and a numeric
@@ -63,27 +63,18 @@ class InnerForm:
     frobenius: tuple
 
 
-# the adjoint half of the p-adic side: key -> immutable value
-_ADJOINT_MEMO = {}
-
-
-def _shared(key, compute):
-    """The memo's value at key, computed on a miss; nothing is stored when
-    compute raises."""
-    if key not in _ADJOINT_MEMO:
-        _ADJOINT_MEMO[key] = compute()
-    return _ADJOINT_MEMO[key]
-
-
 def enumerate_inner_forms(group):
     """Inner forms in deterministic order: the quasi-split one first."""
-    return list(_shared(("forms", group.rs, group.twist_order),
-                        lambda: _inner_forms(group)))
+    return list(_inner_forms(group.rs, group.twist_order))
 
 
-def _inner_forms(group):
+@lru_cache(maxsize=None)
+def _inner_forms(rs, twist_order):
+    """The inner forms of every isogeny of the type, read from its adjoint
+    group."""
+    group = SimpleGroup(rs.family, rs.rank, twist_order)
     classes = group.adjoint_coinvariant_classes()
-    ident = group.rs.omega.identity()
+    ident = rs.omega.identity()
     keyed = []
     for cls in classes:
         members = tuple(sorted(cls))
@@ -100,9 +91,9 @@ def _inner_forms(group):
             token = f"w{wi}"
         else:
             token = "1"
-        act = group.rs.omega_action[rep]
+        act = rs.omega_action[rep]
         out.append(InnerForm(token, rep, members, not not_qs, tuple(
-            act[group.theta[node]] for node in range(group.rank + 1))))
+            act[group.theta[node]] for node in range(rs.rank + 1))))
     return tuple(out)
 
 
@@ -341,9 +332,13 @@ class ParahoricClass:
 def maximal_supports(group, form):
     """All maximal F_omega-stable proper subsets of the affine nodes: the
     complements of single node orbits."""
-    nodes = range(group.rank + 1)
+    return _maximal_supports(form.frobenius)
+
+
+def _maximal_supports(frobenius):
+    nodes = range(len(frobenius))
     return [tuple(sorted((set(nodes) - set(orb)), key=_NODE_ORDER))
-            for orb in _perm_orbits(form.frobenius, nodes)]
+            for orb in _perm_orbits(frobenius, nodes)]
 
 
 def parahoric_classes(group, form):
@@ -351,11 +346,10 @@ def parahoric_classes(group, form):
     their representatives.  The adjoint half, everything but stabilizer_G
     and g', is shared by every isogeny of the type (see the module
     docstring); Omega_G^theta adds the rest here."""
-    key = ("classes", group.rs, form.frobenius, group.omega_ad_theta)
     theta_fixed_ad, theta_fixed_G = group.omega_ad_theta, group.omega_G_theta
     classes = []
-    for rep, associates, stab_ad, orbits, torus_rank, dim in _shared(
-            key, lambda: _adjoint_classes(group, form)):
+    for rep, associates, stab_ad, orbits, torus_rank, dim in _adjoint_classes(
+            group.rs, form.frobenius, theta_fixed_ad):
         stab_G = stab_ad & theta_fixed_G
         # g' = [ad orbit of the support] / [G orbit of the support], each
         # orbit the size of its group over the stabilizer
@@ -378,13 +372,13 @@ def parahoric_classes(group, form):
     return classes
 
 
-def _adjoint_classes(group, form):
+@lru_cache(maxsize=None)
+def _adjoint_classes(rs, frobenius, omega_ad_theta):
     """(support, associates, stabilizer_ad, orbits, torus_rank, dim) per
-    class, sorted by support: read from group.rs, form.frobenius and
-    group.omega_ad_theta alone."""
-    supports = maximal_supports(group, form)
-    theta_fixed_ad = sorted(group.omega_ad_theta)
-    action = group.rs.omega_action
+    class, sorted by support."""
+    supports = _maximal_supports(frobenius)
+    theta_fixed_ad = sorted(omega_ad_theta)
+    action = rs.omega_action
 
     def act_on_support(w, J):
         return tuple(sorted((action[w][x] for x in J), key=_NODE_ORDER))
@@ -398,15 +392,14 @@ def _adjoint_classes(group, form):
         seen |= orbit
         rep = min(orbit, key=_NODE_ORDER)
         stab_ad = frozenset(w for w in theta_fixed_ad if act_on_support(w, rep) == rep)
-        orbits = component_orbits(group.rs.affine_cartan, rep,
-                                  form.frobenius)
+        orbits = component_orbits(rs.affine_cartan, rep, frobenius)
         # rank plus the roots of the components, from the Weyl degrees: a
         # degree d adds d - 1 positive roots
-        dim = group.rank + sum(
+        dim = rs.rank + sum(
             len(co.components) * 2 * sum(
                 d - 1 for d in weyl_degrees(co.family, co.rank))
             for co in orbits)
-        torus_rank = group.rank - sum(
+        torus_rank = rs.rank - sum(
             co.orbit_size * co.rank for co in orbits)
         classes.append((rep, tuple(sorted(orbit, key=_NODE_ORDER)), stab_ad,
                         orbits, torus_rank, dim))

@@ -12,8 +12,8 @@ import pytest
 from supercusp.casetable import odd_orthogonal_blocks, rows_for_host
 from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
-                             RatFunc, euler_phi)
-from supercusp.galois import (WeightString, _orbit_product,
+                             InvariantError, RatFunc, euler_phi)
+from supercusp.galois import (WeightString, _build_param, _orbit_product,
                               centralizer_components, dual_type,
                               gamma0_virtual, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
@@ -734,15 +734,25 @@ class TestKacPoints:
         # of E6 fixes F4 (node 0) and C4 (node 4), the outer automorphism
         # of order three of D4 fixes G2 (node 0) and A2 (node 2)
         expect = {
-            "E6(2)": [(("F", 4),), (("A", 1), ("B", 3)),
-                      (("A", 2), ("A", 2)), (("A", 1), ("A", 3)),
-                      (("C", 4),)],
-            "D4(3)": [(("G", 2),), (("A", 1), ("A", 1)), (("A", 2),)],
+            ("E", 6, 2): [(("F", 4),), (("A", 1), ("B", 3)),
+                          (("A", 2), ("A", 2)), (("A", 1), ("A", 3)),
+                          (("C", 4),)],
+            ("D", 4, 3): [(("G", 2),), (("A", 1), ("A", 1)), (("A", 2),)],
         }
-        for diagram, cuts in expect.items():
+        for dual, cuts in expect.items():
             for v, comps in enumerate(cuts):
-                assert centralizer_components(None, None, diagram, v) == \
-                    comps, (diagram, v)
+                assert centralizer_components(dual, v) == comps, (dual, v)
+
+    def test_cut_on_a_twisted_dual_without_a_diagram_raises(self):
+        # the unitary rows record no cut node; given one, the dual type
+        # 2A5 has no affine diagram yet, and the error names it
+        g = build_group("2A5", "adjoint")
+        _, cls, row, _ = next(
+            r for form in enumerate_inner_forms(g)
+            for r in kac_rows(g, form) if r[2].pattern == "unit.single")
+        assert row.cut_node is None
+        with pytest.raises(InvariantError, match="dual type 2A5"):
+            _build_param(g, cls, dataclasses.replace(row, cut_node=0))
 
     def test_division_parameter(self):
         g = build_group("A2", "adjoint")

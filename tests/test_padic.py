@@ -437,6 +437,11 @@ def _oracle_parahoric_classes(group, form):
     return classes
 
 
+def _clear_adjoint_caches():
+    padic._inner_forms.cache_clear()
+    padic._adjoint_classes.cache_clear()
+
+
 def _report_text(spec):
     return json.dumps(reports_json(full_report(spec)), sort_keys=True)
 
@@ -461,7 +466,7 @@ class TestSharedAdjointSide:
             assert specs[-1].split(":")[1] == "adjoint"
             counts = []
             for batch in (specs[-1:], specs):
-                padic._ADJOINT_MEMO.clear()
+                _clear_adjoint_caches()
                 calls.clear()
                 for spec in batch:
                     full_report(spec)
@@ -472,7 +477,7 @@ class TestSharedAdjointSide:
     def test_classes_match_the_oracle_in_either_order(self, key):
         groups = list(_isogenies(*key))
         for ordered in (groups, groups[::-1]):
-            padic._ADJOINT_MEMO.clear()
+            _clear_adjoint_caches()
             for g in ordered:
                 for form in enumerate_inner_forms(g):
                     assert parahoric_classes(g, form) == \
@@ -484,7 +489,7 @@ class TestSharedAdjointSide:
                  for key in catalogue()]
         texts = []
         for order in (1, -1):
-            padic._ADJOINT_MEMO.clear()
+            _clear_adjoint_caches()
             texts.append({spec: _report_text(spec)
                           for batch in specs for spec in batch[::order]})
         assert len(texts[0]) == 192
@@ -522,7 +527,7 @@ class TestSharedAdjointSide:
         def broken(cartan, support, perm):
             raise InvariantError("return map order out of range")
 
-        padic._ADJOINT_MEMO.clear()
+        _clear_adjoint_caches()
         monkeypatch.setattr(padic, "component_orbits", broken)
         for _ in range(2):
             with pytest.raises(InvariantError):

@@ -17,6 +17,7 @@ from supercusp import exact, rootdata
 from supercusp.correspond import full_report
 from supercusp.exact import (FiniteAbelianGroup, InvariantError,
                              group_from_presentation, smith_normal_form)
+from supercusp.galois import dual_affine_diagram
 from supercusp.rootdata import (
     MAX_RANK,
     RootSystem,
@@ -52,6 +53,11 @@ CATALOGUE_SYSTEMS = [("A", n) for n in range(1, 13)] + \
     [(f, n) for f in "BC" for n in range(2, 13)] + \
     [("D", n) for n in range(3, 13)] + \
     [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _type_id(key):
+    fam, rank, tw = key
+    return f"{'' if tw == 1 else tw}{fam}{rank}"
 
 
 class TestRootSystem:
@@ -142,13 +148,15 @@ class TestRootSystem:
         c = root_system("C", 4)
         assert [j for j in range(1, 5) if c.affine_cartan[0][j] != 0] == [1]
 
-    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("key", [(*k, 1) for k in CATALOGUE_SYSTEMS]
+                             + [("E", 6, 2), ("D", 4, 3)], ids=_type_id)
     def test_marks_annihilate_affine_cartan(self, key):
-        # delta = sum_i a_i alpha_i pairs to zero with every affine coroot
-        rs = root_system(*key)
-        nodes = range(rs.rank + 1)
-        assert all(sum(rs.marks[i] * rs.affine_cartan[i][j] for i in nodes)
-                   == 0 for j in nodes)
+        # delta = sum_i a_i alpha_i pairs to zero with every affine coroot,
+        # on the untwisted diagrams and on the hand-written fused chains
+        marks, cartan = dual_affine_diagram(key)
+        nodes = range(len(marks))
+        assert all(sum(marks[i] * cartan[i][j] for i in nodes) == 0
+                   for j in nodes)
 
     @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
     def test_roots_in_simple_coordinates(self, key):
@@ -176,11 +184,6 @@ def _isogenies(fam, rank, tw):
             yield SimpleGroup(fam, rank, tw, iso)
         except ValueError:
             continue
-
-
-def _type_id(key):
-    fam, rank, tw = key
-    return f"{'' if tw == 1 else tw}{fam}{rank}"
 
 
 def _lattice_basis(cols):
