@@ -39,6 +39,7 @@ irrational product, so the multiset is not stable under the Galois action.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -212,17 +213,8 @@ def local_factors(weights, ord_psi=0):
     exactly self-duality of the representation, and anything else signals an
     upstream bug."""
     strings = tuple(weights)
-    pool = list(strings)
-    while pool:
-        w = pool.pop()
-        partner = w.dual()
-        if partner == w:
-            continue
-        try:
-            pool.remove(partner)
-        except ValueError:
-            raise ValueError(
-                "weight multiset is not closed under inversion") from None
+    if Counter(strings) != Counter(w.dual() for w in strings):
+        raise ValueError("weight multiset is not closed under inversion")
     out = WDLocalFactors(strings=strings, ord_psi=ord_psi)
     # |gamma(0)| is read now, so a multiset that is not stable under the
     # Galois action fails here rather than at its first use

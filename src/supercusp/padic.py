@@ -329,13 +329,9 @@ class ParahoricClass:
         return "x".join(parts) if parts else "T0"
 
 
-def maximal_supports(group, form):
+def maximal_supports(frobenius):
     """All maximal F_omega-stable proper subsets of the affine nodes: the
-    complements of single node orbits."""
-    return _maximal_supports(form.frobenius)
-
-
-def _maximal_supports(frobenius):
+    complements of single node orbits of the Frobenius."""
     nodes = range(len(frobenius))
     return [tuple(sorted((set(nodes) - set(orb)), key=_NODE_ORDER))
             for orb in _perm_orbits(frobenius, nodes)]
@@ -376,7 +372,7 @@ def parahoric_classes(group, form):
 def _adjoint_classes(rs, frobenius, omega_ad_theta):
     """(support, associates, stabilizer_ad, orbits, torus_rank, dim) per
     class, sorted by support."""
-    supports = _maximal_supports(frobenius)
+    supports = maximal_supports(frobenius)
     theta_fixed_ad = sorted(omega_ad_theta)
     action = rs.omega_action
 

@@ -4,14 +4,16 @@ Each simple type is given by its Dynkin diagram: Bourbaki's bonded pairs of
 simple roots and their squared lengths, from which cartan_matrix reads the
 Cartan matrix.  Everything downstream is integral: the roots are built by
 reflection in simple-root coordinates, the highest root is the root of
-largest height, and the affine diagram with its marks, the finite abelian
-group P_cowt/Q_corootlat and its diagram action all follow from the Cartan
-matrix and the lengths rather than being transcribed.  Omega is presented
-once, by the Smith form of the Cartan matrix, which also gives
-coweight_class its coordinates; after that every subgroup of Omega is an
-element set, and RootSystem.quotient_invariants reads a subquotient from
-its order and exponent, by counting.  Node numbering follows Bourbaki,
-and the extending affine node is index 0 in every simple factor.
+largest height, and the affine diagram with its marks follows.  Omega =
+P_cowt/Q_corootlat is presented once, by the Smith form of the Cartan
+matrix, which also labels the special nodes (coweight_class); after that
+every subgroup of Omega is an element set, and
+RootSystem.quotient_invariants reads a subquotient from its order and
+exponent, by counting.  Omega's node action and the diagram automorphisms
+come from one search, _automorphisms, for the node permutations that keep
+a Cartan matrix and extend a partial map; neither is transcribed.  Node
+numbering follows Bourbaki, and the extending affine node is index 0 in
+every simple factor.
 
 An isogeny is named by its subgroup Omega_G of the adjoint fundamental
 group, with the Frobenius acting on it: X_*/Q^vee is Omega_G, so nothing
@@ -215,70 +217,31 @@ class RootSystem:
         return self.omega_pres.project(vec)
 
     def _build_omega_action(self):
-        """Node action of Omega on the affine diagram, from the generator
-        table, extended multiplicatively and then validated."""
-        fam, n = self.family, self.rank
-        ident = self.omega.identity()
-        nodes = list(range(n + 1))
-        id_perm = {i: i for i in nodes}
-        gens = {}
-        if fam == "A" and n >= 1:
-            rot = {i: (i + 1) % (n + 1) for i in nodes}
-            gens[self.coweight_class(1)] = rot
-        elif fam == "B":
-            perm = dict(id_perm)
-            perm[0], perm[1] = 1, 0
-            gens[self.coweight_class(1)] = perm
-        elif fam == "C":
-            gens[self.coweight_class(n)] = {i: n - i for i in nodes}
-        elif fam == "D":
-            eta = dict(id_perm)
-            eta[0], eta[1] = 1, 0
-            eta[n - 1], eta[n] = n, n - 1
-            gens[self.coweight_class(1)] = eta
-            rho = {i: n - i for i in nodes}
-            if n % 2:
-                rho[0], rho[n] = n, 1
-                rho[1], rho[n - 1] = n - 1, 0
-            gens[self.coweight_class(n)] = rho
-        elif fam == "E" and n == 6:
-            perm = {0: 1, 1: 6, 6: 0, 2: 3, 3: 5, 5: 2, 4: 4}
-            gens[self.coweight_class(1)] = perm
-        elif fam == "E" and n == 7:
-            perm = {0: 7, 7: 0, 1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
-            gens[self.coweight_class(7)] = perm
-        # E8, F4, G2: trivial group, no generators
-
-        # the pairs (x, node images of x) reached from the identity: a
-        # homomorphism reaches each x only once
-        pairs = orbits([(ident, tuple(nodes))], lambda pair: [
-            (self.omega.add(pair[0], g), tuple(perm[i] for i in pair[1]))
-            for g, perm in gens.items()])[0]
-        action = dict(pairs)
-        if len(action) != len(pairs):
-            raise InvariantError("omega action is not a homomorphism")
-        if len(action) != self.omega.order():
-            raise InvariantError("omega action is incomplete")
-        # faithfulness on the adjoint diagram
-        self._omega_by_action = {perm: x for x, perm in pairs}
-        if len(self._omega_by_action) != len(pairs):
-            raise InvariantError("omega action is not faithful")
-        # each action preserves the affine Cartan matrix and the marks
-        for perm in action.values():
-            if any(self.marks[perm[i]] != self.marks[i] for i in nodes):
-                raise InvariantError("omega action moves the marks")
-            if any(self.affine_cartan[perm[i]][perm[j]] !=
-                   self.affine_cartan[i][j] for i in nodes for j in nodes):
+        """Node action of Omega on the affine diagram.  Omega is simply
+        transitive on the special nodes: node 0 is labelled by the identity
+        and special node j by coweight_class(j).  x moves node(y) to
+        node(x + y), and that move must extend to exactly one automorphism
+        of the affine Cartan matrix, x's action; it keeps the marks too,
+        the positive primitive vector of the matrix's left kernel."""
+        omega = self.omega
+        node = {}
+        for j in (j for j, mark in enumerate(self.marks) if mark == 1):
+            x = self.coweight_class(j) if j else omega.identity()
+            if x in node:
+                raise InvariantError(f"special nodes {node[x]} and {j} of "
+                                     f"{self.family}{self.rank} share the "
+                                     f"label {x}")
+            node[x] = j
+        elems = omega.elements()
+        moves = [{node[y]: node[omega.add(x, y)] for y in elems}
+                 for x in elems]
+        self.omega_action = {}
+        for x, autos in zip(elems, _automorphisms(self.affine_cartan, moves)):
+            if len(autos) != 1:
                 raise InvariantError(
-                    "omega action moves the affine Cartan matrix")
-        # node-0 orbit consistency: the class of a fundamental coweight
-        # moves the extending node to the matching special node
-        for x, perm in action.items():
-            j = perm[0]
-            if j != 0 and self.coweight_class(j) != x:
-                raise InvariantError(
-                    f"special node {j} is not labeled by its coweight class")
-        self.omega_action = action
+                    f"moving the special nodes by {x} extends to "
+                    f"{len(autos)} automorphisms of the affine diagram")
+            self.omega_action[x] = autos[0]
 
     def _build_isogenies(self):
         """isogenies maps each canonical isogeny token to Omega_G, its
@@ -308,16 +271,19 @@ class RootSystem:
         self.isogenies = table
 
     def aut_on_omega(self, perm):
-        """A finite-diagram automorphism (a permutation of 1..rank, or of
-        0..rank fixing 0) acting on Omega, as a dict: extended to the affine
-        diagram by fixing node 0, it conjugates the node permutation of x
-        into that of the image of x, and Omega acts faithfully on the
-        nodes."""
-        p = {0: 0, **perm}
-        inv = {v: k for k, v in p.items()}
-        return {x: self._omega_by_action[tuple(p[act[inv[i]]]
-                                               for i in range(self.rank + 1))]
-                for x, act in self.omega_action.items()}
+        """A finite-diagram automorphism (a dict on nodes 1..rank, or on
+        0..rank fixing 0; a node left out is fixed) acting on Omega, as a
+        dict.  Fixing node 0, perm must keep the affine Cartan matrix
+        (InvariantError otherwise); it then conjugates x's action into one
+        that moves node 0 to perm[node(x)], and an element of Omega is the
+        class of the special node that it moves node 0 to."""
+        nodes, A = range(self.rank + 1), self.affine_cartan
+        p = [perm.get(i, i) for i in nodes]
+        if p[0] or any(A[p[i]][p[j]] != A[i][j] for i in nodes for j in nodes):
+            raise InvariantError(f"{perm} is no automorphism of the diagram "
+                                 f"of {self.family}{self.rank}")
+        label = {act[0]: x for x, act in self.omega_action.items()}
+        return {x: label[p[act[0]]] for x, act in self.omega_action.items()}
 
     def quotient_invariants(self, big, small):
         """Invariant factors of big/(big cap small) for subgroups big and
@@ -343,26 +309,53 @@ class RootSystem:
     # -- finite diagram automorphisms ----------------------------------------
 
     def finite_diagram_autos(self):
-        """All automorphisms of the finite diagram, as node permutations on
-        1..rank: the group generated by the twists of order 2 and 3 that
-        standard_frobenius_perm knows for this type."""
-        fam, n = self.family, self.rank
-        gens = []
-        for order in (2, 3):
-            try:
-                gens.append(standard_frobenius_perm(fam, n, order))
-            except ValueError:
-                pass
-        # a permutation is the tuple of the images of nodes 1..rank
-        autos = [dict(zip(range(1, n + 1), p)) for p in orbits(
-            [tuple(range(1, n + 1))],
-            lambda p: [tuple(g[i] for i in p) for g in gens])[0]]
-        for p in autos:
-            if any(self.cartan[p[i] - 1][p[j] - 1] != self.cartan[i - 1][j - 1]
-                   for i in range(1, n + 1) for j in range(1, n + 1)):
-                raise InvariantError(
-                    f"{p} does not preserve the Cartan matrix")
-        return autos
+        """All automorphisms of the finite diagram, the node permutations
+        that keep the Cartan matrix, as dicts on 1..rank, the identity
+        first."""
+        n = self.rank
+        return [dict(zip(range(1, n + 1), (i + 1 for i in p)))
+                for p in _automorphisms(self.cartan, [{}])[0]]
+
+
+def _automorphisms(cartan, fixed_maps):
+    """For each partial node map in fixed_maps, every permutation of the
+    nodes that keeps the Cartan matrix and extends it, as tuples of images
+    in sorted order.  Nodes are placed breadth first, so each node but the
+    first of its component is a neighbour of an earlier one and goes to a
+    neighbour of that one's image.  Each bond is checked once, when its
+    later node is placed; that is enough, as a bijection that keeps every
+    bond keeps the whole matrix."""
+    m = len(cartan)
+    nbrs = [[j for j in range(m) if j != i and cartan[i][j]] for i in range(m)]
+    order = [v for orb in orbits(range(m), nbrs.__getitem__) for v in orb]
+    # per placed node, its bonds to earlier nodes with both matrix entries
+    bonds = [[(u, cartan[u][v], cartan[v][u]) for u in nbrs[v]
+              if u in order[:k]] for k, v in enumerate(order)]
+
+    def extend(fixed, image, used, k, out):
+        if k == m:
+            out.append(tuple(image))
+            return out
+        v, back = order[k], bonds[k]
+        if v in fixed:
+            targets = (fixed[v],)
+        else:
+            targets = nbrs[image[back[0][0]]] if back else range(m)
+        for t in targets:
+            if t in used:
+                continue
+            for u, a, b in back:
+                if cartan[image[u]][t] != a or cartan[t][image[u]] != b:
+                    break
+            else:
+                image[v] = t
+                used.add(t)
+                extend(fixed, image, used, k + 1, out)
+                used.remove(t)
+        return out
+
+    return [sorted(extend(fixed, [None] * m, set(), 0, []))
+            for fixed in fixed_maps]
 
 
 def _unit(i, n):

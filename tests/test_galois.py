@@ -533,7 +533,7 @@ class TestEquivariance:
     isogeny permutes the report rows and keeps every formal degree."""
 
     @pytest.mark.parametrize("type_str", [
-        "A3", "A5", "A7", "D4", "D5", "D6", "D8", "2D4", "2D5", "2D6",
+        "A3", "A5", "A7", "D3", "D4", "D5", "D6", "D8", "2D4", "2D5", "2D6",
         "2D8", "E6", "2E6", "B3", "2A3", "2A5", "2A7", "2A9",
     ])
     def test_rows_permute(self, type_str):

@@ -63,7 +63,7 @@ class TestInnerForms:
         an = inner_forms_by_token(g, "an")[0]
         assert not an.quasi_split
         # rotation by one: a single affine orbit, so no proper stable support
-        assert maximal_supports(g, an) == [()]
+        assert maximal_supports(an.frobenius) == [()]
 
     def test_an_rejected_outside_type_a(self):
         # only split type A has an anisotropic inner form; the form of a
@@ -186,7 +186,7 @@ class TestTorusFactor:
                 if key not in dense:
                     dense[key] = dense_det_qw_minus_one(W)
                 full = dense[key]
-                for J in maximal_supports(g, form) + [()]:
+                for J in maximal_supports(form.frobenius) + [()]:
                     supports += 1
                     span = RatFunc.from_int(1)
                     for orb in _perm_orbits(perm, J):
@@ -402,7 +402,7 @@ class TestGPrimeOracle:
 
 def _oracle_parahoric_classes(group, form):
     """parahoric_classes computed for one group alone, with no memo."""
-    supports = maximal_supports(group, form)
+    supports = maximal_supports(form.frobenius)
     theta_fixed_ad = sorted(group.omega_ad_theta)
     theta_fixed_G = group.omega_G_theta
 

@@ -455,7 +455,7 @@ class TestIsogenies:
 
 
 DIAGRAM_AUTO_COUNTS = {
-    "A1": 1, "A3": 2, "B3": 1, "C4": 1, "D4": 6, "D5": 2, "E6": 2,
+    "A1": 1, "A3": 2, "B3": 1, "C4": 1, "D3": 2, "D4": 6, "D5": 2, "E6": 2,
     "E7": 1, "G2": 1,
 }
 
@@ -540,6 +540,28 @@ class TestOmegaAction:
         perm = g.rs.omega_action[w]
         assert perm[0] == 7 and perm[7] == 0
         assert perm[2] == 2 and perm[4] == 4
+
+    @pytest.mark.parametrize("ts, perm", [
+        ("G2", {1: 2, 2: 1}), ("B3", {2: 3, 3: 2}), ("A3", {1: 2, 2: 1, 3: 3}),
+        ("A3", {0: 1, 1: 2, 2: 3, 3: 0}),
+    ], ids=["G2", "B3", "A3", "A3-rotation"])
+    def test_non_automorphism_rejected(self, ts, perm):
+        # a node permutation that does not keep the Cartan matrix, or that
+        # moves node 0, is no finite-diagram automorphism
+        g = build_group(ts, "adjoint")
+        with pytest.raises(InvariantError, match="no automorphism"):
+            g.rs.aut_on_omega(perm)
+
+    @pytest.mark.parametrize("key", [("A", 4), ("D", 4), ("D", 5), ("E", 6)],
+                             ids="{0[0]}{0[1]}".format)
+    def test_mislabelled_special_node_rejected(self, key, monkeypatch):
+        # labels swapped on nodes 1 and 2 either repeat a label or give a
+        # move of the special nodes that no diagram automorphism makes
+        real = RootSystem.coweight_class
+        monkeypatch.setattr(RootSystem, "coweight_class",
+                            lambda rs, j: real(rs, {1: 2, 2: 1}.get(j, j)))
+        with pytest.raises(InvariantError):
+            RootSystem(*key)
 
     def test_faithful(self):
         for ts in ["A5", "D4", "D5", "E6"]:
