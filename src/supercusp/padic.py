@@ -14,6 +14,8 @@ products c * t^k * prod Phi_n(t)^(e_n) in t = q^(1/2)
 (exact.CyclotomicProduct): a semisimple factor is a product of
 Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
 read off the Frobenius orbits of the affine nodes outside the support.
+A component is named by its bond profile, looked up among the Bourbaki
+diagrams of rootdata (classify_component).
 
 The p-adic side splits by what it depends on.  The inner forms depend only
 on the root system and the Frobenius twist, and the support classes (the
@@ -37,7 +39,8 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from supercusp.exact import CyclotomicProduct, InvariantError, orbits
-from supercusp.rootdata import SimpleGroup, weyl_degrees
+from supercusp.rootdata import (SimpleGroup, cartan_matrix, dynkin_diagram,
+                                weyl_degrees)
 
 # Nodes, supports and components sort by their strings, so B10 lists
 # (0, 1, 10, 2, ...): the report digests pin that order, and a numeric
@@ -136,66 +139,38 @@ def connected_components(cartan, nodes):
         nodes, lambda a: [b for b in nodes if cartan[a][b]])]
 
 
-def classify_component(cartan, nodes):
-    """(family, rank) of the connected subdiagram on the given nodes, with
-    Cartan entries cartan[a][b] = <alpha_a, alpha_b^vee>.
+def _bond_profile(cartan, nodes):
+    """Per node, its bonds as sorted (A[a][b], A[b][a], degree of b), the
+    nodes' tuples sorted: a diagram's shape, whatever its numbering."""
+    nbrs = {a: [b for b in nodes if b != a and cartan[a][b]] for a in nodes}
+    return tuple(sorted(tuple(sorted((cartan[a][b], cartan[b][a], len(nbrs[b]))
+                                     for b in nbrs[a])) for a in nodes))
 
-    Coincidences are canonicalized: rank 1 is A1, the double-bond rank-2
-    diagram is B2, a branchless simply-laced chain is A_n."""
-    n = len(nodes)
-    if n == 1:
-        return ("A", 1)
-    entry = {(a, b): cartan[a][b] for a in nodes for b in nodes}
-    bonds = {}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            m = entry[(a, b)] * entry[(b, a)]
-            if m:
-                bonds[(a, b)] = m
-    if any(m == 3 for m in bonds.values()):
-        return ("G", 2)
-    deg = {a: 0 for a in nodes}
-    for (a, b) in bonds:
-        deg[a] += 1
-        deg[b] += 1
-    doubles = [e for e, m in bonds.items() if m == 2]
-    if doubles:
-        if n == 2:
-            return ("B", 2)
-        (a, b) = doubles[0]
-        if deg[a] > 1 and deg[b] > 1:
-            return ("F", 4)
-        # the chain ends in the double bond; the short end tells B from C
-        leaf, inner = (a, b) if deg[a] == 1 else (b, a)
-        # <alpha_inner, leaf_coroot> = -2 iff the leaf is short (type B)
-        if entry[(inner, leaf)] == -2:
-            return ("B", n)
-        return ("C", n)
-    branch = [a for a in nodes if deg[a] == 3]
-    if not branch:
-        return ("A", n)
-    arms = []
-    b = branch[0]
-    for start in [x for x in nodes if entry[(b, x)] != 0 and x != b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [y for y in nodes if y not in (prev, cur) and entry[(cur, y)] != 0]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return ("D", n)
-    if arms == [1, 2, 2]:
-        return ("E", 6)
-    if arms == [1, 2, 3]:
-        return ("E", 7)
-    if arms == [1, 2, 4]:
-        return ("E", 8)
-    raise ValueError(f"unclassifiable diagram on {nodes}")
+
+@lru_cache(maxsize=None)
+def _types_by_profile(rank):
+    """(family, rank) of each Bourbaki diagram of the rank, by bond
+    profile.  Filled from G back to A, so each coincidence keeps the first
+    family's name: A1, B2 (not C2) and A3 (not D3)."""
+    table = {}
+    for family in "GFEDCBA":
+        try:
+            cartan = cartan_matrix(*dynkin_diagram(family, rank))
+        except ValueError:
+            continue
+        table[_bond_profile(cartan, range(rank))] = (family, rank)
+    return table
+
+
+def classify_component(cartan, nodes):
+    """(family, rank) of the connected subdiagram of a finite or affine
+    Dynkin diagram on the given nodes, with Cartan entries cartan[a][b] =
+    <alpha_a, alpha_b^vee>, looked up by its bond profile; ValueError if
+    no Bourbaki diagram has that profile."""
+    try:
+        return _types_by_profile(len(nodes))[_bond_profile(cartan, nodes)]
+    except KeyError:
+        raise ValueError(f"unclassifiable diagram on {nodes}") from None
 
 
 @dataclass(frozen=True)
@@ -272,13 +247,12 @@ def finite_semisimple_order(family, rank, twist):
     num_pos_roots = sum(d - 1 for d in degrees)
     if twist == 1:
         orders = [1] * len(degrees)
-    elif twist == 2 and family == "A":
+    elif twist == 2 and (family == "A" or (family, rank) == ("E", 6)):
+        # theta = -w_0 flips the sign on exactly the odd degrees
         orders = [2 if d % 2 else 1 for d in degrees]
     elif twist == 2 and family == "D":
         # the Pfaffian degree (listed last) flips sign
         orders = [1] * (len(degrees) - 1) + [2]
-    elif twist == 2 and (family, rank) == ("E", 6):
-        orders = [2 if d in (5, 9) else 1 for d in degrees]
     elif twist == 3 and (family, rank) == ("D", 4):
         degrees, orders = (2, 4, 6), (1, 3, 1)
     else:

@@ -2,18 +2,19 @@
 
 Each simple type is given by its Dynkin diagram: Bourbaki's bonded pairs of
 simple roots and their squared lengths, from which cartan_matrix reads the
-Cartan matrix.  Everything downstream is integral: the roots are built by
-reflection in simple-root coordinates, the highest root is the root of
-largest height, and the affine diagram with its marks follows.  Omega =
-P_cowt/Q_corootlat is presented once, by the Smith form of the Cartan
-matrix, which also labels the special nodes (coweight_class); after that
-every subgroup of Omega is an element set, and
+Cartan matrix.  Every other fact about a type but its Weyl degrees, which
+are checked against its roots, is read off that matrix, in integers: the
+roots are built by reflection in simple-root coordinates, the highest root
+theta is the root of largest height, and the affine diagram adds the row of
+-theta, with its marks.  Omega = P_cowt/Q_corootlat is presented once, by
+the Smith form of the Cartan matrix, which also labels the special nodes
+(coweight_class); after that every subgroup of Omega is an element set, and
 RootSystem.quotient_invariants reads a subquotient from its order and
-exponent, by counting.  Omega's node action and the diagram automorphisms
-come from one search, _automorphisms, for the node permutations that keep
-a Cartan matrix and extend a partial map; neither is transcribed.  Node
-numbering follows Bourbaki, and the extending affine node is index 0 in
-every simple factor.
+exponent, by counting.  Omega's node action, the diagram automorphisms and
+the standard Frobenius come from one search, _automorphisms, for the node
+permutations that keep a Cartan matrix and extend a partial map; none is
+transcribed.  Node numbering follows Bourbaki, and the extending affine
+node is index 0 in every simple factor.
 
 An isogeny is named by its subgroup Omega_G of the adjoint fundamental
 group, with the Frobenius acting on it: X_*/Q^vee is Omega_G, so nothing
@@ -146,6 +147,8 @@ class RootSystem:
                 f"degrees of {family}{rank} do not count its "
                 f"{self.num_pos_roots} positive roots")
         self.affine_cartan = self._affine_cartan()
+        # searched once here, as every twisted group reads its Frobenius off
+        self._diagram_autos = _automorphisms(self.cartan, [{}])[0]
         self._build_omega()
         self._build_isogenies()
 
@@ -171,25 +174,16 @@ class RootSystem:
 
     def _affine_cartan(self):
         """Cartan matrix of the affine diagram, node 0 being the gradient
-        -theta.  theta is long, so its coroot is read off the lengths:
-        theta^vee = sum_i theta_i L_i / max(L) alpha_i^vee."""
+        -theta.  Its row is <-theta, alpha_j^vee> = -sum_i theta_i A[i][j];
+        theta is long, so its column is that row times L_j / max(L)."""
         n, A, top = self.rank, self.cartan, max(self.lengths)
-        theta_vee = []
-        for c, length in zip(self.hr_coeffs, self.lengths):
-            q, r = divmod(c * length, top)
-            if r:
-                raise InvariantError(f"coroot of the highest root of "
-                                     f"{self.family}{n} is not integral")
-            theta_vee.append(q)
-        vecs = [tuple(-c for c in self.hr_coeffs)] + \
-            [_unit(i, n) for i in range(n)]
-        coroots = [tuple(-c for c in theta_vee)] + \
-            [_unit(i, n) for i in range(n)]
-        # <a, alpha_j^vee> per gradient a, then paired with each coroot
-        rows = [[sum(a[i] * A[i][j] for i in range(n)) for j in range(n)]
-                for a in vecs]
-        return tuple(tuple(sum(map(mul, r, c)) for c in coroots)
-                     for r in rows)
+        row = [-sum(c * A[i][j] for i, c in enumerate(self.hr_coeffs))
+               for j in range(n)]
+        if any(a * length % top for a, length in zip(row, self.lengths)):
+            raise InvariantError(f"affine column of {self.family}{n} is "
+                                 f"not integral")
+        column = [a * length // top for a, length in zip(row, self.lengths)]
+        return ((2, *row),) + tuple((c, *r) for c, r in zip(column, A))
 
     # -- fundamental group of the adjoint form -------------------------------
 
@@ -314,7 +308,7 @@ class RootSystem:
         first."""
         n = self.rank
         return [dict(zip(range(1, n + 1), (i + 1 for i in p)))
-                for p in _automorphisms(self.cartan, [{}])[0]]
+                for p in self._diagram_autos]
 
 
 def _automorphisms(cartan, fixed_maps):
@@ -342,7 +336,8 @@ def _automorphisms(cartan, fixed_maps):
         else:
             targets = nbrs[image[back[0][0]]] if back else range(m)
         for t in targets:
-            if t in used:
+            # an automorphism keeps each node's number of bonds
+            if t in used or len(nbrs[t]) != len(nbrs[v]):
                 continue
             for u, a, b in back:
                 if cartan[image[u]][t] != a or cartan[t][image[u]] != b:
@@ -370,25 +365,22 @@ _TYPE_RE = re.compile(r"^([23]?)([A-G])([1-9]\d*)$")
 
 
 def standard_frobenius_perm(family, rank, order):
-    """The distinguished finite-diagram automorphism of the given order."""
-    ident = {i: i for i in range(1, rank + 1)}
+    """The distinguished finite-diagram automorphism of the given order:
+    the identity, or the first of exactly that order in the sorted
+    finite_diagram_autos.  That is the A_n flip, n - 1 <-> n on D_n, 1 <->
+    6 and 3 <-> 5 on E6 and the D4 triality 1 -> 3 -> 4 -> 1.  D3 = A3 has
+    a flip too, but its outer form is spelled 2A3."""
     if order == 1:
-        return ident
-    if order == 2:
-        if family == "A" and rank >= 2:
-            return {i: rank + 1 - i for i in range(1, rank + 1)}
-        if family == "D" and rank >= 4:
-            p = dict(ident)
-            p[rank - 1], p[rank] = rank, rank - 1
+        return {i: i for i in range(1, rank + 1)}
+    if (family, rank, order) == ("D", 3, 2):
+        raise ValueError("type D3 is A3: write its outer form as 2A3")
+    for p in root_system(family, rank).finite_diagram_autos():
+        if lcm(*map(len, orbits(p, lambda i: (p[i],)))) == order:
             return p
-        if family == "E" and rank == 6:
-            return {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
-        raise ValueError(f"type {family}{rank} has no outer automorphism of order 2")
     if order == 3:
-        if family == "D" and rank == 4:
-            return {1: 3, 3: 4, 4: 1, 2: 2}
         raise ValueError("triality twist exists only for D4")
-    raise ValueError(f"unsupported twist order {order}")
+    raise ValueError(f"type {family}{rank} has no outer automorphism of "
+                     f"order {order}")
 
 
 def isogeny_tokens(family, rank):

@@ -42,6 +42,7 @@ class TestReport:
         ("3A4:adjoint:*", "field 1"),
         ("1A2:adjoint:*", "field 1"),
         ("2B3:adjoint:*", "field 1"),
+        ("2D3:adjoint:*", "field 1"),
         ("A3:d5:*", "field 2"),
         ("A2:d0:*", "field 2"),
         ("A5:d02:*", "field 2"),

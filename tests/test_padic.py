@@ -35,8 +35,9 @@ from supercusp.padic import (
     supports_with_cuspidals,
     torus_factor,
 )
-from supercusp.rootdata import (SimpleGroup, build_group, isogeny_tokens,
-                                weyl_degrees)
+from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
+                                cartan_matrix, dynkin_diagram, isogeny_tokens,
+                                root_system, weyl_degrees)
 
 from test_casetable import catalogue
 from test_rootdata import _isogenies, _type_id
@@ -548,6 +549,43 @@ class TestClassification:
         g = build_group("C4", "adjoint")
         assert classify_component(g.rs.affine_cartan, (0, 1, 2)) == ("C", 3)
         assert classify_component(g.rs.affine_cartan, (2, 3, 4)) == ("C", 3)
+
+    # the full affine A3 cycle, a five-node chain with F4's bonds, and nodes
+    # 0..7 of affine E8 (E7 and the lone node 0)
+    NON_DYNKIN = {
+        "A3-cycle": lambda: (root_system("A", 3).affine_cartan, (0, 1, 2, 3)),
+        "F5-chain": lambda: (cartan_matrix([(0, 1), (1, 2), (2, 3), (3, 4)],
+                                           (2, 2, 1, 1, 1)), (0, 1, 2, 3, 4)),
+        "E8-affine-0..7": lambda: (root_system("E", 8).affine_cartan,
+                                   tuple(range(8))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_DYNKIN))
+    def test_non_dynkin_diagram_raises(self, name):
+        cartan, nodes = self.NON_DYNKIN[name]()
+        with pytest.raises(ValueError, match="unclassifiable diagram"):
+            classify_component(cartan, nodes)
+
+    # every family with its ranks, and the names of the coincidences
+    FAMILY_RANKS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
+                    "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+    CANONICAL = {("C", 2): ("B", 2), ("D", 3): ("A", 3)}
+
+    def test_every_type_reversed(self):
+        for fam, (lo, hi) in self.FAMILY_RANKS.items():
+            for rank in range(lo, hi + 1):
+                cartan = cartan_matrix(*dynkin_diagram(fam, rank))
+                assert classify_component(cartan, tuple(range(rank))[::-1]) \
+                    == self.CANONICAL.get((fam, rank), (fam, rank))
+
+    @pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
+    def test_one_profile_per_type(self, rank):
+        want = {self.CANONICAL.get((fam, rank), (fam, rank))
+                for fam, (lo, hi) in self.FAMILY_RANKS.items()
+                if lo <= rank <= hi}
+        table = padic._types_by_profile(rank)
+        assert len(table) == len(want)
+        assert set(table.values()) == want
 
     def test_cuspidal_existence_rules(self):
         assert component_cuspidal_classes("A", 4, 1) == []

@@ -148,6 +148,41 @@ class TestRootSystem:
         c = root_system("C", 4)
         assert [j for j in range(1, 5) if c.affine_cartan[0][j] != 0] == [1]
 
+    # Kac, Infinite-Dimensional Lie Algebras, Table Aff 1, with entry
+    # (i, j) = <alpha_i, alpha_j^vee> (the transpose of Kac's a_ij) and
+    # node 0 the extending node
+    KAC_AFF1 = {
+        ("A", 1): ((2, -2), (-2, 2)),
+        # nodes 0 and 1 both on node 2
+        ("B", 3): ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -2),
+                   (0, 0, -1, 2)),
+        # the long node 0 on the short end of the chain
+        ("C", 3): ((2, -2, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1),
+                   (0, 0, -2, 2)),
+        # node 0 on the long node 2 by a single bond
+        ("G", 2): ((2, 0, -1), (0, 2, -1), (-1, -3, 2)),
+        ("F", 4): ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -2, 0),
+                   (0, 0, -1, 2, -1), (0, 0, 0, -1, 2)),
+    }
+
+    @pytest.mark.parametrize("key", sorted(KAC_AFF1),
+                             ids="{0[0]}{0[1]}".format)
+    def test_affine_cartan_against_kac(self, key):
+        assert root_system(*key).affine_cartan == self.KAC_AFF1[key]
+
+    @pytest.mark.parametrize("family", "ABCDEFG")
+    def test_affine_cartan_is_symmetrizable(self, family):
+        # -theta is long, so A diag(max(L), L) is 2 (alpha_i, alpha_j)
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                rs = root_system(family, rank)
+            except ValueError:
+                continue
+            A, L = rs.affine_cartan, (max(rs.lengths),) + rs.lengths
+            nodes = range(rank + 1)
+            assert all(A[i][j] * L[j] == A[j][i] * L[i]
+                       for i in nodes for j in nodes), f"{family}{rank}"
+
     @pytest.mark.parametrize("key", [(*k, 1) for k in CATALOGUE_SYSTEMS]
                              + [("E", 6, 2), ("D", 4, 3)], ids=_type_id)
     def test_marks_annihilate_affine_cartan(self, key):
@@ -480,10 +515,30 @@ class TestDiagramAutomorphisms:
         assert len(commuting) == 3
 
     def test_frobenius_perm_orders(self):
-        p = standard_frobenius_perm("D", 4, 3)
-        assert p[1] == 3 and p[3] == 4 and p[4] == 1
-        with pytest.raises(ValueError):
-            standard_frobenius_perm("B", 3, 2)
+        # the derived theta is Bourbaki's standard permutation: the A_n
+        # flip, n - 1 <-> n on D_n, 1 <-> 6 and 3 <-> 5 on E6, and the D4
+        # triality 1 -> 3 -> 4 -> 1
+        for n in range(1, MAX_RANK + 1):
+            ident = {i: i for i in range(1, n + 1)}
+            assert standard_frobenius_perm("A", n, 1) == ident
+            if n >= 2:
+                assert standard_frobenius_perm("A", n, 2) == \
+                    {i: n + 1 - i for i in ident}
+            if n >= 4:
+                assert standard_frobenius_perm("D", n, 2) == \
+                    {**ident, n - 1: n, n: n - 1}
+        assert standard_frobenius_perm("E", 6, 2) == \
+            {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+        assert standard_frobenius_perm("D", 4, 3) == {1: 3, 2: 2, 3: 4, 4: 1}
+        for ts, message in [("2A1", "A1 has no outer automorphism of order 2"),
+                            ("2B3", "B3 has no outer automorphism of order 2"),
+                            ("3A3", "triality twist exists only for D4"),
+                            ("2D3", "D3 is A3: write its outer form as 2A3")]:
+            fam, rank, order = ts[1], int(ts[2:]), int(ts[0])
+            with pytest.raises(ValueError, match=message):
+                standard_frobenius_perm(fam, rank, order)
+            with pytest.raises(ValueError, match=message):
+                parse_type(ts)
 
 
 class TestParsing:
