@@ -304,13 +304,3 @@ def resolve_named_subgroup(group, name):
         # the subgroup of SO(2n); only type D rules name it
         return group.rs.isogenies["so"]
     raise CaseTableError(f"unknown subgroup name {name!r}")
-
-
-def all_pattern_entries():
-    """Every distinct row of the table, for dumping: explicit exceptional
-    rows first, then one representative of each parametric rule."""
-    rows = []
-    for key in sorted(_EXCEPTIONAL_ROWS, key=str):
-        rows.extend(_EXCEPTIONAL_ROWS[key])
-    rows.extend(_CLASSICAL_RULES.values())
-    return rows

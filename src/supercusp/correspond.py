@@ -5,8 +5,9 @@ orbit of the parameter under twisting characters and its cuspidal
 enhancements; the parahoric side counts support classes and equal-degree
 cuspidal classes.  The six invariants (a, b, a', b', g, g') tie the two
 sides together, and every constructor here asserts the counting identities
-on the spot.  Transfer along isogenies and equivariance under diagram
-automorphisms are separate passes over the assembled reports.
+on the spot.  The transfer lemma along isogenies is applied to every row,
+inside compute_invariants; equivariance under diagram automorphisms is a
+separate pass over the assembled reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 # rows_for_host is not called here, but perfbench's tracer test reads it
@@ -33,24 +33,6 @@ REPORT_SCHEMA_VERSION = "1.0"
 
 class CorrespondenceError(ValueError):
     """The two sides disagree about which case row is meant."""
-
-
-# ---------------------------------------------------------------------------
-# subgroup arithmetic inside the adjoint fundamental group
-# ---------------------------------------------------------------------------
-
-
-def _product_set(group, left, right):
-    """The set product {x + y} of two subgroups, as a frozenset."""
-    return frozenset(group.rs.omega.add(x, y) for x in left for y in right)
-
-
-def _index(big, small, what):
-    quo, rem = divmod(len(big), len(small))
-    if rem:
-        raise CorrespondenceError(f"{what}: {len(small)} does not divide "
-                                  f"{len(big)}")
-    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -82,31 +64,12 @@ class PacketInvariants:
             raise CorrespondenceError("stabilizer index does not match g")
 
 
-def _n_subgroup(group, row, stab_ad):
-    """The row's parameter-moving subgroup, cut down to the stable part."""
-    raw = resolve_named_subgroup(group, row.n_name)
-    sub = raw & group.omega_ad_theta
-    if not sub <= stab_ad:
-        raise CorrespondenceError(
-            f"subgroup {row.n_name!r} not contained in the support "
-            "stabilizer")
-    return sub
-
-
-def _invariants(group, pc, n_sub, b, b_prime):
-    """The invariants on the support class pc of a row with
-    parameter-moving subgroup n_sub, enhancement count b and class size b':
-    a is the twisting orbit of the parameter, a' the stabilizer order times
-    the class-splitting count."""
-    om_theta = group.omega_G_theta
-    stab_g = pc.stabilizer_G
-    fixed_part = n_sub & om_theta
-    return PacketInvariants(
-        a=len(fixed_part), b=b, a_prime=pc.g_prime * len(stab_g),
-        b_prime=b_prime, g=_index(stab_g, fixed_part, "stabilizer index g"),
-        g_prime=pc.g_prime,
-        stabilizer_param=group.rs.quotient_invariants(om_theta, fixed_part),
-        stabilizer_pair=group.rs.quotient_invariants(om_theta, stab_g))
+def _index(big, small, what):
+    quo, rem = divmod(len(big), len(small))
+    if rem:
+        raise CorrespondenceError(f"{what}: {len(small)} does not divide "
+                                  f"{len(big)}")
+    return quo
 
 
 def compute_invariants(group, pc, cls, row):
@@ -114,26 +77,40 @@ def compute_invariants(group, pc, cls, row):
     equal-degree cuspidal class cls, and the case row built for that class
     (one (host, class, row) triple of galois.kac_rows).
 
-    The a and b counts come from the parameter side (twisting orbit of the
-    parameter, and the row's adjoint enhancement count b_ad carried to this
-    level); a' and b' from the parahoric side (stabilizer orders,
-    equal-degree class sizes).  The identity a*b = a'*b' is asserted on
-    construction, not assumed.
+    The a and b counts come from the parameter side (a is the twisting
+    orbit of the parameter, b the row's adjoint enhancement count b_ad
+    carried to this level by the transfer lemma); a' and b' from the
+    parahoric side (a' the stabilizer order times the class-splitting
+    count, b' the equal-degree class size).  The identity a*b = a'*b' is
+    asserted on construction, not assumed.
     """
     stab_ad, stab_g = pc.stabilizer_ad, pc.stabilizer_G
-    n_sub = _n_subgroup(group, row, stab_ad)
-    if not n_sub & group.omega_G_theta <= stab_g:
+    om_theta = group.omega_G_theta
+    # the row's parameter-moving subgroup, cut down to the stable part
+    n_sub = resolve_named_subgroup(group, row.n_name) & group.omega_ad_theta
+    if not n_sub <= stab_ad:
+        raise CorrespondenceError(
+            f"subgroup {row.n_name!r} not contained in the support "
+            "stabilizer")
+    fixed_part = n_sub & om_theta
+    if not fixed_part <= stab_g:
         raise CorrespondenceError("parameter-moving subgroup escapes the "
                                   "support stabilizer")
     # the adjoint row's enhancement count scaled by the two subgroup
-    # indices of the transfer lemma
-    merged = _product_set(group, stab_g, n_sub)
+    # indices of the transfer lemma; the set product of the two subgroups
+    # is the subgroup their union generates
+    merged = group.rs.omega.subgroup_generated(stab_g | n_sub)
     drop = _index(stab_ad, merged, "transfer index")
     b, rem = divmod(pc.g_prime * row.b_ad, drop)
     if rem:
         raise CorrespondenceError("enhancement count not integral")
 
-    inv = _invariants(group, pc, n_sub, b, cls.size)
+    inv = PacketInvariants(
+        a=len(fixed_part), b=b, a_prime=pc.g_prime * len(stab_g),
+        b_prime=cls.size, g=_index(stab_g, fixed_part, "stabilizer index g"),
+        g_prime=pc.g_prime,
+        stabilizer_param=group.rs.quotient_invariants(om_theta, fixed_part),
+        stabilizer_pair=group.rs.quotient_invariants(om_theta, stab_g))
     if inv.b_prime != euler_phi(row.n_s):
         raise CorrespondenceError(
             f"class size {inv.b_prime} is not phi({row.n_s})")
@@ -141,71 +118,6 @@ def compute_invariants(group, pc, cls, row):
         raise CorrespondenceError("enhancement count breaks the product "
                                   "formula")
     return inv
-
-
-# ---------------------------------------------------------------------------
-# transfer along isogenies
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransferData:
-    """One row at one isogeny level, with the datum the transfer needs: the
-    parameter-moving subgroup is isogeny-independent, so it rides along."""
-
-    invariants: PacketInvariants
-    n_subgroup: frozenset
-    stabilizer: frozenset     # Omega^{theta,P} at this level
-
-
-def transfer_data(group, pc, cls, row):
-    """One case row's invariants with what isogeny_transfer needs."""
-    return TransferData(compute_invariants(group, pc, cls, row),
-                        _n_subgroup(group, row, pc.stabilizer_ad),
-                        pc.stabilizer_G)
-
-
-def isogeny_transfer(base: TransferData, target, target_pc):
-    """Invariants at the target isogeny, from a row at another level.
-
-    Nothing about the target's case table is consulted: only its stabilizer
-    data and the shared parameter-moving subgroup.  The target group must
-    be an isogeny form of the same root datum on the same support class.
-    """
-    n_sub = base.n_subgroup
-    if not n_sub <= target_pc.stabilizer_ad:
-        raise CorrespondenceError("parameter-moving subgroup not contained "
-                                  "in the adjoint stabilizer")
-    was = base.invariants
-    merged_base = _product_set(target, base.stabilizer, n_sub)
-    merged_here = _product_set(target, target_pc.stabilizer_G, n_sub)
-    b, rem = divmod(was.b * target_pc.g_prime * len(merged_here),
-                    was.g_prime * len(merged_base))
-    if rem:
-        raise CorrespondenceError("transferred count not integral")
-    inv = _invariants(target, target_pc, n_sub, b, was.b_prime)
-
-    # the double ratio: the products a'b' and ab move between the two
-    # levels by the same factor, and that factor has a closed form
-    ratio = Fraction(inv.a_prime * inv.b_prime, was.a_prime * was.b_prime)
-    closed = Fraction(target_pc.g_prime * len(target_pc.stabilizer_G),
-                      was.g_prime * len(base.stabilizer))
-    if ratio != closed:
-        raise CorrespondenceError("double ratio fails on the primed side")
-    if ratio != Fraction(inv.a * inv.b, was.a * was.b):
-        raise CorrespondenceError("double ratio fails on the plain side")
-    return inv
-
-
-def matched_class(group, form, support_class_associates):
-    """The parahoric class of this group whose supports lie in the given
-    association class of another isogeny level."""
-    want = set(support_class_associates)
-    hits = [pc for pc in parahoric_classes(group, form)
-            if set(pc.associates) & want]
-    if not hits:
-        raise CorrespondenceError("no matching support class")
-    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -92,16 +92,6 @@ def p_shift(a, k):
     return (0,) * k + tuple(a)
 
 
-def p_subst_pow(a, d):
-    """Substitute t -> t^d."""
-    if d < 1:
-        raise ValueError("power substitution needs d >= 1")
-    out = [0] * ((len(a) - 1) * d + 1)
-    for i, x in enumerate(a):
-        out[i * d] = x
-    return p_trim(out)
-
-
 def p_eval(a, x):
     acc = Fraction(0)
     for c in reversed(a):

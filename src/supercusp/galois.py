@@ -222,13 +222,6 @@ def local_factors(weights, ord_psi=0):
     return out
 
 
-def gamma0_virtual(plus, minus):
-    """|gamma(0)| of a virtual difference of two multisets."""
-    if minus.gamma_abs_at_0.is_zero():
-        raise ValueError("virtual gamma undefined: denominator vanishes")
-    return plus.gamma_abs_at_0 / minus.gamma_abs_at_0
-
-
 # ---------------------------------------------------------------------------
 # dual diagrams and node deletion
 # ---------------------------------------------------------------------------

@@ -141,8 +141,11 @@ def connected_components(cartan, nodes):
 
 def _bond_profile(cartan, nodes):
     """Per node, its bonds as sorted (A[a][b], A[b][a], degree of b), the
-    nodes' tuples sorted: a diagram's shape, whatever its numbering."""
+    nodes' tuples sorted: a diagram's shape, whatever its numbering.  None
+    for a disconnected node set, which no Dynkin diagram is."""
     nbrs = {a: [b for b in nodes if b != a and cartan[a][b]] for a in nodes}
+    if len(orbits(nodes, nbrs.__getitem__)) > 1:
+        return None
     return tuple(sorted(tuple(sorted((cartan[a][b], cartan[b][a], len(nbrs[b]))
                                      for b in nbrs[a])) for a in nodes))
 
@@ -166,7 +169,7 @@ def classify_component(cartan, nodes):
     """(family, rank) of the connected subdiagram of a finite or affine
     Dynkin diagram on the given nodes, with Cartan entries cartan[a][b] =
     <alpha_a, alpha_b^vee>, looked up by its bond profile; ValueError if
-    no Bourbaki diagram has that profile."""
+    the set is disconnected or no Bourbaki diagram has that profile."""
     try:
         return _types_by_profile(len(nodes))[_bond_profile(cartan, nodes)]
     except KeyError:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
@@ -310,6 +310,15 @@ class RootSystem:
         return [dict(zip(range(1, n + 1), (i + 1 for i in p)))
                 for p in self._diagram_autos]
 
+    @cached_property
+    def _frobenius_by_order(self):
+        """The first finite-diagram automorphism of each order, read once
+        per root system from the sorted finite_diagram_autos."""
+        out = {}
+        for p in self.finite_diagram_autos():
+            out.setdefault(lcm(*map(len, orbits(p, lambda i: (p[i],)))), p)
+        return out
+
 
 def _automorphisms(cartan, fixed_maps):
     """For each partial node map in fixed_maps, every permutation of the
@@ -374,9 +383,9 @@ def standard_frobenius_perm(family, rank, order):
         return {i: i for i in range(1, rank + 1)}
     if (family, rank, order) == ("D", 3, 2):
         raise ValueError("type D3 is A3: write its outer form as 2A3")
-    for p in root_system(family, rank).finite_diagram_autos():
-        if lcm(*map(len, orbits(p, lambda i: (p[i],)))) == order:
-            return p
+    perm = root_system(family, rank)._frobenius_by_order.get(order)
+    if perm is not None:
+        return dict(perm)
     if order == 3:
         raise ValueError("triality twist exists only for D4")
     raise ValueError(f"type {family}{rank} has no outer automorphism of "

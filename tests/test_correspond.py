@@ -3,6 +3,11 @@
 The transfer lemma: a case row's invariants at any isogeny follow from the
 adjoint row and the target's stabilizer data alone, so isogeny_transfer of
 the adjoint row must equal the invariants computed directly at the target.
+The transfer oracle (TransferData, transfer_data, isogeny_transfer,
+matched_class) lives here, as the tests' reference.  It starts from the
+adjoint row's invariants and builds the target's PacketInvariants with its
+own arithmetic (set products of subgroups, the double ratio), none of it
+shared with compute_invariants, which it checks at the target.
 The CSV and JSON serializations must carry the same values."""
 
 from __future__ import annotations
@@ -10,21 +15,110 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
+from supercusp.casetable import resolve_named_subgroup
 from supercusp.correspond import (CSV_COLUMNS, CorrespondenceError,
-                                  compute_invariants,
-                                  full_report, isogeny_transfer,
-                                  matched_class, reports_csv, reports_json,
-                                  transfer_data)
+                                  PacketInvariants, compute_invariants,
+                                  full_report, reports_csv, reports_json)
 from supercusp.galois import kac_rows
-from supercusp.padic import enumerate_inner_forms
+from supercusp.padic import enumerate_inner_forms, parahoric_classes
 from supercusp.rootdata import (MAX_RANK, SimpleGroup, isogeny_tokens,
                                 parse_type)
 
 from test_casetable import PHI, catalogue
 from test_rootdata import _isogenies
+
+
+# ---------------------------------------------------------------------------
+# the transfer oracle
+# ---------------------------------------------------------------------------
+
+
+def _product_set(group, left, right):
+    """The set product {x + y} of two subgroups, as a frozenset."""
+    return frozenset(group.rs.omega.add(x, y) for x in left for y in right)
+
+
+def _oracle_invariants(group, pc, n_sub, b, b_prime):
+    """The invariants on the support class pc of a row with
+    parameter-moving subgroup n_sub, enhancement count b and class size b':
+    a is the twisting orbit of the parameter, a' the stabilizer order times
+    the class-splitting count."""
+    om_theta = group.omega_G_theta
+    stab_g = pc.stabilizer_G
+    fixed_part = n_sub & om_theta
+    g, rem = divmod(len(stab_g), len(fixed_part))
+    if rem:
+        raise CorrespondenceError("stabilizer index g not integral")
+    return PacketInvariants(
+        a=len(fixed_part), b=b, a_prime=pc.g_prime * len(stab_g),
+        b_prime=b_prime, g=g, g_prime=pc.g_prime,
+        stabilizer_param=group.rs.quotient_invariants(om_theta, fixed_part),
+        stabilizer_pair=group.rs.quotient_invariants(om_theta, stab_g))
+
+
+@dataclass(frozen=True)
+class TransferData:
+    """One row at one isogeny level, with the datum the transfer needs: the
+    parameter-moving subgroup is isogeny-independent, so it rides along."""
+
+    invariants: PacketInvariants
+    n_subgroup: frozenset
+    stabilizer: frozenset     # Omega^{theta,P} at this level
+
+
+def transfer_data(group, pc, cls, row):
+    """One case row's invariants with what isogeny_transfer needs."""
+    n_sub = resolve_named_subgroup(group, row.n_name) & group.omega_ad_theta
+    return TransferData(compute_invariants(group, pc, cls, row), n_sub,
+                        pc.stabilizer_G)
+
+
+def isogeny_transfer(base: TransferData, target, target_pc):
+    """Invariants at the target isogeny, from a row at another level.
+
+    Nothing about the target's case table is consulted: only its stabilizer
+    data and the shared parameter-moving subgroup.  The target group must
+    be an isogeny form of the same root datum on the same support class.
+    """
+    n_sub = base.n_subgroup
+    if not n_sub <= target_pc.stabilizer_ad:
+        raise CorrespondenceError("parameter-moving subgroup not contained "
+                                  "in the adjoint stabilizer")
+    was = base.invariants
+    merged_base = _product_set(target, base.stabilizer, n_sub)
+    merged_here = _product_set(target, target_pc.stabilizer_G, n_sub)
+    b, rem = divmod(was.b * target_pc.g_prime * len(merged_here),
+                    was.g_prime * len(merged_base))
+    if rem:
+        raise CorrespondenceError("transferred count not integral")
+    inv = _oracle_invariants(target, target_pc, n_sub, b, was.b_prime)
+
+    # the double ratio: the products a'b' and ab move between the two
+    # levels by the same factor, and that factor has a closed form
+    ratio = Fraction(inv.a_prime * inv.b_prime, was.a_prime * was.b_prime)
+    closed = Fraction(target_pc.g_prime * len(target_pc.stabilizer_G),
+                      was.g_prime * len(base.stabilizer))
+    if ratio != closed:
+        raise CorrespondenceError("double ratio fails on the primed side")
+    if ratio != Fraction(inv.a * inv.b, was.a * was.b):
+        raise CorrespondenceError("double ratio fails on the plain side")
+    return inv
+
+
+def matched_class(group, form, support_class_associates):
+    """The parahoric classes of this group whose supports lie in the given
+    association class of another isogeny level."""
+    want = set(support_class_associates)
+    hits = [pc for pc in parahoric_classes(group, form)
+            if set(pc.associates) & want]
+    if not hits:
+        raise CorrespondenceError("no matching support class")
+    return hits
 
 
 def isogeny_pairs(top=8):

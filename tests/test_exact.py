@@ -24,7 +24,7 @@ from supercusp.exact import (
     euler_phi,
     group_from_presentation,
     orbits,
-    p_subst_pow,
+    p_trim,
     smith_normal_form,
 )
 
@@ -35,6 +35,16 @@ def to_sympy(r):
     num = sum(c * _t**i for i, c in enumerate(r.num))
     den = sum(c * _t**i for i, c in enumerate(r.den))
     return sympy.together(sympy.Rational(1) * num / den)
+
+
+def p_subst_pow(a, d):
+    """Substitute t -> t^d in a dense coefficient tuple."""
+    if d < 1:
+        raise ValueError("power substitution needs d >= 1")
+    out = [0] * ((len(a) - 1) * d + 1)
+    for i, x in enumerate(a):
+        out[i * d] = x
+    return p_trim(out)
 
 
 def poly_strategy():

@@ -14,8 +14,7 @@ from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              InvariantError, RatFunc, euler_phi)
 from supercusp.galois import (WeightString, _build_param, _orbit_product,
-                              centralizer_components, dual_type,
-                              gamma0_virtual, hii_check,
+                              centralizer_components, dual_type, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
                               local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
@@ -94,8 +93,6 @@ class TestTrivialCharacter:
     def test_dim_zero_gamma_is_one(self):
         empty = local_factors([])
         assert (empty.gamma_abs_at_0.to_ratfunc() - RF_ONE).is_zero()
-        plus = local_factors(inner_torsion_strings("A", 2, 0))
-        assert (gamma0_virtual(plus, plus).to_ratfunc() - RF_ONE).is_zero()
 
 
 class TestSymmetricSquareString:

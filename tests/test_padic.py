@@ -14,7 +14,7 @@ import sympy
 
 from supercusp import padic
 from supercusp.correspond import full_report, reports_json
-from supercusp.exact import InvariantError, RatFunc, p_subst_pow
+from supercusp.exact import InvariantError, RatFunc
 from supercusp.padic import (
     ComponentOrbit,
     ParahoricClass,
@@ -40,6 +40,7 @@ from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
                                 root_system, weyl_degrees)
 
 from test_casetable import catalogue
+from test_exact import p_subst_pow
 from test_rootdata import _isogenies, _type_id
 
 
@@ -550,10 +551,14 @@ class TestClassification:
         assert classify_component(g.rs.affine_cartan, (0, 1, 2)) == ("C", 3)
         assert classify_component(g.rs.affine_cartan, (2, 3, 4)) == ("C", 3)
 
-    # the full affine A3 cycle, a five-node chain with F4's bonds, and nodes
-    # 0..7 of affine E8 (E7 and the lone node 0)
+    # the full affine A3 cycle, a five-node chain with F4's bonds, nodes
+    # 0..7 of affine E8 (E7 and the lone node 0), and an A5 chain beside a
+    # triangle, whose bond profile is A8's
     NON_DYNKIN = {
         "A3-cycle": lambda: (root_system("A", 3).affine_cartan, (0, 1, 2, 3)),
+        "A5-plus-triangle": lambda: (cartan_matrix(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)],
+            (1,) * 8), tuple(range(8))),
         "F5-chain": lambda: (cartan_matrix([(0, 1), (1, 2), (2, 3), (3, 4)],
                                            (2, 2, 1, 1, 1)), (0, 1, 2, 3, 4)),
         "E8-affine-0..7": lambda: (root_system("E", 8).affine_cartan,

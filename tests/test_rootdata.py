@@ -540,6 +540,22 @@ class TestDiagramAutomorphisms:
             with pytest.raises(ValueError, match=message):
                 parse_type(ts)
 
+    def test_one_frobenius_scan_per_twisted_report(self, monkeypatch):
+        # parse_type, SimpleGroup and the adjoint group behind the inner
+        # forms each want the Frobenius; a cold twisted report scans the
+        # diagram automorphisms for it once
+        scans = []
+        real = RootSystem.finite_diagram_autos
+
+        def counted(rs):
+            scans.append((rs.family, rs.rank))
+            return real(rs)
+
+        monkeypatch.setattr(RootSystem, "finite_diagram_autos", counted)
+        root_system.cache_clear()
+        assert full_report("2D5:so:*")
+        assert scans == [("D", 5)]
+
 
 class TestParsing:
     def test_parse_type(self):
