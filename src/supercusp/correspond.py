@@ -205,8 +205,7 @@ def equivariance_check(group, reports, tau):
         raise ValueError(f"{tau.perm} does not commute with the Frobenius")
     if not tau.stabilizes_isogeny:
         raise ValueError(f"{tau.perm} does not stabilize the isogeny")
-    act = group.rs.aut_on_omega(tau.as_dict())
-    node_map = tau.affine_perm()
+    act = group.rs.aut_on_omega(tau.perm)
     forms = {f.token: f for f in enumerate_inner_forms(group)}
     token_of = {frozenset(f.cls): token for token, f in forms.items()}
 
@@ -243,7 +242,7 @@ def equivariance_check(group, reports, tau):
         # representative r and any x with w = r + x - theta(x), so
         # omega_-x carries the image to a support of r
         shift = conjugators[target_token][act[forms[rj.form_token].rep]]
-        mapped_sup = frozenset(omega_action[shift][node_map[n]]
+        mapped_sup = frozenset(omega_action[shift][tau.perm[n]]
                                for n in rj.host.support)
         canon = associates.get(target_token, {}).get(mapped_sup)
         if canon is None:

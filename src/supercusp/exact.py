@@ -760,6 +760,12 @@ def orbits(items, moves):
     return out
 
 
+def perm_order(perm, nodes):
+    """Order of a permutation of nodes, perm[x] the image of x: the lcm of
+    its cycle lengths."""
+    return lcm(*map(len, orbits(nodes, lambda x: (perm[x],))))
+
+
 # ---------------------------------------------------------------------------
 # finite abelian groups
 # ---------------------------------------------------------------------------

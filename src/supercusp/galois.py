@@ -106,11 +106,9 @@ def _orbit_product(m, E):
     return CyclotomicProduct(1, -euler_phi(m), ((m, 1),)).subst_t_power(-E)
 
 
-def _string_factors(strings, shift, conjugate=False):
-    """(1 - zeta_m^k t^(-h - shift)) per string, the eigenvalue conjugated
-    on request, as (m, k, E) triples."""
-    return [(w.order, -w.residue % w.order if conjugate else w.residue,
-             -w.h - shift) for w in strings]
+def _string_factors(strings, shift):
+    """(1 - zeta_m^k t^(-h - shift)) per string, as (m, k, E) triples."""
+    return [(w.order, w.residue, -w.h - shift) for w in strings]
 
 
 def _galois_product(factors):
@@ -201,8 +199,8 @@ class WDLocalFactors:
             if w.h == two_s - 2 and w.order == 1:
                 raise ValueError("gamma has a pole at this shift")
         num = _galois_product(_string_factors(self.strings, two_s))
-        den = _galois_product(
-            _string_factors(self.strings, 2 - two_s, conjugate=True))
+        # the dual's L: k -> -k permutes (Z/m)^x, so it needs no conjugation
+        den = _galois_product(_string_factors(self.strings, 2 - two_s))
         return self.eps_at(s) * num / den
 
 

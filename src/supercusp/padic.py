@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
-from supercusp.exact import CyclotomicProduct, InvariantError, orbits
+from supercusp.exact import (CyclotomicProduct, InvariantError, orbits,
+                             perm_order)
 from supercusp.rootdata import (SimpleGroup, cartan_matrix, dynkin_diagram,
                                 weyl_degrees)
 
@@ -206,8 +207,7 @@ def component_orbits(cartan, support, perm):
         ret = {x: x for x in c}
         for _ in range(d):
             ret = {x: perm[ret[x]] for x in ret}
-        # the return map's order is the lcm of its cycle lengths
-        twist = lcm(*(len(cyc) for cyc in _perm_orbits(ret, c)))
+        twist = perm_order(ret, c)
         if twist > 6:
             raise InvariantError("return map order out of range")
         fam, rank = classify_component(cartan, c)

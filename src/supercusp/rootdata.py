@@ -11,10 +11,12 @@ the Smith form of the Cartan matrix, which also labels the special nodes
 (coweight_class); after that every subgroup of Omega is an element set, and
 RootSystem.quotient_invariants reads a subquotient from its order and
 exponent, by counting.  Omega's node action, the diagram automorphisms and
-the standard Frobenius come from one search, _automorphisms, for the node
-permutations that keep a Cartan matrix and extend a partial map; none is
-transcribed.  Node numbering follows Bourbaki, and the extending affine
-node is index 0 in every simple factor.
+the standard Frobenius come from one search per root system, _automorphisms
+on the affine Cartan matrix: the automorphisms fixing node 0 keep -theta,
+so they are the finite diagram's, and those extending a move of the special
+nodes give Omega's action; none is transcribed.  Every node permutation is
+a tuple of images over the affine nodes 0..rank.  Node numbering follows
+Bourbaki, and the extending affine node is index 0 in every simple factor.
 
 An isogeny is named by its subgroup Omega_G of the adjoint fundamental
 group, with the Frobenius acting on it: X_*/Q^vee is Omega_G, so nothing
@@ -35,7 +37,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
-from supercusp.exact import InvariantError, group_from_presentation, orbits
+from supercusp.exact import (InvariantError, group_from_presentation, orbits,
+                             perm_order)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,6 @@ class RootSystem:
                 f"degrees of {family}{rank} do not count its "
                 f"{self.num_pos_roots} positive roots")
         self.affine_cartan = self._affine_cartan()
-        # searched once here, as every twisted group reads its Frobenius off
-        self._diagram_autos = _automorphisms(self.cartan, [{}])[0]
         self._build_omega()
         self._build_isogenies()
 
@@ -211,12 +212,14 @@ class RootSystem:
         return self.omega_pres.project(vec)
 
     def _build_omega_action(self):
-        """Node action of Omega on the affine diagram.  Omega is simply
-        transitive on the special nodes: node 0 is labelled by the identity
-        and special node j by coweight_class(j).  x moves node(y) to
-        node(x + y), and that move must extend to exactly one automorphism
-        of the affine Cartan matrix, x's action; it keeps the marks too,
-        the positive primitive vector of the matrix's left kernel."""
+        """Node action of Omega on the affine diagram, and the diagram
+        automorphisms, from one search.  Omega is simply transitive on the
+        special nodes: node 0 is labelled by the identity and special node
+        j by coweight_class(j).  x moves node(y) to node(x + y), and that
+        move must extend to exactly one automorphism of the affine Cartan
+        matrix, x's action; it keeps the marks too, the positive primitive
+        vector of the matrix's left kernel.  The automorphisms fixing node
+        0 are diagram_autos, sorted, so the identity first."""
         omega = self.omega
         node = {}
         for j in (j for j, mark in enumerate(self.marks) if mark == 1):
@@ -226,11 +229,14 @@ class RootSystem:
                                      f"{self.family}{self.rank} share the "
                                      f"label {x}")
             node[x] = j
+        self._special_label = {j: x for x, j in node.items()}
         elems = omega.elements()
         moves = [{node[y]: node[omega.add(x, y)] for y in elems}
                  for x in elems]
+        self.diagram_autos, *actions = _automorphisms(self.affine_cartan,
+                                                      [{0: 0}] + moves)
         self.omega_action = {}
-        for x, autos in zip(elems, _automorphisms(self.affine_cartan, moves)):
+        for x, autos in zip(elems, actions):
             if len(autos) != 1:
                 raise InvariantError(
                     f"moving the special nodes by {x} extends to "
@@ -265,19 +271,16 @@ class RootSystem:
         self.isogenies = table
 
     def aut_on_omega(self, perm):
-        """A finite-diagram automorphism (a dict on nodes 1..rank, or on
-        0..rank fixing 0; a node left out is fixed) acting on Omega, as a
-        dict.  Fixing node 0, perm must keep the affine Cartan matrix
-        (InvariantError otherwise); it then conjugates x's action into one
-        that moves node 0 to perm[node(x)], and an element of Omega is the
-        class of the special node that it moves node 0 to."""
-        nodes, A = range(self.rank + 1), self.affine_cartan
-        p = [perm.get(i, i) for i in nodes]
-        if p[0] or any(A[p[i]][p[j]] != A[i][j] for i in nodes for j in nodes):
+        """A diagram automorphism, a tuple of images over the affine nodes
+        that is one of diagram_autos (InvariantError otherwise), acting on
+        Omega, as a dict.  It conjugates x's action into one that moves
+        node 0 to perm[node(x)], and an element of Omega is the label of
+        the special node that it moves node 0 to."""
+        if perm not in self.diagram_autos:
             raise InvariantError(f"{perm} is no automorphism of the diagram "
                                  f"of {self.family}{self.rank}")
-        label = {act[0]: x for x, act in self.omega_action.items()}
-        return {x: label[p[act[0]]] for x, act in self.omega_action.items()}
+        label = self._special_label
+        return {x: label[perm[act[0]]] for x, act in self.omega_action.items()}
 
     def quotient_invariants(self, big, small):
         """Invariant factors of big/(big cap small) for subgroups big and
@@ -300,23 +303,13 @@ class RootSystem:
                                  f"{e} is not a product of two cyclics")
         return tuple(d for d in (N // e, e) if d > 1)
 
-    # -- finite diagram automorphisms ----------------------------------------
-
-    def finite_diagram_autos(self):
-        """All automorphisms of the finite diagram, the node permutations
-        that keep the Cartan matrix, as dicts on 1..rank, the identity
-        first."""
-        n = self.rank
-        return [dict(zip(range(1, n + 1), (i + 1 for i in p)))
-                for p in self._diagram_autos]
-
     @cached_property
     def _frobenius_by_order(self):
-        """The first finite-diagram automorphism of each order, read once
-        per root system from the sorted finite_diagram_autos."""
+        """The first diagram automorphism of each order, the identity for
+        order 1, read once per root system from the sorted diagram_autos."""
         out = {}
-        for p in self.finite_diagram_autos():
-            out.setdefault(lcm(*map(len, orbits(p, lambda i: (p[i],)))), p)
+        for p in self.diagram_autos:
+            out.setdefault(perm_order(p, range(len(p))), p)
         return out
 
 
@@ -374,18 +367,17 @@ _TYPE_RE = re.compile(r"^([23]?)([A-G])([1-9]\d*)$")
 
 
 def standard_frobenius_perm(family, rank, order):
-    """The distinguished finite-diagram automorphism of the given order:
-    the identity, or the first of exactly that order in the sorted
-    finite_diagram_autos.  That is the A_n flip, n - 1 <-> n on D_n, 1 <->
-    6 and 3 <-> 5 on E6 and the D4 triality 1 -> 3 -> 4 -> 1.  D3 = A3 has
-    a flip too, but its outer form is spelled 2A3."""
-    if order == 1:
-        return {i: i for i in range(1, rank + 1)}
+    """The distinguished diagram automorphism of the given order, as a
+    tuple of images over the affine nodes 0..rank: the first of exactly
+    that order in the sorted diagram_autos, so the identity for order 1.
+    That is the A_n flip, n - 1 <-> n on D_n, 1 <-> 6 and 3 <-> 5 on E6
+    and the D4 triality 1 -> 3 -> 4 -> 1.  D3 = A3 has a flip too, but its
+    outer form is spelled 2A3."""
     if (family, rank, order) == ("D", 3, 2):
         raise ValueError("type D3 is A3: write its outer form as 2A3")
     perm = root_system(family, rank)._frobenius_by_order.get(order)
     if perm is not None:
-        return dict(perm)
+        return perm
     if order == 3:
         raise ValueError("triality twist exists only for D4")
     raise ValueError(f"type {family}{rank} has no outer automorphism of "
@@ -405,18 +397,17 @@ class SimpleGroup:
 
     The group holds only what the twist and the isogeny add to its root
     system, each set once here: theta, the Frobenius on the affine nodes
-    0..rank (theta[0] = 0); theta_omega, theta on Omega_ad; omega_G; and
-    the fixed points omega_ad_theta and omega_G_theta.  Root-system data,
-    Omega_ad itself, its node action and the affine Cartan matrix, is read
-    from rs."""
+    0..rank as a tuple (theta[0] = 0); theta_omega, theta on Omega_ad;
+    omega_G; and the fixed points omega_ad_theta and omega_G_theta.
+    Root-system data, Omega_ad itself, its node action and the affine
+    Cartan matrix, is read from rs."""
 
     def __init__(self, family, rank, twist_order=1, isogeny="adjoint"):
         self.family = family
         self.rank = rank
         self.twist_order = twist_order
         self.rs = root_system(family, rank)
-        self.theta = {0: 0, **standard_frobenius_perm(family, rank,
-                                                      twist_order)}
+        self.theta = standard_frobenius_perm(family, rank, twist_order)
         self.isogeny = self._normalize_isogeny(isogeny)
         self.theta_omega = self.rs.aut_on_omega(self.theta)
         self.omega_G = self.rs.isogenies[self.isogeny]
@@ -495,31 +486,24 @@ class SimpleGroup:
 
 @dataclass(frozen=True)
 class DiagramAut:
-    """Finite-diagram automorphism with its compatibility flags."""
+    """Diagram automorphism, a tuple of images over the affine nodes
+    0..rank fixing node 0, with its compatibility flags."""
 
-    perm: tuple  # ((i, image), ...) sorted
+    perm: tuple
     commutes_with_frobenius: bool
     stabilizes_isogeny: bool
-
-    def as_dict(self):
-        return dict(self.perm)
-
-    def affine_perm(self):
-        p = dict(self.perm)
-        p[0] = 0
-        return p
 
 
 def diagram_automorphisms(group):
     """All finite-diagram automorphisms of the group's type, flagged by
     whether they commute with the Frobenius action and whether they
     stabilize the isogeny subgroup (only those can act on the group)."""
-    out = []
-    for p in group.rs.finite_diagram_autos():
-        commutes = all(p[group.theta[i]] == group.theta[p[i]] for i in p)
+    out, theta = [], group.theta
+    for p in group.rs.diagram_autos:
+        commutes = all(p[theta[i]] == theta[p[i]] for i in range(len(p)))
         act = group.rs.aut_on_omega(p)
         stab = all(act[x] in group.omega_G for x in group.omega_G)
-        out.append(DiagramAut(tuple(sorted(p.items())), commutes, stab))
+        out.append(DiagramAut(p, commutes, stab))
     return out
 
 

@@ -22,7 +22,7 @@ from supercusp.padic import (enumerate_inner_forms, formal_degree,
 from supercusp.rootdata import (build_group, diagram_automorphisms,
                                 isogeny_tokens, parse_type, root_system)
 from test_casetable import catalogue
-from test_rootdata import CATALOGUE_SYSTEMS
+from test_rootdata import CATALOGUE_SYSTEMS, _isogenies
 
 
 def q(k):
@@ -554,7 +554,7 @@ class TestEquivariance:
         return g, full_report(f"{type_str}:adjoint:*"), [
             tau for tau in diagram_automorphisms(g)
             if tau.commutes_with_frobenius and tau.stabilizes_isogeny
-            and any(i != j for i, j in tau.perm)]
+            and any(i != j for i, j in enumerate(tau.perm))]
 
     @pytest.mark.parametrize("type_str", ["E6", "D6"])
     def test_changed_degree_is_inconsistent(self, type_str):
@@ -1013,6 +1013,30 @@ class TestFormalDegreeIdentity:
         assert hii_check(fd, p, 1, 3).status == "holds"
         res = hii_check(fd, p, 1, None)
         assert (res.status, res.lhs, res.rhs) == ("unverifiable", None, None)
+
+    def test_cross_hii_over_the_catalogue(self):
+        # a line whose degree and own gamma are known is tried against
+        # every distinct parameter of its spec that has a gamma factor: by
+        # HII, fdeg / |gamma_p(0)| is the rational dim rho / |S#| for its
+        # own p and for no other, whatever |S#| is.  No spec has a second
+        # candidate yet, one pair per line: the pair count shows growth.
+        pairs = 0
+        for key in catalogue():
+            for g in _isogenies(*key):
+                reports = full_report(g.spec_string("*"))
+                candidates = {r.param for r in reports
+                              if r.param.gamma_abs_0 is not None}
+                for r in reports:
+                    if r.fdeg is None or r.param.gamma_abs_0 is None:
+                        continue
+                    matches = []
+                    for p in candidates:
+                        ratio = r.fdeg / p.gamma_abs_0
+                        if ratio.t_exp == 0 and not ratio.phi:
+                            matches.append(p)
+                        pairs += 1
+                    assert matches == [r.param], r.spec
+        assert pairs == 166
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,19 @@ ROOT_COUNTS = {
     ("G", 2): 12,
 }
 
+
+def _systems(top):
+    """Every (family, rank) with classical ranks up to top and the
+    exceptional types."""
+    return [("A", n) for n in range(1, top + 1)] + \
+        [(f, n) for f in "BC" for n in range(2, top + 1)] + \
+        [("D", n) for n in range(3, top + 1)] + \
+        [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
 # every (family, rank) of the case-table catalogue: classical ranks up to 12
 # and the exceptional types
-CATALOGUE_SYSTEMS = [("A", n) for n in range(1, 13)] + \
-    [(f, n) for f in "BC" for n in range(2, 13)] + \
-    [("D", n) for n in range(3, 13)] + \
-    [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+CATALOGUE_SYSTEMS = _systems(12)
 
 
 def _type_id(key):
@@ -306,7 +313,7 @@ class TestLatticeOracle:
         # the node-conjugation tables against the coweight path, for theta
         # and for every diagram automorphism
         for g in _isogenies(*key):
-            for p in g.rs.finite_diagram_autos():
+            for p in g.rs.diagram_autos:
                 act, lifted = g.rs.aut_on_omega(p), _coweight_action(g, p)
                 assert all(act[x] == lifted(x) for x in g.rs.omega.elements())
             lifted = _coweight_action(g, g.theta)
@@ -489,17 +496,29 @@ class TestIsogenies:
             build_group(ts, "adjoint")
 
 
+# the order of the finite diagram's automorphism group, for every type up
+# to MAX_RANK: S3 on D4, a flip on A_n (n >= 2), D_n and E6, else trivial
 DIAGRAM_AUTO_COUNTS = {
-    "A1": 1, "A3": 2, "B3": 1, "C4": 1, "D3": 2, "D4": 6, "D5": 2, "E6": 2,
-    "E7": 1, "G2": 1,
-}
+    f"{fam}{n}": 6 if (fam, n) == ("D", 4) else
+    2 if fam == "D" or (fam == "A" and n >= 2) or (fam, n) == ("E", 6) else 1
+    for fam, n in _systems(MAX_RANK)}
 
 
 class TestDiagramAutomorphisms:
     @pytest.mark.parametrize("ts", sorted(DIAGRAM_AUTO_COUNTS))
     def test_counts(self, ts):
+        # the diagram automorphisms are the stabilizer of node 0 in the
+        # affine diagram's: each fixes 0 and keeps the finite Cartan matrix
         g = build_group(ts, "adjoint")
-        assert len(diagram_automorphisms(g)) == DIAGRAM_AUTO_COUNTS[ts]
+        autos, A, nodes = g.rs.diagram_autos, g.rs.cartan, range(g.rank)
+        assert autos[0] == tuple(range(g.rank + 1))
+        assert autos == sorted(set(autos))
+        for p in autos:
+            assert p[0] == 0
+            assert all(A[p[i + 1] - 1][p[j + 1] - 1] == A[i][j]
+                       for i in nodes for j in nodes)
+        assert len(diagram_automorphisms(g)) == len(autos) == \
+            DIAGRAM_AUTO_COUNTS[ts]
 
     def test_d4_stabilizing_subgroup(self):
         g = build_group("D4", "so")
@@ -519,17 +538,16 @@ class TestDiagramAutomorphisms:
         # flip, n - 1 <-> n on D_n, 1 <-> 6 and 3 <-> 5 on E6, and the D4
         # triality 1 -> 3 -> 4 -> 1
         for n in range(1, MAX_RANK + 1):
-            ident = {i: i for i in range(1, n + 1)}
+            ident = tuple(range(n + 1))
             assert standard_frobenius_perm("A", n, 1) == ident
             if n >= 2:
                 assert standard_frobenius_perm("A", n, 2) == \
-                    {i: n + 1 - i for i in ident}
+                    (0, *range(n, 0, -1))
             if n >= 4:
                 assert standard_frobenius_perm("D", n, 2) == \
-                    {**ident, n - 1: n, n: n - 1}
-        assert standard_frobenius_perm("E", 6, 2) == \
-            {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
-        assert standard_frobenius_perm("D", 4, 3) == {1: 3, 2: 2, 3: 4, 4: 1}
+                    ident[:-2] + (n, n - 1)
+        assert standard_frobenius_perm("E", 6, 2) == (0, 6, 2, 5, 4, 3, 1)
+        assert standard_frobenius_perm("D", 4, 3) == (0, 3, 2, 4, 1)
         for ts, message in [("2A1", "A1 has no outer automorphism of order 2"),
                             ("2B3", "B3 has no outer automorphism of order 2"),
                             ("3A3", "triality twist exists only for D4"),
@@ -540,21 +558,21 @@ class TestDiagramAutomorphisms:
             with pytest.raises(ValueError, match=message):
                 parse_type(ts)
 
-    def test_one_frobenius_scan_per_twisted_report(self, monkeypatch):
-        # parse_type, SimpleGroup and the adjoint group behind the inner
-        # forms each want the Frobenius; a cold twisted report scans the
-        # diagram automorphisms for it once
-        scans = []
-        real = RootSystem.finite_diagram_autos
+    def test_one_automorphism_search_per_twisted_report(self, monkeypatch):
+        # the diagram automorphisms, the Frobenius and Omega's node action
+        # all come from one search on the affine Cartan matrix: a cold
+        # twisted report runs it once, on the 6 nodes of affine D5
+        sizes = []
+        real = rootdata._automorphisms
 
-        def counted(rs):
-            scans.append((rs.family, rs.rank))
-            return real(rs)
+        def counted(cartan, fixed_maps):
+            sizes.append(len(cartan))
+            return real(cartan, fixed_maps)
 
-        monkeypatch.setattr(RootSystem, "finite_diagram_autos", counted)
+        monkeypatch.setattr(rootdata, "_automorphisms", counted)
         root_system.cache_clear()
         assert full_report("2D5:so:*")
-        assert scans == [("D", 5)]
+        assert sizes == [6]
 
 
 class TestParsing:
@@ -613,8 +631,8 @@ class TestOmegaAction:
         assert perm[2] == 2 and perm[4] == 4
 
     @pytest.mark.parametrize("ts, perm", [
-        ("G2", {1: 2, 2: 1}), ("B3", {2: 3, 3: 2}), ("A3", {1: 2, 2: 1, 3: 3}),
-        ("A3", {0: 1, 1: 2, 2: 3, 3: 0}),
+        ("G2", (0, 2, 1)), ("B3", (0, 1, 3, 2)), ("A3", (0, 2, 1, 3)),
+        ("A3", (1, 2, 3, 0)),
     ], ids=["G2", "B3", "A3", "A3-rotation"])
     def test_non_automorphism_rejected(self, ts, perm):
         # a node permutation that does not keep the Cartan matrix, or that
