@@ -48,8 +48,7 @@ from math import gcd, lcm
 from supercusp.casetable import rows_for_host
 from supercusp.exact import (CyclotomicProduct, InvariantError,
                              cyclotomic_poly, euler_phi)
-from supercusp.padic import (classify_component, connected_components,
-                             supports_with_cuspidals)
+from supercusp.padic import classified_components, supports_with_cuspidals
 from supercusp.rootdata import cartan_matrix, root_system
 
 
@@ -265,12 +264,12 @@ def centralizer_components(dual, v_node):
     diagrams and the fused chains go through the same classifier."""
     marks, cartan = dual_affine_diagram(dual)
     rest = [x for x in range(len(marks)) if x != v_node]
-    return tuple(sorted(classify_component(cartan, comp)
-                        for comp in connected_components(cartan, rest)))
+    comps = classified_components(cartan, rest)
+    return tuple(sorted(kind for _, kind in comps))
 
 
 def _shape_matches(geometric, comps):
-    """Do the computed components (canonical as classify_component names
+    """Do the computed components (canonical as classified_components names
     them) match the recorded centralizer string?  A row whose node is fixed
     by a rule records none; an explicit string, written with the same
     names, compares as a multiset."""

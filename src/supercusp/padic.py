@@ -14,8 +14,8 @@ products c * t^k * prod Phi_n(t)^(e_n) in t = q^(1/2)
 (exact.CyclotomicProduct): a semisimple factor is a product of
 Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
 read off the Frobenius orbits of the affine nodes outside the support.
-A component is named by its bond profile, looked up among the Bourbaki
-diagrams of rootdata (classify_component).
+A support's components and their bond profiles come from one pass over
+it, and each profile is looked up among rootdata's Bourbaki diagrams.
 
 The p-adic side splits by what it depends on.  The inner forms depend only
 on the root system and the Frobenius twist, and the support classes (the
@@ -102,24 +102,23 @@ def _inner_forms(rs, twist_order):
 
 
 def inner_forms_by_token(group, token):
+    """The inner forms a twist token names: a form's own, '*' for all, or
+    'an' on split type A; ValueError lists the tokens in report order."""
     forms = enumerate_inner_forms(group)
+    split_a = group.family == "A" and group.twist_order == 1
     if token == "*":
         return forms
-    if token == "an":
+    if token == "an" and split_a:
         # over a p-adic field only the inner forms of split type A, the
         # groups of a division algebra, are anisotropic
-        if group.family != "A" or group.twist_order != 1:
-            raise ValueError("token 'an' only names anisotropic inner forms "
-                             "of split type A")
         want = group.rs.coweight_class(1)
-        for f in forms:
-            if want in f.cls:
-                return [f]
-        raise ValueError("no anisotropic form found")
-    for f in forms:
-        if f.token == token:
-            return [f]
-    raise ValueError(f"no inner form {token!r} for {group.type_string()}")
+        return [f for f in forms if want in f.cls]
+    tokens = [f.token for f in forms]
+    if token in tokens:
+        return [forms[tokens.index(token)]]
+    tokens += ["an"] * split_a + ["*"]
+    raise ValueError(f"no inner form {token!r} for {group.type_string()} "
+                     f"(tokens: {', '.join(tokens)})")
 
 
 def _perm_orbits(perm, nodes):
@@ -131,24 +130,16 @@ def _perm_orbits(perm, nodes):
 # ---------------------------------------------------------------------------
 
 
-def connected_components(cartan, nodes):
-    """Connected components of the diagram on the given nodes, each sorted;
-    the Cartan entry cartan[a][b] = <alpha_a, alpha_b^vee> is nonzero
-    across a bond."""
-    nodes = sorted(nodes, key=_NODE_ORDER)
-    return [tuple(sorted(comp, key=_NODE_ORDER)) for comp in orbits(
-        nodes, lambda a: [b for b in nodes if cartan[a][b]])]
-
-
-def _bond_profile(cartan, nodes):
-    """Per node, its bonds as sorted (A[a][b], A[b][a], degree of b), the
-    nodes' tuples sorted: a diagram's shape, whatever its numbering.  None
-    for a disconnected node set, which no Dynkin diagram is."""
+def _profiles(cartan, nodes):
+    """Each connected component of the diagram on the nodes, sorted, with
+    its bond profile, a diagram's shape whatever its numbering: per node,
+    its bonds as sorted (A[a][b], A[b][a], degree of b), the nodes' tuples
+    sorted.  The neighbour lists, across nonzero entries, give both."""
     nbrs = {a: [b for b in nodes if b != a and cartan[a][b]] for a in nodes}
-    if len(orbits(nodes, nbrs.__getitem__)) > 1:
-        return None
-    return tuple(sorted(tuple(sorted((cartan[a][b], cartan[b][a], len(nbrs[b]))
-                                     for b in nbrs[a])) for a in nodes))
+    for comp in orbits(sorted(nodes, key=_NODE_ORDER), nbrs.__getitem__):
+        yield tuple(sorted(comp, key=_NODE_ORDER)), tuple(sorted(tuple(sorted(
+            (cartan[a][b], cartan[b][a], len(nbrs[b])) for b in nbrs[a]))
+            for a in comp))
 
 
 @lru_cache(maxsize=None)
@@ -162,19 +153,32 @@ def _types_by_profile(rank):
             cartan = cartan_matrix(*dynkin_diagram(family, rank))
         except ValueError:
             continue
-        table[_bond_profile(cartan, range(rank))] = (family, rank)
+        [(_, profile)] = _profiles(cartan, range(rank))
+        table[profile] = (family, rank)
     return table
+
+
+def classified_components(cartan, nodes):
+    """(component, (family, rank)) per connected component of the diagram
+    on the given nodes, in the order of their first nodes; ValueError for
+    a component whose profile no Bourbaki diagram has."""
+    out = []
+    for comp, profile in _profiles(cartan, nodes):
+        kind = _types_by_profile(len(comp)).get(profile)
+        if kind is None:
+            raise ValueError(f"unclassifiable diagram on {comp}")
+        out.append((comp, kind))
+    return out
 
 
 def classify_component(cartan, nodes):
     """(family, rank) of the connected subdiagram of a finite or affine
-    Dynkin diagram on the given nodes, with Cartan entries cartan[a][b] =
-    <alpha_a, alpha_b^vee>, looked up by its bond profile; ValueError if
+    Dynkin diagram on the given nodes, by its bond profile; ValueError if
     the set is disconnected or no Bourbaki diagram has that profile."""
-    try:
-        return _types_by_profile(len(nodes))[_bond_profile(cartan, nodes)]
-    except KeyError:
-        raise ValueError(f"unclassifiable diagram on {nodes}") from None
+    comps = classified_components(cartan, nodes)
+    if len(comps) != 1:
+        raise ValueError(f"unclassifiable diagram on {nodes}")
+    return comps[0][1]
 
 
 @dataclass(frozen=True)
@@ -198,19 +202,17 @@ class ComponentOrbit:
 
 
 def component_orbits(cartan, support, perm):
-    comps = connected_components(cartan, support)
-    comp_of = {x: c for c in comps for x in c}
+    kind = dict(classified_components(cartan, support))
+    comp_of = {x: c for c in kind for x in c}
     out = []
-    for orbit in orbits(sorted(comps, key=_NODE_ORDER),
+    for orbit in orbits(sorted(kind, key=_NODE_ORDER),
                         lambda c: (comp_of[perm[c[0]]],)):
         c, d = orbit[0], len(orbit)
-        ret = {x: x for x in c}
-        for _ in range(d):
-            ret = {x: perm[ret[x]] for x in ret}
-        twist = perm_order(ret, c)
+        # the return map perm^d on c cuts each L-cycle of perm into d parts
+        twist = perm_order(perm, [x for comp in orbit for x in comp]) // d
         if twist > 6:
             raise InvariantError("return map order out of range")
-        fam, rank = classify_component(cartan, c)
+        fam, rank = kind[c]
         out.append(ComponentOrbit(fam, rank, twist, d, tuple(orbit)))
     out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size,
                              _NODE_ORDER(co.components)))
@@ -437,19 +439,16 @@ def component_cuspidal_classes(family, rank, twist):
         deg = _DEG_U3 if rank == 2 else None
         return [CuspidalClass("u", 1, deg)]
     if family in ("B", "C") and twist == 1:
-        t = rank
-        if not _is_square(4 * t + 1):
+        if not _is_square(4 * rank + 1):
             return []
         deg = _DEG_B2 if rank == 2 else None
         return [CuspidalClass("u", 1, deg)]
     if family == "D" and twist == 1:
-        t = rank
-        if _is_square(t) and t % 2 == 0:
+        if _is_square(rank) and rank % 2 == 0:
             return [CuspidalClass("u", 1, None)]
         return []
     if family == "D" and twist == 2:
-        t = rank
-        if _is_square(t) and t % 2 == 1:
+        if _is_square(rank) and rank % 2 == 1:
             return [CuspidalClass("u", 1, None)]
         return []
     return []

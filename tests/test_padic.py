@@ -6,7 +6,9 @@ formal degree, and the support patterns of low-rank classical groups."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -41,7 +43,7 @@ from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
 
 from test_casetable import catalogue
 from test_exact import p_subst_pow
-from test_rootdata import _isogenies, _type_id
+from test_rootdata import _isogenies, _type_id, reflection_orbit
 
 
 Q = RatFunc.q_power(1)
@@ -74,6 +76,19 @@ class TestInnerForms:
             g = build_group(type_str, "adjoint")
             with pytest.raises(ValueError):
                 inner_forms_by_token(g, "an")
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_bad_token_lists_the_accepted_ones(self, key):
+        # the forms' tokens in report order, 'an' on split type A, then '*'
+        g = SimpleGroup(*key)
+        with pytest.raises(ValueError, match=r"\(tokens: ") as exc:
+            inner_forms_by_token(g, "w99")
+        tokens = str(exc.value).split("(tokens: ")[1].rstrip(")").split(", ")
+        forms = [f.token for f in enumerate_inner_forms(g)]
+        split_a = key[0] == "A" and key[2] == 1
+        assert tokens == forms + ["an"] * split_a + ["*"]
+        for token in tokens:
+            assert inner_forms_by_token(g, token)
 
     def test_quasi_split_counts(self):
         for spec, expect in [("A3", 4), ("D6", 4), ("2D6", 2), ("3D4", 1),
@@ -536,6 +551,77 @@ class TestSharedAdjointSide:
                 parahoric_classes(g, form)
         monkeypatch.undo()
         assert parahoric_classes(g, form) == want
+
+
+def _walk_components(cartan, nodes):
+    """Connected components of the diagram on the nodes, each sorted as
+    padic sorts nodes, by a depth-first walk of its own."""
+    left, out = set(nodes), []
+    while left:
+        stack, comp = [min(left, key=str)], set()
+        while stack:
+            a = stack.pop()
+            if a in comp:
+                continue
+            comp.add(a)
+            stack += [b for b in left if b != a and cartan[a][b]]
+        left -= comp
+        out.append(tuple(sorted(comp, key=str)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _root_count(cartan):
+    """Number of roots of a Cartan matrix, by the reflection orbit."""
+    return len(reflection_orbit(cartan))
+
+
+class TestOnePassClassification:
+    """component_orbits reads the components and their types off one set
+    of neighbour lists.  Here the components come from a walk of their
+    own and each type from classify_component; the orbit size and the
+    return map's order come from the Frobenius itself; and each type's
+    root count is checked against the reflection orbit of the component's
+    own Cartan matrix, which catches a bond profile that names the wrong
+    type on both paths."""
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_component_orbits_match_the_public_path(self, key):
+        g = SimpleGroup(*key)
+        cartan = g.rs.affine_cartan
+        for form in enumerate_inner_forms(g):
+            perm = form.frobenius
+            for support in maximal_supports(perm):
+                comps = _walk_components(cartan, support)
+                comp_of = {x: c for c in comps for x in c}
+                want = Counter()
+                for c in comps:
+                    # perm carries components to components
+                    orbit, image = [c], comp_of[perm[c[0]]]
+                    while image != c:
+                        orbit.append(image)
+                        image = comp_of[perm[image[0]]]
+                    d = len(orbit)
+                    ret = dict(zip(c, c))
+                    for _ in range(d):
+                        ret = {x: perm[y] for x, y in ret.items()}
+                    twist, moved = 1, dict(ret)
+                    while any(moved[x] != x for x in c):
+                        moved = {x: ret[moved[x]] for x in c}
+                        twist += 1
+                    want[(*classify_component(cartan, c), twist, d,
+                          frozenset(orbit))] += 1
+                got = component_orbits(cartan, support, perm)
+                assert want == Counter(
+                    (co.family, co.rank, co.twist, co.orbit_size,
+                     frozenset(co.components))
+                    for co in got for _ in co.components), \
+                    (key, form.token, support)
+                for co in got:
+                    c = co.components[0]
+                    own = tuple(tuple(cartan[a][b] for b in c) for a in c)
+                    assert _root_count(own) == len(
+                        root_system(co.family, co.rank).roots)
 
 
 class TestClassification:

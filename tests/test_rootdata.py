@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -65,6 +66,40 @@ CATALOGUE_SYSTEMS = _systems(12)
 def _type_id(key):
     fam, rank, tw = key
     return f"{'' if tw == 1 else tw}{fam}{rank}"
+
+
+def reflection_orbit(cartan):
+    """Every root of a Cartan matrix A, in simple-root coordinates, as the
+    orbit of the simple roots under the reflections s_i(beta) = beta -
+    <beta, alpha_i^vee> alpha_i, where <beta, alpha_i^vee> = sum_j beta_j
+    A[j][i]: a construction independent of RootSystem's alpha-strings."""
+    n = len(cartan)
+    columns = list(enumerate(zip(*cartan)))
+
+    def reflections(beta):
+        return [beta[:i] + (beta[i] - sum(map(mul, beta, col)),)
+                + beta[i + 1:] for i, col in columns]
+
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return {beta for orb in exact.orbits(simple, reflections)
+            for beta in orb}
+
+
+class TestRootStrings:
+    """The roots built by alpha-strings, height by height, against the
+    reflection orbit of the simple roots, for every type up to MAX_RANK."""
+
+    @pytest.mark.parametrize("key", _systems(MAX_RANK),
+                             ids="{0[0]}{0[1]}".format)
+    def test_strings_give_the_reflection_orbit(self, key):
+        rs = root_system(*key)
+        orbit = reflection_orbit(rs.cartan)
+        assert rs.roots == orbit
+        top = max(orbit, key=sum)
+        # the highest root is the only root of its height
+        assert [b for b in orbit if sum(b) == sum(top)] == [top]
+        assert rs.hr_coeffs == top
+        assert rs.marks == (1,) + top
 
 
 class TestRootSystem:
