@@ -6,8 +6,11 @@ enhancements; the parahoric side counts support classes and equal-degree
 cuspidal classes.  The six invariants (a, b, a', b', g, g') tie the two
 sides together, and every constructor here asserts the counting identities
 on the spot.  The transfer lemma along isogenies is applied to every row,
-inside compute_invariants; equivariance under diagram automorphisms is a
-separate pass over the assembled reports.
+inside compute_invariants.  Equivariance under diagram automorphisms is a
+separate pass over the assembled reports, which keys each row by the
+Omega_ad-orbit of its (form representative, support): one orbit is one
+inner form with one support class, so an automorphism acting on the group
+moves rows by moving orbits.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from supercusp.casetable import resolve_named_subgroup, rows_for_host  # noqa: F
 from supercusp.exact import CyclotomicProduct, euler_phi
 from supercusp.galois import hii_check, kac_rows, param_json
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
-                             inner_forms_by_token, parahoric_classes)
+                             inner_forms_by_token, maximal_supports)
 from supercusp.rootdata import parse_spec
 
 
@@ -192,63 +195,50 @@ def _row_key(report):
             deg, report.member_index)
 
 
-def equivariance_check(group, reports, tau):
-    """Check that one diagram automorphism permutes the report rows without
-    changing any numbers.
+def _class_key(group, w, J):
+    """The least point of the Omega_ad-orbit of (w, J), a form
+    representative and a support of it, under x.(w, J) = (w + x -
+    theta(x), omega_x(J)): one orbit is one (inner form, support class)."""
+    omega = group.rs.omega
+    return min((omega.add(w, omega.add(x, omega.neg(group.theta_omega[x]))),
+                tuple(sorted(group.rs.omega_action[x][n] for n in J)))
+               for x in omega.elements())
 
-    Each row is mapped once, by mapped form, mapped support class and row
-    key; the images must be distinct rows with the same invariants and
-    formal degree.  Nothing is thrown for a mismatch: the result lists the
-    broken rows.  A tau that does not commute with the Frobenius or does
-    not keep Omega_G is no automorphism of the group: ValueError."""
-    if not tau.commutes_with_frobenius:
-        raise ValueError(f"{tau.perm} does not commute with the Frobenius")
-    if not tau.stabilizes_isogeny:
-        raise ValueError(f"{tau.perm} does not stabilize the isogeny")
-    act = group.rs.aut_on_omega(tau.perm)
+
+def equivariance_check(group, reports, perm):
+    """Check that a diagram automorphism, a tuple of node images in
+    group.rs.diagram_autos, permutes the report rows without changing any
+    numbers.  ValueError unless perm is one, commutes with the Frobenius
+    and keeps Omega_G, that is, acts on the group.
+
+    Each row must sit on a maximal stable support J of its form, whose
+    representative is w; it is keyed by _class_key(w, J) and its row key.
+    Conjugation by perm (on Omega, rs.aut_on_omega) takes F_w to
+    F_perm(w), so the row's image is the orbit of (perm(w), perm(J)): it
+    must be a distinct row with the same invariants and formal degree.
+    Nothing is thrown for a mismatch: the result lists the broken rows."""
+    rs, theta = group.rs, group.theta
+    if perm not in rs.diagram_autos:
+        raise ValueError(f"{perm} is no diagram automorphism of "
+                         f"{rs.family}{rs.rank}")
+    if any(perm[t] != theta[p] for t, p in zip(theta, perm)):
+        raise ValueError(f"{perm} does not commute with the Frobenius")
+    act = rs.aut_on_omega(perm)
+    if any(act[x] not in group.omega_G for x in group.omega_G):
+        raise ValueError(f"{perm} does not stabilize the isogeny")
     forms = {f.token: f for f in enumerate_inner_forms(group)}
-    token_of = {frozenset(f.cls): token for token, f in forms.items()}
 
-    indexed = {}
+    indexed, mismatches, images = {}, [], set()
     for i, rep in enumerate(reports):
-        indexed.setdefault((rep.form_token, frozenset(rep.host.support),
-                            _row_key(rep)), []).append(i)
-
-    associates = {}
-    for token in {rep.form_token for rep in reports}:
-        associates[token] = {frozenset(sup): frozenset(pc.support)
-                             for pc in parahoric_classes(group, forms[token])
-                             for sup in pc.associates}
-
-    # per form with representative r: w = r + x - theta(x) -> -x
-    omega, omega_action = group.rs.omega, group.rs.omega_action
-    conjugators = {token: {} for token in forms}
-    for x in omega.elements():
-        twist = omega.add(x, omega.neg(group.theta_omega[x]))
-        for token, form in forms.items():
-            conjugators[token].setdefault(omega.add(form.rep, twist),
-                                          omega.neg(x))
-
-    mismatches = []
-    images = set()
+        key = _class_key(group, forms[rep.form_token].rep, rep.host.support)
+        indexed.setdefault((key, _row_key(rep)), []).append(i)
     for j, rj in enumerate(reports):
-        mapped_cls = frozenset(act[x] for x in forms[rj.form_token].cls)
-        target_token = token_of.get(mapped_cls)
-        if target_token is None:
-            mismatches.append((j, "form image not found"))
+        form, support = forms[rj.form_token], rj.host.support
+        if support not in maximal_supports(form.frobenius):
+            mismatches.append((j, "support not maximal stable in its form"))
             continue
-        # the image is stable under F_w for w the image of the source
-        # representative; F_w = omega_x F_r omega_x^-1 for the target
-        # representative r and any x with w = r + x - theta(x), so
-        # omega_-x carries the image to a support of r
-        shift = conjugators[target_token][act[forms[rj.form_token].rep]]
-        mapped_sup = frozenset(omega_action[shift][tau.perm[n]]
-                               for n in rj.host.support)
-        canon = associates.get(target_token, {}).get(mapped_sup)
-        if canon is None:
-            mismatches.append((j, "support image not a class member"))
-            continue
-        hits = indexed.get((target_token, canon, _row_key(rj)), [])
+        image = _class_key(group, act[form.rep], [perm[n] for n in support])
+        hits = indexed.get((image, _row_key(rj)), [])
         if not hits:
             mismatches.append((j, "no matching row under the map"))
             continue

@@ -24,9 +24,10 @@ components and the node orbits, is one call to orbits(items, moves).
 
 RatFunc, the dense canonical quotient of polynomials (with p_gcd for its
 sums and quotients), and Cyclo, an element of Q(zeta_m) in the power basis,
-are only the tests' dense reference: nothing in the package returns them.
-The tests compare CyclotomicProducts with RatFuncs through to_ratfunc, and
-the integer eigenvalue pairs (m, k) of galois.WeightString with Cyclo.
+are only the tests' dense reference.  Outside that layer one method returns
+either, CyclotomicProduct.to_ratfunc, and only the tests call it, to
+compare CyclotomicProducts with RatFuncs; they check the integer eigenvalue
+pairs (m, k) of galois.WeightString with Cyclo.
 
 No floating point anywhere.
 """

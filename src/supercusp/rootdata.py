@@ -32,7 +32,6 @@ Group specs are written TYPE:ISOGENY:TWIST, for example 2A5:adjoint:w1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add
@@ -479,34 +478,6 @@ class SimpleGroup:
         moved = self._theta_moved(elems)
         return [frozenset(cls) for cls in orbits(
             elems, lambda x: [omega.add(x, b) for b in moved])]
-
-
-# ---------------------------------------------------------------------------
-# diagram automorphisms relative to a group datum
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagramAut:
-    """Diagram automorphism, a tuple of images over the affine nodes
-    0..rank fixing node 0, with its compatibility flags."""
-
-    perm: tuple
-    commutes_with_frobenius: bool
-    stabilizes_isogeny: bool
-
-
-def diagram_automorphisms(group):
-    """All finite-diagram automorphisms of the group's type, flagged by
-    whether they commute with the Frobenius action and whether they
-    stabilize the isogeny subgroup (only those can act on the group)."""
-    out, theta = [], group.theta
-    for p in group.rs.diagram_autos:
-        commutes = all(p[theta[i]] == theta[p[i]] for i in range(len(p)))
-        act = group.rs.aut_on_omega(p)
-        stab = all(act[x] in group.omega_G for x in group.omega_G)
-        out.append(DiagramAut(p, commutes, stab))
-    return out
 
 
 # ---------------------------------------------------------------------------

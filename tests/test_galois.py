@@ -19,8 +19,8 @@ from supercusp.galois import (WeightString, _build_param, _orbit_product,
                               local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
-from supercusp.rootdata import (build_group, diagram_automorphisms,
-                                isogeny_tokens, parse_type, root_system)
+from supercusp.rootdata import (build_group, isogeny_tokens, parse_type,
+                                root_system)
 from test_casetable import catalogue
 from test_rootdata import CATALOGUE_SYSTEMS, _isogenies
 
@@ -525,13 +525,25 @@ class TestE8Report:
                    for rec in doc["rows"])
 
 
+def _acting(g):
+    """The diagram automorphisms that act on the group: those commuting
+    with the Frobenius and keeping Omega_G, computed here from the tuples alone."""
+    out = []
+    for p in g.rs.diagram_autos:
+        act = g.rs.aut_on_omega(p)
+        if all(p[g.theta[i]] == g.theta[p[i]] for i in range(len(p))) and \
+                all(act[x] in g.omega_G for x in g.omega_G):
+            out.append(p)
+    return out
+
+
 class TestEquivariance:
     """A diagram automorphism that commutes with the Frobenius and keeps the
     isogeny permutes the report rows and keeps every formal degree."""
 
     @pytest.mark.parametrize("type_str", [
         "A3", "A5", "A7", "D3", "D4", "D5", "D6", "D8", "2D4", "2D5", "2D6",
-        "2D8", "E6", "2E6", "B3", "2A3", "2A5", "2A7", "2A9",
+        "2D8", "2D9", "3D4", "E6", "2E6", "B3", "2A3", "2A5", "2A7", "2A9",
     ])
     def test_rows_permute(self, type_str):
         fam, rank, _ = parse_type(type_str)
@@ -541,10 +553,9 @@ class TestEquivariance:
             except ValueError:
                 continue
             reports = full_report(f"{type_str}:{iso}:*")
-            for tau in diagram_automorphisms(g):
-                if tau.commutes_with_frobenius and tau.stabilizes_isogeny:
-                    res = equivariance_check(g, reports, tau)
-                    assert res["consistent"], (iso, tau, res["mismatches"])
+            for perm in _acting(g):
+                res = equivariance_check(g, reports, perm)
+                assert res["consistent"], (iso, perm, res["mismatches"])
 
     @staticmethod
     def _outer(type_str):
@@ -552,51 +563,75 @@ class TestEquivariance:
         automorphisms that act on it."""
         g = build_group(type_str, "adjoint")
         return g, full_report(f"{type_str}:adjoint:*"), [
-            tau for tau in diagram_automorphisms(g)
-            if tau.commutes_with_frobenius and tau.stabilizes_isogeny
-            and any(i != j for i, j in enumerate(tau.perm))]
+            p for p in _acting(g) if any(i != j for i, j in enumerate(p))]
 
     @pytest.mark.parametrize("type_str", ["E6", "D6"])
     def test_changed_degree_is_inconsistent(self, type_str):
         # the flip swaps the two inner forms other than the quasi-split
         # one, so it moves their rows onto each other; a row of D4 is
         # mapped onto itself, so changing it cannot show
-        g, reports, taus = self._outer(type_str)
-        assert taus
+        g, reports, perms = self._outer(type_str)
+        assert perms
         i = next(i for i, r in enumerate(reports) if r.form_token != "1")
         broken = list(reports)
         broken[i] = dataclasses.replace(reports[i],
                                         fdeg=CyclotomicProduct(7))
-        for tau in taus:
-            assert equivariance_check(g, reports, tau)["consistent"]
-            res = equivariance_check(g, broken, tau)
+        for perm in perms:
+            assert equivariance_check(g, reports, perm)["consistent"]
+            res = equivariance_check(g, broken, perm)
             assert not res["consistent"]
             assert (i, "no matching row under the map") in res["mismatches"]
 
-    @pytest.mark.parametrize("type_str, iso, flag, condition", [
-        ("3D4", "adjoint", "commutes_with_frobenius",
-         "commute with the Frobenius"),
-        ("D4", "hs1", "stabilizes_isogeny", "stabilize the isogeny"),
-    ])
-    def test_foreign_automorphism_raises(self, type_str, iso, flag,
+    @pytest.mark.parametrize("type_str", ["2A5", "E6"])
+    def test_support_of_another_form_is_reported(self, type_str):
+        # row 0 keeps its form but takes the host of a row of another
+        # inner form, whose support its own Frobenius need not keep
+        g = build_group(type_str, "adjoint")
+        reports = full_report(f"{type_str}:adjoint:*")
+        other = next(r for r in reports
+                     if r.form_token != reports[0].form_token)
+        broken = [dataclasses.replace(reports[0], host=other.host),
+                  *reports[1:]]
+        for perm in _acting(g):
+            assert equivariance_check(g, reports, perm)["consistent"]
+            res = equivariance_check(g, broken, perm)
+            assert (0, "support not maximal stable in its form") in \
+                res["mismatches"]
+
+    @pytest.mark.parametrize("type_str, iso, count, condition", [
+        ("3D4", "adjoint", 3, "commute with the Frobenius"),
+        ("D4", "hs1", 4, "stabilize the isogeny"),
+        ("D4", "so", 4, "stabilize the isogeny"),
+    ], ids=["3D4-adjoint", "D4-hs1", "D4-so"])
+    def test_foreign_automorphism_raises(self, type_str, iso, count,
                                          condition):
-        # the flip on 3D4 does not commute with triality, and triality
-        # moves the half-spin subgroup of D4: neither acts on the group
+        # the flips on 3D4 do not commute with triality, and on D4 the
+        # perms moving the node that names the half-spin or the so
+        # subgroup do not keep it: none of them acts on the group
         g = build_group(type_str, iso)
         reports = full_report(f"{type_str}:{iso}:*")
-        foreign = [tau for tau in diagram_automorphisms(g)
-                   if not getattr(tau, flag)]
-        assert foreign
-        for tau in foreign:
-            with pytest.raises(ValueError, match=condition):
-                equivariance_check(g, reports, tau)
+        raised = []
+        for perm in g.rs.diagram_autos:
+            try:
+                res = equivariance_check(g, reports, perm)
+            except ValueError as exc:
+                raised.append(str(exc))
+            else:
+                assert res["consistent"], (perm, res["mismatches"])
+        assert len(raised) == count
+        assert all(condition in msg for msg in raised), raised
+
+    def test_non_automorphism_raises(self):
+        g = build_group("A3", "adjoint")
+        with pytest.raises(ValueError, match=r"\(0, 2, 1, 3\) is no diagram"):
+            equivariance_check(g, full_report("A3:adjoint:*"), (0, 2, 1, 3))
 
     @pytest.mark.parametrize("type_str", ["D4", "E6"])
     def test_images_must_be_distinct(self, type_str):
         # a copied row maps where its original does
-        g, reports, taus = self._outer(type_str)
-        for tau in taus:
-            res = equivariance_check(g, reports + [reports[-1]], tau)
+        g, reports, perms = self._outer(type_str)
+        for perm in perms:
+            res = equivariance_check(g, reports + [reports[-1]], perm)
             assert res["mismatches"] == [(len(reports), "two rows map to one")]
 
 

@@ -24,7 +24,6 @@ from supercusp.rootdata import (
     RootSystem,
     SimpleGroup,
     build_group,
-    diagram_automorphisms,
     isogeny_tokens,
     parse_spec,
     parse_type,
@@ -552,21 +551,17 @@ class TestDiagramAutomorphisms:
             assert p[0] == 0
             assert all(A[p[i + 1] - 1][p[j + 1] - 1] == A[i][j]
                        for i in nodes for j in nodes)
-        assert len(diagram_automorphisms(g)) == len(autos) == \
-            DIAGRAM_AUTO_COUNTS[ts]
-
-    def test_d4_stabilizing_subgroup(self):
-        g = build_group("D4", "so")
-        autos = diagram_automorphisms(g)
-        assert len(autos) == 6
-        assert sum(1 for a in autos if a.stabilizes_isogeny) == 2
+        assert len(autos) == DIAGRAM_AUTO_COUNTS[ts]
 
     def test_commutes_flag_on_twisted(self):
         g = build_group("3D4", "adjoint")
-        autos = diagram_automorphisms(g)
+        theta = g.theta
         # triality generates; the flip does not commute with it
-        commuting = [a for a in autos if a.commutes_with_frobenius]
+        commuting = [p for p in g.rs.diagram_autos
+                     if all(p[theta[i]] == theta[p[i]] for i in range(len(p)))]
+        assert len(g.rs.diagram_autos) == 6
         assert len(commuting) == 3
+        assert theta in commuting
 
     def test_frobenius_perm_orders(self):
         # the derived theta is Bourbaki's standard permutation: the A_n
