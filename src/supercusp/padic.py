@@ -17,10 +17,16 @@ read off the Frobenius orbits of the affine nodes outside the support.
 A support's components and their bond profiles come from one pass over
 it, and each profile is looked up among rootdata's Bourbaki diagrams.
 
+Nodes, supports and components sort as integers.  Omega_ad^theta
+commutes with F_omega, so it permutes the maximal supports: walked in
+order, the first support not yet seen is the least of its class and
+represents it, and one map w -> w(J) gives the class and stabilizer_ad.
+No dimension is stored; see parahoric_volume.
+
 The p-adic side splits by what it depends on.  The inner forms depend only
 on the root system and the Frobenius twist, and the support classes (the
 maximal supports, their Omega_ad^theta orbits, stabilizer_ad, the
-component orbits, dim and torus_rank) only on the root system, F_omega and
+component orbits and torus_rank) only on the root system, F_omega and
 Omega_ad^theta.  That adjoint half is computed once per key and shared by
 every isogeny of the type, through an lru_cache on each of _inner_forms
 (rs, twist_order) and _adjoint_classes (rs, frobenius, omega_ad_theta).
@@ -33,7 +39,7 @@ next call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -42,11 +48,6 @@ from supercusp.exact import (CyclotomicProduct, InvariantError, orbits,
                              perm_order)
 from supercusp.rootdata import (SimpleGroup, cartan_matrix, dynkin_diagram,
                                 weyl_degrees)
-
-# Nodes, supports and components sort by their strings, so B10 lists
-# (0, 1, 10, 2, ...): the report digests pin that order, and a numeric
-# order changes this key alone.
-_NODE_ORDER = str
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,8 @@ def _profiles(cartan, nodes):
     its bonds as sorted (A[a][b], A[b][a], degree of b), the nodes' tuples
     sorted.  The neighbour lists, across nonzero entries, give both."""
     nbrs = {a: [b for b in nodes if b != a and cartan[a][b]] for a in nodes}
-    for comp in orbits(sorted(nodes, key=_NODE_ORDER), nbrs.__getitem__):
-        yield tuple(sorted(comp, key=_NODE_ORDER)), tuple(sorted(tuple(sorted(
+    for comp in orbits(sorted(nodes), nbrs.__getitem__):
+        yield tuple(sorted(comp)), tuple(sorted(tuple(sorted(
             (cartan[a][b], cartan[b][a], len(nbrs[b])) for b in nbrs[a]))
             for a in comp))
 
@@ -181,7 +182,7 @@ def classify_component(cartan, nodes):
     return comps[0][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ComponentOrbit:
     """An orbit of isomorphic components of the support under the twisted
     Frobenius: the group contributes over the degree-d extension, twisted by
@@ -205,18 +206,14 @@ def component_orbits(cartan, support, perm):
     kind = dict(classified_components(cartan, support))
     comp_of = {x: c for c in kind for x in c}
     out = []
-    for orbit in orbits(sorted(kind, key=_NODE_ORDER),
-                        lambda c: (comp_of[perm[c[0]]],)):
+    for orbit in orbits(sorted(kind), lambda c: (comp_of[perm[c[0]]],)):
         c, d = orbit[0], len(orbit)
         # the return map perm^d on c cuts each L-cycle of perm into d parts
         twist = perm_order(perm, [x for comp in orbit for x in comp]) // d
         if twist > 6:
             raise InvariantError("return map order out of range")
-        fam, rank = kind[c]
-        out.append(ComponentOrbit(fam, rank, twist, d, tuple(orbit)))
-    out.sort(key=lambda co: (co.family, co.rank, co.twist, co.orbit_size,
-                             _NODE_ORDER(co.components)))
-    return tuple(out)
+        out.append(ComponentOrbit(*kind[c], twist, d, tuple(orbit)))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +267,16 @@ def finite_semisimple_order(family, rank, twist):
 
 def parahoric_volume(group, host, perm):
     """q^(-dim/2) times the number of points of the host's finite reductive
-    quotient: its semisimple factors over their orbit fields, read from the
-    stored component orbits, times the twisted torus.  Positive for every
-    q > 1."""
-    vol = CyclotomicProduct(1, -host.dim) * torus_factor(group, host.support,
-                                                        perm)
+    quotient, whose semisimple factors over their orbit fields come from the
+    stored component orbits.  dim is the rank plus 2Nd per orbit of d
+    factors with N positive roots each, so q^(-dim/2) cancels each factor's
+    q^(Nd), leaving t^(-rank) times the twisted torus.  Positive for q > 1."""
+    vol = CyclotomicProduct(1, -group.rank) * torus_factor(group, host.support,
+                                                          perm)
     for co in host.orbits:
         base = finite_semisimple_order(co.family, co.rank, co.twist)
-        vol = vol * base.subst_t_power(co.orbit_size)
+        vol = vol * CyclotomicProduct(base.const, 0, base.phi).subst_t_power(
+            co.orbit_size)
     if vol.const <= 0:
         raise InvariantError(f"parahoric volume {vol} is not positive")
     return vol
@@ -292,14 +291,13 @@ def parahoric_volume(group, host, perm):
 class ParahoricClass:
     """Association class of maximal stable parahoric supports."""
 
-    support: tuple            # canonical representative, sorted nodes
-    associates: tuple         # all supports in the class
+    support: tuple            # least of the associates, sorted nodes
+    associates: tuple         # all supports in the class, sorted
     stabilizer_ad: frozenset  # setwise stabilizer in adjoint Omega^theta
     stabilizer_G: frozenset   # setwise stabilizer in the group's Omega^theta
     g_prime: int
     orbits: tuple             # ComponentOrbit tuple
     torus_rank: int
-    dim: int
 
     def quotient_description(self):
         parts = [co.descriptor() for co in self.orbits]
@@ -309,11 +307,11 @@ class ParahoricClass:
 
 
 def maximal_supports(frobenius):
-    """All maximal F_omega-stable proper subsets of the affine nodes: the
-    complements of single node orbits of the Frobenius."""
+    """All maximal F_omega-stable proper subsets of the affine nodes, the
+    complements of single node orbits of the Frobenius, sorted."""
     nodes = range(len(frobenius))
-    return [tuple(sorted((set(nodes) - set(orb)), key=_NODE_ORDER))
-            for orb in _perm_orbits(frobenius, nodes)]
+    return sorted(tuple(x for x in nodes if x not in orb)
+                  for orb in _perm_orbits(frobenius, nodes))
 
 
 def parahoric_classes(group, form):
@@ -323,62 +321,40 @@ def parahoric_classes(group, form):
     docstring); Omega_G^theta adds the rest here."""
     theta_fixed_ad, theta_fixed_G = group.omega_ad_theta, group.omega_G_theta
     classes = []
-    for rep, associates, stab_ad, orbits, torus_rank, dim in _adjoint_classes(
-            group.rs, form.frobenius, theta_fixed_ad):
-        stab_G = stab_ad & theta_fixed_G
+    for pc in _adjoint_classes(group.rs, form.frobenius, theta_fixed_ad):
+        stab_G = pc.stabilizer_ad & theta_fixed_G
         # g' = [ad orbit of the support] / [G orbit of the support], each
         # orbit the size of its group over the stabilizer
         g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
-                           len(stab_ad) * len(theta_fixed_G))
+                           len(pc.stabilizer_ad) * len(theta_fixed_G))
         if g_prime.denominator != 1:
             raise InvariantError(
-                f"G-orbit of the support {rep} does not divide its adjoint "
-                f"orbit of {len(associates)}")
-        classes.append(ParahoricClass(
-            support=rep,
-            associates=associates,
-            stabilizer_ad=stab_ad,
-            stabilizer_G=stab_G,
-            g_prime=int(g_prime),
-            orbits=orbits,
-            torus_rank=torus_rank,
-            dim=dim,
-        ))
+                f"G-orbit of the support {pc.support} does not divide its "
+                f"adjoint orbit of {len(pc.associates)}")
+        classes.append(replace(pc, stabilizer_G=stab_G,
+                               g_prime=int(g_prime)))
     return classes
 
 
 @lru_cache(maxsize=None)
 def _adjoint_classes(rs, frobenius, omega_ad_theta):
-    """(support, associates, stabilizer_ad, orbits, torus_rank, dim) per
-    class, sorted by support."""
-    supports = maximal_supports(frobenius)
-    theta_fixed_ad = sorted(omega_ad_theta)
-    action = rs.omega_action
-
-    def act_on_support(w, J):
-        return tuple(sorted((action[w][x] for x in J), key=_NODE_ORDER))
-
+    """The classes of the adjoint group itself (stabilizer_G = stabilizer_ad
+    and g' = 1), sorted by support: the first support of each class in the
+    walk is its least, and represents it (see the module docstring)."""
     classes = []
     seen = set()
-    for J in sorted(supports, key=_NODE_ORDER):
+    for J in maximal_supports(frobenius):
         if J in seen:
             continue
-        orbit = {act_on_support(w, J) for w in theta_fixed_ad}
-        seen |= orbit
-        rep = min(orbit, key=_NODE_ORDER)
-        stab_ad = frozenset(w for w in theta_fixed_ad if act_on_support(w, rep) == rep)
-        orbits = component_orbits(rs.affine_cartan, rep, frobenius)
-        # rank plus the roots of the components, from the Weyl degrees: a
-        # degree d adds d - 1 positive roots
-        dim = rs.rank + sum(
-            len(co.components) * 2 * sum(
-                d - 1 for d in weyl_degrees(co.family, co.rank))
-            for co in orbits)
-        torus_rank = rs.rank - sum(
-            co.orbit_size * co.rank for co in orbits)
-        classes.append((rep, tuple(sorted(orbit, key=_NODE_ORDER)), stab_ad,
-                        orbits, torus_rank, dim))
-    classes.sort(key=lambda c: _NODE_ORDER(c[0]))
+        image = {w: tuple(sorted(rs.omega_action[w][x] for x in J))
+                 for w in omega_ad_theta}
+        associates = tuple(sorted(set(image.values())))
+        seen.update(associates)
+        stab_ad = frozenset(w for w, K in image.items() if K == J)
+        orbits = component_orbits(rs.affine_cartan, J, frobenius)
+        torus_rank = rs.rank - sum(co.orbit_size * co.rank for co in orbits)
+        classes.append(ParahoricClass(J, associates, stab_ad, stab_ad, 1,
+                                      orbits, torus_rank))
     return tuple(classes)
 
 
@@ -507,8 +483,8 @@ def supports_with_cuspidals(group, form):
 def formal_degree(group, form, host, cls):
     """Formal degree of the cuspidal class cls on the support class host:
     the class degree over |Omega^{theta,P}| times the parahoric volume, which
-    comes from the host's stored component orbits and dimension.  None when
-    the class degree is unknown."""
+    comes from the host's stored component orbits.  None when the class
+    degree is unknown."""
     if cls.degree is None:
         return None
     vol = parahoric_volume(group, host, form.frobenius)

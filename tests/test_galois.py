@@ -542,20 +542,24 @@ class TestEquivariance:
     isogeny permutes the report rows and keeps every formal degree."""
 
     @pytest.mark.parametrize("type_str", [
-        "A3", "A5", "A7", "D3", "D4", "D5", "D6", "D8", "2D4", "2D5", "2D6",
-        "2D8", "2D9", "3D4", "E6", "2E6", "B3", "2A3", "2A5", "2A7", "2A9",
+        "A3", "A5", "A7", "D3", "D4", "D5", "D6", "D8", "D20", "2D5", "2D8",
+        "2D9", "2D11", "3D4", "E6", "2E6", "B3", "2A3", "2A5", "2A9", "2A15",
     ])
     def test_rows_permute(self, type_str):
+        # each type has rows on some isogeny, so the check sees some
         fam, rank, _ = parse_type(type_str)
+        rows = 0
         for iso in isogeny_tokens(fam, rank):
             try:
                 g = build_group(type_str, iso)
             except ValueError:
                 continue
             reports = full_report(f"{type_str}:{iso}:*")
+            rows += len(reports)
             for perm in _acting(g):
                 res = equivariance_check(g, reports, perm)
                 assert res["consistent"], (iso, perm, res["mismatches"])
+        assert rows > 0
 
     @staticmethod
     def _outer(type_str):

@@ -16,7 +16,7 @@ import sympy
 
 from supercusp import padic
 from supercusp.correspond import full_report, reports_json
-from supercusp.exact import InvariantError, RatFunc
+from supercusp.exact import CyclotomicProduct, InvariantError, RatFunc
 from supercusp.padic import (
     ComponentOrbit,
     ParahoricClass,
@@ -245,8 +245,7 @@ class TestVolumes:
         qs = inner_forms_by_token(g, "1")[0]
         iwahori = ParahoricClass(
             support=(), associates=((),), stabilizer_ad=frozenset(),
-            stabilizer_G=frozenset(), g_prime=1, orbits=(), torus_rank=3,
-            dim=3)
+            stabilizer_G=frozenset(), g_prime=1, orbits=(), torus_rank=3)
         vol = parahoric_volume(g, iwahori, qs.frobenius).to_ratfunc()
         assert vol == RatFunc.t_power(-3) * (Q - 1) ** 3
 
@@ -258,6 +257,26 @@ class TestVolumes:
             for pc in parahoric_classes(g, form):
                 vol = parahoric_volume(g, pc, perm).to_ratfunc()
                 assert vol.eval_q(4) > 0 and vol.eval_q(9) > 0
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_matches_the_dimension_normalization(self, key):
+        # q^(-dim/2) |P(F_q)| written out, with dim = rank + 2N per
+        # component of N positive roots, read off the Weyl degrees
+        for g in _isogenies(*key):
+            for form in enumerate_inner_forms(g):
+                for pc in parahoric_classes(g, form):
+                    dim = g.rank + sum(
+                        len(co.components) * 2 * sum(
+                            d - 1 for d in weyl_degrees(co.family, co.rank))
+                        for co in pc.orbits)
+                    want = CyclotomicProduct(1, -dim) * torus_factor(
+                        g, pc.support, form.frobenius)
+                    for co in pc.orbits:
+                        want = want * finite_semisimple_order(
+                            co.family, co.rank, co.twist).subst_t_power(
+                                co.orbit_size)
+                    assert parahoric_volume(g, pc, form.frobenius) == want, \
+                        (g.spec_string(form.token), pc.support)
 
 
 class TestDivisionAlgebra:
@@ -393,8 +412,7 @@ class TestSupportPatterns:
 
 
 def _act_on_support(group, w, support):
-    return tuple(sorted((group.rs.omega_action[w][x] for x in support),
-                        key=str))
+    return tuple(sorted(group.rs.omega_action[w][x] for x in support))
 
 
 class TestGPrimeOracle:
@@ -417,6 +435,32 @@ class TestGPrimeOracle:
                     assert len(pc.associates) == pc.g_prime * len(orbit_G)
 
 
+class TestIntegerOrder:
+    """Nodes sort as integers: the supports, each class's associates and
+    the list of classes, on every form of every catalogue isogeny."""
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_supports_and_classes_are_sorted(self, key):
+        for g in _isogenies(*key):
+            for form in enumerate_inner_forms(g):
+                supports = maximal_supports(form.frobenius)
+                assert supports == sorted(supports)
+                assert all(list(J) == sorted(J) for J in supports)
+                classes = parahoric_classes(g, form)
+                for pc in classes:
+                    assert pc.associates == tuple(sorted(pc.associates))
+                    assert set(pc.associates) <= set(supports)
+                    assert pc.support == min(pc.associates)
+                reps = [pc.support for pc in classes]
+                assert reps == sorted(reps), g.spec_string(form.token)
+
+    def test_b10_report_lists_supports_ascending(self):
+        supports = [rec["support"] for rec in
+                    reports_json(full_report("B10:adjoint:*"))["rows"]]
+        assert any(10 in J for J in supports)
+        assert all(J == sorted(J) for J in supports), supports
+
+
 def _oracle_parahoric_classes(group, form):
     """parahoric_classes computed for one group alone, with no memo."""
     supports = maximal_supports(form.frobenius)
@@ -425,12 +469,12 @@ def _oracle_parahoric_classes(group, form):
 
     classes = []
     seen = set()
-    for J in sorted(supports, key=str):
+    for J in sorted(supports):
         if J in seen:
             continue
         orbit = {_act_on_support(group, w, J) for w in theta_fixed_ad}
         seen |= orbit
-        rep = min(orbit, key=str)
+        rep = min(orbit)
         stab_ad = frozenset(w for w in theta_fixed_ad
                             if _act_on_support(group, w, rep) == rep)
         stab_G = stab_ad & theta_fixed_G
@@ -439,18 +483,13 @@ def _oracle_parahoric_classes(group, form):
         assert g_prime.denominator == 1
         orbits = component_orbits(group.rs.affine_cartan, rep,
                                   form.frobenius)
-        dim = group.rank + sum(
-            len(co.components) * 2 * sum(
-                d - 1 for d in weyl_degrees(co.family, co.rank))
-            for co in orbits)
         torus_rank = group.rank - sum(
             co.orbit_size * co.rank for co in orbits)
         classes.append(ParahoricClass(
-            support=rep, associates=tuple(sorted(orbit, key=str)),
+            support=rep, associates=tuple(sorted(orbit)),
             stabilizer_ad=stab_ad, stabilizer_G=stab_G,
-            g_prime=int(g_prime), orbits=orbits, torus_rank=torus_rank,
-            dim=dim))
-    classes.sort(key=lambda c: str(c.support))
+            g_prime=int(g_prime), orbits=orbits, torus_rank=torus_rank))
+    classes.sort(key=lambda c: c.support)
     return classes
 
 
@@ -558,7 +597,7 @@ def _walk_components(cartan, nodes):
     padic sorts nodes, by a depth-first walk of its own."""
     left, out = set(nodes), []
     while left:
-        stack, comp = [min(left, key=str)], set()
+        stack, comp = [min(left)], set()
         while stack:
             a = stack.pop()
             if a in comp:
@@ -566,7 +605,7 @@ def _walk_components(cartan, nodes):
             comp.add(a)
             stack += [b for b in left if b != a and cartan[a][b]]
         left -= comp
-        out.append(tuple(sorted(comp, key=str)))
+        out.append(tuple(sorted(comp)))
     return out
 
 

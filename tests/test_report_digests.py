@@ -38,15 +38,15 @@ SPEC_DIGESTS = {
     "2D9:adjoint:*":
         "b37679f80cb68f4ef98adc0fc59fc676754c9f7bbac6d9910969b3ef11d16cb0",
     "B10:adjoint:*":
-        "80ee65b3cfffaa11a1a470329e69b32dd637fa22df7226637100ec24171eb5d6",
+        "b44ed6cf9fa4b8cfd2dbeec42dc5c8fbcd51367347af7fc727fdd2746e310796",
     "B9:adjoint:*":
         "47f4ae7e49208160f441d60ad5d31bdef76eeef6bada3077492b7350c8829445",
     "C10:adjoint:*":
-        "5d48f6d479847855d934f87720c5cbf77973cddf241cbeffff675c8ae247d874",
+        "f9eca6b5a749a401a87d69afaba39275202e397281b69ec5961032bc15e6e795",
     "C9:adjoint:*":
         "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
     "D10:adjoint:*":
-        "b278cfeaee9dee2b9979cc12914927859865abce583e762018f2f94ae820cf28",
+        "d7cf7781ff41d467761ecec9cbfc2b03481a3d1711b692f24f9602a62906577a",
     "D9:adjoint:*":
         "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
     # isogeny
@@ -164,11 +164,11 @@ SPEC_DIGESTS = {
         "e6732ed40a489a200323ec19170c1d6cb3c6df35a63ee0458efc6f1b6fff99a3",
     # the rest of the adjoint catalogue (tests/test_casetable.py::catalogue)
     "2A10:adjoint:*":
-        "7ca327319d0349b3f02806a6b152262ade808e7ba1e5b3cfcdfc85571f696039",
+        "1ff8a14b780acc196f1d62899e5f256b8ff24a424e7742affbb3cc61f33b2e87",
     "2A11:adjoint:*":
-        "cda8a72f8a08575e02c625f2ca45f59ab475da3ebafd483598c5e945cc176ce4",
+        "fea4474f4563c5352b91573f5e17f68167801c4949bd70dfa0c8b27aa3f44386",
     "2A12:adjoint:*":
-        "58c5c07e8213aa39f46f40483d3f6d81715311dea7f2f1978b1524b7a0f975c1",
+        "94030fc28cb1c34a987e6ce804be09e233faf2b3a7658a4b09b57e1ad8a95379",
     "2A2:adjoint:*":
         "fd366d1d0813c8a09f879d0b3ffa9b3c9fedd99f19953c3549465f4004158f81",
     "2A3:adjoint:*":
@@ -180,9 +180,9 @@ SPEC_DIGESTS = {
     "2A8:adjoint:*":
         "3708f4f6d8194855448da02077295fcb23e72d5eb10d7abd6eb71bb511265b02",
     "2D11:adjoint:*":
-        "872302dd513b6dd8c7e37f45e3e5d64d32f39788aac1017ea37bbe8307fed5c5",
+        "607fe11d1eea12e1e87b44a99ea9d38ab295febb1b33697befcc7eecc50f2fb8",
     "2D12:adjoint:*":
-        "d37dc669dd7c33e1aa657ed00104fe605cc9b6f90eab68fc292fe592666633f2",
+        "6818bcc52aef99d8dbcb34110427b734d71ccbfd648f8846d5b1aa7586e8e765",
     "A10:adjoint:*":
         "404a60379dc40c56491ac8d7bff33059febed4da63e28b7f658b2756ed921622",
     "A11:adjoint:*":
@@ -200,9 +200,9 @@ SPEC_DIGESTS = {
     "A9:adjoint:*":
         "1bef282a33bd551c26331f404fd008156c3b8cac2901a9fb06043c3bb419007e",
     "B11:adjoint:*":
-        "38a35ef8a2eaa1c45cf5522587e7fb6292690b730b8870a1cdc69619f56b5536",
+        "2e8b3dba620a1ecf4a16eea55605fe86248e8b9e079623c51492a185188a6b48",
     "B12:adjoint:*":
-        "e92f8396df414c2368f9bb5f0befb92af82ad6467b24bbd1aa7fc9d467d3fc02",
+        "d55346f91ffd74cc49c88e50008ef2273b18c97f8273f5bf0d4b25bb97f7da63",
     "B2:adjoint:*":
         "b1449403689d8d49a584e1c505de21beead8aa140387a23ffaf4b5c63a952d40",
     "B3:adjoint:*":
@@ -218,7 +218,7 @@ SPEC_DIGESTS = {
     "C11:adjoint:*":
         "47db4861644dd6426ce89a54b3088a769d2cf4d0d7023cb0781da628cf5dbcf3",
     "C12:adjoint:*":
-        "92881352cb708ad9a421146365544957a94ee9248ed56ce06258e09555c1418c",
+        "efe62270f469214fc7d94341bbbb86330f6faf04f03f0fc468c7aac4f2ea52e3",
     "C2:adjoint:*":
         "f73ab377b41eef461c76eda28a196fc92a630c003e597503c8a360ed3eb6357c",
     "C3:adjoint:*":
