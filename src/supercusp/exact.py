@@ -11,7 +11,8 @@ Two kinds of values underlie everything else in the package:
   its numerator and denominator from the exponents, already canonical:
   distinct Phi_n are coprime and t divides none, and each Phi_n is monic
   and primitive, so by Gauss's lemma the contents are the reduced
-  constant's numerator and denominator;
+  constant's numerator and denominator.  Phi_n itself is built by integer
+  long division of t^n - 1 by the monic product of the lower Phi_d;
 - finite abelian groups in invariant-factor form: the fundamental groups.
   The Frobenius acts on them through rootdata's node-conjugation tables,
   so a group here carries no endomorphism.  smith_normal_form is the one
@@ -78,19 +79,13 @@ def p_mul(a, b):
     return p_trim(out)
 
 
-def p_deg(a):
-    return len(p_trim(a)) - 1
-
-
 def p_is_zero(a):
     return p_trim(a) == (0,)
 
 
 def p_shift(a, k):
     """Multiply by t^k, k >= 0."""
-    if p_is_zero(a):
-        return (0,)
-    return (0,) * k + tuple(a)
+    return (0,) if p_is_zero(a) else (0,) * k + tuple(a)
 
 
 def p_eval(a, x):
@@ -131,9 +126,7 @@ def p_primitive(a):
 
 
 def _clear_denoms(a):
-    L = 1
-    for x in a:
-        L = lcm(L, Fraction(x).denominator)
+    L = lcm(*(Fraction(x).denominator for x in a))
     return tuple(int(Fraction(x) * L) for x in a)
 
 
@@ -180,7 +173,7 @@ class RatFunc:
             object.__setattr__(self, "den", (1,))
             return
         g = p_gcd(num, den)
-        if p_deg(g) > 0 or p_content(num) > 1 or p_content(den) > 1 or den[-1] < 0:
+        if len(g) > 1 or p_content(num) > 1 or p_content(den) > 1 or den[-1] < 0:
             qn, rn = p_divmod(num, g)
             qd, rd = p_divmod(den, g)
             if not (p_is_zero(rn) and p_is_zero(rd)):
@@ -360,27 +353,26 @@ RF_Q = RatFunc((0, 0, 1), (1,))
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
-    """m-th cyclotomic polynomial as an integer tuple, ascending."""
-    if m == 1:
-        return (-1, 1)
-    num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
+    """m-th cyclotomic polynomial as an integer tuple, ascending: x^m - 1
+    divided, in integers, by the monic product of the lower Phi_d."""
     den = (1,)
     for d in range(1, m):
         if m % d == 0:
             den = p_mul(den, cyclotomic_poly(d))
-    q, r = p_divmod(num, den)
-    if not p_is_zero(r):
+    r, n = [-1] + [0] * (m - 1) + [1], len(den) - 1
+    q = [0] * (m - n + 1)
+    for i in range(m - n, -1, -1):
+        q[i] = c = r[i + n]
+        for j, b in enumerate(den):
+            r[i + j] -= c * b
+    if any(r):
         raise InvariantError(f"x^{m} - 1 is not divisible by the lower "
                              f"cyclotomic polynomials")
-    return tuple(int(c) for c in q)
+    return tuple(q)
 
 
 def euler_phi(m):
-    count = 0
-    for k in range(1, m + 1):
-        if gcd(k, m) == 1:
-            count += 1
-    return count
+    return sum(gcd(k, m) == 1 for k in range(1, m + 1))
 
 
 def mobius(n):

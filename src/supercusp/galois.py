@@ -12,11 +12,12 @@ explicit type string where it has one; the matching cuspidal
 support lives on a distinguished unipotent class there.  When that class is
 regular (every factor of linear type) the full decomposition of the adjoint
 representation into weight strings is computed exactly by root-space
-bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it once, when
-the parameter is built.  Otherwise both are left unavailable rather than
-guessed.  The parameter holds dual-side data only, the centralizer's
-components, printed type and central order among them: kac_rows hands out
-the support, class and case row it was read from beside it.
+bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it once per
+weight multiset per process, below local_factors.  Otherwise both are left
+unavailable rather than guessed.  The parameter holds dual-side data only,
+the centralizer's components, printed type and central order among them:
+kac_rows hands out the support, class and case row it was read from beside
+it.
 
 Local factor conventions, fixed once for the whole package: a string of
 highest weight h with torsion eigenvalue alpha = zeta_m^k, held as the
@@ -32,7 +33,7 @@ grouped by (m, E), and each full Galois orbit over k in (Z/m)^x multiplies
 at once to Phi_m(t^E), or to -Phi_1(t^E) when m = 1.  For E > 0 that is
 Phi_m under CyclotomicProduct.subst_t_power;
 for E < 0 the palindromic Phi_m (m >= 2) gives
-Phi_m(t^E) = t^(E phi(m)) Phi_m(t^-E); for E = 0 the orbit is the constant
+Phi_m(t^E) = t^(E phi(m)) Phi_m(t^-E); for E = 0 the orbit is the integer
 Phi_m(1).  A group whose residues k do not fill whole orbits has an
 irrational product, so the multiset is not stable under the Galois action.
 """
@@ -42,12 +43,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 
 from supercusp.casetable import rows_for_host
-from supercusp.exact import (CyclotomicProduct, InvariantError,
-                             cyclotomic_poly, euler_phi)
+from supercusp.exact import CyclotomicProduct, InvariantError, euler_phi
 from supercusp.padic import classified_components, supports_with_cuspidals
 from supercusp.rootdata import cartan_matrix, root_system
 
@@ -95,8 +95,10 @@ class WeightString:
 def _orbit_product(m, E):
     """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x."""
     if E == 0:
-        # Phi_m(1) is the sum of the coefficients
-        return CyclotomicProduct(sum(cyclotomic_poly(m)))
+        # Phi_m(1): 0 for m = 1 (p = 0), p for a power m of its least prime
+        # factor p (exactly when m divides p^m), and 1 otherwise
+        p = next((d for d in range(2, m + 1) if m % d == 0), 0)
+        return CyclotomicProduct(p if pow(p, m, m) == 0 else 1)
     if E > 0:
         return CyclotomicProduct(-1 if m == 1 else 1, 0,
                                  ((m, 1),)).subst_t_power(E)
@@ -117,7 +119,8 @@ def _galois_product(factors):
     for m, k, E in factors:
         residues = groups.setdefault((m, E), {})
         residues[k] = residues.get(k, 0) + 1
-    const, t_exp, phi = Fraction(1), 0, []
+    # every orbit constant is an integer, so the product stays one
+    const, t_exp, phi = 1, 0, []
     for (m, E), residues in groups.items():
         units = [k for k in range(m) if gcd(k, m) == 1]
         counts = {residues.get(k, 0) for k in units}
@@ -126,15 +129,14 @@ def _galois_product(factors):
                 "irrational coefficient: the eigenvalue multiset is not "
                 "stable under the Galois action")
         c, orbit = counts.pop(), _orbit_product(m, E)
-        const *= orbit.const ** c
+        const *= orbit.const.numerator ** c
         t_exp += orbit.t_exp * c
         phi += [(n, e * c) for n, e in orbit.phi]
     return CyclotomicProduct(const, t_exp, phi)
 
 
 def _two_s(s):
-    v = Fraction(s)
-    two = v * 2
+    two = Fraction(s) * 2
     if two.denominator != 1:
         raise ValueError("shift must be a half integer")
     return int(two)
@@ -156,12 +158,15 @@ class WDLocalFactors:
     strings: tuple
     ord_psi: int
 
-    @cached_property
+    @property
+    @lru_cache(maxsize=None)
     def gamma_abs_at_0(self):
-        """|gamma(0)|.  gamma_at(0) raises only on a multiset that is not
-        stable under the Galois action: a pole at s = 0 needs a trivial
-        string of weight -2, and on an inversion-closed multiset the
-        epsilon unit is +-1."""
+        """|gamma(0)|, computed once per (strings, ord_psi) per process:
+        equal instances share one cache entry, and a raising call stores
+        none.  gamma_at(0) raises only on a multiset that is not stable
+        under the Galois action: a pole at s = 0 needs a trivial string of
+        weight -2, and on an inversion-closed multiset the epsilon unit is
+        +-1."""
         return abs(self.gamma_at(0))
 
     def dim(self):
@@ -210,7 +215,8 @@ def local_factors(weights, ord_psi=0):
     exactly self-duality of the representation, and anything else signals an
     upstream bug."""
     strings = tuple(weights)
-    if Counter(strings) != Counter(w.dual() for w in strings):
+    if Counter((w.order, w.residue, w.h) for w in strings) != Counter(
+            (w.order, -w.residue % w.order, w.h) for w in strings):
         raise ValueError("weight multiset is not closed under inversion")
     out = WDLocalFactors(strings=strings, ord_psi=ord_psi)
     # |gamma(0)| is read now, so a multiset that is not stable under the

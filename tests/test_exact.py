@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supercusp import exact
 from supercusp.exact import (
     Cyclo,
     CyclotomicProduct,
@@ -259,11 +260,23 @@ class TestCyclotomicProduct:
 
 
 class TestCyclo:
-    @pytest.mark.parametrize("m", list(range(1, 25)))
+    # covers every Phi_n that the catalogue reports expand (n <= 60)
+    @pytest.mark.parametrize("m", list(range(1, 121)))
     def test_cyclotomic_poly_matches_sympy(self, m):
         mine = cyclotomic_poly(m)
         ref = sympy.Poly(sympy.cyclotomic_poly(m, _t), _t).all_coeffs()[::-1]
         assert list(mine) == [int(c) for c in ref]
+
+    def test_cyclotomic_poly_divides_in_integers(self, monkeypatch):
+        # Phi_m is built with no Fraction long division
+        def no_division(a, b):
+            raise AssertionError("p_divmod called")
+
+        monkeypatch.setattr(exact, "p_divmod", no_division)
+        cyclotomic_poly.cache_clear()
+        polys = [cyclotomic_poly(m) for m in range(1, 121)]
+        assert all(type(c) is int for p in polys for c in p)
+        assert polys[0] == (-1, 1) and polys[5] == (1, -1, 1)
 
     @pytest.mark.parametrize("m", list(range(1, 30)))
     def test_phi(self, m):

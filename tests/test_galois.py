@@ -12,11 +12,12 @@ import pytest
 from supercusp.casetable import odd_orthogonal_blocks, rows_for_host
 from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
-                             InvariantError, RatFunc, euler_phi)
-from supercusp.galois import (WeightString, _build_param, _orbit_product,
-                              centralizer_components, dual_type, hii_check,
-                              inner_torsion_strings, kac_points, kac_rows,
-                              local_factors, param_json)
+                             InvariantError, RatFunc, cyclotomic_poly,
+                             euler_phi)
+from supercusp.galois import (WDLocalFactors, WeightString, _build_param,
+                              _orbit_product, centralizer_components,
+                              dual_type, hii_check, inner_torsion_strings,
+                              kac_points, kac_rows, local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
 from supercusp.rootdata import (build_group, isogeny_tokens, parse_type,
@@ -381,6 +382,12 @@ class TestFactoredAgainstDense:
                 want = _poly_to_ratfunc(_linear_product(factors))
                 assert _orbit_product(m, E).to_ratfunc() == want, (m, E)
 
+    def test_orbit_constant_is_phi_at_one(self):
+        # the closed form of Phi_m(1) against the sum of the coefficients
+        for m in range(1, 501):
+            assert _orbit_product(m, 0).const == sum(cyclotomic_poly(m)), m
+        assert _orbit_product(1, 0).is_zero()
+
     def test_gamma_abs_at_0(self):
         rng = random.Random(23)
         for _ in range(20):
@@ -430,6 +437,49 @@ class TestFactoredAgainstDense:
             with pytest.raises(ValueError, match="Galois"):
                 local_factors([WeightString(5, k, h)
                                for k in (1, 1, 2, 3, 4, 4)])
+
+
+# the memo behind WDLocalFactors.gamma_abs_at_0
+memo = WDLocalFactors.gamma_abs_at_0.fget
+
+
+class TestGammaMemo:
+    @pytest.fixture
+    def gamma_calls(self, monkeypatch):
+        """(strings, ord_psi) of every WDLocalFactors.gamma_at call, on a
+        cleared memo."""
+        calls = []
+        real = WDLocalFactors.gamma_at
+
+        def counting(self, s):
+            calls.append((self.strings, self.ord_psi))
+            return real(self, s)
+
+        monkeypatch.setattr(WDLocalFactors, "gamma_at", counting)
+        memo.cache_clear()
+        yield calls
+        memo.cache_clear()
+
+    def test_one_gamma_per_weight_multiset(self, gamma_calls):
+        # every catalogue report: local_factors runs once per row with
+        # weights, |gamma(0)| once per distinct (strings, ord_psi)
+        specs = [g.spec_string("*") for key in catalogue()
+                 for g in _isogenies(*key)]
+        rows = [r for spec in specs for r in full_report(spec)
+                if r.param.sl2_weights is not None]
+        distinct = {(r.param.sl2_weights, -1) for r in rows}
+        assert len(rows) > 2 * len(distinct) > 0
+        assert len(gamma_calls) == len(distinct)
+        assert set(gamma_calls) == distinct
+
+    def test_errors_are_not_memoized(self, gamma_calls):
+        # inversion-closed but not stable under the Galois action
+        ws = [WeightString(5, 1, 2), WeightString(5, 4, 2)]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Galois"):
+                local_factors(ws)
+        assert len(gamma_calls) == 2
+        assert memo.cache_info().currsize == 0
 
 
 def adjoint_catalogue():
