@@ -27,21 +27,23 @@ The p-adic side splits by what it depends on.  The inner forms depend only
 on the root system and the Frobenius twist, and the support classes (the
 maximal supports, their Omega_ad^theta orbits, stabilizer_ad, the
 component orbits and torus_rank) only on the root system, F_omega and
-Omega_ad^theta.  That adjoint half is computed once per key and shared by
-every isogeny of the type, through an lru_cache on each of _inner_forms
+Omega_ad^theta, and so does each class's cuspidal data, read off the
+component orbits.  That adjoint half is computed once per key and shared
+by every isogeny of the type, through an lru_cache on each of _inner_forms
 (rs, twist_order) and _adjoint_classes (rs, frobenius, omega_ad_theta).
 Neither key names the isogeny, which adds only Omega_G^theta, so
-stabilizer_G and g'.  rs is one object per type (rootdata.root_system),
-the cached values are immutable, and every caller gets a fresh list.  A
-computation that raises caches nothing, so its checks run again on the
-next call.
+stabilizer_G and g': g' is checked on every class, and only the classes
+with cuspidal data are finished for supports_with_cuspidals.  rs is one
+object per type (rootdata.root_system), the cached values are immutable,
+and every caller gets a fresh list.  A computation that raises caches
+nothing, so its checks run again on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 
 from supercusp.exact import (CyclotomicProduct, InvariantError, orbits,
@@ -318,29 +320,34 @@ def parahoric_classes(group, form):
     """The association classes of maximal F_omega-stable supports, sorted by
     their representatives.  The adjoint half, everything but stabilizer_G
     and g', is shared by every isogeny of the type (see the module
-    docstring); Omega_G^theta adds the rest here."""
-    theta_fixed_ad, theta_fixed_G = group.omega_ad_theta, group.omega_G_theta
-    classes = []
-    for pc in _adjoint_classes(group.rs, form.frobenius, theta_fixed_ad):
+    docstring)."""
+    return [finish() for _, finish in _support_classes(group, form)]
+
+
+def _support_classes(group, form):
+    """(cuspidal data, finish) per support class of the form, finish() adding
+    the group's stabilizer_G and g'.  g' is checked on every class."""
+    theta_fixed_G = group.omega_G_theta
+    for pc, classes in _adjoint_classes(group.rs, form.frobenius,
+                                        group.omega_ad_theta):
         stab_G = pc.stabilizer_ad & theta_fixed_G
-        # g' = [ad orbit of the support] / [G orbit of the support], each
-        # orbit the size of its group over the stabilizer
-        g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
-                           len(pc.stabilizer_ad) * len(theta_fixed_G))
-        if g_prime.denominator != 1:
+        # g' = [ad orbit of the support] / [G orbit of the support], the G
+        # orbit being Omega_G^theta over its stabilizer
+        g_prime, rest = divmod(len(pc.associates) * len(stab_G),
+                               len(theta_fixed_G))
+        if rest:
             raise InvariantError(
                 f"G-orbit of the support {pc.support} does not divide its "
                 f"adjoint orbit of {len(pc.associates)}")
-        classes.append(replace(pc, stabilizer_G=stab_G,
-                               g_prime=int(g_prime)))
-    return classes
+        yield classes, partial(replace, pc, stabilizer_G=stab_G,
+                               g_prime=g_prime)
 
 
 @lru_cache(maxsize=None)
 def _adjoint_classes(rs, frobenius, omega_ad_theta):
-    """The classes of the adjoint group itself (stabilizer_G = stabilizer_ad
-    and g' = 1), sorted by support: the first support of each class in the
-    walk is its least, and represents it (see the module docstring)."""
+    """(class, cuspidal data) for the classes of the adjoint group itself
+    (stabilizer_G = stabilizer_ad and g' = 1), sorted by support: the first
+    support of each class in the walk is its least, and represents it."""
     classes = []
     seen = set()
     for J in maximal_supports(frobenius):
@@ -353,8 +360,9 @@ def _adjoint_classes(rs, frobenius, omega_ad_theta):
         stab_ad = frozenset(w for w, K in image.items() if K == J)
         orbits = component_orbits(rs.affine_cartan, J, frobenius)
         torus_rank = rs.rank - sum(co.orbit_size * co.rank for co in orbits)
-        classes.append(ParahoricClass(J, associates, stab_ad, stab_ad, 1,
-                                      orbits, torus_rank))
+        pc = ParahoricClass(J, associates, stab_ad, stab_ad, 1, orbits,
+                            torus_rank)
+        classes.append((pc, cuspidal_data(pc)))
     return tuple(classes)
 
 
@@ -438,11 +446,7 @@ def cuspidal_data(host):
         classes = component_cuspidal_classes(co.family, co.rank, co.twist)
         if not classes:
             return None
-        scaled = []
-        for c in classes:
-            deg = c.degree.subst_t_power(co.orbit_size) if c.degree is not None else None
-            scaled.append(CuspidalClass(c.class_id, c.size, deg))
-        per_orbit.append((co, scaled))
+        per_orbit.append((co, classes))
     if sum((co.family, co.rank, co.twist) in _EXCEPTIONAL_CLASSES
            for co in host.orbits) > 1:
         raise InvariantError("two exceptional factors on one support")
@@ -454,7 +458,8 @@ def cuspidal_data(host):
             for c in classes:
                 deg = None
                 if base.degree is not None and c.degree is not None:
-                    deg = base.degree * c.degree
+                    # the factor's degree over its orbit field, in q^d
+                    deg = base.degree * c.degree.subst_t_power(co.orbit_size)
                 cid = f"{base.class_id}+{co.descriptor()}.{c.class_id}" \
                     if base.class_id else f"{co.descriptor()}.{c.class_id}"
                 nxt.append(CuspidalClass(cid, base.size * c.size, deg))
@@ -467,12 +472,8 @@ def cuspidal_data(host):
 def supports_with_cuspidals(group, form):
     """The case rows on the p-adic side: (support class, cuspidal classes)
     for each support class of the form that carries any."""
-    out = []
-    for host in parahoric_classes(group, form):
-        classes = cuspidal_data(host)
-        if classes is not None:
-            out.append((host, classes))
-    return out
+    return [(finish(), classes) for classes, finish in
+            _support_classes(group, form) if classes is not None]
 
 
 # ---------------------------------------------------------------------------

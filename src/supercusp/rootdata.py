@@ -158,9 +158,9 @@ class RootSystem:
     def _positive_roots(self):
         """The positive roots by height, each above height 1 some beta +
         alpha_i (Humphreys, Lie Algebras, 9.4): the alpha_i-string through
-        beta runs from beta - p alpha_i to beta + q alpha_i, with p - q =
-        <beta, alpha_i^vee>, a pairing each root carries; going up by
-        alpha_i adds row i of the Cartan matrix to it."""
+        beta runs unbroken from beta - p alpha_i to beta + q alpha_i, with
+        p - q = <beta, alpha_i^vee>, a pairing each root carries; going up
+        by alpha_i adds row i of the Cartan matrix to it."""
         n, A = self.rank, self.cartan
         level = {tuple(int(i == j) for j in range(n)): A[i] for i in range(n)}
         found = {}
@@ -169,10 +169,9 @@ class RootSystem:
             below, level = level, {}
             for beta, pairing in below.items():
                 for i, (b, c) in enumerate(zip(beta, pairing)):
-                    # q > 0 iff p > c: beta - k alpha_i is a root, k = 1..c+1
-                    if c < 0 or c < b and all(
-                            beta[:i] + (b - k,) + beta[i + 1:] in found
-                            for k in range(1, c + 2)):
+                    # q > 0 iff p > c iff beta - (c+1) alpha_i is a root
+                    if c < 0 or c < b and (
+                            beta[:i] + (b - c - 1,) + beta[i + 1:] in found):
                         up = beta[:i] + (b + 1,) + beta[i + 1:]
                         if up not in level:
                             level[up] = tuple(map(add, pairing, A[i]))
@@ -364,7 +363,7 @@ def _automorphisms(cartan, fixed_maps):
 # group data: type + Frobenius twist order + isogeny
 # ---------------------------------------------------------------------------
 
-_TYPE_RE = re.compile(r"^([23]?)([A-G])([1-9]\d*)$")
+_TYPE_RE = re.compile(r"([23]?)([A-G])([1-9][0-9]*)")
 
 
 def standard_frobenius_perm(family, rank, order):
@@ -437,7 +436,7 @@ class SimpleGroup:
             return token
         if fam == "A":
             # a positive integer written without leading zeros
-            m = re.match(r"^d([1-9]\d*)$", token)
+            m = re.fullmatch(r"d([1-9][0-9]*)", token)
             if not m:
                 raise ValueError(f"unknown isogeny {token!r} for type A")
             k = int(m.group(1))
@@ -496,7 +495,7 @@ MAX_RANK = 20
 def parse_type(type_str):
     """(family, rank, twist order) of a type such as 2A5; ValueError for
     every type SimpleGroup would not build."""
-    m = _TYPE_RE.match(type_str)
+    m = _TYPE_RE.fullmatch(type_str)
     if not m:
         raise ValueError(f"bad type string {type_str!r}")
     prefix, fam, rank = m.groups()

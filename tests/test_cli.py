@@ -43,6 +43,8 @@ class TestReport:
         ("1A2:adjoint:*", "field 1"),
         ("2B3:adjoint:*", "field 1"),
         ("2D3:adjoint:*", "field 1"),
+        ("A1\u0663:adjoint:*", "field 1"),
+        ("A11:d1\u0662:*", "field 2"),
         ("A3:d5:*", "field 2"),
         ("A2:d0:*", "field 2"),
         ("A5:d02:*", "field 2"),

@@ -507,16 +507,19 @@ class TestSharedAdjointSide:
     computed once per root system, twist and form, and shared by every
     isogeny of the type."""
 
-    def test_one_adjoint_pass_per_type(self, monkeypatch):
-        # every isogeny's report together costs what the adjoint one does
+    @staticmethod
+    def _adjoint_and_all_counts(monkeypatch, name):
+        """Per catalogue type, the calls of padic's function `name` made by
+        the adjoint report alone and by every isogeny's report, each from
+        cleared caches."""
         calls = []
-        real = padic.component_orbits
+        real = getattr(padic, name)
 
-        def counted(cartan, support, perm):
-            calls.append(support)
-            return real(cartan, support, perm)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(padic, "component_orbits", counted)
+        monkeypatch.setattr(padic, name, counted)
         for key in catalogue():
             specs = [g.spec_string("*") for g in _isogenies(*key)]
             assert specs[-1].split(":")[1] == "adjoint"
@@ -527,6 +530,19 @@ class TestSharedAdjointSide:
                 for spec in batch:
                     full_report(spec)
                 counts.append(len(calls))
+            yield key, counts
+
+    def test_one_adjoint_pass_per_type(self, monkeypatch):
+        # every isogeny's report together costs what the adjoint one does
+        for key, counts in self._adjoint_and_all_counts(
+                monkeypatch, "component_orbits"):
+            assert counts[0] == counts[1] > 0, (_type_id(key), counts)
+
+    def test_one_cuspidal_pass_per_type(self, monkeypatch):
+        # the cuspidal data is read once per adjoint class, not once per
+        # isogeny that finishes it
+        for key, counts in self._adjoint_and_all_counts(
+                monkeypatch, "cuspidal_data"):
             assert counts[0] == counts[1] > 0, (_type_id(key), counts)
 
     @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
@@ -590,6 +606,55 @@ class TestSharedAdjointSide:
                 parahoric_classes(g, form)
         monkeypatch.undo()
         assert parahoric_classes(g, form) == want
+
+    def test_raising_cuspidal_data_is_not_memoized(self, monkeypatch):
+        # the cuspidal data belongs to the adjoint half: if it raises, both
+        # public paths raise, every time, and the memo stays empty
+        g = build_group("E6", "adjoint")
+        (form, *_) = enumerate_inner_forms(g)
+        want = supports_with_cuspidals(g, form)
+
+        def broken(host):
+            raise InvariantError("two exceptional factors on one support")
+
+        _clear_adjoint_caches()
+        monkeypatch.setattr(padic, "cuspidal_data", broken)
+        for call in (supports_with_cuspidals, parahoric_classes) * 2:
+            with pytest.raises(InvariantError):
+                call(g, form)
+        assert padic._adjoint_classes.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert supports_with_cuspidals(g, form) == want
+
+
+class TestCuspidalRows:
+    """supports_with_cuspidals finishes only the classes that carry
+    cuspidal data.  Here every class is finished first and its cuspidal
+    data read after, as two separate steps."""
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_rows_are_the_finished_classes_with_cuspidal_data(self, key):
+        for g in _isogenies(*key):
+            for form in enumerate_inner_forms(g):
+                want = [(pc, cuspidal_data(pc))
+                        for pc in parahoric_classes(g, form)
+                        if cuspidal_data(pc) is not None]
+                assert supports_with_cuspidals(g, form) == want, \
+                    g.spec_string(form.token)
+
+    def test_fractional_g_prime_raises_on_a_class_without_cuspidals(self):
+        # Omega_G^theta of 3 elements in the split A3's Omega = Z/4 (not a
+        # subgroup) would make g' = 4/3 on its one class, which carries no
+        # cuspidal unipotent representation; the check still runs there
+        g = build_group("A3", "adjoint")
+        (form, *_) = enumerate_inner_forms(g)
+        assert [cuspidal_data(pc) for pc in parahoric_classes(g, form)] == \
+            [None]
+        fake = SimpleNamespace(rs=g.rs, omega_ad_theta=g.omega_ad_theta,
+                               omega_G_theta=frozenset({(0,), (1,), (2,)}))
+        for call in (supports_with_cuspidals, parahoric_classes):
+            with pytest.raises(InvariantError, match="does not divide"):
+                call(fake, form)
 
 
 def _walk_components(cartan, nodes):

@@ -615,6 +615,17 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_type("1A2")
 
+    def test_ascii_digits_only(self):
+        # re's \d and int() also take other scripts' digits (here
+        # Arabic-Indic), and $ matches before a final newline; a rank or an
+        # isogeny d{k} is spelled in ASCII digits, with nothing after them
+        for type_str in ("A1\u0663", "B1\u0660", "A1\n"):
+            with pytest.raises(ValueError, match="bad type string"):
+                parse_type(type_str)
+        for token in ("d1\u0662", "d\u0664", "d2\n"):
+            with pytest.raises(ValueError, match="unknown isogeny"):
+                build_group("A11", token)
+
     def test_rank_cap(self):
         # the catalogue goes to rank 12
         assert MAX_RANK >= 12
