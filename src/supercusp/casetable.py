@@ -222,13 +222,20 @@ def _classify_classical(group, host):
             return _CLASSICAL_RULES["symp.pair"]
         raise CaseTableError("symplectic support out of pattern")
 
-    if fam == "D" and tw == 1:
+    if fam == "D" and tw in (1, 2):
         d_parts = [s for s in sig if s[0] == "D"]
         a_parts = [s for s in sig if s[0] == "A"]
-        if len(d_parts) + len(a_parts) != len(sig):
-            raise CaseTableError("even orthogonal support out of pattern")
-        if a_parts and any(p[2] != 2 or p[3] != 1 for p in a_parts):
-            raise CaseTableError("even orthogonal support out of pattern")
+        what = "even" if tw == 1 else "twisted"
+        if len(d_parts) + len(a_parts) != len(sig) or any(
+                p[2] != 2 or p[3] != 1 for p in a_parts):
+            raise CaseTableError(f"{what} orthogonal support out of pattern")
+        if tw == 2:
+            if len(d_parts) == 1 and not a_parts and dcount == [1] \
+                    and d_parts[0][2] == 2 and d_parts[0][1] == group.rank:
+                return _CLASSICAL_RULES["twistorth.full"]
+            if d_parts or len(a_parts) == 1:
+                return _CLASSICAL_RULES["twistorth.pair"]
+            raise CaseTableError("twisted orthogonal support out of pattern")
         if len(a_parts) == 1 and not d_parts:
             if a_parts[0][1] == group.rank - 1:
                 return _CLASSICAL_RULES["evenorth.unitary"]
@@ -252,20 +259,6 @@ def _classify_classical(group, host):
                 return _CLASSICAL_RULES["evenorth.pair.equal"]
             return _CLASSICAL_RULES["evenorth.pair"]
         raise CaseTableError("even orthogonal support out of pattern")
-
-    if fam == "D" and tw == 2:
-        d_parts = [s for s in sig if s[0] == "D"]
-        a_parts = [s for s in sig if s[0] == "A"]
-        if len(d_parts) + len(a_parts) != len(sig):
-            raise CaseTableError("twisted orthogonal support out of pattern")
-        if a_parts and any(p[2] != 2 or p[3] != 1 for p in a_parts):
-            raise CaseTableError("twisted orthogonal support out of pattern")
-        if len(d_parts) == 1 and not a_parts and dcount == [1] \
-                and d_parts[0][2] == 2 and d_parts[0][1] == group.rank:
-            return _CLASSICAL_RULES["twistorth.full"]
-        if d_parts or len(a_parts) == 1:
-            return _CLASSICAL_RULES["twistorth.pair"]
-        raise CaseTableError("twisted orthogonal support out of pattern")
 
     raise CaseTableError(
         f"no case rule for {group.type_string()} support {host.support}")

@@ -20,8 +20,8 @@ Two kinds of values underlie everything else in the package:
   per root system to present Omega, and every later subgroup and quotient
   of Omega is an element set and a count.
 
-Every closure in the package, from the roots and subgroups to the diagram
-components and the node orbits, is one call to orbits(items, moves).
+Every closure in the package, from the subgroups to the diagram components
+and the node orbits, is one call to orbits(items, moves).
 
 RatFunc, the dense canonical quotient of polynomials (with p_gcd for its
 sums and quotients), and Cyclo, an element of Q(zeta_m) in the power basis,

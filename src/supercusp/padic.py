@@ -80,27 +80,20 @@ def _inner_forms(rs, twist_order):
     """The inner forms of every isogeny of the type, read from its adjoint
     group."""
     group = SimpleGroup(rs.family, rs.rank, twist_order)
-    classes = group.adjoint_coinvariant_classes()
     ident = rs.omega.identity()
     keyed = []
-    for cls in classes:
+    for cls in group.adjoint_coinvariant_classes():
         members = tuple(sorted(cls))
-        qs = ident in cls
         fixed = [x for x in members if x in group.omega_ad_theta]
         rep = fixed[0] if fixed else members[0]
-        keyed.append((not qs, members, rep))
+        keyed.append((ident not in cls, members, rep))
     keyed.sort()
     out = []
-    wi = 0
-    for not_qs, members, rep in keyed:
-        if not_qs:
-            wi += 1
-            token = f"w{wi}"
-        else:
-            token = "1"
+    # the one quasi-split form sorts first, so the others are w1, w2, ...
+    for wi, (not_qs, members, rep) in enumerate(keyed):
         act = rs.omega_action[rep]
-        out.append(InnerForm(token, rep, members, not not_qs, tuple(
-            act[group.theta[node]] for node in range(rs.rank + 1))))
+        out.append(InnerForm(f"w{wi}" if not_qs else "1", rep, members,
+                             not not_qs, tuple(act[t] for t in group.theta)))
     return tuple(out)
 
 
@@ -415,8 +408,6 @@ def component_cuspidal_classes(family, rank, twist):
     if key in _EXCEPTIONAL_CLASSES:
         return [CuspidalClass(f"c{i}", size, None)
                 for i, size in enumerate(_EXCEPTIONAL_CLASSES[key])]
-    if family == "A" and twist == 1:
-        return []
     if family == "A" and twist == 2:
         if not _is_triangular(rank + 1):
             return []
@@ -427,14 +418,9 @@ def component_cuspidal_classes(family, rank, twist):
             return []
         deg = _DEG_B2 if rank == 2 else None
         return [CuspidalClass("u", 1, deg)]
-    if family == "D" and twist == 1:
-        if _is_square(rank) and rank % 2 == 0:
-            return [CuspidalClass("u", 1, None)]
-        return []
-    if family == "D" and twist == 2:
-        if _is_square(rank) and rank % 2 == 1:
-            return [CuspidalClass("u", 1, None)]
-        return []
+    # D_n for an even square n, 2D_n for an odd one (3D4 is exceptional)
+    if family == "D" and _is_square(rank) and rank % 2 == twist - 1:
+        return [CuspidalClass("u", 1, None)]
     return []
 
 

@@ -2,12 +2,15 @@
 
 Each simple type is given by its Dynkin diagram: Bourbaki's bonded pairs of
 simple roots and their squared lengths, from which cartan_matrix reads the
-Cartan matrix.  Every other fact about a type but its Weyl degrees, which
-are checked against its roots, is read off that matrix, in integers: the
-positive roots are built height by height from alpha_i-strings, the last
-being the highest root theta, and the affine diagram adds the row of
--theta, with its marks.  Omega = P_cowt/Q_corootlat is presented once, by
-the Smith form of the Cartan matrix, which also labels the special nodes
+Cartan matrix.  Every other fact about a type but its Weyl degrees is read
+off that matrix, in integers: the highest root theta by reflecting a long
+simple root up to the dominant one, and the affine diagram adds the row of
+-theta, with theta's coefficients as its marks; the number of positive
+roots is rank * h / 2, h being the sum of the marks, and the degrees are
+checked against it.  The roots themselves are built height by height from
+alpha_i-strings on first read (RootSystem.roots), which only the adjoint
+weight strings do.  Omega = P_cowt/Q_corootlat is presented once, by the
+Smith form of the Cartan matrix, which also labels the special nodes
 (coweight_class); after that every subgroup of Omega is an element set, and
 RootSystem.quotient_invariants reads a subquotient from its order and
 exponent, by counting.  Omega's node action, the diagram automorphisms and
@@ -110,7 +113,7 @@ _DEGREES = {
 def weyl_degrees(family, rank):
     """Degrees of the basic invariants of the Weyl group.  Each degree d
     adds d - 1 positive roots, so their sum less the rank is the number of
-    positive roots; RootSystem checks that against its own roots."""
+    positive roots; RootSystem checks that against rank * h / 2."""
     return tuple(_DEGREES[family](rank))
 
 
@@ -133,27 +136,49 @@ class RootSystem:
     being 1."""
 
     def __init__(self, family, rank):
-        self.family = family
-        self.rank = rank
+        self.family, self.rank = family, rank
         bonds, self.lengths = dynkin_diagram(family, rank)
         self.cartan = cartan_matrix(bonds, self.lengths)
-        positive = self._positive_roots()
-        self.roots = {*positive, *(tuple(-c for c in b) for b in positive)}
-        self.num_pos_roots = len(positive)
-        # the highest root is the unique root of largest height, built last
-        self.hr_coeffs = positive[-1]
+        self.hr_coeffs, theta_pairing = self._highest_root()
         # marks: node 0 (the extending node) always carries 1
         self.marks = (1,) + self.hr_coeffs
+        # |Phi+| = rank * h / 2, the Coxeter number h being the mark sum
+        self.num_pos_roots, odd = divmod(rank * sum(self.marks), 2)
         self.degrees = weyl_degrees(family, rank)
-        if sum(d - 1 for d in self.degrees) != self.num_pos_roots:
+        if odd or sum(d - 1 for d in self.degrees) != self.num_pos_roots:
             raise InvariantError(
-                f"degrees of {family}{rank} do not count its "
-                f"{self.num_pos_roots} positive roots")
-        self.affine_cartan = self._affine_cartan()
+                f"degrees of {family}{rank} do not give rank * h / 2 = "
+                f"{rank * sum(self.marks)} / 2 positive roots")
+        self.affine_cartan = self._affine_cartan(theta_pairing)
         self._build_omega()
         self._build_isogenies()
 
     # -- root combinatorics --------------------------------------------------
+
+    def _highest_root(self):
+        """theta, the unique dominant long root, with its pairings: from a
+        long simple root, while some c = <beta, alpha_i^vee> < 0, s_i adds
+        -c alpha_i to beta, raising it, and -c A[i] to its pairings
+        (Humphreys, Reflection Groups and Coxeter Groups, 3.18-3.20)."""
+        A, j = self.cartan, self.lengths.index(max(self.lengths))
+        beta, pairing = [int(i == j) for i in range(self.rank)], A[j]
+        while (c := min(pairing)) < 0:
+            i = pairing.index(c)
+            beta[i] -= c
+            pairing = [p - c * a for p, a in zip(pairing, A[i])]
+        return tuple(beta), pairing
+
+    @cached_property
+    def roots(self):
+        """Every root, built on first read by _positive_roots, which must
+        find num_pos_roots positive roots, theta last."""
+        positive = self._positive_roots()
+        if (len(positive), positive[-1]) != (self.num_pos_roots,
+                                             self.hr_coeffs):
+            raise InvariantError(f"the alpha_i-strings of {self.family}"
+                                 f"{self.rank} end at {positive[-1]} after "
+                                 f"{len(positive)} positive roots")
+        return {*positive, *(tuple(-c for c in b) for b in positive)}
 
     def _positive_roots(self):
         """The positive roots by height, each above height 1 some beta +
@@ -177,13 +202,12 @@ class RootSystem:
                             level[up] = tuple(map(add, pairing, A[i]))
         return list(found)
 
-    def _affine_cartan(self):
+    def _affine_cartan(self, theta_pairing):
         """Cartan matrix of the affine diagram, node 0 being the gradient
-        -theta.  Its row is <-theta, alpha_j^vee> = -sum_i theta_i A[i][j];
+        -theta.  Its row is <-theta, alpha_j^vee>, from theta's pairings;
         theta is long, so its column is that row times L_j / max(L)."""
         n, A, top = self.rank, self.cartan, max(self.lengths)
-        row = [-sum(c * A[i][j] for i, c in enumerate(self.hr_coeffs))
-               for j in range(n)]
+        row = [-c for c in theta_pairing]
         if any(a * length % top for a, length in zip(row, self.lengths)):
             raise InvariantError(f"affine column of {self.family}{n} is "
                                  f"not integral")
@@ -193,11 +217,10 @@ class RootSystem:
     # -- fundamental group of the adjoint form -------------------------------
 
     def _build_omega(self):
-        n = self.rank
         # presentation of P_cowt/Q_coroot in the fundamental-coweight basis:
         # coroot j has coordinates = column j of the Cartan matrix
-        relations = [[self.cartan[i][j] for i in range(n)] for j in range(n)]
-        self.omega_pres = group_from_presentation(n, relations)
+        self.omega_pres = group_from_presentation(self.rank,
+                                                  list(zip(*self.cartan)))
         self.omega = self.omega_pres.group
         # Omega acts simply transitively on the special nodes, those of
         # mark 1, and the marks come from the highest root, not from the
@@ -403,9 +426,7 @@ class SimpleGroup:
     Cartan matrix, is read from rs."""
 
     def __init__(self, family, rank, twist_order=1, isogeny="adjoint"):
-        self.family = family
-        self.rank = rank
-        self.twist_order = twist_order
+        self.family, self.rank, self.twist_order = family, rank, twist_order
         self.rs = root_system(family, rank)
         self.theta = standard_frobenius_perm(family, rank, twist_order)
         self.isogeny = self._normalize_isogeny(isogeny)
@@ -485,10 +506,10 @@ class SimpleGroup:
 
 
 # largest rank a type string may name: the catalogue goes to 12, and a
-# rank-20 adjoint report takes at most about 0.025 s (A20 0.022 s, B20
-# 0.025 s, C20 0.015 s, D20 0.018 s, 2A20 0.011 s, 2D20 0.015 s: medians
-# of 9 cold runs on Python 3.11, a shared 2-core x86-64 VM), but the cost
-# grows fast with the rank, so a huge rank fails at once, not after hours
+# rank-20 adjoint full_report takes at most 0.025 s (A20 0.016-0.025 s, B20
+# 0.010-0.016, C20 0.007, D20 0.009-0.011, 2A20 0.009, 2D20 0.008: medians
+# of 9 fresh interpreters, two sets, Python 3.11, shared 2-core x86-64 VM);
+# the cost grows fast with the rank, so a huge rank fails at once
 MAX_RANK = 20
 
 

@@ -26,6 +26,7 @@ from supercusp.exact import (
     group_from_presentation,
     orbits,
     p_trim,
+    perm_order,
     smith_normal_form,
 )
 
@@ -593,3 +594,26 @@ class TestOrbits:
         # the items only seed the walk: the orbit of 0 under +2 mod 6
         assert orbits([0, 2, 1], lambda x: [(x + 2) % 6]) == \
             [[0, 2, 4], [1, 3, 5]]
+
+
+class TestPermOrder:
+    """perm_order: the lcm of the cycle lengths, perm[x] the image of x."""
+
+    def test_identity(self):
+        assert perm_order((0, 1, 2, 3), range(4)) == 1
+
+    def test_one_long_cycle(self):
+        assert perm_order(tuple((x + 1) % 9 for x in range(9)), range(9)) == 9
+
+    def test_two_and_three_cycles(self):
+        # (0 1)(2 3 4)(5 6) on seven nodes, as a tuple and as a dict
+        perm = (1, 0, 3, 4, 2, 6, 5)
+        assert perm_order(perm, range(7)) == 6
+        assert perm_order(dict(enumerate(perm)), range(7)) == 6
+        # only the cycles through the given nodes count
+        assert perm_order(perm, [0, 1, 5]) == 2
+        assert perm_order(perm, [2]) == 3
+
+    def test_no_nodes(self):
+        assert perm_order((), []) == 1
+        assert perm_order((1, 0), []) == 1

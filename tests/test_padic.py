@@ -23,6 +23,7 @@ from supercusp.padic import (
     _is_square,
     _is_triangular,
     _perm_orbits,
+    classified_components,
     classify_component,
     component_cuspidal_classes,
     component_orbits,
@@ -754,6 +755,52 @@ class TestClassification:
         "E8-affine-0..7": lambda: (root_system("E", 8).affine_cartan,
                                    tuple(range(8))),
     }
+
+    # (type of the affine diagram, support, its components in the order of
+    # their first nodes); on affine B10 and D10 nodes 0 and 1 both hang
+    # off node 2, and on affine E8 node 0 hangs off node 8
+    SUPPORTS = {
+        "B10-A": (("B", 10), (3, 4, 5), [((3, 4, 5), ("A", 3))]),
+        "B10-B": (("B", 10), (5, 6, 7, 8, 9, 10),
+                  [((5, 6, 7, 8, 9, 10), ("B", 6))]),
+        "B10-B2": (("B", 10), (10, 9), [((9, 10), ("B", 2))]),
+        "B10-D": (("B", 10), (0, 1, 2, 3, 4), [((0, 1, 2, 3, 4), ("D", 5))]),
+        "D10-A": (("D", 10), (3, 4, 5, 6), [((3, 4, 5, 6), ("A", 4))]),
+        "D10-D": (("D", 10), (6, 7, 8, 9, 10),
+                  [((6, 7, 8, 9, 10), ("D", 5))]),
+        "E8-A": (("E", 8), (0, 6, 7, 8), [((0, 6, 7, 8), ("A", 4))]),
+        "E8-D": (("E", 8), (2, 3, 4, 5), [((2, 3, 4, 5), ("D", 4))]),
+        "E8-E": (("E", 8), tuple(range(1, 8)),
+                 [(tuple(range(1, 8)), ("E", 7))]),
+        "B10-disconnected": (("B", 10), (10, 9, 8, 7, 5, 4, 2, 1, 0),
+                             [((0, 1, 2), ("A", 3)), ((4, 5), ("A", 2)),
+                              ((7, 8, 9, 10), ("B", 4))]),
+        "E8-disconnected": (("E", 8), (6, 5, 3, 1, 0),
+                            [((0,), ("A", 1)), ((1, 3), ("A", 2)),
+                             ((5, 6), ("A", 2))]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUPPORTS))
+    def test_classified_components(self, name):
+        key, support, want = self.SUPPORTS[name]
+        cartan = root_system(*key).affine_cartan
+        assert classified_components(cartan, support) == want
+
+    @pytest.mark.parametrize("name", ["E8-affine", "D10-affine",
+                                      "A5-plus-triangle"])
+    def test_classified_components_raises_on_an_unclassifiable_profile(
+            self, name):
+        # a whole affine diagram is connected but of no finite type, and
+        # the triangle raises even beside the classifiable A5 chain
+        cartan, nodes = {
+            "E8-affine": lambda: (root_system("E", 8).affine_cartan,
+                                  range(9)),
+            "D10-affine": lambda: (root_system("D", 10).affine_cartan,
+                                   range(11)),
+            "A5-plus-triangle": self.NON_DYNKIN["A5-plus-triangle"],
+        }[name]()
+        with pytest.raises(ValueError, match="unclassifiable diagram"):
+            classified_components(cartan, nodes)
 
     @pytest.mark.parametrize("name", sorted(NON_DYNKIN))
     def test_non_dynkin_diagram_raises(self, name):

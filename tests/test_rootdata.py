@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 import sympy
 
-from supercusp import exact, rootdata
+from supercusp import exact, galois, rootdata
 from supercusp.correspond import full_report
 from supercusp.exact import (FiniteAbelianGroup, InvariantError,
                              group_from_presentation, smith_normal_form)
@@ -99,6 +99,85 @@ class TestRootStrings:
         assert [b for b in orbit if sum(b) == sum(top)] == [top]
         assert rs.hr_coeffs == top
         assert rs.marks == (1,) + top
+
+
+# the types of the benchmark's workloads: rank and isogeny reports never
+# reach the gamma path, and every gamma report has weighted rows
+RANK_TYPES = ("B9", "C9", "D9", "2D9", "B10", "C10", "D10", "2D10")
+ISOGENY_TYPES = ("2A5", "2A7", "2A9", "B7", "C7", "D4", "D5", "D6", "D7",
+                 "D8", "2D4", "2D5", "2D6", "2D7", "2D8", "3D4", "2E6")
+GAMMA_TYPES = ("A4", "A5", "A6", "A7", "G2", "F4", "E6")
+
+
+@pytest.fixture
+def built_systems(monkeypatch):
+    """Every RootSystem built from here on, after the root-system and
+    weight-string memos are emptied."""
+    built = []
+    real = RootSystem.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(RootSystem, "__init__", init)
+    root_system.cache_clear()
+    galois.inner_torsion_strings.cache_clear()
+    return built
+
+
+class TestLazyRoots:
+    """theta, the marks and |Phi+| come from the Cartan matrix; the roots
+    are built on first read, and only the adjoint weight strings read
+    them."""
+
+    @pytest.mark.parametrize("key", _systems(MAX_RANK),
+                             ids="{0[0]}{0[1]}".format)
+    def test_closed_forms_agree_with_the_string_walk(self, key):
+        rs = RootSystem(*key)
+        assert "roots" not in vars(rs)
+        positive = rs._positive_roots()
+        assert rs.hr_coeffs == max(positive, key=sum)
+        assert rs.rank * sum(rs.marks) % 2 == 0
+        assert 2 * rs.num_pos_roots == len(rs.roots) == 2 * len(positive)
+        assert rs.roots is vars(rs)["roots"]
+
+    @pytest.mark.parametrize("attr, value", [
+        ("num_pos_roots", 17), ("num_pos_roots", 15),
+        # a root of B4, but not the highest
+        ("hr_coeffs", (1, 1, 1, 1))])
+    def test_a_wrong_count_or_theta_raises_on_every_read(self, attr, value):
+        rs = RootSystem("B", 4)
+        setattr(rs, attr, value)
+        before = dict(vars(rs))
+        for _ in range(3):
+            with pytest.raises(InvariantError, match="alpha_i-strings"):
+                rs.roots
+        assert vars(rs) == before
+
+    @pytest.mark.parametrize("type_str", RANK_TYPES + ISOGENY_TYPES)
+    def test_the_padic_side_builds_no_roots(self, type_str, built_systems):
+        fam, rank, tw = parse_type(type_str)
+        isogenies = ["adjoint"] if type_str in RANK_TYPES else \
+            [g.isogeny for g in _isogenies(fam, rank, tw)]
+        for iso in isogenies:
+            full_report(f"{type_str}:{iso}:*")
+        dual = galois.dual_type(SimpleGroup(fam, rank, tw))
+        for key in {(fam, rank), dual[:2]}:
+            assert "roots" not in vars(root_system(*key))
+        assert built_systems
+        assert not [rs for rs in built_systems if "roots" in vars(rs)]
+
+    @pytest.mark.parametrize("type_str", GAMMA_TYPES)
+    def test_the_gamma_path_builds_the_dual_roots(self, type_str,
+                                                  built_systems):
+        reports = full_report(f"{type_str}:adjoint:*")
+        dual = galois.dual_type(build_group(type_str))
+        weighted = {dual[:2] for r in reports
+                    if r.param.sl2_weights is not None}
+        assert weighted
+        assert {(rs.family, rs.rank) for rs in built_systems
+                if "roots" in vars(rs)} == weighted
 
 
 class TestRootSystem:
