@@ -14,8 +14,14 @@ products c * t^k * prod Phi_n(t)^(e_n) in t = q^(1/2)
 (exact.CyclotomicProduct): a semisimple factor is a product of
 Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
 read off the Frobenius orbits of the affine nodes outside the support.
-A support's components and their bond profiles come from one pass over
-it, and each profile is looked up among rootdata's Bourbaki diagrams.
+
+A support's components and their Bourbaki types depend only on the
+diagram and the node set, so classified_components is computed once per
+(Cartan matrix, sorted nodes), by value, and shared by every form, twist,
+isogeny and dual cut of a type.  Each component's bond profile is looked
+up in a table read off the bond lists of rootdata's Bourbaki diagrams.  A
+component orbit's twist is lcm(cycle lengths on one component) / d, from
+the node cycles recorded in the walk that lists the form's supports.
 
 Nodes, supports and components sort as integers.  Omega_ad^theta
 commutes with F_omega, so it permutes the maximal supports: walked in
@@ -44,11 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt
+from math import isqrt, lcm
 
-from supercusp.exact import (CyclotomicProduct, InvariantError, orbits,
-                             perm_order)
-from supercusp.rootdata import (SimpleGroup, cartan_matrix, dynkin_diagram,
+from supercusp.exact import CyclotomicProduct, InvariantError, orbits
+from supercusp.rootdata import (SimpleGroup, bond_neighbours, dynkin_diagram,
                                 weyl_degrees)
 
 
@@ -126,30 +131,31 @@ def _perm_orbits(perm, nodes):
 # ---------------------------------------------------------------------------
 
 
-def _profiles(cartan, nodes):
-    """Each connected component of the diagram on the nodes, sorted, with
-    its bond profile, a diagram's shape whatever its numbering: per node,
-    its bonds as sorted (A[a][b], A[b][a], degree of b), the nodes' tuples
-    sorted.  The neighbour lists, across nonzero entries, give both."""
-    nbrs = {a: [b for b in nodes if b != a and cartan[a][b]] for a in nodes}
-    for comp in orbits(sorted(nodes), nbrs.__getitem__):
-        yield tuple(sorted(comp)), tuple(sorted(tuple(sorted(
-            (cartan[a][b], cartan[b][a], len(nbrs[b])) for b in nbrs[a]))
-            for a in comp))
+def _profiles(nbrs):
+    """Each connected component of a diagram, sorted, with its bond
+    profile, a diagram's shape whatever its numbering: per node, its bonds
+    as sorted (A[a][b], A[b][a], degree of b), the nodes' tuples sorted.
+    nbrs maps each node a to its neighbours b, each to the entry A[a][b]."""
+    for comp in orbits(sorted(nbrs), nbrs.__getitem__):
+        comp.sort()
+        yield tuple(comp), tuple(sorted([tuple(sorted([
+            (ab, nbrs[b][a], len(nbrs[b])) for b, ab in nbrs[a].items()]))
+            for a in comp]))
 
 
 @lru_cache(maxsize=None)
 def _types_by_profile(rank):
     """(family, rank) of each Bourbaki diagram of the rank, by bond
-    profile.  Filled from G back to A, so each coincidence keeps the first
-    family's name: A1, B2 (not C2) and A3 (not D3)."""
+    profile, read off its bond list.  Filled from G back to A, so each
+    coincidence keeps the first family's name: A1, B2 (not C2) and A3 (not
+    D3)."""
     table = {}
     for family in "GFEDCBA":
         try:
-            cartan = cartan_matrix(*dynkin_diagram(family, rank))
+            nbrs = bond_neighbours(*dynkin_diagram(family, rank))
         except ValueError:
             continue
-        [(_, profile)] = _profiles(cartan, range(rank))
+        [(_, profile)] = _profiles(nbrs)
         table[profile] = (family, rank)
     return table
 
@@ -157,14 +163,23 @@ def _types_by_profile(rank):
 def classified_components(cartan, nodes):
     """(component, (family, rank)) per connected component of the diagram
     on the given nodes, in the order of their first nodes; ValueError for
-    a component whose profile no Bourbaki diagram has."""
-    out = []
-    for comp, profile in _profiles(cartan, nodes):
+    a component whose profile no Bourbaki diagram has.  cartan is a tuple
+    of tuples, and each (cartan, sorted nodes) is classified once."""
+    return list(_classified(cartan, tuple(sorted(nodes))))
+
+
+@lru_cache(maxsize=None)
+def _classified(cartan, nodes):
+    out, nbrs = [], {}
+    for a in nodes:
+        row = cartan[a]
+        nbrs[a] = {b: row[b] for b in nodes if row[b] and b != a}
+    for comp, profile in _profiles(nbrs):
         kind = _types_by_profile(len(comp)).get(profile)
         if kind is None:
             raise ValueError(f"unclassifiable diagram on {comp}")
         out.append((comp, kind))
-    return out
+    return tuple(out)
 
 
 def classify_component(cartan, nodes):
@@ -197,14 +212,17 @@ class ComponentOrbit:
         return base
 
 
-def component_orbits(cartan, support, perm):
+def component_orbits(cartan, support, perm, cycle):
+    """The support's components in orbits under perm, cycle[x] being the
+    length of x's cycle under perm."""
     kind = dict(classified_components(cartan, support))
     comp_of = {x: c for c in kind for x in c}
     out = []
     for orbit in orbits(sorted(kind), lambda c: (comp_of[perm[c[0]]],)):
         c, d = orbit[0], len(orbit)
-        # the return map perm^d on c cuts each L-cycle of perm into d parts
-        twist = perm_order(perm, [x for comp in orbit for x in comp]) // d
+        # the return map perm^d on c cuts each L-cycle of perm through c
+        # into d cycles of length L / d
+        twist = lcm(*(cycle[x] for x in c)) // d
         if twist > 6:
             raise InvariantError("return map order out of range")
         out.append(ComponentOrbit(*kind[c], twist, d, tuple(orbit)))
@@ -304,9 +322,17 @@ class ParahoricClass:
 def maximal_supports(frobenius):
     """All maximal F_omega-stable proper subsets of the affine nodes, the
     complements of single node orbits of the Frobenius, sorted."""
+    return _supports_and_cycles(frobenius)[0]
+
+
+def _supports_and_cycles(frobenius):
+    """The maximal supports, and each node's cycle length under the
+    Frobenius, from one walk of its node orbits."""
     nodes = range(len(frobenius))
+    node_orbits = _perm_orbits(frobenius, nodes)
+    cycle = {x: len(orb) for orb in node_orbits for x in orb}
     return sorted(tuple(x for x in nodes if x not in orb)
-                  for orb in _perm_orbits(frobenius, nodes))
+                  for orb in node_orbits), cycle
 
 
 def parahoric_classes(group, form):
@@ -343,7 +369,8 @@ def _adjoint_classes(rs, frobenius, omega_ad_theta):
     support of each class in the walk is its least, and represents it."""
     classes = []
     seen = set()
-    for J in maximal_supports(frobenius):
+    supports, cycle = _supports_and_cycles(frobenius)
+    for J in supports:
         if J in seen:
             continue
         image = {w: tuple(sorted(rs.omega_action[w][x] for x in J))
@@ -351,7 +378,7 @@ def _adjoint_classes(rs, frobenius, omega_ad_theta):
         associates = tuple(sorted(set(image.values())))
         seen.update(associates)
         stab_ad = frozenset(w for w, K in image.items() if K == J)
-        orbits = component_orbits(rs.affine_cartan, J, frobenius)
+        orbits = component_orbits(rs.affine_cartan, J, frobenius, cycle)
         torus_rank = rs.rank - sum(co.orbit_size * co.rank for co in orbits)
         pc = ParahoricClass(J, associates, stab_ad, stab_ad, 1, orbits,
                             torus_rank)

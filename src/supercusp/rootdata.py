@@ -83,16 +83,23 @@ def dynkin_diagram(family, rank):
     return chain, lengths
 
 
-def cartan_matrix(bonds, lengths):
-    """Cartan matrix <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) /
-    (alpha_j, alpha_j) of a diagram: 2 on the diagonal, and across a bond
-    -max(L_i, L_j) / L_j, from the squared lengths L."""
-    n = len(lengths)
-    out = [[2 * (i == j) for j in range(n)] for i in range(n)]
+def bond_neighbours(bonds, lengths):
+    """Each node's bonded neighbours b, each with the Cartan entry
+    <alpha_a, alpha_b^vee> = 2 (alpha_a, alpha_b) / (alpha_b, alpha_b)
+    = -max(L_a, L_b) / L_b, from the squared lengths L."""
+    out = {a: {} for a in range(len(lengths))}
     for i, j in bonds:
-        longer = max(lengths[i], lengths[j])
-        out[i][j], out[j][i] = -longer // lengths[j], -longer // lengths[i]
-    return tuple(map(tuple, out))
+        for a, b in ((i, j), (j, i)):
+            out[a][b] = -max(lengths[a], lengths[b]) // lengths[b]
+    return out
+
+
+def cartan_matrix(bonds, lengths):
+    """Cartan matrix of a diagram: 2 on the diagonal, and across a bond
+    the entry bond_neighbours gives."""
+    nbrs = bond_neighbours(bonds, lengths)
+    return tuple(tuple(nbrs[i].get(j, 2 * (i == j)) for j in nbrs)
+                 for i in nbrs)
 
 
 _DEGREES = {

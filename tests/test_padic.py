@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 import sympy
 
-from supercusp import padic
+from supercusp import galois, padic
 from supercusp.correspond import full_report, reports_json
 from supercusp.exact import CyclotomicProduct, InvariantError, RatFunc
 from supercusp.padic import (
@@ -38,9 +38,9 @@ from supercusp.padic import (
     supports_with_cuspidals,
     torus_factor,
 )
-from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
-                                cartan_matrix, dynkin_diagram, isogeny_tokens,
-                                root_system, weyl_degrees)
+from supercusp.rootdata import (MAX_RANK, SimpleGroup, bond_neighbours,
+                                build_group, cartan_matrix, dynkin_diagram,
+                                isogeny_tokens, root_system, weyl_degrees)
 
 from test_casetable import catalogue
 from test_exact import p_subst_pow
@@ -482,8 +482,8 @@ def _oracle_parahoric_classes(group, form):
         g_prime = Fraction(len(theta_fixed_ad) * len(stab_G),
                            len(stab_ad) * len(theta_fixed_G))
         assert g_prime.denominator == 1
-        orbits = component_orbits(group.rs.affine_cartan, rep,
-                                  form.frobenius)
+        orbits = component_orbits(group.rs.affine_cartan, rep, form.frobenius,
+                                  _cycle_lengths(form.frobenius))
         torus_rank = group.rank - sum(
             co.orbit_size * co.rank for co in orbits)
         classes.append(ParahoricClass(
@@ -497,6 +497,7 @@ def _oracle_parahoric_classes(group, form):
 def _clear_adjoint_caches():
     padic._inner_forms.cache_clear()
     padic._adjoint_classes.cache_clear()
+    padic._classified.cache_clear()
 
 
 def _report_text(spec):
@@ -597,7 +598,7 @@ class TestSharedAdjointSide:
         (form, *_) = enumerate_inner_forms(g)
         want = parahoric_classes(g, form)
 
-        def broken(cartan, support, perm):
+        def broken(cartan, support, perm, cycle):
             raise InvariantError("return map order out of range")
 
         _clear_adjoint_caches()
@@ -681,14 +682,59 @@ def _root_count(cartan):
     return len(reflection_orbit(cartan))
 
 
+def _cycle_lengths(perm):
+    """Each node's cycle length under perm, by following it round."""
+    out = {}
+    for x in range(len(perm)):
+        y, n = perm[x], 1
+        while y != x:
+            y, n = perm[y], n + 1
+        out[x] = n
+    return out
+
+
+def _walked_orbits(cartan, support, perm):
+    """The component orbits of the support as a Counter over components
+    of (family, rank, twist, d, orbit): the components from
+    _walk_components, the orbit and the return map perm^d by following
+    perm, and the twist as the order of the return map on one component."""
+    comps = _walk_components(cartan, support)
+    comp_of = {x: c for c in comps for x in c}
+    want = Counter()
+    for c in comps:
+        # perm carries components to components
+        orbit, image = [c], comp_of[perm[c[0]]]
+        while image != c:
+            orbit.append(image)
+            image = comp_of[perm[image[0]]]
+        d = len(orbit)
+        ret = dict(zip(c, c))
+        for _ in range(d):
+            ret = {x: perm[y] for x, y in ret.items()}
+        twist, moved = 1, dict(ret)
+        while any(moved[x] != x for x in c):
+            moved = {x: ret[moved[x]] for x in c}
+            twist += 1
+        want[(*classify_component(cartan, c), twist, d,
+              frozenset(orbit))] += 1
+    return want
+
+
+def _orbit_counter(orbits):
+    return Counter((co.family, co.rank, co.twist, co.orbit_size,
+                    frozenset(co.components))
+                   for co in orbits for _ in co.components)
+
+
 class TestOnePassClassification:
     """component_orbits reads the components and their types off one set
-    of neighbour lists.  Here the components come from a walk of their
-    own and each type from classify_component; the orbit size and the
-    return map's order come from the Frobenius itself; and each type's
-    root count is checked against the reflection orbit of the component's
-    own Cartan matrix, which catches a bond profile that names the wrong
-    type on both paths."""
+    of neighbour lists, and each twist off the form's node cycles.  Here
+    the components come from a walk of their own and each type from
+    classify_component; the orbit size and the return map's order come
+    from the Frobenius itself; and each type's root count is checked
+    against the reflection orbit of the component's own Cartan matrix,
+    which catches a bond profile that names the wrong type on both
+    paths."""
 
     @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
     def test_component_orbits_match_the_public_path(self, key):
@@ -697,36 +743,138 @@ class TestOnePassClassification:
         for form in enumerate_inner_forms(g):
             perm = form.frobenius
             for support in maximal_supports(perm):
-                comps = _walk_components(cartan, support)
-                comp_of = {x: c for c in comps for x in c}
-                want = Counter()
-                for c in comps:
-                    # perm carries components to components
-                    orbit, image = [c], comp_of[perm[c[0]]]
-                    while image != c:
-                        orbit.append(image)
-                        image = comp_of[perm[image[0]]]
-                    d = len(orbit)
-                    ret = dict(zip(c, c))
-                    for _ in range(d):
-                        ret = {x: perm[y] for x, y in ret.items()}
-                    twist, moved = 1, dict(ret)
-                    while any(moved[x] != x for x in c):
-                        moved = {x: ret[moved[x]] for x in c}
-                        twist += 1
-                    want[(*classify_component(cartan, c), twist, d,
-                          frozenset(orbit))] += 1
-                got = component_orbits(cartan, support, perm)
-                assert want == Counter(
-                    (co.family, co.rank, co.twist, co.orbit_size,
-                     frozenset(co.components))
-                    for co in got for _ in co.components), \
-                    (key, form.token, support)
+                got = component_orbits(cartan, support, perm,
+                                       _cycle_lengths(perm))
+                assert _walked_orbits(cartan, support, perm) == \
+                    _orbit_counter(got), (key, form.token, support)
                 for co in got:
                     c = co.components[0]
                     own = tuple(tuple(cartan[a][b] for b in c) for a in c)
                     assert _root_count(own) == len(
                         root_system(co.family, co.rank).roots)
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_class_orbits_match_the_walk(self, key):
+        # the cycle lengths parahoric_classes passes are the ones its own
+        # walk of the form's node orbits records
+        g = SimpleGroup(*key)
+        for form in enumerate_inner_forms(g):
+            for pc in parahoric_classes(g, form):
+                assert _walked_orbits(g.rs.affine_cartan, pc.support,
+                                      form.frobenius) == \
+                    _orbit_counter(pc.orbits), (key, form.token, pc.support)
+
+
+def _dense_neighbours(cartan, nodes):
+    """Each node's neighbours among the nodes, with its Cartan entry, by a
+    scan of the dense matrix."""
+    return {a: {b: cartan[a][b] for b in nodes if b != a and cartan[a][b]}
+            for a in nodes}
+
+
+def _uncached_classification(cartan, nodes):
+    """classified_components with no memo: the components from
+    _walk_components, each looked up in the profile table."""
+    out = []
+    for comp in _walk_components(cartan, nodes):
+        [(_, profile)] = padic._profiles(_dense_neighbours(cartan, comp))
+        out.append((comp, padic._types_by_profile(len(comp))[profile]))
+    return out
+
+
+def _classified_pairs(key):
+    """(Cartan matrix, nodes) for every maximal support of every form of
+    the type and every cut of its dual's affine diagram, if it has one."""
+    g = SimpleGroup(*key)
+    for form in enumerate_inner_forms(g):
+        for support in maximal_supports(form.frobenius):
+            yield g.rs.affine_cartan, support
+    try:
+        marks, cartan = galois.dual_affine_diagram(galois.dual_type(g))
+    except InvariantError:
+        return
+    for v in range(len(marks)):
+        yield cartan, [x for x in range(len(marks)) if x != v]
+
+
+RANK_SPECS = [f"{t}:adjoint:*" for t in
+              ("B9", "C9", "D9", "2D9", "B10", "C10", "D10", "2D10")]
+
+
+class TestClassificationMemo:
+    """classified_components classifies each (Cartan matrix, sorted nodes)
+    once, by value, and every inner form, twist, isogeny and dual cut of a
+    type shares the entry."""
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_memo_matches_an_uncached_classification(self, key):
+        padic._classified.cache_clear()
+        for cartan, nodes in _classified_pairs(key):
+            want = _uncached_classification(cartan, nodes)
+            # the first call may compute the entry, the second reads it
+            for _ in range(2):
+                assert classified_components(cartan, nodes) == want, \
+                    (key, nodes)
+
+    def test_fused_chains_share_one_entry_by_value(self):
+        # dual_affine_diagram builds a fresh fused-chain matrix per call
+        padic._classified.cache_clear()
+        for _ in range(2):
+            galois.centralizer_components(("E", 6, 2), 2)
+        assert padic._classified.cache_info().currsize == 1
+        assert padic._classified.cache_info().hits == 1
+
+    def test_callers_cannot_corrupt_the_memo(self):
+        cartan = root_system("B", 10).affine_cartan
+        support = (10, 9, 8, 7, 5, 4, 2, 1, 0)
+        want = list(classified_components(cartan, support))
+        got = classified_components(cartan, support)
+        got.append(got[0])
+        got.reverse()
+        got.clear()
+        assert classified_components(cartan, support) == want
+        assert classified_components(cartan, sorted(support)) == want
+
+    def test_a_raising_classification_is_not_memoized(self, monkeypatch):
+        cartan, nodes = root_system("A", 3).affine_cartan, (0, 1, 2, 3)
+        size = padic._classified.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unclassifiable diagram"):
+                classified_components(cartan, nodes)
+        assert padic._classified.cache_info().currsize == size
+
+        # a support that classifies, made to raise by an empty table
+        padic._classified.cache_clear()
+        cartan, nodes = root_system("E", 8).affine_cartan, tuple(range(1, 8))
+        monkeypatch.setattr(padic, "_types_by_profile", lambda rank: {})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unclassifiable diagram"):
+                classified_components(cartan, nodes)
+        assert padic._classified.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert classified_components(cartan, nodes) == \
+            [(tuple(range(1, 8)), ("E", 7))]
+
+    def test_one_classification_per_pair_on_the_rank_specs(self,
+                                                           monkeypatch):
+        # every call, from padic's component orbits or galois's dual cuts,
+        # names a (matrix, sorted nodes) pair; each distinct pair costs one
+        # classification, whatever the form, twist or call site
+        pairs = []
+        real = padic.classified_components
+
+        def counted(cartan, nodes):
+            pairs.append((cartan, tuple(sorted(nodes))))
+            return real(cartan, nodes)
+
+        for module in (padic, galois):
+            monkeypatch.setattr(module, "classified_components", counted)
+        _clear_adjoint_caches()
+        for spec in RANK_SPECS:
+            full_report(spec)
+        info = padic._classified.cache_info()
+        assert info.misses == info.currsize == len(set(pairs)) == 74
+        assert len(pairs) > len(set(pairs))
 
 
 class TestClassification:
@@ -819,6 +967,20 @@ class TestClassification:
                 cartan = cartan_matrix(*dynkin_diagram(fam, rank))
                 assert classify_component(cartan, tuple(range(rank))[::-1]) \
                     == self.CANONICAL.get((fam, rank), (fam, rank))
+
+    def test_bond_lists_give_the_dense_profiles(self):
+        # the table reads each profile off the bond lists; the dense Cartan
+        # matrix, through the same profile function, gives the same one
+        for fam, (lo, hi) in self.FAMILY_RANKS.items():
+            for rank in range(lo, hi + 1):
+                diagram = dynkin_diagram(fam, rank)
+                cartan = cartan_matrix(*diagram)
+                nbrs = bond_neighbours(*diagram)
+                assert list(padic._profiles(nbrs)) == list(padic._profiles(
+                    _dense_neighbours(cartan, range(rank)))), (fam, rank)
+                [(_, profile)] = padic._profiles(nbrs)
+                assert padic._types_by_profile(rank)[profile] == \
+                    self.CANONICAL.get((fam, rank), (fam, rank))
 
     @pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
     def test_one_profile_per_type(self, rank):
