@@ -6,18 +6,18 @@ The case row is the only record of that node (CaseEntry.cut_node); a row
 without one gives a parameter without one.  The diagram depends on the
 group alone: dual_affine_diagram reads it off the dual type as one (marks,
 Cartan matrix) record, the untwisted one off the dual root system, the
-fused chains E6^(2) and D4^(3) from their lengths by rootdata.cartan_matrix.
-Deleting the node gives the centralizer type, checked against the row's
-explicit type string where it has one; the matching cuspidal
-support lives on a distinguished unipotent class there.  When that class is
-regular (every factor of linear type) the full decomposition of the adjoint
-representation into weight strings is computed exactly by root-space
-bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it once per
-weight multiset per process, below local_factors.  Otherwise both are left
-unavailable rather than guessed.  The parameter holds dual-side data only,
-the centralizer's components, printed type and central order among them:
-kac_rows hands out the support, class and case row it was read from beside
-it.
+fused chains E6^(2) and D4^(3) from their lengths by rootdata.cartan_matrix,
+once at import.  Deleting the node gives the centralizer type, checked
+against the row's explicit type string where it has one; the matching
+cuspidal support lives on a distinguished unipotent class there.  When that
+class is regular (every factor of linear type) the full decomposition of
+the adjoint representation into weight strings is computed exactly by
+root-space bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it
+once per weight multiset per process, below local_factors.  Otherwise both
+are left unavailable rather than guessed.  The parameter holds dual-side
+data only, the centralizer's components, printed type and central order
+among them: kac_rows hands out the support, class and case row it was read
+from beside it.
 
 Local factor conventions, fixed once for the whole package: a string of
 highest weight h with torsion eigenvalue alpha = zeta_m^k, held as the
@@ -233,13 +233,16 @@ _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D",
                 "E": "E", "F": "F", "G": "G"}
 
 
-# the fused dual diagrams by dual type, chains with their node marks and
-# the squared lengths of their nodes: E6^(2) has a double bond from node 2
-# to the long node 3, D4^(3) a triple bond from node 1 to the long node 2
+# the fused dual diagrams by dual type, (marks, Cartan matrix) built once
+# from chains with their node marks and the squared lengths of their nodes:
+# E6^(2) has a double bond from node 2 to the long node 3, D4^(3) a triple
+# bond from node 1 to the long node 2
 _FUSED_CHAINS = {
-    ("E", 6, 2): ((1, 2, 3, 2, 1), (1, 1, 1, 2, 2)),
-    ("D", 4, 3): ((1, 2, 1), (1, 1, 3)),
-}
+    dual: (marks, cartan_matrix([(i, i + 1) for i in range(len(lengths) - 1)],
+                                lengths))
+    for dual, marks, lengths in [
+        (("E", 6, 2), (1, 2, 3, 2, 1), (1, 1, 1, 2, 2)),
+        (("D", 4, 3), (1, 2, 1), (1, 1, 3))]}
 
 
 def dual_type(group):
@@ -250,7 +253,7 @@ def dual_type(group):
 def dual_affine_diagram(dual):
     """(marks, Cartan matrix) of the affine diagram of the dual type
     (family, rank, twist) with its Frobenius action: for twist 1 the dual
-    root system's, for 2E6 and 3D4 a fused chain's, read off its lengths.
+    root system's, for 2E6 and 3D4 a fused chain's, built at import.
     Any other twisted dual has no diagram here: InvariantError."""
     family, rank, twist = dual
     if twist == 1:
@@ -259,9 +262,7 @@ def dual_affine_diagram(dual):
     if dual not in _FUSED_CHAINS:
         raise InvariantError(f"no affine diagram for the twisted dual type "
                              f"{twist}{family}{rank}")
-    marks, lengths = _FUSED_CHAINS[dual]
-    return marks, cartan_matrix(
-        [(i, i + 1) for i in range(len(lengths) - 1)], lengths)
+    return _FUSED_CHAINS[dual]
 
 
 def centralizer_components(dual, v_node):

@@ -12,8 +12,10 @@ their orders are counts, with no integer elimination.  Orders of the
 finite reductive quotients, volumes, and formal degrees are all cyclotomic
 products c * t^k * prod Phi_n(t)^(e_n) in t = q^(1/2)
 (exact.CyclotomicProduct): a semisimple factor is a product of
-Phi_o(q^d) over its invariant degrees d, and the twisted central torus is
-read off the Frobenius orbits of the affine nodes outside the support.
+Phi_o(q^d), o being the order of the Frobenius eigenvalue on a degree-d
+invariant, read off the root heights (RootSystem.twisted_degrees) only for
+the components whose class degree is known, and the twisted central torus
+is read off the Frobenius orbits of the affine nodes outside the support.
 
 A support's components and their Bourbaki types depend only on the
 diagram and the node set, so classified_components is computed once per
@@ -54,7 +56,7 @@ from math import isqrt, lcm
 
 from supercusp.exact import CyclotomicProduct, InvariantError, orbits
 from supercusp.rootdata import (SimpleGroup, bond_neighbours, dynkin_diagram,
-                                weyl_degrees)
+                                root_system, standard_frobenius_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +254,14 @@ def torus_factor(group, support, perm):
 
 @lru_cache(maxsize=None)
 def finite_semisimple_order(family, rank, twist):
-    """Order (in q) of the semisimple finite group of the given twisted
-    type: q^N prod Phi_o(q^d) over the invariant degrees d, where o is the
-    order of the Frobenius eigenvalue on the degree-d invariant, i.e. a
-    factor q^d - 1 or q^d + 1.  For 3D4 the two degree-4 invariants carry
-    the two primitive cube roots of unity and give together the one factor
-    Phi_3(q^4) = q^8 + q^4 + 1 = (q^12 - 1) / (q^4 - 1)."""
-    degrees = weyl_degrees(family, rank)
-    num_pos_roots = sum(d - 1 for d in degrees)
-    if twist == 1:
-        orders = [1] * len(degrees)
-    elif twist == 2 and (family == "A" or (family, rank) == ("E", 6)):
-        # theta = -w_0 flips the sign on exactly the odd degrees
-        orders = [2 if d % 2 else 1 for d in degrees]
-    elif twist == 2 and family == "D":
-        # the Pfaffian degree (listed last) flips sign
-        orders = [1] * (len(degrees) - 1) + [2]
-    elif twist == 3 and (family, rank) == ("D", 4):
-        degrees, orders = (2, 4, 6), (1, 3, 1)
-    else:
-        raise ValueError(f"no twisted order formula for {twist}{family}{rank}")
-    out = CyclotomicProduct(1, 2 * num_pos_roots)
-    for d, o in zip(degrees, orders):
+    """Order (in q) of the finite semisimple group of the twisted type,
+    q^N prod Phi_o(q^d) (Steinberg, Mem. AMS 80, 1968) over the (d, o)
+    twisted_degrees gives for the standard Frobenius: q^d -/+ 1 for the
+    eigenvalue +/-1, and Phi_3(q^4) = q^8 + q^4 + 1 on 3D4."""
+    rs = root_system(family, rank)
+    out = CyclotomicProduct(1, 2 * rs.num_pos_roots)
+    for d, o in rs.twisted_degrees(standard_frobenius_perm(family, rank,
+                                                           twist)):
         out = out * CyclotomicProduct(1, 0, ((o, 1),)).subst_t_power(2 * d)
     return out
 

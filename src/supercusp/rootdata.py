@@ -2,18 +2,19 @@
 
 Each simple type is given by its Dynkin diagram: Bourbaki's bonded pairs of
 simple roots and their squared lengths, from which cartan_matrix reads the
-Cartan matrix.  Every other fact about a type but its Weyl degrees is read
-off that matrix, in integers: the highest root theta by reflecting a long
-simple root up to the dominant one, and the affine diagram adds the row of
--theta, with theta's coefficients as its marks; the number of positive
-roots is rank * h / 2, h being the sum of the marks, and the degrees are
-checked against it.  The roots themselves are built height by height from
-alpha_i-strings on first read (RootSystem.roots), which only the adjoint
-weight strings do.  Omega = P_cowt/Q_corootlat is presented once, by the
-Smith form of the Cartan matrix, which also labels the special nodes
-(coweight_class); after that every subgroup of Omega is an element set, and
-RootSystem.quotient_invariants reads a subquotient from its order and
-exponent, by counting.  Omega's node action, the diagram automorphisms and
+Cartan matrix.  Every other fact about a type is read off that matrix, in
+integers: the highest root theta by reflecting a long simple root up to the
+dominant one, and the affine diagram adds the row of -theta, with theta's
+coefficients as its marks; the number of positive roots is rank * h / 2, h
+being the sum of the marks.  The roots themselves are built height by
+height from alpha_i-strings on first read (RootSystem.roots), for the
+adjoint weight strings and for RootSystem.twisted_degrees, which reads the
+Weyl degrees, with a diagram automorphism's eigenvalues on them, off the
+number of roots at each height.  Omega = P_cowt/Q_corootlat is presented
+once, by the Smith form of the Cartan matrix, which also labels the special
+nodes (coweight_class); after that every subgroup of Omega is an element
+set, and RootSystem.quotient_invariants reads a subquotient from its order
+and exponent, by counting.  Omega's node action, the diagram automorphisms and
 the standard Frobenius come from one search per root system, _automorphisms
 on the affine Cartan matrix: the automorphisms fixing node 0 keep -theta,
 so they are the finite diagram's, and those extending a move of the special
@@ -35,6 +36,7 @@ Group specs are written TYPE:ISOGENY:TWIST, for example 2A5:adjoint:w1.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add
@@ -102,28 +104,6 @@ def cartan_matrix(bonds, lengths):
                  for i in nbrs)
 
 
-_DEGREES = {
-    "A": lambda n: list(range(2, n + 2)),
-    "B": lambda n: list(range(2, 2 * n + 1, 2)),
-    "C": lambda n: list(range(2, 2 * n + 1, 2)),
-    # the degree-n invariant (the Pfaffian) is listed last on purpose:
-    # an outer twist flips the sign on exactly that factor
-    "D": lambda n: list(range(2, 2 * n - 1, 2)) + [n],
-    "E": lambda n: {6: [2, 5, 6, 8, 9, 12],
-                    7: [2, 6, 8, 10, 12, 14, 18],
-                    8: [2, 8, 12, 14, 18, 20, 24, 30]}[n],
-    "F": lambda n: [2, 6, 8, 12],
-    "G": lambda n: [2, 6],
-}
-
-
-def weyl_degrees(family, rank):
-    """Degrees of the basic invariants of the Weyl group.  Each degree d
-    adds d - 1 positive roots, so their sum less the rank is the number of
-    positive roots; RootSystem checks that against rank * h / 2."""
-    return tuple(_DEGREES[family](rank))
-
-
 # ---------------------------------------------------------------------------
 # RootSystem: one simple factor
 # ---------------------------------------------------------------------------
@@ -149,13 +129,9 @@ class RootSystem:
         self.hr_coeffs, theta_pairing = self._highest_root()
         # marks: node 0 (the extending node) always carries 1
         self.marks = (1,) + self.hr_coeffs
-        # |Phi+| = rank * h / 2, the Coxeter number h being the mark sum
-        self.num_pos_roots, odd = divmod(rank * sum(self.marks), 2)
-        self.degrees = weyl_degrees(family, rank)
-        if odd or sum(d - 1 for d in self.degrees) != self.num_pos_roots:
-            raise InvariantError(
-                f"degrees of {family}{rank} do not give rank * h / 2 = "
-                f"{rank * sum(self.marks)} / 2 positive roots")
+        # |Phi+| = rank * h / 2, the Coxeter number h being the mark sum;
+        # every use reads the roots, which checks it
+        self.num_pos_roots = rank * sum(self.marks) // 2
         self.affine_cartan = self._affine_cartan(theta_pairing)
         self._build_omega()
         self._build_isogenies()
@@ -208,6 +184,40 @@ class RootSystem:
                         if up not in level:
                             level[up] = tuple(map(add, pairing, A[i]))
         return list(found)
+
+    def twisted_degrees(self, perm):
+        """(d, o), sorted, per Galois orbit of eigenvalues of order o of
+        perm, one of diagram_autos (InvariantError otherwise), on the basic
+        invariants of degree d; the Weyl degrees with o = 1 for perm = 1.
+        The principal sl2's lowering operator commutes with perm and maps
+        height k + 1 into height k injectively, so the degree k + 1
+        invariants carry perm's eigenvalues on the root spaces of height k
+        less those of height k + 1 (Kostant, Amer. J. Math. 81, 1959).  perm
+        permutes the root spaces, an L-cycle carrying the L-th roots of
+        unity, but -1 on a fixed root if a node is bonded to its image, as
+        on A_2n (Kac, Infinite dimensional Lie algebras, Ch. 7-8)."""
+        if perm not in self.diagram_autos:
+            raise InvariantError(f"{perm} is no automorphism of the diagram "
+                                 f"of {self.family}{self.rank}")
+        # perm beta has beta[i] at position perm[i + 1] - 1
+        source = sorted(range(self.rank), key=lambda i: perm[i + 1])
+        flip = any(self.cartan[i][perm[i + 1] - 1] < 0
+                   for i in range(self.rank))
+        height = {}
+        for cycle in orbits((b for b in self.roots if sum(b) > 0),
+                            lambda b: (tuple(b[i] for i in source),)):
+            L = len(cycle)
+            height.setdefault(sum(cycle[0]), Counter()).update(
+                [2] if flip and L == 1 else
+                [o for o in range(1, L + 1) if L % o == 0])
+        out = []
+        for k, here in sorted(height.items()):
+            above = height.get(k + 1, Counter())
+            if above - here:
+                raise InvariantError(f"height {k + 1} of {self.family}"
+                                     f"{self.rank} is not nested in {k}")
+            out += sorted((k + 1, o) for o in (here - above).elements())
+        return tuple(out)
 
     def _affine_cartan(self, theta_pairing):
         """Cartan matrix of the affine diagram, node 0 being the gradient

@@ -16,8 +16,9 @@ from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              euler_phi)
 from supercusp.galois import (WDLocalFactors, WeightString, _build_param,
                               _orbit_product, centralizer_components,
-                              dual_type, hii_check, inner_torsion_strings,
-                              kac_points, kac_rows, local_factors, param_json)
+                              dual_affine_diagram, dual_type, hii_check,
+                              inner_torsion_strings, kac_points, kac_rows,
+                              local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
 from supercusp.rootdata import (build_group, isogeny_tokens, parse_type,
@@ -828,6 +829,11 @@ class TestKacPoints:
         for dual, cuts in expect.items():
             for v, comps in enumerate(cuts):
                 assert centralizer_components(dual, v) == comps, (dual, v)
+
+    @pytest.mark.parametrize("dual", [("E", 6, 2), ("D", 4, 3)],
+                             ids=["2E6", "3D4"])
+    def test_fused_chains_are_built_once(self, dual):
+        assert dual_affine_diagram(dual) is dual_affine_diagram(dual)
 
     def test_cut_on_a_twisted_dual_without_a_diagram_raises(self):
         # the unitary rows record no cut node; given one, the dual type

@@ -40,11 +40,12 @@ from supercusp.padic import (
 )
 from supercusp.rootdata import (MAX_RANK, SimpleGroup, bond_neighbours,
                                 build_group, cartan_matrix, dynkin_diagram,
-                                isogeny_tokens, root_system, weyl_degrees)
+                                isogeny_tokens, root_system)
 
 from test_casetable import catalogue
 from test_exact import p_subst_pow
-from test_rootdata import _isogenies, _type_id, reflection_orbit
+from test_rootdata import (TWISTED_SYSTEMS, _isogenies, _type_id,
+                           reference_orders, reflection_orbit, weyl_degrees)
 
 
 Q = RatFunc.q_power(1)
@@ -144,6 +145,19 @@ class TestOrders:
         for d, s in [(2, -1), (5, 1), (6, -1), (8, -1), (9, 1), (12, -1)]:
             prod = prod * (Q ** d + s)
         assert got == prod
+
+    @pytest.mark.parametrize("key", TWISTED_SYSTEMS, ids=_type_id)
+    def test_matches_the_reference_case_analysis(self, key):
+        # q^N prod Phi_o(q^d) over the listed degrees and the orders the
+        # case analysis gives them, N from the untwisted degrees (3D4 lists
+        # its two degree-4 invariants as one)
+        degrees, orders = reference_orders(*key)
+        N = sum(d - 1 for d in weyl_degrees(*key[:2]))
+        want = CyclotomicProduct(1, 2 * N)
+        for d, o in zip(degrees, orders):
+            want = want * CyclotomicProduct(1, 0, ((o, 1),)).subst_t_power(
+                2 * d)
+        assert finite_semisimple_order(*key) == want
 
 
 def frobenius_matrix(group, perm):
@@ -817,7 +831,6 @@ class TestClassificationMemo:
                     (key, nodes)
 
     def test_fused_chains_share_one_entry_by_value(self):
-        # dual_affine_diagram builds a fresh fused-chain matrix per call
         padic._classified.cache_clear()
         for _ in range(2):
             galois.centralizer_components(("E", 6, 2), 2)

@@ -29,7 +29,6 @@ from supercusp.rootdata import (
     parse_type,
     root_system,
     standard_frobenius_perm,
-    weyl_degrees,
 )
 from test_casetable import catalogue
 from test_exact import det_adjugate, integer_inverse, mat_mul
@@ -60,6 +59,52 @@ def _systems(top):
 # every (family, rank) of the case-table catalogue: classical ranks up to 12
 # and the exceptional types
 CATALOGUE_SYSTEMS = _systems(12)
+
+# every (family, rank, twist) up to MAX_RANK that standard_frobenius_perm
+# accepts: 81 untwisted, 2A2-2A20, 2D4-2D20, 3D4 and 2E6
+TWISTED_SYSTEMS = [(*key, 1) for key in _systems(MAX_RANK)] + \
+    [("A", n, 2) for n in range(2, MAX_RANK + 1)] + \
+    [("D", n, 2) for n in range(4, MAX_RANK + 1)] + \
+    [("D", 4, 3), ("E", 6, 2)]
+
+
+# Literal reference for RootSystem.twisted_degrees: the degrees of the basic
+# invariants of the Weyl group per family, with D's Pfaffian degree n last,
+# where reference_orders flips its sign.
+DEGREES = {
+    "A": lambda n: list(range(2, n + 2)),
+    "B": lambda n: list(range(2, 2 * n + 1, 2)),
+    "C": lambda n: list(range(2, 2 * n + 1, 2)),
+    "D": lambda n: list(range(2, 2 * n - 1, 2)) + [n],
+    "E": lambda n: {6: [2, 5, 6, 8, 9, 12],
+                    7: [2, 6, 8, 10, 12, 14, 18],
+                    8: [2, 8, 12, 14, 18, 20, 24, 30]}[n],
+    "F": lambda n: [2, 6, 8, 12],
+    "G": lambda n: [2, 6],
+}
+
+
+def weyl_degrees(family, rank):
+    return tuple(DEGREES[family](rank))
+
+
+def reference_orders(family, rank, twist):
+    """(degrees, orders of the Frobenius eigenvalues on them), by the case
+    analysis on the listed Weyl degrees that the height rule replaced."""
+    degrees = weyl_degrees(family, rank)
+    if twist == 1:
+        orders = [1] * len(degrees)
+    elif twist == 2 and (family == "A" or (family, rank) == ("E", 6)):
+        # theta = -w_0 flips the sign on exactly the odd degrees
+        orders = [2 if d % 2 else 1 for d in degrees]
+    elif twist == 2 and family == "D":
+        # the Pfaffian degree (listed last) flips sign
+        orders = [1] * (len(degrees) - 1) + [2]
+    elif twist == 3 and (family, rank) == ("D", 4):
+        degrees, orders = (2, 4, 6), (1, 3, 1)
+    else:
+        raise ValueError(f"no reference for {twist}{family}{rank}")
+    return degrees, orders
 
 
 def _type_id(key):
@@ -128,8 +173,8 @@ def built_systems(monkeypatch):
 
 class TestLazyRoots:
     """theta, the marks and |Phi+| come from the Cartan matrix; the roots
-    are built on first read, and only the adjoint weight strings read
-    them."""
+    are built on first read, and only the adjoint weight strings and the
+    volumes' twisted_degrees read them."""
 
     @pytest.mark.parametrize("key", _systems(MAX_RANK),
                              ids="{0[0]}{0[1]}".format)
@@ -157,6 +202,10 @@ class TestLazyRoots:
 
     @pytest.mark.parametrize("type_str", RANK_TYPES + ISOGENY_TYPES)
     def test_the_padic_side_builds_no_roots(self, type_str, built_systems):
+        # neither on the type's root system nor on its dual's: only the
+        # volumes read roots, through twisted_degrees, and only for the
+        # components whose class degree is known, 2A2 (_DEG_U3) and B2
+        # (_DEG_B2)
         fam, rank, tw = parse_type(type_str)
         isogenies = ["adjoint"] if type_str in RANK_TYPES else \
             [g.isogeny for g in _isogenies(fam, rank, tw)]
@@ -166,7 +215,8 @@ class TestLazyRoots:
         for key in {(fam, rank), dual[:2]}:
             assert "roots" not in vars(root_system(*key))
         assert built_systems
-        assert not [rs for rs in built_systems if "roots" in vars(rs)]
+        assert {(rs.family, rs.rank) for rs in built_systems
+                if "roots" in vars(rs)} <= {("A", 2), ("B", 2)}
 
     @pytest.mark.parametrize("type_str", GAMMA_TYPES)
     def test_the_gamma_path_builds_the_dual_roots(self, type_str,
@@ -180,6 +230,48 @@ class TestLazyRoots:
                 if "roots" in vars(rs)} == weighted
 
 
+class TestTwistedDegrees:
+    """RootSystem.twisted_degrees, read off the root heights, against the
+    listed Weyl degrees and the case analysis of the Frobenius eigenvalues
+    on them."""
+
+    @pytest.mark.parametrize("key", TWISTED_SYSTEMS, ids=_type_id)
+    def test_heights_match_the_reference(self, key):
+        perm = standard_frobenius_perm(*key)
+        want = sorted(zip(*reference_orders(*key)))
+        assert list(root_system(*key[:2]).twisted_degrees(perm)) == want
+
+    def test_every_accepted_twist_is_listed(self):
+        accepted = set()
+        for fam, rank in _systems(MAX_RANK):
+            for tw in (1, 2, 3):
+                try:
+                    standard_frobenius_perm(fam, rank, tw)
+                except ValueError:
+                    continue
+                accepted.add((fam, rank, tw))
+        assert accepted == set(TWISTED_SYSTEMS)
+        assert len(TWISTED_SYSTEMS) == 119
+
+    @pytest.mark.parametrize("perm", [
+        # no automorphism: swaps two nodes of different valency
+        (0, 2, 1, 3, 4),
+        # moves node 0: the action of an element of Omega
+        (1, 2, 3, 4, 0),
+        # too short
+        (0, 1, 2, 3)])
+    def test_a_perm_outside_the_diagram_autos_raises(self, perm):
+        with pytest.raises(InvariantError, match="no automorphism"):
+            root_system("A", 4).twisted_degrees(perm)
+
+    def test_unnested_heights_raise(self):
+        rs = RootSystem("A", 2)
+        # two roots of height 3 over one of height 2
+        vars(rs)["roots"] = {(1, 0), (1, 1), (2, 1), (1, 2)}
+        with pytest.raises(InvariantError, match="not nested"):
+            rs.twisted_degrees((0, 1, 2))
+
+
 class TestRootSystem:
     @pytest.mark.parametrize("key", sorted(ROOT_COUNTS))
     def test_root_counts(self, key):
@@ -190,7 +282,9 @@ class TestRootSystem:
     @pytest.mark.parametrize("key", sorted(ROOT_COUNTS))
     def test_degree_sum(self, key):
         rs = root_system(*key)
-        assert sum(d - 1 for d in rs.degrees) == rs.num_pos_roots
+        identity = tuple(range(rs.rank + 1))
+        assert sum(d - 1 for d, _ in rs.twisted_degrees(identity)) == \
+            rs.num_pos_roots
 
     def test_marks(self):
         assert root_system("A", 3).marks == (1, 1, 1, 1)
@@ -258,6 +352,7 @@ class TestRootSystem:
 
     @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
     def test_weyl_degrees_count_the_roots(self, key):
+        # the literal reference table against rank * h / 2
         assert sum(d - 1 for d in weyl_degrees(*key)) == \
             root_system(*key).num_pos_roots
 
