@@ -20,16 +20,15 @@ CaseTableError ("not in table").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import isqrt
+from typing import NamedTuple
 
 
 class CaseTableError(LookupError):
     """Pattern has no row in the case table."""
 
 
-@dataclass(frozen=True)
-class CaseEntry:
+class CaseEntry(NamedTuple):
     pattern: str
     provenance: str
     n_s: int
@@ -194,11 +193,11 @@ def _classify_classical(group, host):
         # t(m) = m(m+1)/2 >= 0 for every integer m, and t(a-b) + t(a+b) = n
         node = (a - b) * (a - b + 1) // 2
         if b == 0:
-            return replace(_CLASSICAL_RULES["oddorth.s0"], cut_node=node)
+            return _CLASSICAL_RULES["oddorth.s0"]._replace(cut_node=node)
         # the matching involution has equal-or-adjacent defects exactly when
         # one block is empty, and is central then
-        return replace(_CLASSICAL_RULES["oddorth.pair"], cut_node=node,
-                       n_s=1 if b - a in (0, 1) else 2)
+        return _CLASSICAL_RULES["oddorth.pair"]._replace(
+            cut_node=node, n_s=1 if b - a in (0, 1) else 2)
 
     if fam == "C":
         a_parts = [s for s in sig if s[0] == "A"]

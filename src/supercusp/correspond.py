@@ -15,16 +15,14 @@ moves rows by moving orbits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 # rows_for_host is not called here, but perfbench's tracer test reads it
 # from this namespace to check that tracing restores it
 from supercusp.casetable import resolve_named_subgroup, rows_for_host  # noqa: F401
-from supercusp.exact import CyclotomicProduct, euler_phi
+from supercusp.exact import CyclotomicProduct, Frozen, euler_phi
 from supercusp.galois import hii_check, kac_rows, param_json
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              inner_forms_by_token, maximal_supports)
@@ -43,28 +41,30 @@ class CorrespondenceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PacketInvariants:
+class PacketInvariants(Frozen):
     """The six counting invariants of one case row, with the two stabilizer
-    groups recorded by their invariant factors."""
+    groups recorded by their invariant factors: stabilizer_param is the
+    dual of Omega^theta / (N cap Omega^theta), stabilizer_pair the dual of
+    Omega^theta / Omega^{theta,P}."""
 
-    a: int
-    b: int
-    a_prime: int
-    b_prime: int
-    g: int
-    g_prime: int
-    stabilizer_param: tuple   # dual of Omega^theta / (N cap Omega^theta)
-    stabilizer_pair: tuple    # dual of Omega^theta / Omega^{theta,P}
+    __slots__ = ("a", "b", "a_prime", "b_prime", "g", "g_prime",
+                 "stabilizer_param", "stabilizer_pair")
 
-    def __post_init__(self):
-        if self.a * self.b != self.a_prime * self.b_prime:
+    def __init__(self, a, b, a_prime, b_prime, g, g_prime, stabilizer_param,
+                 stabilizer_pair):
+        if a * b != a_prime * b_prime:
             raise CorrespondenceError(
-                f"count identity fails: {self.a}*{self.b} != "
-                f"{self.a_prime}*{self.b_prime}")
-        if prod(self.stabilizer_param) != \
-                prod(self.stabilizer_pair) * self.g:
+                f"count identity fails: {a}*{b} != {a_prime}*{b_prime}")
+        if prod(stabilizer_param) != prod(stabilizer_pair) * g:
             raise CorrespondenceError("stabilizer index does not match g")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a_prime", a_prime)
+        object.__setattr__(self, "b_prime", b_prime)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g_prime", g_prime)
+        object.__setattr__(self, "stabilizer_param", stabilizer_param)
+        object.__setattr__(self, "stabilizer_pair", stabilizer_pair)
 
 
 def _index(big, small, what):
@@ -128,8 +128,7 @@ def compute_invariants(group, pc, cls, row):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PacketReport:
+class PacketReport(NamedTuple):
     """One representation's worth of bookkeeping: the support class, the
     cuspidal class and the case row it was read from (one (host, cls, row)
     triple of galois.kac_rows), the six invariants, and the degree and
@@ -303,6 +302,10 @@ def reports_json(reports):
 def reports_csv(reports):
     """One CSV line per report, each field read from its JSON record (the
     invariants flattened, None written as an empty field)."""
+    # only the CLI's --format csv needs these: the report path loads neither
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

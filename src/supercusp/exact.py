@@ -35,15 +35,49 @@ No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
 from math import gcd, isqrt, lcm
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed: a bug, not bad input."""
+
+
+class Frozen:
+    """Immutable value with type-strict equality, the base of the value
+    types with arithmetic or normalisation (the plain records are
+    NamedTuples).  A subclass names its fields, in order, as __slots__, and
+    its __init__ normalises them and writes each with object.__setattr__.
+    == and hash compare the fields within one class only; assigning or
+    deleting raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +186,7 @@ def p_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(Frozen):
     """Reduced rational function in t = q^(1/2) with integer coefficients.
 
     Canonical form: numerator and denominator coprime and with coprime
@@ -161,19 +194,20 @@ class RatFunc:
     positive.  The zero function is (0,)/(1,).
     """
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = p_trim(self.num), p_trim(self.den)
+    def __init__(self, num, den):
+        # perfbench's tracer counts the constructions at __post_init__
+        self.__post_init__(num, den)
+
+    def __post_init__(self, num, den):
+        num, den = p_trim(num), p_trim(den)
         if p_is_zero(den):
             raise ZeroDivisionError("rational function with zero denominator")
         if p_is_zero(num):
-            object.__setattr__(self, "num", (0,))
-            object.__setattr__(self, "den", (1,))
-            return
-        g = p_gcd(num, den)
-        if len(g) > 1 or p_content(num) > 1 or p_content(den) > 1 or den[-1] < 0:
+            num, den = (0,), (1,)
+        elif len(g := p_gcd(num, den)) > 1 or p_content(num) > 1 \
+                or p_content(den) > 1 or den[-1] < 0:
             qn, rn = p_divmod(num, g)
             qd, rd = p_divmod(den, g)
             if not (p_is_zero(rn) and p_is_zero(rd)):
@@ -403,21 +437,20 @@ def _reduce_mod_cyclo(coeffs, m):
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class Cyclo:
+class Cyclo(Frozen):
     """Element of Q(zeta_m) in the power basis modulo the m-th cyclotomic
     polynomial.  Mixed-conductor operations merge to the lcm."""
 
-    conductor: int
-    coeffs: tuple  # Fractions, length = phi(conductor)
+    __slots__ = ("conductor", "coeffs")  # coeffs: phi(conductor) Fractions
 
-    def __post_init__(self):
-        c = _reduce_mod_cyclo(self.coeffs, self.conductor)
+    def __init__(self, conductor, coeffs):
+        c = _reduce_mod_cyclo(coeffs, conductor)
         # drop to conductor 1 when the value is rational
-        if self.conductor > 1 and all(x == 0 for x in c[1:]):
-            object.__setattr__(self, "conductor", 1)
-            c = (c[0],)
-        object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in c))
+        if conductor > 1 and all(x == 0 for x in c[1:]):
+            conductor, c = 1, (c[0],)
+        coeffs = tuple(Fraction(x) for x in c)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def rational(x):
@@ -536,8 +569,7 @@ def _coerce_cyclo(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclotomicProduct:
+class CyclotomicProduct(Frozen):
     """const * t^t_exp * prod Phi_n(t)^e_n, with Phi_n the n-th cyclotomic
     polynomial: the shape of every formal degree and adjoint gamma factor.
 
@@ -545,20 +577,20 @@ class CyclotomicProduct:
     constructor accepts any iterable of pairs and merges repeats.  A zero
     constant is the zero function, stored as (0, 0, ())."""
 
-    const: Fraction
-    t_exp: int = 0
-    phi: tuple = ()
+    __slots__ = ("const", "t_exp", "phi")
 
-    def __post_init__(self):
-        const = Fraction(self.const)
+    def __init__(self, const, t_exp=0, phi=()):
+        const = Fraction(const)
         exps = {}
         if const != 0:
-            for n, e in self.phi:
+            for n, e in phi:
                 exps[n] = exps.get(n, 0) + e
+        else:
+            t_exp = 0
+        phi = tuple(sorted((n, e) for n, e in exps.items() if e))
         object.__setattr__(self, "const", const)
-        object.__setattr__(self, "t_exp", self.t_exp if const != 0 else 0)
-        object.__setattr__(self, "phi",
-                           tuple(sorted((n, e) for n, e in exps.items() if e)))
+        object.__setattr__(self, "t_exp", t_exp)
+        object.__setattr__(self, "phi", phi)
 
     @staticmethod
     def t_power_minus_one(e):
@@ -764,18 +796,17 @@ def perm_order(perm, nodes):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Frozen):
     """Finite abelian group in invariant-factor form.
 
     orders: (d_1, ..., d_k) with d_1 | d_2 | ... | d_k, all > 1; an element
     is the tuple of its coordinates, the i-th taken mod orders[i].
     """
 
-    orders: tuple
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        orders = tuple(int(d) for d in self.orders)
+    def __init__(self, orders):
+        orders = tuple(int(d) for d in orders)
         for i in range(len(orders) - 1):
             if orders[i + 1] % orders[i] != 0:
                 raise ValueError("orders must form a divisibility chain")
@@ -811,8 +842,7 @@ class FiniteAbelianGroup:
                                 lambda x: [self.add(x, g) for g in gens])[0])
 
 
-@dataclass
-class Presentation:
+class Presentation(NamedTuple):
     """A finite abelian quotient of Z^n together with the projection."""
 
     group: FiniteAbelianGroup

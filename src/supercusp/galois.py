@@ -41,13 +41,14 @@ irrational product, so the multiset is not stable under the Galois action.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from supercusp.casetable import rows_for_host
-from supercusp.exact import CyclotomicProduct, InvariantError, euler_phi
+from supercusp.exact import (CyclotomicProduct, Frozen, InvariantError,
+                             euler_phi)
 from supercusp.padic import classified_components, supports_with_cuspidals
 from supercusp.rootdata import cartan_matrix, root_system
 
@@ -57,33 +58,26 @@ from supercusp.rootdata import cartan_matrix, root_system
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightString:
+class WeightString(Frozen):
     """One irreducible summand of an unramified monodromy representation:
     the torsion eigenvalue zeta_order^residue tensored with the string of
     highest weight h, of dimension h + 1.  The eigenvalue is kept reduced,
     so order is its exact order and residue is prime to it (the trivial
     eigenvalue is order 1, residue 0)."""
 
-    order: int
-    residue: int
-    h: int
+    __slots__ = ("order", "residue", "h")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order, residue, h):
+        if order < 1:
             raise ValueError("eigenvalue order must be positive")
-        if self.h < 0:
+        if h < 0:
             raise ValueError("highest weight must be nonnegative")
-        k = self.residue % self.order
-        g = gcd(k, self.order)
-        object.__setattr__(self, "order", self.order // g)
-        object.__setattr__(self, "residue", k // g)
-
-    def dim(self):
-        return self.h + 1
-
-    def dual(self):
-        return WeightString(self.order, -self.residue, self.h)
+        k = residue % order
+        g = gcd(k, order)
+        order, residue = order // g, k // g
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "h", h)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +141,7 @@ def _two_s(s):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WDLocalFactors:
+class WDLocalFactors(NamedTuple):
     """Exact L, epsilon and gamma of an inversion-closed multiset of
     WeightStrings.  The shift s ranges over half integers; the values at s,
     like |gamma(0)|, are CyclotomicProducts in t, read off the strings'
@@ -171,14 +164,6 @@ class WDLocalFactors:
 
     def dim(self):
         return sum(w.h + 1 for w in self.strings)
-
-    def dual(self):
-        return local_factors(tuple(w.dual() for w in self.strings),
-                             self.ord_psi)
-
-    def L_at(self, s):
-        inv = _galois_product(_string_factors(self.strings, _two_s(s)))
-        return CyclotomicProduct(1) / inv
 
     def eps_at(self, s):
         # the unit is exp(2 pi i turns / L): each string adds its
@@ -348,8 +333,7 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnramifiedParam:
+class UnramifiedParam(NamedTuple):
     """A discrete unramified parameter, pinned by its cut node when its case
     row records one.  Where the adjoint weight strings are known it
     carries them with |gamma(0, Ad o phi, psi)| at ord psi = -1; the case
@@ -429,14 +413,10 @@ def kac_points(group, form):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HIIResult:
+class HIIResult(NamedTuple):
     status: str              # "holds" | "fails" | "unverifiable"
     lhs: CyclotomicProduct | None
     rhs: CyclotomicProduct | None
-
-    def verifiable(self):
-        return self.status != "unverifiable"
 
 
 def hii_check(fdeg, param, rho_dim, s_sharp):

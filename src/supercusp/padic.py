@@ -49,10 +49,10 @@ nothing, so its checks run again on the next call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from supercusp.exact import CyclotomicProduct, InvariantError, orbits
 from supercusp.rootdata import (SimpleGroup, bond_neighbours, dynkin_diagram,
@@ -64,8 +64,7 @@ from supercusp.rootdata import (SimpleGroup, bond_neighbours, dynkin_diagram,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InnerForm:
+class InnerForm(NamedTuple):
     """One twisting class of the adjoint group, named by a stable token,
     with its twisted Frobenius on the affine diagram."""
 
@@ -184,21 +183,10 @@ def _classified(cartan, nodes):
     return tuple(out)
 
 
-def classify_component(cartan, nodes):
-    """(family, rank) of the connected subdiagram of a finite or affine
-    Dynkin diagram on the given nodes, by its bond profile; ValueError if
-    the set is disconnected or no Bourbaki diagram has that profile."""
-    comps = classified_components(cartan, nodes)
-    if len(comps) != 1:
-        raise ValueError(f"unclassifiable diagram on {nodes}")
-    return comps[0][1]
-
-
-@dataclass(frozen=True, order=True)
-class ComponentOrbit:
+class ComponentOrbit(NamedTuple):
     """An orbit of isomorphic components of the support under the twisted
     Frobenius: the group contributes over the degree-d extension, twisted by
-    the return map."""
+    the return map.  Orbits sort as their field tuples."""
 
     family: str
     rank: int
@@ -288,8 +276,7 @@ def parahoric_volume(group, host, perm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParahoricClass:
+class ParahoricClass(NamedTuple):
     """Association class of maximal stable parahoric supports."""
 
     support: tuple            # least of the associates, sorted nodes
@@ -346,7 +333,7 @@ def _support_classes(group, form):
             raise InvariantError(
                 f"G-orbit of the support {pc.support} does not divide its "
                 f"adjoint orbit of {len(pc.associates)}")
-        yield classes, partial(replace, pc, stabilizer_G=stab_G,
+        yield classes, partial(pc._replace, stabilizer_G=stab_G,
                                g_prime=g_prime)
 
 
@@ -387,8 +374,7 @@ def _is_triangular(n):
     return _is_square(8 * n + 1)
 
 
-@dataclass(frozen=True)
-class CuspidalClass:
+class CuspidalClass(NamedTuple):
     """Equal-degree class of cuspidal unipotent representations of a finite
     reductive group: the class size is the packet-side count.  The torsion
     order of the matching parameter is the case table's (n_s)."""

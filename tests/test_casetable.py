@@ -8,7 +8,6 @@ stabilizer.
 """
 
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -298,7 +297,7 @@ class TestTableDump:
             elif row.pattern.startswith("oddorth."):
                 assert rule.cut_node is None and row.cut_node is not None
                 n_s = row.n_s if row.pattern == "oddorth.pair" else rule.n_s
-                assert row == replace(rule, n_s=n_s, cut_node=row.cut_node)
+                assert row == rule._replace(n_s=n_s, cut_node=row.cut_node)
             else:
                 assert row == rule, (G.type_string(), row)
         assert set(_CLASSICAL_RULES.values()) <= set(TABLE_ROWS)

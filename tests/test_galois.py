@@ -1,6 +1,5 @@
 """Dual-side tests: weight strings, exact local factors, parameters."""
 
-import dataclasses
 import json
 import math
 import random
@@ -15,7 +14,8 @@ from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              InvariantError, RatFunc, cyclotomic_poly,
                              euler_phi)
 from supercusp.galois import (WDLocalFactors, WeightString, _build_param,
-                              _orbit_product, centralizer_components,
+                              _galois_product, _orbit_product,
+                              _string_factors, _two_s, centralizer_components,
                               dual_affine_diagram, dual_type, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
                               local_factors, param_json)
@@ -37,6 +37,29 @@ def t(k):
 
 def rf(num, den=1):
     return RatFunc.from_fraction(Fraction(num, den))
+
+
+def L_at(fac, s):
+    """L(s) of the local factors fac, the inverse of the product of the
+    linear factors at the shift s, which must be a half integer."""
+    inv = _galois_product(_string_factors(fac.strings, _two_s(s)))
+    return CyclotomicProduct(1) / inv
+
+
+def string_dim(w):
+    """Dimension h + 1 of the weight string w."""
+    return w.h + 1
+
+
+def dual_string(w):
+    """The weight string with the inverse eigenvalue."""
+    return WeightString(w.order, -w.residue, w.h)
+
+
+def dual_factors(fac):
+    """Local factors of the dual multiset, the eigenvalues inverted."""
+    return local_factors(tuple(dual_string(w) for w in fac.strings),
+                         fac.ord_psi)
 
 
 def host_class_pairs(group, form):
@@ -109,7 +132,7 @@ class TestSymmetricSquareString:
         fac = self.factors()
         for s in (0, 1, 2, 3):
             expect = RF_ONE / (RF_ONE - t(-2 - 2 * s))
-            assert (fac.L_at(s).to_ratfunc() - expect).is_zero()
+            assert (L_at(fac, s).to_ratfunc() - expect).is_zero()
 
     def test_epsilon_from_cokernel_determinant(self):
         # det(-q^-s F | coker) = (-q^-s)(-q^-s q) = q^(1-2s)
@@ -122,8 +145,8 @@ class TestSymmetricSquareString:
         # shifts chosen away from the poles of L(s) and of the dual L(1 - s)
         fac = self.factors()
         for s in (0, 3, -2):
-            expect = (fac.eps_at(s) * fac.dual().L_at(1 - s)
-                      / fac.L_at(s)).to_ratfunc()
+            expect = (fac.eps_at(s) * L_at(dual_factors(fac), 1 - s)
+                      / L_at(fac, s)).to_ratfunc()
             assert (fac.gamma_at(s).to_ratfunc() - expect).is_zero()
 
     def test_gamma_pole_at_two(self):
@@ -169,7 +192,7 @@ class TestMultisetDiscipline:
     def test_integer_shift_required(self):
         fac = local_factors([WeightString(1, 0, 2)])
         with pytest.raises(ValueError):
-            fac.L_at(Fraction(1, 3))
+            L_at(fac, Fraction(1, 3))
 
     def test_l_additivity(self):
         rng = random.Random(11)
@@ -179,8 +202,8 @@ class TestMultisetDiscipline:
             fa, fb = local_factors(a), local_factors(b)
             fab = local_factors(tuple(a) + tuple(b))
             for s in (1, 2):
-                lhs = fab.L_at(s).to_ratfunc()
-                rhs = fa.L_at(s).to_ratfunc() * fb.L_at(s).to_ratfunc()
+                lhs = L_at(fab, s).to_ratfunc()
+                rhs = L_at(fa, s).to_ratfunc() * L_at(fb, s).to_ratfunc()
                 assert (lhs - rhs).is_zero()
 
 
@@ -225,9 +248,10 @@ class TestWeightStringValue:
         for m in range(1, 9):
             for k in range(m):
                 w = WeightString(m, k, 2)
-                assert Cyclo.root_of_unity(w.dual().order, w.dual().residue) \
+                d = dual_string(w)
+                assert Cyclo.root_of_unity(d.order, d.residue) \
                     == Cyclo.root_of_unity(m, k).conj()
-                assert w.dual().dual() == w
+                assert dual_string(d) == w
 
     def test_bad_order_or_weight_raises(self):
         for order, h in ((0, 0), (-2, 1), (3, -1), (1, -5)):
@@ -259,7 +283,7 @@ class TestGammaPairing:
             ws = _random_closed_multiset(rng, allow_trivial=False)
             fac = local_factors(ws)
             g0 = fac.gamma_at(0).to_ratfunc()
-            g0_dual = fac.dual().gamma_at(0).to_ratfunc()
+            g0_dual = dual_factors(fac).gamma_at(0).to_ratfunc()
             ga = fac.gamma_abs_at_0.to_ratfunc()
             assert (g0 * g0_dual - ga * ga).is_zero()
             assert (g0 - ga).is_zero() or (g0 + ga).is_zero()
@@ -410,9 +434,9 @@ class TestFactoredAgainstDense:
                     except ZeroDivisionError:
                         # a trivial eigenvalue with E = 0: L has a pole
                         with pytest.raises(ZeroDivisionError):
-                            fac.L_at(s)
+                            L_at(fac, s)
                         continue
-                    assert fac.L_at(s).to_ratfunc() == want
+                    assert L_at(fac, s).to_ratfunc() == want
 
     def test_gamma_at(self):
         rng = random.Random(31)
@@ -629,8 +653,7 @@ class TestEquivariance:
         assert perms
         i = next(i for i, r in enumerate(reports) if r.form_token != "1")
         broken = list(reports)
-        broken[i] = dataclasses.replace(reports[i],
-                                        fdeg=CyclotomicProduct(7))
+        broken[i] = reports[i]._replace(fdeg=CyclotomicProduct(7))
         for perm in perms:
             assert equivariance_check(g, reports, perm)["consistent"]
             res = equivariance_check(g, broken, perm)
@@ -645,7 +668,7 @@ class TestEquivariance:
         reports = full_report(f"{type_str}:adjoint:*")
         other = next(r for r in reports
                      if r.form_token != reports[0].form_token)
-        broken = [dataclasses.replace(reports[0], host=other.host),
+        broken = [reports[0]._replace(host=other.host),
                   *reports[1:]]
         for perm in _acting(g):
             assert equivariance_check(g, reports, perm)["consistent"]
@@ -794,7 +817,7 @@ class TestKacPoints:
                         assert p.kac_coordinates[p.v_node] == 1
                     if p.sl2_weights is not None:
                         seen_weighted += 1
-                        assert sum(w.dim() for w in p.sl2_weights) == \
+                        assert sum(string_dim(w) for w in p.sl2_weights) == \
                             dim_dual
                         local_factors(p.sl2_weights)
         assert seen_weighted > 80
@@ -844,7 +867,7 @@ class TestKacPoints:
             for r in kac_rows(g, form) if r[2].pattern == "unit.single")
         assert row.cut_node is None
         with pytest.raises(InvariantError, match="dual type 2A5"):
-            _build_param(g, cls, dataclasses.replace(row, cut_node=0))
+            _build_param(g, cls, row._replace(cut_node=0))
 
     def test_division_parameter(self):
         g = build_group("A2", "adjoint")
@@ -901,7 +924,7 @@ class TestKacPoints:
         # finite dual type, the odd orthogonal cut C_t(a-b) x C_t(a+b),
         # with t(m) = m(m+1)/2, and a row without a node leaves nothing
         def named(fam, rank):
-            # the names classify_component gives the small coincidences
+            # the names classified_components gives the small coincidences
             if rank == 1:
                 return ("A", 1)
             return {("C", 2): ("B", 2), ("D", 3): ("A", 3)}.get(
@@ -971,7 +994,7 @@ class TestExceptionalAnchors:
         assert len(rows) == 1
         row, p = rows[0]
         assert p.n_s == 3 and row.b_ad == 2
-        assert sum(w.dim() for w in p.sl2_weights) == 78
+        assert sum(string_dim(w) for w in p.sl2_weights) == 78
         assert p.central_order == 9
 
     def test_e6_triality_rows(self):
@@ -1023,7 +1046,7 @@ class TestExceptionalAnchors:
         assert by_ns[3][1].components == (("A", 2),)
         assert by_ns[3][0].b_ad == 2
         assert by_ns[2][1].components == (("A", 1), ("A", 1))
-        assert sum(w.dim() for w in by_ns[3][1].sl2_weights) == 14
+        assert sum(string_dim(w) for w in by_ns[3][1].sl2_weights) == 14
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1107,7 @@ class TestFormalDegreeIdentity:
             (p,) = kac_points(g, form)
             host, cls = host_class_pairs(g, form)[0]
             fd = formal_degree(g, form, host, cls)
-            p = dataclasses.replace(p, gamma_abs_0=CyclotomicProduct(1))
+            p = p._replace(gamma_abs_0=CyclotomicProduct(1))
             res = hii_check(fd, p, 1, n)
             assert res.status == "fails"
 
@@ -1096,7 +1119,6 @@ class TestFormalDegreeIdentity:
                 continue
             res = hii_check(None, p, 1, 1)
             assert res.status == "unverifiable"
-            assert not res.verifiable()
 
     def test_unknown_s_sharp_is_unverifiable(self):
         # a weighted row with a formal degree still needs |S#|

@@ -24,7 +24,6 @@ from supercusp.padic import (
     _is_triangular,
     _perm_orbits,
     classified_components,
-    classify_component,
     component_cuspidal_classes,
     component_orbits,
     cuspidal_data,
@@ -49,6 +48,16 @@ from test_rootdata import (TWISTED_SYSTEMS, _isogenies, _type_id,
 
 
 Q = RatFunc.q_power(1)
+
+
+def classify_component(cartan, nodes):
+    """(family, rank) of the connected subdiagram of a finite or affine
+    Dynkin diagram on the given nodes, by its bond profile; ValueError if
+    the set is disconnected or no Bourbaki diagram has that profile."""
+    comps = classified_components(cartan, nodes)
+    if len(comps) != 1:
+        raise ValueError(f"unclassifiable diagram on {nodes}")
+    return comps[0][1]
 
 
 def rows_for(spec, isogeny, token):
