@@ -286,7 +286,7 @@ def report_record(report):
         "member": report.member_index,
         "fdeg": report.fdeg.to_json() if report.fdeg is not None else None,
         "hii": report.hii_status,
-        "parameter": param_json(report.param, row.pattern),
+        "parameter": param_json(report.param, row, report.cls),
         # never computed; the column stays until the next schema version
         "tau_orbit": None,
     }

@@ -1,9 +1,9 @@
 """Unramified discrete parameters and exact local factors.
 
 A parameter is pinned by a torsion point of the dual group, realized as a
-single cut node of the dual affine diagram together with its label n_s.
-The case row is the only record of that node (CaseEntry.cut_node); a row
-without one gives a parameter without one.  The diagram depends on the
+single cut node of the dual affine diagram together with its label n_s,
+both recorded on the case row only (CaseEntry.cut_node and n_s); a row
+without a node gives a parameter without one.  The diagram depends on the
 group alone: dual_affine_diagram reads it off the dual type as one (marks,
 Cartan matrix) record, the untwisted one off the dual root system, the
 fused chains E6^(2) and D4^(3) from their lengths by rootdata.cartan_matrix,
@@ -12,12 +12,13 @@ against the row's explicit type string where it has one; the matching
 cuspidal support lives on a distinguished unipotent class there.  When that
 class is regular (every factor of linear type) the full decomposition of
 the adjoint representation into weight strings is computed exactly by
-root-space bookkeeping, and |gamma(0, Ad o phi, psi)| is computed from it
-once per weight multiset per process, below local_factors.  Otherwise both
-are left unavailable rather than guessed.  The parameter holds dual-side
-data only, the centralizer's components, printed type and central order
-among them: kac_rows hands out the support, class and case row it was read
-from beside it.
+root-space bookkeeping and rootdata.string_tops, and |gamma(0, Ad o phi,
+psi)| from it once per weight multiset per process, below local_factors.
+Otherwise both are left unavailable rather than guessed.  The parameter
+holds only what is computed here, from the dual type and the row: the Kac
+coordinates, the centralizer's components and central order, the weights
+and |gamma(0)|.  kac_rows hands out the support, class and row beside it,
+and param_json prints the node, n_s, shape name and class tag from those.
 
 Local factor conventions, fixed once for the whole package: a string of
 highest weight h with torsion eigenvalue alpha = zeta_m^k, held as the
@@ -50,7 +51,7 @@ from supercusp.casetable import rows_for_host
 from supercusp.exact import (CyclotomicProduct, Frozen, InvariantError,
                              euler_phi)
 from supercusp.padic import classified_components, supports_with_cuspidals
-from supercusp.rootdata import cartan_matrix, root_system
+from supercusp.rootdata import cartan_matrix, root_system, string_tops
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +261,6 @@ def centralizer_components(dual, v_node):
     return tuple(sorted(kind for _, kind in comps))
 
 
-def _shape_matches(geometric, comps):
-    """Do the computed components (canonical as classified_components names
-    them) match the recorded centralizer string?  A row whose node is fixed
-    by a rule records none; an explicit string, written with the same
-    names, compares as a multiset."""
-    return geometric is None or sorted(geometric.split("x")) == \
-        sorted(f"{fam}{rank}" for fam, rank in comps)
-
-
 # ---------------------------------------------------------------------------
 # root-space computation of the adjoint weight strings
 # ---------------------------------------------------------------------------
@@ -284,8 +276,8 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
     by its neutral element h, which the cut diagram gives in closed form:
     <alpha_i, h> = 2 on every affine simple root but the cut one, and at a
     cut node v > 0 the root alpha_0 = -theta then forces
-    <alpha_v, h> = 2 - 2 (sum of the marks) / n_s.  String counts fall out
-    of the graded multiplicities."""
+    <alpha_v, h> = 2 - 2 (sum of the marks) / n_s.  The strings are read
+    off the multiplicity of each (level mod n_s, weight) by string_tops."""
     rs = root_system(dual_family, dual_rank)
     n_s = rs.marks[v_node]
     grade = [2] * dual_rank
@@ -305,22 +297,9 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
                                  f"root {beta}")
         mult[key] = mult.get(key, 0) + 1
 
-    strings = []
-    for residue in range(n_s):
-        weights = sorted(w for r, w in mult if r == residue)
-        if not weights:
-            continue
-        top = weights[-1]
-        for k in range(-top, top + 1):
-            if mult.get((residue, k), 0) != mult.get((residue, -k), 0):
-                raise InvariantError("graded multiplicity asymmetry")
-        for w in range(top, -1, -1):
-            count = mult.get((residue, w), 0) - mult.get((residue, w + 2), 0)
-            if count < 0:
-                raise InvariantError("not a string decomposition")
-            strings.extend(
-                WeightString(n_s, residue, w)
-                for _ in range(count))
+    if any(mult.get((r, -w), 0) != m for (r, w), m in mult.items()):
+        raise InvariantError("graded multiplicity asymmetry")
+    strings = [WeightString(n_s, r, w) for r, w in string_tops(mult)]
     total = sum(w.h + 1 for w in strings)
     if total != 2 * rs.num_pos_roots + dual_rank:
         raise InvariantError(f"strings span dimension {total}, not the "
@@ -334,32 +313,26 @@ def inner_torsion_strings(dual_family, dual_rank, v_node):
 
 
 class UnramifiedParam(NamedTuple):
-    """A discrete unramified parameter, pinned by its cut node when its case
-    row records one.  Where the adjoint weight strings are known it
-    carries them with |gamma(0, Ad o phi, psi)| at ord psi = -1; the case
-    row it was read from travels beside it (kac_rows)."""
+    """A discrete unramified parameter, with its adjoint weight strings and
+    |gamma(0, Ad o phi, psi)| at ord psi = -1 where they are known.  The
+    support, class and case row it was read from travel beside it
+    (kac_rows), and the row holds its cut node and n_s."""
 
-    v_node: int | None
     kac_coordinates: tuple | None
-    n_s: int
     # the torsion centralizer: ((family, rank), ...) left by cutting the
-    # case row's node, its printed type (the row's shape name when the row
-    # records no node, and components is None) and its central order
+    # case row's node (None when the row records none) and its central order
     components: tuple | None
-    centralizer: str
     central_order: int | None
-    unipotent_class_tag: str
     sl2_weights: tuple | None
     gamma_abs_0: CyclotomicProduct | None
 
 
-def _build_param(group, cls, row):
+def _build_param(group, row):
     dual = dual_type(group)
     fam_d, rank_d, twist_d = dual
     v_node = row.cut_node
 
-    kac = comps = central_order = None
-    centralizer = row.geometric or "unrecorded"
+    kac = comps = central_order = weights = gamma = None
     if v_node is not None:
         marks = dual_affine_diagram(dual)[0]
         if marks[v_node] != row.n_s:
@@ -368,26 +341,23 @@ def _build_param(group, cls, row):
                 f" vs recorded {row.n_s}")
         kac = tuple(int(i == v_node) for i in range(len(marks)))
         comps = centralizer_components(dual, v_node)
-        if not _shape_matches(row.geometric, comps):
+        # a shape name, in classified_components' names, lists the factors
+        names = sorted(f"{fam}{rank}" for fam, rank in comps)
+        if row.geometric is not None and \
+                sorted(row.geometric.split("x")) != names:
             raise InvariantError(
                 f"centralizer mismatch: cut {v_node} of {fam_d}{rank_d} "
                 f"gives {comps}, table says {row.geometric!r}")
-        centralizer = "x".join(f"{f}{r}" for f, r in comps)
         # |Z(G^vee_sc)| is the order of the dual adjoint fundamental group
         central_order = row.n_s * root_system(fam_d, rank_d).omega.order()
-
-    computable = twist_d == 1 and comps is not None and \
-        all(fam == "A" for fam, _ in comps)
-    tag = "regular" if computable else f"cuspidal:{cls.class_id}"
-    weights = gamma = None
-    if computable:
-        weights = inner_torsion_strings(fam_d, rank_d, v_node)
-        gamma = local_factors(weights, ord_psi=-1).gamma_abs_at_0
+        # the regular class of an all-linear centralizer (untwisted dual)
+        if twist_d == 1 and all(fam == "A" for fam, _ in comps):
+            weights = inner_torsion_strings(fam_d, rank_d, v_node)
+            gamma = local_factors(weights, ord_psi=-1).gamma_abs_at_0
 
     return UnramifiedParam(
-        v_node=v_node, kac_coordinates=kac, n_s=row.n_s, components=comps,
-        centralizer=centralizer, central_order=central_order,
-        unipotent_class_tag=tag, sl2_weights=weights, gamma_abs_0=gamma)
+        kac_coordinates=kac, components=comps, central_order=central_order,
+        sl2_weights=weights, gamma_abs_0=gamma)
 
 
 def kac_rows(group, form):
@@ -398,7 +368,7 @@ def kac_rows(group, form):
     for host, classes in supports_with_cuspidals(group, form):
         rows = rows_for_host(group, host, classes)
         for cls, row in zip(classes, rows):
-            out.append((host, cls, row, _build_param(group, cls, row)))
+            out.append((host, cls, row, _build_param(group, row)))
     return out
 
 
@@ -437,22 +407,23 @@ def hii_check(fdeg, param, rho_dim, s_sharp):
 # ---------------------------------------------------------------------------
 
 
-def param_json(param, pattern):
-    """JSON-ready record of one parameter, read from the case row of the
-    given pattern, and its gamma data."""
-    rec = {
-        "node": param.v_node,
+def param_json(param, row, cls):
+    """JSON-ready record of one parameter with its gamma data, and the node,
+    n_s and pattern of its case row.  The centralizer is printed from the
+    components, else the row's shape name; the class tag is regular where
+    the weights are known, else the cuspidal class cls."""
+    comps, weights = param.components, param.sl2_weights
+    known = weights is not None
+    return {
+        "node": row.cut_node,
         "kac": list(param.kac_coordinates) if param.kac_coordinates else None,
-        "n_s": param.n_s,
-        "centralizer": param.centralizer,
+        "n_s": row.n_s,
+        "centralizer": (row.geometric or "unrecorded") if comps is None
+        else "x".join(f"{fam}{rank}" for fam, rank in comps),
         "central_order": param.central_order,
-        "pattern": pattern,
-        "class_tag": param.unipotent_class_tag,
-        "weights": None,
-        "gamma_abs_0": None,
+        "pattern": row.pattern,
+        "class_tag": "regular" if known else f"cuspidal:{cls.class_id}",
+        "weights": [[w.order, w.residue, w.h] for w in weights] if known
+        else None,
+        "gamma_abs_0": param.gamma_abs_0.to_json() if known else None,
     }
-    if param.sl2_weights is not None:
-        rec["weights"] = [[w.order, w.residue, w.h]
-                          for w in param.sl2_weights]
-        rec["gamma_abs_0"] = param.gamma_abs_0.to_json()
-    return rec

@@ -66,12 +66,12 @@ from supercusp.rootdata import (SimpleGroup, bond_neighbours, dynkin_diagram,
 
 class InnerForm(NamedTuple):
     """One twisting class of the adjoint group, named by a stable token,
-    with its twisted Frobenius on the affine diagram."""
+    "1" for the quasi-split one, with its twisted Frobenius on the affine
+    diagram."""
 
     token: str
     rep: tuple
     cls: tuple  # sorted members of the coinvariant class
-    quasi_split: bool
     # F_omega: node i goes to frobenius[i], the action of rep after theta
     frobenius: tuple
 
@@ -99,7 +99,7 @@ def _inner_forms(rs, twist_order):
     for wi, (not_qs, members, rep) in enumerate(keyed):
         act = rs.omega_action[rep]
         out.append(InnerForm(f"w{wi}" if not_qs else "1", rep, members,
-                             not not_qs, tuple(act[t] for t in group.theta)))
+                             tuple(act[t] for t in group.theta)))
     return tuple(out)
 
 

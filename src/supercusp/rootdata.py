@@ -8,9 +8,10 @@ dominant one, and the affine diagram adds the row of -theta, with theta's
 coefficients as its marks; the number of positive roots is rank * h / 2, h
 being the sum of the marks.  The roots themselves are built height by
 height from alpha_i-strings on first read (RootSystem.roots), for the
-adjoint weight strings and for RootSystem.twisted_degrees, which reads the
-Weyl degrees, with a diagram automorphism's eigenvalues on them, off the
-number of roots at each height.  Omega = P_cowt/Q_corootlat is presented
+adjoint weight strings and for RootSystem.twisted_degrees, the Weyl
+degrees with a diagram automorphism's eigenvalues on them.  Both are sl2
+decompositions, read off graded multiplicities by string_tops, the one
+place that counts strings.  Omega = P_cowt/Q_corootlat is presented
 once, by the Smith form of the Cartan matrix, which also labels the special
 nodes (coweight_class); after that every subgroup of Omega is an element
 set, and RootSystem.quotient_invariants reads a subquotient from its order
@@ -104,6 +105,24 @@ def cartan_matrix(bonds, lengths):
                  for i in nbrs)
 
 
+def string_tops(graded):
+    """One (label, w) per irreducible sl2-string of top weight w, from the
+    multiplicity graded[label, weight] of each weight space: a string of
+    top w meets the weights w, w - 2, ..., -w once each, so m(w) - m(w + 2)
+    strings of a label top out at w >= 0.  InvariantError where that is
+    negative: the weight spaces of the label are not nested."""
+    top = max((w for _, w in graded), default=-1)
+    out = []
+    for label in dict.fromkeys(label for label, _ in graded):
+        for w in range(top, -1, -1):
+            count = graded.get((label, w), 0) - graded.get((label, w + 2), 0)
+            if count < 0:
+                raise InvariantError(f"weight {w + 2} of label {label} is "
+                                     f"not nested in weight {w}")
+            out += [(label, w)] * count
+    return out
+
+
 # ---------------------------------------------------------------------------
 # RootSystem: one simple factor
 # ---------------------------------------------------------------------------
@@ -189,13 +208,13 @@ class RootSystem:
         """(d, o), sorted, per Galois orbit of eigenvalues of order o of
         perm, one of diagram_autos (InvariantError otherwise), on the basic
         invariants of degree d; the Weyl degrees with o = 1 for perm = 1.
-        The principal sl2's lowering operator commutes with perm and maps
-        height k + 1 into height k injectively, so the degree k + 1
-        invariants carry perm's eigenvalues on the root spaces of height k
-        less those of height k + 1 (Kostant, Amer. J. Math. 81, 1959).  perm
-        permutes the root spaces, an L-cycle carrying the L-th roots of
-        unity, but -1 on a fixed root if a node is bonded to its image, as
-        on A_2n (Kac, Infinite dimensional Lie algebras, Ch. 7-8)."""
+        The principal sl2 commutes with perm and gives height k the weight
+        2k, so each string of top 2k, labelled by its eigenvalue order
+        (string_tops), gives a basic invariant of degree k + 1 with that
+        eigenvalue (Kostant, Amer. J. Math. 81, 1959).  perm permutes the
+        root spaces, an L-cycle carrying the L-th roots of unity, but -1 on
+        a fixed root if a node is bonded to its image, as on A_2n (Kac,
+        Infinite dimensional Lie algebras, Ch. 7-8)."""
         if perm not in self.diagram_autos:
             raise InvariantError(f"{perm} is no automorphism of the diagram "
                                  f"of {self.family}{self.rank}")
@@ -203,21 +222,16 @@ class RootSystem:
         source = sorted(range(self.rank), key=lambda i: perm[i + 1])
         flip = any(self.cartan[i][perm[i + 1] - 1] < 0
                    for i in range(self.rank))
-        height = {}
+        graded = Counter()
         for cycle in orbits((b for b in self.roots if sum(b) > 0),
                             lambda b: (tuple(b[i] for i in source),)):
-            L = len(cycle)
-            height.setdefault(sum(cycle[0]), Counter()).update(
-                [2] if flip and L == 1 else
-                [o for o in range(1, L + 1) if L % o == 0])
-        out = []
-        for k, here in sorted(height.items()):
-            above = height.get(k + 1, Counter())
-            if above - here:
-                raise InvariantError(f"height {k + 1} of {self.family}"
-                                     f"{self.rank} is not nested in {k}")
-            out += sorted((k + 1, o) for o in (here - above).elements())
-        return tuple(out)
+            L, w = len(cycle), 2 * sum(cycle[0])
+            graded.update([(2, w)] if flip and L == 1 else
+                          [(o, w) for o in range(1, L + 1) if L % o == 0])
+        # the Cartan subalgebra, weight 0, carries the eigenvalues on the
+        # simple roots: no flip fixes one
+        graded.update({(o, 0): m for (o, w), m in graded.items() if w == 2})
+        return tuple(sorted((w // 2 + 1, o) for o, w in string_tops(graded)))
 
     def _affine_cartan(self, theta_pairing):
         """Cartan matrix of the affine diagram, node 0 being the gradient

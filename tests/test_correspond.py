@@ -17,17 +17,20 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from supercusp import rootdata
 from supercusp.casetable import resolve_named_subgroup
 from supercusp.correspond import (CSV_COLUMNS, CorrespondenceError,
                                   PacketInvariants, compute_invariants,
-                                  full_report, reports_csv, reports_json)
+                                  full_report, reports_csv, reports_for_form,
+                                  reports_json)
 from supercusp.galois import kac_rows
 from supercusp.padic import enumerate_inner_forms, parahoric_classes
-from supercusp.rootdata import (MAX_RANK, SimpleGroup, isogeny_tokens,
-                                parse_type)
+from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
+                                isogeny_tokens, parse_type)
 
 from test_casetable import PHI, catalogue
 from test_rootdata import _isogenies
@@ -261,3 +264,116 @@ class TestEveryForm:
         specs = every_form_spec()
         assert len(specs) == len(set(specs)) == 1537
         assert _FINDING_SPECS <= set(specs)
+
+
+# ---------------------------------------------------------------------------
+# low-rank isomorphisms: one group under two names
+# ---------------------------------------------------------------------------
+
+
+def _allow_2d3(monkeypatch):
+    """Let 2D3, which the grammar refuses in favour of 2A3, be built: its
+    standard Frobenius swaps nodes 2 and 3, as n - 1 <-> n on every D_n.
+    Every other type keeps its own."""
+    real = rootdata.standard_frobenius_perm
+
+    def standard_frobenius_perm(family, rank, order):
+        if (family, rank, order) == ("D", 3, 2):
+            return (0, 1, 3, 2)
+        return real(family, rank, order)
+
+    monkeypatch.setattr(rootdata, "standard_frobenius_perm",
+                        standard_frobenius_perm)
+
+
+def _node_map(x, y):
+    """A bijection of the affine nodes of the groups x and y, node 0 to
+    node 0, carrying x's affine Cartan matrix onto y's and x's Frobenius
+    onto y's."""
+    A, B = x.rs.affine_cartan, y.rs.affine_cartan
+    n = len(A)
+    for rest in permutations(range(1, n)):
+        phi = (0, *rest)
+        if all(B[phi[i]][phi[j]] == A[i][j] for i in range(n)
+               for j in range(n)) and \
+                all(phi[x.theta[i]] == y.theta[phi[i]] for i in range(n)):
+            return phi
+    raise AssertionError(f"{x.type_string()} is not {y.type_string()}")
+
+
+def _omega_map(x, y, phi):
+    """x's Omega_ad onto y's through the node map: an element is named by
+    the special node that it moves node 0 to."""
+    label = {act[0]: e for e, act in y.rs.omega_action.items()}
+    return {e: label[phi[act[0]]] for e, act in x.rs.omega_action.items()}
+
+
+def _lines(group, form_name, node_name):
+    """(form, support, n_s, invariants, fdeg, hii) per report line of every
+    inner form, the form and the support's nodes renamed, sorted."""
+    return sorted(((form_name(f), tuple(sorted(map(node_name,
+                                                   r.host.support))),
+                    r.row.n_s, r.invariants, r.fdeg, r.hii_status)
+                   for f in enumerate_inner_forms(group)
+                   for r in reports_for_form(group, f)), key=repr)
+
+
+# (type, isogeny) under both names, on every Frobenius-stable isogeny
+_ISOMORPHIC = [
+    ("B2", "sc", "C2", "sc"), ("B2", "adjoint", "C2", "adjoint"),
+    ("A3", "sc", "D3", "sc"), ("A3", "d2", "D3", "so"),
+    ("A3", "adjoint", "D3", "adjoint"),
+    ("2A3", "sc", "2D3", "sc"), ("2A3", "d2", "2D3", "so"),
+    ("2A3", "adjoint", "2D3", "adjoint")]
+
+# the pairs that differ: each is a known finding, kept visible
+_SYMP_PAIR_FINDING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the C2 symp.pair row records no cut node, so its line is "
+           "unverifiable where the B2 oddorth.s0 line holds")
+_TWISTORTH_RANK3 = pytest.mark.xfail(
+    strict=True, raises=CorrespondenceError,
+    reason="twistorth.pair on the 2D3 w1 support 2A2xT1, as on 2D15 w1: "
+           "its eta is not in that support's stabilizer, where 2A3 gives "
+           "one unit.single line")
+
+
+class TestLowRankIsomorphisms:
+    """B2 = C2, A3 = D3 and 2A3 = 2D3: one group under two names must give
+    the same report lines through the node map of the isomorphism.  The
+    names go through different classifier branches and case rows, so this
+    oracle is independent of both."""
+
+    @pytest.mark.parametrize("x_type, x_iso, y_type, y_iso", [
+        pytest.param(*pair, marks={"B2": _SYMP_PAIR_FINDING,
+                                   "2A3": _TWISTORTH_RANK3}.get(pair[0], ()),
+                     id="{}:{}={}:{}".format(*pair))
+        for pair in _ISOMORPHIC])
+    def test_both_names_give_the_same_lines(self, x_type, x_iso, y_type,
+                                            y_iso, monkeypatch):
+        _allow_2d3(monkeypatch)
+        x, y = build_group(x_type, x_iso), build_group(y_type, y_iso)
+        phi = _node_map(x, y)
+        omap = _omega_map(x, y, phi)
+        assert {omap[e] for e in x.omega_G} == y.omega_G
+        y_forms = enumerate_inner_forms(y)
+
+        def y_token(form):
+            (image,) = [f for f in y_forms if omap[form.rep] in f.cls]
+            return image.token
+
+        got = _lines(x, y_token, phi.__getitem__)
+        want = _lines(y, lambda f: f.token, lambda n: n)
+        assert got  # every pair has a line to compare
+        if got != want:
+            raise AssertionError(f"{x.spec_string('*')} and "
+                                 f"{y.spec_string('*')} differ:\n{got}\n"
+                                 f"{want}")
+
+    def test_every_isogeny_is_paired(self, monkeypatch):
+        _allow_2d3(monkeypatch)
+        for side in (0, 2):
+            for type_str in dict.fromkeys(p[side] for p in _ISOMORPHIC):
+                isos = [g.isogeny for g in _isogenies(*parse_type(type_str))]
+                assert isos == [p[side + 1] for p in _ISOMORPHIC
+                                if p[side] == type_str], type_str

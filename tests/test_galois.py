@@ -21,10 +21,11 @@ from supercusp.galois import (WDLocalFactors, WeightString, _build_param,
                               local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
-from supercusp.rootdata import (build_group, isogeny_tokens, parse_type,
-                                root_system)
+from supercusp.rootdata import (MAX_RANK, build_group, isogeny_tokens,
+                                parse_type, root_system)
 from test_casetable import catalogue
-from test_rootdata import CATALOGUE_SYSTEMS, _isogenies
+from test_rootdata import (CATALOGUE_SYSTEMS, _isogenies, _systems,
+                           _type_id)
 
 
 def q(k):
@@ -797,6 +798,19 @@ class TestInnerTorsionStrings:
                                 ("E", 8, 5), ("E", 7, 4), ("A", 6, 0)):
             local_factors(inner_torsion_strings(fam, rank, node))
 
+    @pytest.mark.parametrize("key", _systems(MAX_RANK),
+                             ids="{0[0]}{0[1]}".format)
+    def test_the_principal_cut_gives_the_weyl_degrees(self, key):
+        # Kostant: at node 0 the torsion point is trivial and h is the
+        # principal grading, so the adjoint representation is one string
+        # of top 2(d - 1) per Weyl degree d, which twisted_degrees reads
+        # off the root heights at the identity
+        rs = root_system(*key)
+        degrees = rs.twisted_degrees(tuple(range(rs.rank + 1)))
+        assert {o for _, o in degrees} == {1}
+        assert list(inner_torsion_strings(*key, 0)) == \
+            [WeightString(1, 0, 2 * (d - 1)) for d, _ in degrees]
+
 
 # ---------------------------------------------------------------------------
 # parameters over the catalogue
@@ -811,10 +825,10 @@ class TestKacPoints:
             dim_dual = 2 * root_system(fam_d, rank_d).num_pos_roots + rank_d
             for form in enumerate_inner_forms(g):
                 for _, cls, row, p in kac_rows(g, form):
-                    assert cls.size == euler_phi(p.n_s)
+                    assert cls.size == euler_phi(row.n_s)
                     if p.kac_coordinates is not None:
                         assert sum(p.kac_coordinates) == 1
-                        assert p.kac_coordinates[p.v_node] == 1
+                        assert p.kac_coordinates[row.cut_node] == 1
                     if p.sl2_weights is not None:
                         seen_weighted += 1
                         assert sum(string_dim(w) for w in p.sl2_weights) == \
@@ -836,7 +850,19 @@ class TestKacPoints:
                         g, host, classes))]
                 assert [r[:3] for r in rows] == expected
                 for host, cls, row, p in rows:
-                    assert p.n_s == row.n_s
+                    assert p == _build_param(g, row)
+
+    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    def test_parameters_do_not_depend_on_the_isogeny(self, key):
+        # a parameter reads its group only through the dual type, the same
+        # for every isogeny: each inner form has the same case rows, row by
+        # row, on every isogeny, and each row the same parameter
+        groups = list(_isogenies(*key))
+        for form in enumerate_inner_forms(groups[0]):
+            want = [(row, p) for *_, row, p in kac_rows(groups[0], form)]
+            for g in groups[1:]:
+                assert [(row, p) for *_, row, p in kac_rows(g, form)] == \
+                    want, g.spec_string(form.token)
 
     def test_fused_chain_cuts(self):
         # every cut of the twisted affine diagrams E6^(2) and D4^(3), read
@@ -867,19 +893,19 @@ class TestKacPoints:
             for r in kac_rows(g, form) if r[2].pattern == "unit.single")
         assert row.cut_node is None
         with pytest.raises(InvariantError, match="dual type 2A5"):
-            _build_param(g, cls, row._replace(cut_node=0))
+            _build_param(g, row._replace(cut_node=0))
 
     def test_division_parameter(self):
         g = build_group("A2", "adjoint")
         seen = 0
         for form in enumerate_inner_forms(g):
-            if form.quasi_split:
+            if form.token == "1":
                 continue
             rows = kac_rows(g, form)
             assert len(rows) == 1
             host, cls, row, p = rows[0]
             assert row.pattern == "lin.anisotropic"
-            assert p.v_node == 0 and p.n_s == 1
+            assert row.cut_node == 0 and row.n_s == 1
             assert p.kac_coordinates == (1, 0, 0)
             assert sorted(w.h for w in p.sl2_weights) == [2, 4]
             fd = formal_degree(g, form, host, cls)
@@ -894,7 +920,7 @@ class TestKacPoints:
     def test_rank_one_steinberg_parameter(self):
         g = build_group("A1", "adjoint")
         for form in enumerate_inner_forms(g):
-            if form.quasi_split:
+            if form.token == "1":
                 continue
             (p,) = kac_points(g, form)
             assert [(w.order, w.residue, w.h) for w in p.sl2_weights] == \
@@ -912,8 +938,8 @@ class TestKacPoints:
             g = build_group(f"{fam}{rank}", "adjoint")
             got = []
             for form in enumerate_inner_forms(g):
-                for p in kac_points(g, form):
-                    got.append((p.v_node, p.n_s,
+                for *_, row, p in kac_rows(g, form):
+                    got.append((row.cut_node, row.n_s,
                                 tuple(sorted(p.components))))
             for row in rows:
                 assert row in got, f"missing cut {row} among {got}"
@@ -946,17 +972,17 @@ class TestKacPoints:
                         if row.cut_node is None:
                             assert (row.pattern, row.n_s) == \
                                 ("E6.triality", 2)
-                            assert p.v_node is None
+                            assert row.cut_node is None
                             assert p.components is None
                         elif row.pattern.startswith("oddorth."):
                             a, b = odd_orthogonal_blocks(host)
                             ranks = ((a - b) * (a - b + 1) // 2,
                                      (a + b) * (a + b + 1) // 2)
-                            assert p.v_node == ranks[0]
+                            assert row.cut_node == ranks[0]
                             assert p.components == tuple(
                                 sorted(named("C", k) for k in ranks if k))
                         else:
-                            assert p.v_node == 0 and p.n_s == 1
+                            assert row.cut_node == 0 and row.n_s == 1
                             assert p.components == \
                                 (named(fam_d, rank_d),), (g.type_string(),
                                                           row.pattern)
@@ -970,7 +996,7 @@ class TestKacPoints:
         for form in enumerate_inner_forms(g):
             for *_, row, p in kac_rows(g, form):
                 if row.pattern == "symp.equal":
-                    assert p.v_node == 0 and p.n_s == 1
+                    assert row.cut_node == 0 and row.n_s == 1
                     assert p.components == (("B", 4),)
                     assert p.sl2_weights is None
                     seen = True
@@ -984,7 +1010,7 @@ def pattern_rows(g, pattern, forms):
 
 
 def quasi_split(g):
-    return [f for f in enumerate_inner_forms(g) if f.quasi_split][:1]
+    return [f for f in enumerate_inner_forms(g) if f.token == "1"][:1]
 
 
 class TestExceptionalAnchors:
@@ -993,7 +1019,7 @@ class TestExceptionalAnchors:
         rows = pattern_rows(g, "exc.E6", quasi_split(g))
         assert len(rows) == 1
         row, p = rows[0]
-        assert p.n_s == 3 and row.b_ad == 2
+        assert row.n_s == 3 and row.b_ad == 2
         assert sum(string_dim(w) for w in p.sl2_weights) == 78
         assert p.central_order == 9
 
@@ -1001,29 +1027,31 @@ class TestExceptionalAnchors:
         g = build_group("E6", "adjoint")
         rows = pattern_rows(g, "E6.triality", enumerate_inner_forms(g))
         # both order-3 inner forms host the same pair of rows
-        assert sorted(p.n_s for _, p in rows) == [1, 1, 2, 2]
-        for _, p in rows:
-            if p.n_s == 2:
-                assert p.v_node is None
+        assert sorted(row.n_s for row, _ in rows) == [1, 1, 2, 2]
+        for row, p in rows:
+            if row.n_s == 2:
+                assert row.cut_node is None
             else:
-                assert p.v_node == 0
+                assert row.cut_node == 0
                 assert p.components == (("E", 6),)
             assert p.sl2_weights is None and p.gamma_abs_0 is None
 
     def test_e7_fused_rows_found_by_search(self):
         g = build_group("E7", "adjoint")
-        rows = [p for _, p in pattern_rows(g, "E7.fusedE6",
-                                           enumerate_inner_forms(g))]
-        assert sorted(p.n_s for p in rows) == [2, 3]
-        types = {p.n_s: p.centralizer for p in rows}
+        rows = [(cls, row, p) for form in enumerate_inner_forms(g)
+                for _, cls, row, p in kac_rows(g, form)
+                if row.pattern == "E7.fusedE6"]
+        assert sorted(row.n_s for _, row, _ in rows) == [2, 3]
+        types = {row.n_s: param_json(p, row, cls)["centralizer"]
+                 for cls, row, p in rows}
         assert sorted(types[2].split("x")) == ["A1", "D6"]
         assert sorted(types[3].split("x")) == ["A2", "A5"]
-        for p in rows:
-            assert p.v_node is not None
+        for _, row, _ in rows:
+            assert row.cut_node is not None
 
     def test_quasi_split_2e6_rows(self):
         g = build_group("2E6", "adjoint")
-        by_ns = {p.n_s: (row, p)
+        by_ns = {row.n_s: (row, p)
                  for row, p in pattern_rows(g, "exc.2E6", quasi_split(g))}
         assert set(by_ns) == {1, 3}
         assert by_ns[1][1].components == (("F", 4),)
@@ -1033,15 +1061,15 @@ class TestExceptionalAnchors:
 
     def test_triality_d4_rows(self):
         g = build_group("3D4", "adjoint")
-        by_ns = {p.n_s: p
-                 for _, p in pattern_rows(g, "exc.3D4", quasi_split(g))}
+        by_ns = {row.n_s: p
+                 for row, p in pattern_rows(g, "exc.3D4", quasi_split(g))}
         assert by_ns[1].components == (("G", 2),)
         assert by_ns[2].components == (("A", 1), ("A", 1))
 
     def test_g2_rows(self):
         g = build_group("G2", "adjoint")
         (form,) = enumerate_inner_forms(g)
-        by_ns = {p.n_s: (row, p) for *_, row, p in kac_rows(g, form)}
+        by_ns = {row.n_s: (row, p) for *_, row, p in kac_rows(g, form)}
         assert set(by_ns) == {1, 2, 3}
         assert by_ns[3][1].components == (("A", 2),)
         assert by_ns[3][0].b_ad == 2
@@ -1088,7 +1116,7 @@ class TestFormalDegreeIdentity:
         # the rank two odd orthogonal group: component group (Z/2)^2,
         # formal degree q^2 / (2 (q+1)^2 (q^2+1))
         g = build_group("B2", "adjoint")
-        (form,) = [f for f in enumerate_inner_forms(g) if f.quasi_split]
+        (form,) = [f for f in enumerate_inner_forms(g) if f.token == "1"]
         (p,) = kac_points(g, form)
         host, cls = host_class_pairs(g, form)[0]
         fd = formal_degree(g, form, host, cls)
@@ -1164,12 +1192,13 @@ class TestFormalDegreeIdentity:
 class TestParamJson:
     def test_weighted_record(self):
         g = build_group("A3", "adjoint")
-        form = [f for f in enumerate_inner_forms(g) if not f.quasi_split][0]
-        ((*_, row, p),) = kac_rows(g, form)
-        rec = param_json(p, row.pattern)
+        form = [f for f in enumerate_inner_forms(g) if f.token != "1"][0]
+        ((_, cls, row, p),) = kac_rows(g, form)
+        rec = param_json(p, row, cls)
         assert rec["pattern"] == "lin.anisotropic"
         assert rec["node"] == 0 and rec["n_s"] == 1
         assert rec["kac"] == [1, 0, 0, 0]
+        assert (rec["centralizer"], rec["class_tag"]) == ("A3", "regular")
         assert rec["weights"] == [[1, 0, 2], [1, 0, 4], [1, 0, 6]]
         assert rec["gamma_abs_0"] == \
             local_factors(p.sl2_weights, -1).gamma_abs_at_0.to_ratfunc() \
@@ -1177,9 +1206,14 @@ class TestParamJson:
 
     def test_unweighted_record(self):
         g = build_group("E6", "adjoint")
-        rows = [p for _, p in pattern_rows(g, "E6.triality",
-                                           enumerate_inner_forms(g))
-                if p.n_s == 2]
-        rec = param_json(rows[0], "E6.triality")
+        rows = [(cls, row, p) for form in enumerate_inner_forms(g)
+                for _, cls, row, p in kac_rows(g, form)
+                if row.pattern == "E6.triality" and row.n_s == 2]
+        cls, row, p = rows[0]
+        rec = param_json(p, row, cls)
         assert rec["weights"] is None and rec["gamma_abs_0"] is None
         assert rec["node"] is None
+        # neither a node nor a shape name: the centralizer is unrecorded,
+        # and the class is the cuspidal one
+        assert rec["centralizer"] == "unrecorded"
+        assert rec["class_tag"] == f"cuspidal:{cls.class_id}"

@@ -71,12 +71,12 @@ class TestInnerForms:
         g = build_group("A1", "adjoint")
         forms = enumerate_inner_forms(g)
         assert [f.token for f in forms] == ["1", "w1"]
-        assert forms[0].quasi_split and not forms[1].quasi_split
+        assert forms[0].token == "1" and forms[1].token != "1"
 
     def test_an_token(self):
         g = build_group("A3", "adjoint")
         an = inner_forms_by_token(g, "an")[0]
-        assert not an.quasi_split
+        assert an.token != "1"
         # rotation by one: a single affine orbit, so no proper stable support
         assert maximal_supports(an.frobenius) == [()]
 

@@ -29,6 +29,7 @@ from supercusp.rootdata import (
     parse_type,
     root_system,
     standard_frobenius_perm,
+    string_tops,
 )
 from test_casetable import catalogue
 from test_exact import det_adjugate, integer_inverse, mat_mul
@@ -270,6 +271,35 @@ class TestTwistedDegrees:
         vars(rs)["roots"] = {(1, 0), (1, 1), (2, 1), (1, 2)}
         with pytest.raises(InvariantError, match="not nested"):
             rs.twisted_degrees((0, 1, 2))
+
+
+class TestStringTops:
+    """string_tops, the one sl2-string decomposition behind
+    twisted_degrees and the adjoint weight strings."""
+
+    def test_a_nested_module(self):
+        # label "x": the adjoint sl2 (top 2) and a trivial string; label
+        # "y": a string of top 3 and one of top 1; label 5: weight 4 only
+        # on the positive side, one string of top 4
+        graded = {("x", 2): 1, ("x", 0): 2, ("x", -2): 1,
+                  ("y", 3): 1, ("y", 1): 2, ("y", -1): 2, ("y", -3): 1,
+                  (5, 4): 1, (5, 2): 1, (5, 0): 1}
+        assert sorted(string_tops(graded), key=repr) == sorted(
+            [("x", 2), ("x", 0), ("y", 3), ("y", 1), (5, 4)], key=repr)
+
+    def test_the_empty_module_has_no_strings(self):
+        assert string_tops({}) == []
+
+    @pytest.mark.parametrize("graded", [
+        # two vectors of weight 2 over one of weight 0
+        {(1, 2): 2, (1, 0): 1},
+        # weight 4 with nothing at weight 2 below it
+        {(0, 4): 1, (0, 0): 1},
+        # one label nested, the other not
+        {(0, 2): 1, (0, 0): 1, (1, 3): 1}])
+    def test_a_module_that_is_not_nested_raises(self, graded):
+        with pytest.raises(InvariantError, match="not nested"):
+            string_tops(graded)
 
 
 class TestRootSystem:
