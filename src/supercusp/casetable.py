@@ -14,8 +14,12 @@ recorded; rules without a cut node record a shape name instead.
 
 Exceptional hosts are explicit per-class rows keyed by the group type and
 the finite quotient of the support; classical families are parametric
-rules keyed by the component structure.  Anything else raises
-CaseTableError ("not in table").
+rules keyed by the component structure: a classical support is read once,
+as unitary arcs (family A components of twist 2 over the ground field) and
+orthogonal or symplectic blocks (B, C, D), and the rule is picked from the
+arcs, the blocks and the blocks' orbit sizes.  A support outside every rule
+raises CaseTableError ("no case rule for <type> support <support>"), as do
+odd orthogonal blocks whose ranks are not a square and a pronic number.
 """
 
 from __future__ import annotations
@@ -105,32 +109,25 @@ _EXCEPTIONAL_ROWS = {
 # one entry per classical pattern; the classifier below picks among them.
 # A rule with a fixed cut node records no shape: n_s = 1 means the central
 # point, node 0; the odd orthogonal rules take theirs from the block ranks
-_CENTRAL = {"cut_node": 0}
 _CLASSICAL_RULES = {e.pattern: e for e in (
-    CaseEntry("lin.anisotropic", "§4", 1, 1, "full", **_CENTRAL),
+    CaseEntry("lin.anisotropic", "§4", 1, 1, "full", cut_node=0),
     CaseEntry("unit.single", "§5", 1, 1, "1", "Sp"),
     CaseEntry("unit.pair", "§5", 2, 1, "1", "SpxSO"),
     CaseEntry("unit.equal", "§5", 2, 1, "omega_theta", "Sp-pair"),
     CaseEntry("oddorth.s0", "§6", 2, 1, "1"),
     CaseEntry("oddorth.pair", "§6", 2, 1, "full"),
     CaseEntry("symp.pair", "§7", 2, 1, "1", "DxB"),
-    CaseEntry("symp.equal", "§7", 1, 1, "full", **_CENTRAL),
+    CaseEntry("symp.equal", "§7", 1, 1, "full", cut_node=0),
     CaseEntry("symp.mixed", "§7", 2, 2, "1", "DxB"),
     CaseEntry("evenorth.full", "§8", 2, 1, "1", "DxD-equal"),
     CaseEntry("evenorth.pair", "§8", 2, 1, "eta", "DxD"),
-    CaseEntry("evenorth.pair.equal", "§8", 1, 1, "full", **_CENTRAL),
-    CaseEntry("evenorth.fused", "§8", 1, 1, "full", **_CENTRAL),
+    CaseEntry("evenorth.pair.equal", "§8", 1, 1, "full", cut_node=0),
+    CaseEntry("evenorth.fused", "§8", 1, 1, "full", cut_node=0),
     CaseEntry("evenorth.mixed", "§8", 2, 2, "eta", "DxD"),
     CaseEntry("evenorth.unitary", "§8", 2, 2, "1", "DxD-equal"),
     CaseEntry("twistorth.full", "§9", 2, 1, "1", "BxB-equal"),
     CaseEntry("twistorth.pair", "§9", 2, 1, "eta", "BxB"),
 )}
-
-
-def _orbit_signature(host):
-    """Multiset of (family, rank, twist, orbit size) over the support."""
-    return sorted((co.family, co.rank, co.twist, co.orbit_size)
-                  for co in host.orbits)
 
 
 def odd_orthogonal_blocks(host):
@@ -152,112 +149,85 @@ def odd_orthogonal_blocks(host):
     return a, b
 
 
-def _classify_classical(group, host):
-    """Return the parametric CaseEntry for a classical hosting pattern."""
-    fam, tw = group.family, group.twist_order
-    sig = _orbit_signature(host)
-    dcount = [s[3] for s in sig]
+# the families a classical support's components may have, by the group's
+# family; split type A, 3D4 and the exceptional groups allow none
+_SUPPORT_FAMILIES = {"A": "A", "B": "BD", "C": "ABC", "D": "AD"}
 
-    if sig == []:
+
+def _classify_classical(group, host):
+    """The parametric CaseEntry of a classical support, read off its arcs
+    and blocks (see the module docstring)."""
+    fam, tw, rules = group.family, group.twist_order, _CLASSICAL_RULES
+    if not host.orbits:
         # fully anisotropic form; covers rank 3 of the even orthogonal
         # family through its rank 3 linear coincidence
-        return _CLASSICAL_RULES["lin.anisotropic"]
+        return rules["lin.anisotropic"]
+    arcs = [co for co in host.orbits if co.family == "A"]
+    blocks = [co for co in host.orbits if co.family != "A"]
+    sizes = sorted(co.orbit_size for co in blocks)
+    shapes = {(co.rank, co.twist) for co in blocks}
+    allowed = "" if fam == "A" and tw != 2 or fam == "D" and tw > 2 \
+        else _SUPPORT_FAMILIES.get(fam, "")
+    if any(co.family not in allowed for co in host.orbits) \
+            or any((co.twist, co.orbit_size) != (2, 1) for co in arcs) \
+            or fam == "C" and any(co.twist != 1 for co in blocks):
+        raise CaseTableError(
+            f"no case rule for {group.type_string()} support {host.support}")
 
-    if fam == "A" and tw == 1:
-        raise CaseTableError("split type A hosts only on the empty support")
+    if fam == "A" and len(arcs) == 1:
+        return rules["unit.single"]
+    if fam == "A" and len(arcs) == 2:
+        return rules["unit.pair" if len({co.rank for co in arcs}) == 2
+                     else "unit.equal"]
 
-    if fam == "A" and tw == 2:
-        arcs = [s for s in sig if s[0] == "A" and s[2] == 2 and s[3] == 1]
-        if len(arcs) != len(sig):
-            raise CaseTableError("unitary support with a non-arc component")
-        if len(arcs) == 1:
-            return _CLASSICAL_RULES["unit.single"]
-        if len(arcs) == 2 and arcs[0][1] != arcs[1][1]:
-            return _CLASSICAL_RULES["unit.pair"]
-        if len(arcs) == 2:
-            return _CLASSICAL_RULES["unit.equal"]
-        raise CaseTableError("unitary support with more than two arcs")
-
-    if fam == "B":
-        b_parts = [s for s in sig if s[0] == "B"]
-        d_parts = [s for s in sig if s[0] == "D"]
-        if len(b_parts) + len(d_parts) != len(sig) or len(b_parts) > 1 \
-                or len(d_parts) > 1 or any(d != 1 for d in dcount):
-            raise CaseTableError("odd orthogonal support out of pattern")
-        blocks = odd_orthogonal_blocks(host)
-        if blocks is None:
+    if fam == "B" and sizes in ([1], [1, 1]) \
+            and len({co.family for co in blocks}) == len(blocks):
+        ab = odd_orthogonal_blocks(host)
+        if ab is None:
             raise CaseTableError("odd orthogonal block ranks are not a "
                                  "square and a pronic number")
-        a, b = blocks
+        a, b = ab
         # the cut on the dual chain C_n leaves C_t(a-b) x C_t(a+b), with
         # t(m) = m(m+1)/2 >= 0 for every integer m, and t(a-b) + t(a+b) = n
         node = (a - b) * (a - b + 1) // 2
         if b == 0:
-            return _CLASSICAL_RULES["oddorth.s0"]._replace(cut_node=node)
+            return rules["oddorth.s0"]._replace(cut_node=node)
         # the matching involution has equal-or-adjacent defects exactly when
         # one block is empty, and is central then
-        return _CLASSICAL_RULES["oddorth.pair"]._replace(
+        return rules["oddorth.pair"]._replace(
             cut_node=node, n_s=1 if b - a in (0, 1) else 2)
 
-    if fam == "C":
-        a_parts = [s for s in sig if s[0] == "A"]
-        c_parts = [s for s in sig if s[0] in ("B", "C")]
-        if len(a_parts) + len(c_parts) != len(sig) \
-                or any(p[2] != 1 for p in c_parts):
-            raise CaseTableError("symplectic support out of pattern")
-        if a_parts:
-            if len(a_parts) > 1 or a_parts[0][2] != 2 or a_parts[0][3] != 1:
-                raise CaseTableError("symplectic support out of pattern")
-            return _CLASSICAL_RULES["symp.mixed"]
-        if len(c_parts) == 1 and dcount == [2]:
-            # swapped pair of equal blocks over the quadratic extension
-            if host.torus_rank > 0:
-                return _CLASSICAL_RULES["symp.mixed"]
-            return _CLASSICAL_RULES["symp.equal"]
-        if len(c_parts) == 2 and c_parts[0][1] == c_parts[1][1] \
-                and all(d == 1 for d in dcount):
-            return _CLASSICAL_RULES["symp.equal"]
-        if len(c_parts) in (1, 2) and all(d == 1 for d in dcount):
-            return _CLASSICAL_RULES["symp.pair"]
-        raise CaseTableError("symplectic support out of pattern")
+    if fam == "C" and len(arcs) == 1:
+        return rules["symp.mixed"]
+    if fam == "C" and not arcs and sizes == [2]:
+        # swapped pair of equal blocks over the quadratic extension
+        return rules["symp.mixed" if host.torus_rank else "symp.equal"]
+    if fam == "C" and not arcs and sizes in ([1], [1, 1]):
+        return rules["symp.equal" if sizes == [1, 1] and len(shapes) == 1
+                     else "symp.pair"]
 
-    if fam == "D" and tw in (1, 2):
-        d_parts = [s for s in sig if s[0] == "D"]
-        a_parts = [s for s in sig if s[0] == "A"]
-        what = "even" if tw == 1 else "twisted"
-        if len(d_parts) + len(a_parts) != len(sig) or any(
-                p[2] != 2 or p[3] != 1 for p in a_parts):
-            raise CaseTableError(f"{what} orthogonal support out of pattern")
-        if tw == 2:
-            if len(d_parts) == 1 and not a_parts and dcount == [1] \
-                    and d_parts[0][2] == 2 and d_parts[0][1] == group.rank:
-                return _CLASSICAL_RULES["twistorth.full"]
-            if d_parts or len(a_parts) == 1:
-                return _CLASSICAL_RULES["twistorth.pair"]
-            raise CaseTableError("twisted orthogonal support out of pattern")
-        if len(a_parts) == 1 and not d_parts:
-            if a_parts[0][1] == group.rank - 1:
-                return _CLASSICAL_RULES["evenorth.unitary"]
-            return _CLASSICAL_RULES["evenorth.mixed"]
-        if len(d_parts) == 1 and not a_parts:
-            r, twd, dc = d_parts[0][1], d_parts[0][2], d_parts[0][3]
-            if dc == 2:
-                # swapped pair of equal blocks over the quadratic extension;
-                # the matching class is central exactly when twice the rank
-                # is a perfect square
-                if isqrt(2 * group.rank) ** 2 == 2 * group.rank:
-                    return _CLASSICAL_RULES["evenorth.fused"]
-                return _CLASSICAL_RULES["evenorth.mixed"]
-            if twd == 1 and r == group.rank:
-                return _CLASSICAL_RULES["evenorth.full"]
-            return _CLASSICAL_RULES["evenorth.pair"]
-        if len(d_parts) == 1 and len(a_parts) == 1 and dcount.count(2) == 1:
-            return _CLASSICAL_RULES["evenorth.mixed"]
-        if len(d_parts) == 2 and not a_parts:
-            if d_parts[0][1] == d_parts[1][1] and d_parts[0][2] == d_parts[1][2]:
-                return _CLASSICAL_RULES["evenorth.pair.equal"]
-            return _CLASSICAL_RULES["evenorth.pair"]
-        raise CaseTableError("even orthogonal support out of pattern")
+    if fam == "D" and tw == 2:
+        if not arcs and sizes == [1] and shapes == {(group.rank, 2)}:
+            return rules["twistorth.full"]
+        if blocks or len(arcs) == 1:
+            return rules["twistorth.pair"]
+    if fam == "D" and tw == 1:
+        if not blocks and len(arcs) == 1:
+            return rules["evenorth.unitary" if {co.rank for co in arcs}
+                         == {group.rank - 1} else "evenorth.mixed"]
+        if sizes == [2] and len(arcs) <= 1:
+            # swapped pair of equal blocks over the quadratic extension; the
+            # matching class is central exactly when twice the rank is a
+            # perfect square and no arc lies beside it
+            square = isqrt(2 * group.rank) ** 2 == 2 * group.rank
+            return rules["evenorth.fused" if square and not arcs
+                         else "evenorth.mixed"]
+        if not arcs and len(blocks) == 1:
+            return rules["evenorth.full" if shapes == {(group.rank, 1)}
+                         else "evenorth.pair"]
+        if not arcs and len(blocks) == 2:
+            return rules["evenorth.pair.equal" if len(shapes) == 1
+                         else "evenorth.pair"]
 
     raise CaseTableError(
         f"no case rule for {group.type_string()} support {host.support}")

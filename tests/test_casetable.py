@@ -4,9 +4,11 @@ Every hosting support of every inner form (classical ranks up to 12, all
 exceptional types) must classify to a row, and each row must close the
 packet-count identity a*b = a'*b' at the adjoint level, with b' equal to
 the equal-degree class size and the descent subgroup inside the support
-stabilizer.
+stabilizer.  Up to MAX_RANK the rows are pinned by their census per pattern
+and a digest, and a support outside every rule raises the one refusal.
 """
 
+import hashlib
 import sys
 
 import pytest
@@ -19,9 +21,11 @@ from supercusp.casetable import (
     rows_for_host,
 )
 from supercusp.correspond import full_report
-from supercusp.padic import (enumerate_inner_forms, inner_forms_by_token,
+from supercusp.padic import (ComponentOrbit, enumerate_inner_forms,
+                             inner_forms_by_token, parahoric_classes,
                              supports_with_cuspidals)
-from supercusp.rootdata import SimpleGroup, parse_spec, root_system
+from supercusp.rootdata import (MAX_RANK, SimpleGroup, isogeny_tokens,
+                                parse_spec, parse_type, root_system)
 
 PHI = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 
@@ -53,6 +57,28 @@ def iter_rows():
                 rows = rows_for_host(G, host, classes)
                 for row, cls in zip(rows, classes):
                     yield G, form, host, row, cls
+
+
+def every_form_row():
+    """(spec, support, row) for every case row of every inner form of every
+    Frobenius-stable isogeny of every type up to MAX_RANK."""
+    for prefix in ("", "2", "3"):
+        for fam in "ABCDEFG":
+            for rank in range(1, MAX_RANK + 1):
+                try:
+                    key = parse_type(f"{prefix}{fam}{rank}")
+                except ValueError:
+                    continue
+                for iso in isogeny_tokens(fam, rank):
+                    try:
+                        G = SimpleGroup(*key, iso)
+                    except ValueError:
+                        continue
+                    for form in enumerate_inner_forms(G):
+                        spec = G.spec_string(form.token)
+                        for host, classes in supports_with_cuspidals(G, form):
+                            for row in rows_for_host(G, host, classes):
+                                yield spec, host.support, row
 
 
 class TestCountingIdentities:
@@ -123,6 +149,43 @@ class TestReachability:
         }
         # every parametric rule is reached somewhere in the catalogue
         assert set(_CLASSICAL_RULES) <= set(census)
+
+    def test_pattern_census_up_to_max_rank(self):
+        # every (type up to MAX_RANK, Frobenius-stable isogeny, inner form),
+        # past the catalogue's rank 12
+        census = {}
+        for spec, support, row in every_form_row():
+            census[row.pattern] = census.get(row.pattern, 0) + 1
+        assert {p: n for p, n in census.items() if p in _CLASSICAL_RULES} == {
+            "lin.anisotropic": 460,
+            "unit.single": 30,
+            "unit.pair": 20,
+            "unit.equal": 16,
+            "oddorth.pair": 24,
+            "oddorth.s0": 8,
+            "symp.mixed": 24,
+            "symp.pair": 14,
+            "symp.equal": 8,
+            "evenorth.mixed": 38,
+            "evenorth.unitary": 20,
+            "evenorth.full": 10,
+            "evenorth.fused": 10,
+            "evenorth.pair": 10,
+            "evenorth.pair.equal": 10,
+            "twistorth.pair": 27,
+            "twistorth.full": 3,
+        }
+        assert sum(n for p, n in census.items()
+                   if p not in _CLASSICAL_RULES) == 39
+        assert sum(census.values()) == 771
+
+    def test_rows_up_to_max_rank_are_pinned(self):
+        # the row of each support, not only the count per pattern
+        lines = sorted(f"{spec} {support} {row.pattern} {row.cut_node} "
+                       f"{row.n_s}" for spec, support, row in every_form_row())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == \
+            "0d85114235a01a1ac7cfed26054aaf704b3d7809105f053ca79026da7f61b8a5"
 
 
 def _rows_of(fam, rank, tw, token):
@@ -249,6 +312,42 @@ class TestAnchors:
         rows = _rows_of("E", 7, 1, "w1")
         assert [(r.pattern, r.n_s, r.b_ad) for h, r in rows] == \
             [("E7.fusedE6", 2, 1), ("E7.fusedE6", 3, 2)]
+
+
+def _arc(rank, twist=2, orbit_size=1):
+    return ComponentOrbit("A", rank, twist, orbit_size, ())
+
+
+class TestRefusal:
+    """A support outside its family's pattern raises one error, which names
+    the type and the support."""
+
+    @pytest.mark.parametrize("type_key, orbits, torus_rank", [
+        # a unitary group with an odd orthogonal block
+        pytest.param(("A", 5, 2), (ComponentOrbit("B", 2, 1, 1, ()),), 0,
+                     id="2A5-block"),
+        # an odd orthogonal group with a unitary arc
+        pytest.param(("B", 4, 1), (_arc(2),), 1, id="B4-arc"),
+        # an arc over the quadratic extension
+        pytest.param(("A", 5, 2), (_arc(2, orbit_size=2),), 1,
+                     id="2A5-arc-orbit-2"),
+        # a symplectic group with a twisted block
+        pytest.param(("C", 4, 1), (ComponentOrbit("C", 2, 2, 1, ()),), 0,
+                     id="C4-twisted-block"),
+        # split type A hosts only on the empty support
+        pytest.param(("A", 3, 1), (_arc(2, twist=1),), 0, id="A3"),
+        # 3D4 has no exceptional row for this support, and no classical one
+        pytest.param(("D", 4, 3), (ComponentOrbit("A", 1, 1, 3, ()),), 1,
+                     id="3D4"),
+    ])
+    def test_support_out_of_pattern(self, type_key, orbits, torus_rank):
+        G = SimpleGroup(*type_key, "adjoint")
+        real = parahoric_classes(G, enumerate_inner_forms(G)[0])[0]
+        host = real._replace(orbits=orbits, torus_rank=torus_rank)
+        with pytest.raises(CaseTableError) as err:
+            rows_for_host(G, host, [None])
+        assert str(err.value) == \
+            f"no case rule for {G.type_string()} support {host.support}"
 
 
 class TestNamedSubgroups:
