@@ -658,28 +658,21 @@ class CyclotomicProduct(Frozen):
 
 def smith_normal_form(A):
     """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
-    d_1 | d_2 | ... nonnegative."""
+    d_1 | d_2 | ... nonnegative.
+
+    The textbook elimination: a least nonzero entry of the block left
+    (the first in row order) moves to the corner (t, t) and clears its
+    column and its row by floor quotients.  A remainder left, or an entry
+    of the block that the corner does not divide (its row is added to the
+    corner's), sends the corner back to the least entry."""
     A = [list(row) for row in A]
-    m = len(A)
-    n = len(A[0]) if m else 0
+    m, n = len(A), len(A[0]) if A else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
     def add_row(dst, src, c):
-        for k in range(n):
-            A[dst][k] += c * A[src][k]
-        for k in range(m):
-            U[dst][k] += c * U[src][k]
+        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
     def add_col(dst, src, c):
         for r in A:
@@ -687,69 +680,40 @@ def smith_normal_form(A):
         for r in V:
             r[dst] += c * r[src]
 
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
     t = 0
     while t < min(m, n):
-        # find pivot
-        piv = None
-        best = None
+        piv, best = None, 0
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    piv, best = (i, j), abs(A[i][j])
+                if row[j] and (not best or abs(row[j]) < best):
+                    piv, best = (i, j), abs(row[j])
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if A[i][t] % A[t][t] != 0:
-                    add_row(i, t, -(A[i][t] // A[t][t]))
-                    swap_rows(t, i)
-                    done = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    add_row(i, t, -(A[i][t] // A[t][t]))
-            for j in range(t + 1, n):
-                if A[t][j] % A[t][t] != 0:
-                    add_col(j, t, -(A[t][j] // A[t][t]))
-                    swap_cols(t, j)
-                    done = False
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    add_col(j, t, -(A[t][j] // A[t][t]))
-            if done and all(A[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(A[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if A[t][t] < 0:
-            negate_row(t)
+        i, j = piv
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        for r in A + V:
+            r[t], r[j] = r[j], r[t]
+        p = A[t][t]
+        for i in range(t + 1, m):
+            if q := A[i][t] // p:
+                add_row(i, t, -q)
+        for j in range(t + 1, n):
+            if q := A[t][j] // p:
+                add_col(j, t, -q)
+        if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1:]):
+            continue
+        if best != 1:
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % p for x in A[i][t + 1:])), None)
+            if bad is not None:
+                add_row(t, bad, 1)
+                continue
+        if p < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
-
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b and b % a != 0:
-                add_col(i, i + 1, 1)
-                # re-clear the 2x2 block: row reduce
-                while A[i + 1][i] != 0:
-                    if abs(A[i][i]) > abs(A[i + 1][i]) and A[i + 1][i] != 0:
-                        swap_rows(i, i + 1)
-                    if A[i + 1][i] != 0:
-                        add_row(i + 1, i, -(A[i + 1][i] // A[i][i]))
-                while A[i][i + 1] != 0:
-                    add_col(i + 1, i, -(A[i][i + 1] // A[i][i]))
-                if A[i][i] < 0:
-                    negate_row(i)
-                if A[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
     diag = [A[i][i] for i in range(min(m, n))]
     for a, b in zip(diag, diag[1:]):
         if (a == 0 and b != 0) or (a != 0 and b % a != 0):

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt, lcm
+from itertools import product
+from math import isqrt, lcm, prod
 from typing import NamedTuple
 
 from supercusp.exact import CyclotomicProduct, InvariantError, orbits
@@ -105,14 +106,17 @@ def _inner_forms(rs, twist_order):
 
 def inner_forms_by_token(group, token):
     """The inner forms a twist token names: a form's own, '*' for all, or
-    'an' on split type A; ValueError lists the tokens in report order."""
+    'an' on split type A, the one anisotropic form whose class holds the
+    first fundamental coweight's; ValueError lists the tokens in report
+    order."""
     forms = enumerate_inner_forms(group)
     split_a = group.family == "A" and group.twist_order == 1
     if token == "*":
         return forms
     if token == "an" and split_a:
-        # over a p-adic field only the inner forms of split type A, the
-        # groups of a division algebra, are anisotropic
+        # only inner forms of split type A are anisotropic over a p-adic
+        # field, one per generator of Omega: 'an' names that of the first
+        # fundamental coweight (A3: w3), the others keep their own tokens
         want = group.rs.coweight_class(1)
         return [f for f in forms if want in f.cls]
     tokens = [f.token for f in forms]
@@ -427,33 +431,25 @@ def component_cuspidal_classes(family, rank, twist):
 
 def cuspidal_data(host):
     """Equal-degree cuspidal unipotent classes of the host's finite
-    quotient, as a tuple, or None if the support carries none."""
+    quotient, as a tuple, or None if the support carries none: one class
+    for each choice of a class on every component orbit."""
     per_orbit = []
     for co in host.orbits:
         classes = component_cuspidal_classes(co.family, co.rank, co.twist)
         if not classes:
             return None
-        per_orbit.append((co, classes))
+        per_orbit.append([(co, c) for c in classes])
     if sum((co.family, co.rank, co.twist) in _EXCEPTIONAL_CLASSES
            for co in host.orbits) > 1:
         raise InvariantError("two exceptional factors on one support")
-
-    combined = [CuspidalClass("", 1, CyclotomicProduct(1))]
-    for co, classes in per_orbit:
-        nxt = []
-        for base in combined:
-            for c in classes:
-                deg = None
-                if base.degree is not None and c.degree is not None:
-                    # the factor's degree over its orbit field, in q^d
-                    deg = base.degree * c.degree.subst_t_power(co.orbit_size)
-                cid = f"{base.class_id}+{co.descriptor()}.{c.class_id}" \
-                    if base.class_id else f"{co.descriptor()}.{c.class_id}"
-                nxt.append(CuspidalClass(cid, base.size * c.size, deg))
-        combined = nxt
-    if not per_orbit:
-        combined = [CuspidalClass("triv", 1, CyclotomicProduct(1))]
-    return tuple(combined)
+    # a factor's degree is taken over its orbit field, in q^d
+    return tuple(CuspidalClass(
+        "+".join(f"{co.descriptor()}.{c.class_id}" for co, c in choice)
+        or "triv", prod(c.size for _, c in choice),
+        None if any(c.degree is None for _, c in choice) else prod(
+            (c.degree.subst_t_power(co.orbit_size) for co, c in choice),
+            start=CyclotomicProduct(1)))
+        for choice in product(*per_orbit))
 
 
 def supports_with_cuspidals(group, form):

@@ -413,20 +413,40 @@ def integer_inverse(U):
 
 
 class TestSmith:
-    @pytest.mark.parametrize("seed", range(25))
+    # the edge inputs, then random shapes up to 6x6 with entries up to 30
+    # in absolute value, some with a zero row or a zero column
+    EDGES = {"empty": [], "zero": [[0, 0, 0], [0, 0, 0]],
+             "row": [[6, -4, 10]], "column": [[6], [-4], [10]]}
+
+    @pytest.mark.parametrize("seed", [*EDGES, *range(100)])
     def test_snf_matches_sympy(self, seed):
-        rng = random.Random(seed)
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = random_matrix(rng, m, n)
+        if seed in self.EDGES:
+            A = self.EDGES[seed]
+        else:
+            rng = random.Random(seed)
+            A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                              bound=30)
+            if rng.random() < 0.3:
+                A[rng.randrange(len(A))] = [0] * len(A[0])
+            if rng.random() < 0.3:
+                col = rng.randrange(len(A[0]))
+                for row in A:
+                    row[col] = 0
         U, D, V = smith_normal_form([row[:] for row in A])
-        # U A V == D
+        if not A:
+            assert (U, D, V) == ([], [], [])
+            return
+        m, n = len(A), len(A[0])
+        # U A V == D, with U and V unimodular
         assert mat_mul(mat_mul(U, A), V) == D
+        assert abs(det_adjugate(U)[0]) == abs(det_adjugate(V)[0]) == 1
         # diagonal, nonnegative, divisibility chain
         diag = [D[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
+        assert all(d >= 0 for d in diag)
         for i in range(len(diag) - 1):
             if diag[i]:
                 assert diag[i + 1] % diag[i] == 0
@@ -434,7 +454,7 @@ class TestSmith:
                 assert diag[i + 1] == 0
         ref = sympy_snf(sympy.Matrix(A))
         ref_diag = [abs(int(ref[i, i])) for i in range(min(m, n))]
-        assert [abs(d) for d in diag] == ref_diag
+        assert diag == ref_diag
 
     def test_integer_inverse(self):
         U = [[2, 1], [1, 1]]

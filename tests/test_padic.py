@@ -74,11 +74,20 @@ class TestInnerForms:
         assert forms[0].token == "1" and forms[1].token != "1"
 
     def test_an_token(self):
-        g = build_group("A3", "adjoint")
-        an = inner_forms_by_token(g, "an")[0]
-        assert an.token != "1"
-        # rotation by one: a single affine orbit, so no proper stable support
-        assert maximal_supports(an.frobenius) == [()]
+        # 'an' names one form, the one whose class holds the first
+        # fundamental coweight's; the other anisotropic form keeps its own
+        # token, and '*' reports both
+        for ts, token, anisotropic in (("A2", "w2", ["w1", "w2"]),
+                                       ("A3", "w3", ["w1", "w3"])):
+            g = build_group(ts, "adjoint")
+            an = inner_forms_by_token(g, "an")
+            assert [f.token for f in an] == [token]
+            assert g.rs.coweight_class(1) in an[0].cls
+            assert sorted({r.form_token for r in full_report(f"{ts}:adjoint:*")
+                           if r.row.pattern == "lin.anisotropic"}) == anisotropic
+            # rotation by one: a single affine orbit, so no proper stable
+            # support
+            assert maximal_supports(an[0].frobenius) == [()]
 
     def test_an_rejected_outside_type_a(self):
         # only split type A has an anisotropic inner form; the form of a

@@ -5,6 +5,7 @@ centers, affine marks, and diagram automorphism counts."""
 
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import product
 from math import gcd, lcm
@@ -630,6 +631,24 @@ class TestFundamentalGroup:
             det = sympy.Matrix(rs.cartan).to_DM().det()
             assert rs.omega.order() == abs(det) == rs.marks.count(1), \
                 f"{family}{rank}"
+
+    # sha256 of one line per type: its invariant factors and the label of
+    # every fundamental coweight.  The inner-form tokens of every spec are
+    # read off these labels, so a relabelled Omega renumbers them.
+    OMEGA_LABELS = \
+        "c1647f46a68101b6768c13453890e2778cdc3407e78048280292cc1c9c0dc724"
+
+    def test_omega_labels_are_pinned(self):
+        lines = []
+        for fam, (lo, hi) in rootdata._RANKS.items():
+            for rank in range(lo, min(hi or MAX_RANK, MAX_RANK) + 1):
+                rs = root_system(fam, rank)
+                lines.append(" ".join(
+                    [f"{fam}{rank}", str(rs.omega.orders)]
+                    + [str(rs.coweight_class(j)) for j in range(1, rank + 1)]))
+        assert len(lines) == 81
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.OMEGA_LABELS
 
     def test_d_even_vs_odd(self):
         even = build_group("D6", "adjoint")
