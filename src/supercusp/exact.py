@@ -4,7 +4,7 @@ Two kinds of values underlie everything else in the package:
 
 - rational functions in the formal variable t = q^(1/2) with integer
   coefficients.  Every function value in the package (formal degree,
-  parahoric order and volume, local factor at a shift) is a
+  parahoric order and volume, |gamma(0)|) is a
   CyclotomicProduct c * t^k * prod Phi_n(t)^(e_n): products, quotients
   and the substitution t -> t^d are exponent arithmetic, and two values
   are equal exactly when their exponents are.  A CyclotomicProduct writes

@@ -1,4 +1,4 @@
-"""Unramified discrete parameters and exact local factors.
+"""Unramified discrete parameters and their exact |gamma(0)|.
 
 A parameter is pinned by a torsion point of the dual group, realized as a
 single cut node of the dual affine diagram together with its label n_s,
@@ -23,20 +23,24 @@ and param_json prints the node, n_s, shape name and class tag from those.
 Local factor conventions, fixed once for the whole package: a string of
 highest weight h with torsion eigenvalue alpha = zeta_m^k, held as the
 reduced integer pair (m, k), carries Frobenius eigenvalues
-alpha*q^(h/2), ..., alpha*q^(-h/2); the monodromy kernel is the
-lowest line, and its cokernel means V modulo that kernel.  The unramified
-part of epsilon contributes q^(ord_psi * dim / 2) times a unit
-exp(2 pi i x), x a sum of the angles k/m, which must be +1 or -1.
+alpha*q^(h/2), ..., alpha*q^(-h/2), and the monodromy kernel is the
+lowest line.  The reports read one local factor, in t = q^(1/2):
+|gamma(0)| = |t^e prod (1 - alpha t^-h) / prod (1 - alpha^-1 t^(-h-2))|,
+the products over the strings, e the sum of ord_psi (h + 1) + h.  The
+numerator is 1/L(0), the denominator 1/L(1) of the dual, and t^e is
+epsilon(0) up to its unit.  That unit is not needed: the absolute value
+drops its sign, and on an inversion-closed multiset it is +-1 anyway
+(residues k and -k cancel, the eigenvalue -1 adds only half turns).  No
+pole falls at s = 0: it would need a trivial string of weight -2.
 
-L and gamma are products of linear factors (1 - zeta_m^k t^E), and they are
-computed in factored form (exact.CyclotomicProduct).  The factors are
-grouped by (m, E), and each full Galois orbit over k in (Z/m)^x multiplies
-at once to Phi_m(t^E), or to -Phi_1(t^E) when m = 1.  For E > 0 that is
-Phi_m under CyclotomicProduct.subst_t_power;
-for E < 0 the palindromic Phi_m (m >= 2) gives
-Phi_m(t^E) = t^(E phi(m)) Phi_m(t^-E); for E = 0 the orbit is the integer
-Phi_m(1).  A group whose residues k do not fill whole orbits has an
-irrational product, so the multiset is not stable under the Galois action.
+The products are computed in factored form (exact.CyclotomicProduct).  The
+factors (1 - zeta_m^k t^E), E = -h or -h - 2, are grouped by (m, E), and
+each full Galois orbit over k in (Z/m)^x multiplies at once to Phi_m(t^E),
+or to -Phi_1(t^E) when m = 1.  For E < 0 the palindromic Phi_m (m >= 2)
+gives Phi_m(t^E) = t^(E phi(m)) Phi_m(t^-E); for E = 0 the orbit is the
+integer Phi_m(1).  A group whose residues k do not fill whole orbits has
+an irrational product, so the multiset is not stable under the Galois
+action.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from supercusp.casetable import rows_for_host
@@ -82,29 +86,21 @@ class WeightString(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# products of linear factors with cyclotomic coefficients
+# |gamma(0)|: products of linear factors with cyclotomic coefficients
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _orbit_product(m, E):
-    """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x."""
+    """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x, for E <= 0."""
     if E == 0:
         # Phi_m(1): 0 for m = 1 (p = 0), p for a power m of its least prime
         # factor p (exactly when m divides p^m), and 1 otherwise
         p = next((d for d in range(2, m + 1) if m % d == 0), 0)
         return CyclotomicProduct(p if pow(p, m, m) == 0 else 1)
-    if E > 0:
-        return CyclotomicProduct(-1 if m == 1 else 1, 0,
-                                 ((m, 1),)).subst_t_power(E)
     # Phi_m(1/x) = x^(-phi(m)) Phi_m(x) for m >= 2; for m = 1 the sign of
     # -Phi_1 cancels against Phi_1(1/x) = -x^(-1) Phi_1(x)
     return CyclotomicProduct(1, -euler_phi(m), ((m, 1),)).subst_t_power(-E)
-
-
-def _string_factors(strings, shift):
-    """(1 - zeta_m^k t^(-h - shift)) per string, as (m, k, E) triples."""
-    return [(w.order, w.residue, -w.h - shift) for w in strings]
 
 
 def _galois_product(factors):
@@ -130,85 +126,27 @@ def _galois_product(factors):
     return CyclotomicProduct(const, t_exp, phi)
 
 
-def _two_s(s):
-    two = Fraction(s) * 2
-    if two.denominator != 1:
-        raise ValueError("shift must be a half integer")
-    return int(two)
-
-
-# ---------------------------------------------------------------------------
-# local factors of an unramified monodromy representation
-# ---------------------------------------------------------------------------
-
-
-class WDLocalFactors(NamedTuple):
-    """Exact L, epsilon and gamma of an inversion-closed multiset of
-    WeightStrings.  The shift s ranges over half integers; the values at s,
-    like |gamma(0)|, are CyclotomicProducts in t, read off the strings'
-    (order, residue) pairs with no cyclotomic field arithmetic: epsilon is
-    +-t^k, and L and gamma are products of whole Galois orbits."""
-
-    strings: tuple
-    ord_psi: int
-
-    @property
-    @lru_cache(maxsize=None)
-    def gamma_abs_at_0(self):
-        """|gamma(0)|, computed once per (strings, ord_psi) per process:
-        equal instances share one cache entry, and a raising call stores
-        none.  gamma_at(0) raises only on a multiset that is not stable
-        under the Galois action: a pole at s = 0 needs a trivial string of
-        weight -2, and on an inversion-closed multiset the epsilon unit is
-        +-1."""
-        return abs(self.gamma_at(0))
-
-    def dim(self):
-        return sum(w.h + 1 for w in self.strings)
-
-    def eps_at(self, s):
-        # the unit is exp(2 pi i turns / L): each string adds its
-        # eigenvalue's angle times (h + 1) ord_psi + h, and half a turn when
-        # h is odd, all counted over the common denominator L
-        two_s = _two_s(s)
-        L = lcm(2, *(w.order for w in self.strings))
-        turns = 0
-        exp = self.ord_psi * self.dim()
-        for w in self.strings:
-            turns += (w.residue * ((w.h + 1) * self.ord_psi + w.h)
-                      * (L // w.order) + w.h % 2 * (L // 2))
-            exp += -two_s * (w.h + 1) * self.ord_psi + w.h * (1 - two_s)
-        turns %= L
-        if turns not in (0, L // 2):
-            raise ValueError("epsilon unit is irrational")
-        return CyclotomicProduct(1 if turns == 0 else -1, exp)
-
-    def gamma_at(self, s):
-        two_s = _two_s(s)
-        for w in self.strings:
-            if w.h == two_s - 2 and w.order == 1:
-                raise ValueError("gamma has a pole at this shift")
-        num = _galois_product(_string_factors(self.strings, two_s))
-        # the dual's L: k -> -k permutes (Z/m)^x, so it needs no conjugation
-        den = _galois_product(_string_factors(self.strings, 2 - two_s))
-        return self.eps_at(s) * num / den
-
-
-def local_factors(weights, ord_psi=0):
-    """Bundle a weight multiset into its local factor data.
-
-    The multiset must be closed under inversion of the eigenvalues; that is
-    exactly self-duality of the representation, and anything else signals an
-    upstream bug."""
-    strings = tuple(weights)
+@lru_cache(maxsize=None)
+def _gamma_abs_0(strings, ord_psi):
+    """|gamma(0)| of a tuple of WeightStrings, once per (strings, ord_psi)
+    per process: equal tuples share one cache entry, and a raising call
+    stores none."""
     if Counter((w.order, w.residue, w.h) for w in strings) != Counter(
             (w.order, -w.residue % w.order, w.h) for w in strings):
         raise ValueError("weight multiset is not closed under inversion")
-    out = WDLocalFactors(strings=strings, ord_psi=ord_psi)
-    # |gamma(0)| is read now, so a multiset that is not stable under the
-    # Galois action fails here rather than at its first use
-    out.gamma_abs_at_0
-    return out
+    exp = sum(ord_psi * (w.h + 1) + w.h for w in strings)
+    num = _galois_product([(w.order, w.residue, -w.h) for w in strings])
+    # the dual's factors: k -> -k permutes (Z/m)^x, so they need no
+    # conjugation
+    den = _galois_product([(w.order, w.residue, -w.h - 2) for w in strings])
+    return abs(CyclotomicProduct(1, exp) * num / den)
+
+
+def local_factors(weights, ord_psi=0):
+    """|gamma(0, V, psi)| of the weight multiset V, a CyclotomicProduct.
+    V must be closed under inversion of the eigenvalues (self-dual) and
+    stable under the Galois action; anything else is an upstream bug."""
+    return _gamma_abs_0(tuple(weights), ord_psi)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +291,7 @@ def _build_param(group, row):
         # the regular class of an all-linear centralizer (untwisted dual)
         if twist_d == 1 and all(fam == "A" for fam, _ in comps):
             weights = inner_torsion_strings(fam_d, rank_d, v_node)
-            gamma = local_factors(weights, ord_psi=-1).gamma_abs_at_0
+            gamma = local_factors(weights, ord_psi=-1)
 
     return UnramifiedParam(
         kac_coordinates=kac, components=comps, central_order=central_order,

@@ -13,9 +13,8 @@ from supercusp.correspond import equivariance_check, full_report, reports_json
 from supercusp.exact import (RF_ONE, RF_ZERO, Cyclo, CyclotomicProduct,
                              InvariantError, RatFunc, cyclotomic_poly,
                              euler_phi)
-from supercusp.galois import (WDLocalFactors, WeightString, _build_param,
-                              _galois_product, _orbit_product,
-                              _string_factors, _two_s, centralizer_components,
+from supercusp.galois import (WeightString, _build_param, _gamma_abs_0,
+                              _orbit_product, centralizer_components,
                               dual_affine_diagram, dual_type, hii_check,
                               inner_torsion_strings, kac_points, kac_rows,
                               local_factors, param_json)
@@ -40,13 +39,6 @@ def rf(num, den=1):
     return RatFunc.from_fraction(Fraction(num, den))
 
 
-def L_at(fac, s):
-    """L(s) of the local factors fac, the inverse of the product of the
-    linear factors at the shift s, which must be a half integer."""
-    inv = _galois_product(_string_factors(fac.strings, _two_s(s)))
-    return CyclotomicProduct(1) / inv
-
-
 def string_dim(w):
     """Dimension h + 1 of the weight string w."""
     return w.h + 1
@@ -55,12 +47,6 @@ def string_dim(w):
 def dual_string(w):
     """The weight string with the inverse eigenvalue."""
     return WeightString(w.order, -w.residue, w.h)
-
-
-def dual_factors(fac):
-    """Local factors of the dual multiset, the eigenvalues inverted."""
-    return local_factors(tuple(dual_string(w) for w in fac.strings),
-                         fac.ord_psi)
 
 
 def host_class_pairs(group, form):
@@ -99,26 +85,13 @@ def small_catalogue():
 
 
 class TestTrivialCharacter:
-    def factors(self):
-        return local_factors([WeightString(1, 0, 0)])
-
     def test_gamma_formula(self):
-        # gamma(s) = (1 - q^-s) / (1 - q^(s-1)), checked off the pole
-        fac = self.factors()
-        for s in (0, -1, 2, 3):
-            expect = (RF_ONE - q(-s)) / (RF_ONE - q(s - 1))
-            assert (fac.gamma_at(s).to_ratfunc() - expect).is_zero()
-
-    def test_gamma_at_half(self):
-        assert (self.factors().gamma_at("1/2").to_ratfunc() - RF_ONE).is_zero()
-
-    def test_pole_raises(self):
-        with pytest.raises(ValueError):
-            self.factors().gamma_at(1)
+        # gamma(s) = (1 - q^-s) / (1 - q^(s-1)) vanishes at s = 0
+        for ord_psi in (0, -1):
+            assert local_factors([WeightString(1, 0, 0)], ord_psi).is_zero()
 
     def test_dim_zero_gamma_is_one(self):
-        empty = local_factors([])
-        assert (empty.gamma_abs_at_0.to_ratfunc() - RF_ONE).is_zero()
+        assert local_factors([]) == CyclotomicProduct(1)
 
 
 class TestSymmetricSquareString:
@@ -126,33 +99,15 @@ class TestSymmetricSquareString:
     a direct matrix model: Frobenius diag(q, 1, 1/q), kernel of monodromy the
     lowest eigenvalue line, cokernel the other two lines."""
 
-    def factors(self):
-        return local_factors([WeightString(1, 0, 2)])
-
-    def test_l_function(self):
-        fac = self.factors()
-        for s in (0, 1, 2, 3):
-            expect = RF_ONE / (RF_ONE - t(-2 - 2 * s))
-            assert (L_at(fac, s).to_ratfunc() - expect).is_zero()
-
-    def test_epsilon_from_cokernel_determinant(self):
-        # det(-q^-s F | coker) = (-q^-s)(-q^-s q) = q^(1-2s)
-        fac = self.factors()
-        for s in (0, 1, -1, 2):
-            assert (fac.eps_at(s).to_ratfunc() - q(1 - 2 * s)).is_zero()
-        assert (fac.eps_at("1/2").to_ratfunc() - RF_ONE).is_zero()
-
     def test_gamma_assembled_from_parts(self):
-        # shifts chosen away from the poles of L(s) and of the dual L(1 - s)
-        fac = self.factors()
-        for s in (0, 3, -2):
-            expect = (fac.eps_at(s) * L_at(dual_factors(fac), 1 - s)
-                      / L_at(fac, s)).to_ratfunc()
-            assert (fac.gamma_at(s).to_ratfunc() - expect).is_zero()
-
-    def test_gamma_pole_at_two(self):
-        with pytest.raises(ValueError):
-            self.factors().gamma_at(2)
+        # L(0) = 1 / (1 - q^-1) from the kernel line, the dual's
+        # L(1) = 1 / (1 - q^-2), and epsilon(0) = det(-F | coker)
+        # = (-q)(-1) = q, so gamma(0) = q (1 - q^-1) / (1 - q^-2)
+        # = q^2 / (q + 1) = t^4 / Phi_4(t) at ord psi = 0
+        gamma = local_factors([WeightString(1, 0, 2)])
+        expect = q(1) * (RF_ONE - q(-1)) / (RF_ONE - q(-2))
+        assert (gamma.to_ratfunc() - expect).is_zero()
+        assert gamma == CyclotomicProduct(1, 4, ((4, -1),))
 
 
 class TestRegularLinearStrings:
@@ -168,10 +123,10 @@ class TestRegularLinearStrings:
     def test_division_gamma_magnitude(self):
         # |gamma(0)| = q^((n-1)/2) (q - 1) / (q^n - 1) at ord_psi = -1
         for n in range(2, 7):
-            fac = local_factors(inner_torsion_strings("A", n - 1, 0),
-                                ord_psi=-1)
+            gamma = local_factors(inner_torsion_strings("A", n - 1, 0),
+                                  ord_psi=-1)
             expect = t(n - 1) * (q(1) - RF_ONE) / (q(n) - RF_ONE)
-            assert (fac.gamma_abs_at_0.to_ratfunc() - expect).is_zero()
+            assert (gamma.to_ratfunc() - expect).is_zero()
 
 
 class TestMultisetDiscipline:
@@ -190,22 +145,16 @@ class TestMultisetDiscipline:
             with pytest.raises(ValueError):
                 WeightString(order, 1, 0)
 
-    def test_integer_shift_required(self):
-        fac = local_factors([WeightString(1, 0, 2)])
-        with pytest.raises(ValueError):
-            L_at(fac, Fraction(1, 3))
-
-    def test_l_additivity(self):
+    def test_gamma_multiplicativity(self):
+        # |gamma(0)|(V + W) = |gamma(0)|(V) |gamma(0)|(W)
         rng = random.Random(11)
         for _ in range(8):
             a = _random_closed_multiset(rng)
             b = _random_closed_multiset(rng)
-            fa, fb = local_factors(a), local_factors(b)
-            fab = local_factors(tuple(a) + tuple(b))
-            for s in (1, 2):
-                lhs = L_at(fab, s).to_ratfunc()
-                rhs = L_at(fa, s).to_ratfunc() * L_at(fb, s).to_ratfunc()
-                assert (lhs - rhs).is_zero()
+            for ord_psi in (0, -1):
+                lhs = local_factors(tuple(a) + tuple(b), ord_psi)
+                rhs = local_factors(a, ord_psi) * local_factors(b, ord_psi)
+                assert lhs == rhs
 
 
 def _cyclo_pow(c, k):
@@ -276,25 +225,11 @@ def _random_closed_multiset(rng, allow_trivial=True):
 
 
 class TestGammaPairing:
-    def test_squared_magnitude_on_random_multisets(self):
-        # gamma(0) of the multiset times gamma(0) of its dual equals the
-        # square of the sign-normalized magnitude
-        rng = random.Random(7)
-        for _ in range(20):
-            ws = _random_closed_multiset(rng, allow_trivial=False)
-            fac = local_factors(ws)
-            g0 = fac.gamma_at(0).to_ratfunc()
-            g0_dual = dual_factors(fac).gamma_at(0).to_ratfunc()
-            ga = fac.gamma_abs_at_0.to_ratfunc()
-            assert (g0 * g0_dual - ga * ga).is_zero()
-            assert (g0 - ga).is_zero() or (g0 + ga).is_zero()
-
     def test_magnitude_positive_normalization(self):
         rng = random.Random(19)
         for _ in range(10):
             ws = _random_closed_multiset(rng, allow_trivial=False)
-            fac = local_factors(ws)
-            assert fac.gamma_abs_at_0.to_ratfunc().positive_for_large_q()
+            assert local_factors(ws).to_ratfunc().positive_for_large_q()
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +306,6 @@ def _dense_gamma_abs(strings, ord_psi):
     return RatFunc.t_power(exp) * quo
 
 
-def _dense_L(fac, s):
-    two_s = int(2 * Fraction(s))
-    return RF_ONE / _dense((_alpha(w), -w.h - two_s) for w in fac.strings)
-
-
-def _dense_gamma(fac, s):
-    two_s = int(2 * Fraction(s))
-    num = _dense((_alpha(w), -w.h - two_s) for w in fac.strings)
-    den = _dense((_alpha(w).conj(), -w.h - 2 + two_s) for w in fac.strings)
-    return fac.eps_at(s).to_ratfunc() * num / den
-
-
 _ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)
 
 
@@ -402,7 +325,7 @@ def _random_orbit_multiset(rng):
 class TestFactoredAgainstDense:
     def test_orbit_rule(self):
         for m in _ORDERS:
-            for E in range(-6, 7):
+            for E in range(-6, 1):
                 factors = [(Cyclo.root_of_unity(m, k), E) for k in range(m)
                            if math.gcd(k, m) == 1]
                 want = _poly_to_ratfunc(_linear_product(factors))
@@ -419,39 +342,8 @@ class TestFactoredAgainstDense:
         for _ in range(20):
             ws = _random_orbit_multiset(rng)
             for ord_psi in (0, -1):
-                fac = local_factors(ws, ord_psi)
-                assert fac.gamma_abs_at_0.to_ratfunc() == \
+                assert local_factors(ws, ord_psi).to_ratfunc() == \
                     _dense_gamma_abs(ws, ord_psi)
-
-    def test_L_at(self):
-        rng = random.Random(29)
-        for _ in range(12):
-            ws = _random_orbit_multiset(rng)
-            for ord_psi in (0, -1):
-                fac = local_factors(ws, ord_psi)
-                for s in (0, 1, -1, "1/2", 2):
-                    try:
-                        want = _dense_L(fac, s)
-                    except ZeroDivisionError:
-                        # a trivial eigenvalue with E = 0: L has a pole
-                        with pytest.raises(ZeroDivisionError):
-                            L_at(fac, s)
-                        continue
-                    assert L_at(fac, s).to_ratfunc() == want
-
-    def test_gamma_at(self):
-        rng = random.Random(31)
-        for _ in range(12):
-            ws = _random_orbit_multiset(rng)
-            for ord_psi in (0, -1):
-                fac = local_factors(ws, ord_psi)
-                for s in (0, 1, -1, "1/2", 2, 3):
-                    if any(w.h == 2 * Fraction(s) - 2 and w.order == 1
-                           for w in ws):
-                        with pytest.raises(ValueError):
-                            fac.gamma_at(s)
-                        continue
-                    assert fac.gamma_at(s).to_ratfunc() == _dense_gamma(fac, s)
 
     def test_inversion_closed_but_not_galois_stable(self):
         # {zeta_5, zeta_5^4} is closed under inversion, and its product
@@ -465,46 +357,34 @@ class TestFactoredAgainstDense:
                                for k in (1, 1, 2, 3, 4, 4)])
 
 
-# the memo behind WDLocalFactors.gamma_abs_at_0
-memo = WDLocalFactors.gamma_abs_at_0.fget
-
-
 class TestGammaMemo:
     @pytest.fixture
-    def gamma_calls(self, monkeypatch):
-        """(strings, ord_psi) of every WDLocalFactors.gamma_at call, on a
-        cleared memo."""
-        calls = []
-        real = WDLocalFactors.gamma_at
+    def memo(self):
+        """The memo behind local_factors, cleared before and after."""
+        _gamma_abs_0.cache_clear()
+        yield _gamma_abs_0
+        _gamma_abs_0.cache_clear()
 
-        def counting(self, s):
-            calls.append((self.strings, self.ord_psi))
-            return real(self, s)
-
-        monkeypatch.setattr(WDLocalFactors, "gamma_at", counting)
-        memo.cache_clear()
-        yield calls
-        memo.cache_clear()
-
-    def test_one_gamma_per_weight_multiset(self, gamma_calls):
+    def test_one_gamma_per_weight_multiset(self, memo):
         # every catalogue report: local_factors runs once per row with
-        # weights, |gamma(0)| once per distinct (strings, ord_psi)
+        # weights, |gamma(0)| is computed once per distinct (strings, ord_psi)
         specs = [g.spec_string("*") for key in catalogue()
                  for g in _isogenies(*key)]
         rows = [r for spec in specs for r in full_report(spec)
                 if r.param.sl2_weights is not None]
         distinct = {(r.param.sl2_weights, -1) for r in rows}
         assert len(rows) > 2 * len(distinct) > 0
-        assert len(gamma_calls) == len(distinct)
-        assert set(gamma_calls) == distinct
+        assert memo.cache_info().misses == len(distinct)
+        assert memo.cache_info().currsize == len(distinct)
 
-    def test_errors_are_not_memoized(self, gamma_calls):
-        # inversion-closed but not stable under the Galois action
+    def test_errors_are_not_memoized(self, memo):
+        # inversion-closed but not stable under the Galois action: each
+        # call computes afresh and raises, and nothing is stored
         ws = [WeightString(5, 1, 2), WeightString(5, 4, 2)]
         for _ in range(2):
             with pytest.raises(ValueError, match="Galois"):
                 local_factors(ws)
-        assert len(gamma_calls) == 2
+        assert memo.cache_info().misses == 2
         assert memo.cache_info().currsize == 0
 
 
@@ -523,34 +403,43 @@ def catalogue_reports():
                  for r in full_report(f"{type_str}:adjoint:*"))
 
 
-def _oracle_eps(strings, ord_psi, s):
-    """epsilon at s with the unit multiplied out in Cyclo arithmetic."""
-    two_s = int(2 * Fraction(s))
-    unit = Cyclo.rational(1)
-    exp = ord_psi * sum(w.h + 1 for w in strings)
+def _point_gamma_abs(strings, ord_psi, t_val):
+    """|gamma(0)| at the integer t = t_val, from the linear factors
+    (1 - alpha t^-h) / (1 - conj(alpha) t^(-h-2)) multiplied out in Cyclo
+    arithmetic: each side is rational on a Galois-stable multiset."""
+    num = den = Cyclo.rational(1)
     for w in strings:
-        unit = unit * _cyclo_pow(_alpha(w), (w.h + 1) * ord_psi + w.h)
-        if w.h % 2:
-            unit = -unit
-        exp += -two_s * (w.h + 1) * ord_psi + w.h * (1 - two_s)
-    assert unit.is_rational()
-    return RatFunc.from_fraction(unit.as_fraction()) * t(exp)
+        num = num * (Cyclo.rational(1)
+                     - _alpha(w) * Cyclo.rational(Fraction(1, t_val ** w.h)))
+        den = den * (Cyclo.rational(1) - _alpha(w).conj()
+                     * Cyclo.rational(Fraction(1, t_val ** (w.h + 2))))
+    exp = sum(ord_psi * (w.h + 1) + w.h for w in strings)
+    return abs(Fraction(t_val) ** exp * num.as_fraction() / den.as_fraction())
+
+
+def _eval_product(x, t_val):
+    """The CyclotomicProduct x at the integer t = t_val, read off its
+    constant, power of t and cyclotomic exponents."""
+    out = x.const * Fraction(t_val) ** x.t_exp
+    for n, e in x.phi:
+        out *= Fraction(sum(c * t_val ** i
+                            for i, c in enumerate(cyclotomic_poly(n)))) ** e
+    return out
 
 
 class TestCatalogueWeights:
-    def test_eps_unit_against_cyclo(self):
+    def test_gamma_abs_at_points(self):
+        # every weight multiset of the catalogue reports, at two values of
+        # t and both ord psi, against the linear factors in Cyclo arithmetic
         weight_sets = {r.param.sl2_weights for r in catalogue_reports()
                        if r.param.sl2_weights is not None}
-        assert len(weight_sets) > 20
-        # odd weights and whole orbits of every order, beyond the catalogue
-        rng = random.Random(37)
-        weight_sets |= {_random_orbit_multiset(rng) for _ in range(20)}
+        assert len(weight_sets) == 22
         for ws in weight_sets:
             for ord_psi in (0, -1):
-                fac = local_factors(ws, ord_psi)
-                for s in (0, "1/2", 1, -1):
-                    assert fac.eps_at(s).to_ratfunc() == \
-                        _oracle_eps(ws, ord_psi, s)
+                gamma = local_factors(ws, ord_psi)
+                for t_val in (2, 3):
+                    assert _eval_product(gamma, t_val) == \
+                        _point_gamma_abs(ws, ord_psi, t_val), (ws, ord_psi)
 
     def test_report_weights_sorted(self):
         doc = reports_json(catalogue_reports())
@@ -1201,8 +1090,7 @@ class TestParamJson:
         assert (rec["centralizer"], rec["class_tag"]) == ("A3", "regular")
         assert rec["weights"] == [[1, 0, 2], [1, 0, 4], [1, 0, 6]]
         assert rec["gamma_abs_0"] == \
-            local_factors(p.sl2_weights, -1).gamma_abs_at_0.to_ratfunc() \
-            .to_json()
+            local_factors(p.sl2_weights, -1).to_ratfunc().to_json()
 
     def test_unweighted_record(self):
         g = build_group("E6", "adjoint")

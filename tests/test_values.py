@@ -1,6 +1,6 @@
 """The package's value types: the plain records are typing.NamedTuples, and
 the types with arithmetic or normalisation share exact.Frozen.  One
-contract holds for all sixteen, and the report path imports no module that
+contract holds for all fifteen, and the report path imports no module that
 only code generation, introspection or CSV needs."""
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from supercusp.correspond import PacketInvariants, PacketReport, full_report
 from supercusp.exact import (Cyclo, CyclotomicProduct, FiniteAbelianGroup,
                              Frozen, Presentation, RatFunc,
                              group_from_presentation)
-from supercusp.galois import (HIIResult, UnramifiedParam, WDLocalFactors,
-                              WeightString, hii_check, local_factors)
+from supercusp.galois import (HIIResult, UnramifiedParam, WeightString,
+                              hii_check)
 from supercusp.padic import (ComponentOrbit, CuspidalClass, InnerForm,
                              ParahoricClass, enumerate_inner_forms)
 from supercusp.rootdata import build_group
@@ -30,8 +30,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(supercusp.__file__)))
 HAND_WRITTEN = (CyclotomicProduct, FiniteAbelianGroup, RatFunc, Cyclo,
                 WeightString, PacketInvariants)
 RECORDS = (InnerForm, ComponentOrbit, ParahoricClass, CuspidalClass,
-           WDLocalFactors, UnramifiedParam, HIIResult, PacketReport,
-           CaseEntry, Presentation)
+           UnramifiedParam, HIIResult, PacketReport, CaseEntry, Presentation)
 
 
 def _run(*args):
@@ -42,7 +41,7 @@ def _run(*args):
 
 
 def samples():
-    """One instance of each of the sixteen types, read off a real report
+    """One instance of each of the fifteen types, read off a real report
     where the type is on the report path."""
     report = next(r for r in full_report("A2:adjoint:*")
                   if r.param.gamma_abs_0 is not None)
@@ -59,7 +58,6 @@ def samples():
                              for co in r.host.orbits),
         ParahoricClass: host,
         CuspidalClass: report.cls,
-        WDLocalFactors: local_factors(report.param.sl2_weights, -1),
         UnramifiedParam: report.param,
         HIIResult: hii_check(report.fdeg, report.param, 1, 3),
         PacketReport: report,
