@@ -17,15 +17,17 @@ the finite quotient of the support; classical families are parametric
 rules keyed by the component structure: a classical support is read once,
 as unitary arcs (family A components of twist 2 over the ground field) and
 orthogonal or symplectic blocks (B, C, D), and the rule is picked from the
-arcs, the blocks and the blocks' orbit sizes.  A support outside every rule
-raises CaseTableError ("no case rule for <type> support <support>"), as do
-odd orthogonal blocks whose ranks are not a square and a pronic number.
+arcs, the blocks and the blocks' orbit sizes; the odd orthogonal rules read
+each block's Lusztig parameter s from padic.lusztig_parameter.  A support
+outside every rule raises CaseTableError ("no case rule for <type> support
+<support>"), as do odd orthogonal blocks without an s.
 """
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import NamedTuple
+
+from supercusp.padic import lusztig_parameter
 
 
 class CaseTableError(LookupError):
@@ -131,21 +133,19 @@ _CLASSICAL_RULES = {e.pattern: e for e in (
 
 
 def odd_orthogonal_blocks(host):
-    """(a, b) for a support of shape D_s x B_t in the odd orthogonal family,
-    with s = b^2 and t = a(a + 1); a central torus stands for s = 1.  None
-    when s is not a square or t not of that form."""
-    s = t = 0
+    """(a, b) for a support of shape D_(b^2) x B_(a(a+1)) in the odd
+    orthogonal family: Lusztig's s of the B block and of the D block
+    (padic.lusztig_parameter), a = 0 with no B block, and b = 1 for a
+    central torus standing in for the D block.  None when a block has no s."""
+    a, b = 0, 1 if host.torus_rank else 0
     for co in host.orbits:
-        if co.family == "D":
-            s = co.rank
-        elif co.family == "B":
-            t = co.rank
-    if s == 0 and host.torus_rank > 0:
-        s = 1
-    b = isqrt(s)
-    a = (isqrt(4 * t + 1) - 1) // 2
-    if b * b != s or a * (a + 1) != t:
-        return None
+        s = lusztig_parameter(co.family, co.rank, co.twist)
+        if s is None:
+            return None
+        if co.family == "B":
+            a = s
+        else:
+            b = s
     return a, b
 
 
@@ -181,11 +181,8 @@ def _classify_classical(group, host):
                      else "unit.equal"]
 
     if fam == "B" and sizes in ([1], [1, 1]) \
-            and len({co.family for co in blocks}) == len(blocks):
-        ab = odd_orthogonal_blocks(host)
-        if ab is None:
-            raise CaseTableError("odd orthogonal block ranks are not a "
-                                 "square and a pronic number")
+            and len({co.family for co in blocks}) == len(blocks) \
+            and (ab := odd_orthogonal_blocks(host)) is not None:
         a, b = ab
         # the cut on the dual chain C_n leaves C_t(a-b) x C_t(a+b), with
         # t(m) = m(m+1)/2 >= 0 for every integer m, and t(a-b) + t(a+b) = n
@@ -217,11 +214,10 @@ def _classify_classical(group, host):
                          == {group.rank - 1} else "evenorth.mixed"]
         if sizes == [2] and len(arcs) <= 1:
             # swapped pair of equal blocks over the quadratic extension; the
-            # matching class is central exactly when twice the rank is a
-            # perfect square and no arc lies beside it
-            square = isqrt(2 * group.rank) ** 2 == 2 * group.rank
-            return rules["evenorth.fused" if square and not arcs
-                         else "evenorth.mixed"]
+            # matching class is central exactly when the pair fills the
+            # rank, with no arc or torus beside it
+            return rules["evenorth.mixed" if arcs or host.torus_rank
+                         else "evenorth.fused"]
         if not arcs and len(blocks) == 1:
             return rules["evenorth.full" if shapes == {(group.rank, 1)}
                          else "evenorth.pair"]

@@ -31,20 +31,21 @@ order, the first support not yet seen is the least of its class and
 represents it, and one map w -> w(J) gives the class and stabilizer_ad.
 No dimension is stored; see parahoric_volume.
 
-The p-adic side splits by what it depends on.  The inner forms depend only
-on the root system and the Frobenius twist, and the support classes (the
-maximal supports, their Omega_ad^theta orbits, stabilizer_ad, the
-component orbits and torus_rank) only on the root system, F_omega and
-Omega_ad^theta, and so does each class's cuspidal data, read off the
-component orbits.  That adjoint half is computed once per key and shared
-by every isogeny of the type, through an lru_cache on each of _inner_forms
-(rs, twist_order) and _adjoint_classes (rs, frobenius, omega_ad_theta).
-Neither key names the isogeny, which adds only Omega_G^theta, so
-stabilizer_G and g': g' is checked on every class, and only the classes
-with cuspidal data are finished for supports_with_cuspidals.  rs is one
-object per type (rootdata.root_system), the cached values are immutable,
-and every caller gets a fresh list.  A computation that raises caches
-nothing, so its checks run again on the next call.
+The p-adic side splits by what it depends on.  The inner forms depend only on
+the root system and the Frobenius twist, and the support classes (the maximal
+supports, their Omega_ad^theta orbits, stabilizer_ad, the component orbits
+and torus_rank) only on the root system, F_omega and Omega_ad^theta, and so
+does each class's cuspidal data, read off the component orbits: a classical
+factor has a cuspidal class exactly when lusztig_parameter, the one decoding
+of Lusztig's s from a rank, finds an s.  That adjoint half is computed once
+per key and shared by every isogeny of the type, through an lru_cache on each
+of _inner_forms (rs, twist_order) and _adjoint_classes (rs, frobenius,
+omega_ad_theta).  Neither key names the isogeny, which adds only
+Omega_G^theta, so stabilizer_G and g': g' is checked on every class, and only
+the classes with cuspidal data are finished for supports_with_cuspidals.  rs
+is one object per type (rootdata.root_system), the cached values are
+immutable, and every caller gets a fresh list.  A computation that raises
+caches nothing, so its checks run again on the next call.
 """
 
 from __future__ import annotations
@@ -370,14 +371,6 @@ def _adjoint_classes(rs, frobenius, omega_ad_theta):
 # ---------------------------------------------------------------------------
 
 
-def _is_square(n):
-    return isqrt(n) ** 2 == n
-
-
-def _is_triangular(n):
-    return _is_square(8 * n + 1)
-
-
 class CuspidalClass(NamedTuple):
     """Equal-degree class of cuspidal unipotent representations of a finite
     reductive group: the class size is the packet-side count.  The torsion
@@ -406,6 +399,25 @@ _EXCEPTIONAL_CLASSES = {
 }
 
 
+def lusztig_parameter(family, rank, twist):
+    """Lusztig's s for a finite classical group, or None if it has no
+    cuspidal unipotent character (Invent. Math. 43, 1977): U_(rank+1) with
+    rank + 1 = s(s+1)/2, split B and C with rank = s(s+1), and D with rank
+    = s^2, split exactly when s is even; None for 3D4 and the other types."""
+    if family == "A" and twist == 2:
+        s = (isqrt(8 * rank + 9) - 1) // 2
+        found = s * (s + 1) == 2 * (rank + 1)
+    elif family in ("B", "C") and twist == 1:
+        s = (isqrt(4 * rank + 1) - 1) // 2
+        found = s * (s + 1) == rank
+    elif family == "D" and twist in (1, 2):
+        s = isqrt(rank)
+        found = s * s == rank and s % 2 == twist - 1
+    else:
+        return None
+    return s if found else None
+
+
 def component_cuspidal_classes(family, rank, twist):
     """Equal-degree classes for one finite almost-simple factor; empty if the
     group has no cuspidal unipotent representation."""
@@ -413,20 +425,12 @@ def component_cuspidal_classes(family, rank, twist):
     if key in _EXCEPTIONAL_CLASSES:
         return [CuspidalClass(f"c{i}", size, None)
                 for i, size in enumerate(_EXCEPTIONAL_CLASSES[key])]
-    if family == "A" and twist == 2:
-        if not _is_triangular(rank + 1):
-            return []
-        deg = _DEG_U3 if rank == 2 else None
-        return [CuspidalClass("u", 1, deg)]
-    if family in ("B", "C") and twist == 1:
-        if not _is_square(4 * rank + 1):
-            return []
-        deg = _DEG_B2 if rank == 2 else None
-        return [CuspidalClass("u", 1, deg)]
-    # D_n for an even square n, 2D_n for an odd one (3D4 is exceptional)
-    if family == "D" and _is_square(rank) and rank % 2 == twist - 1:
-        return [CuspidalClass("u", 1, None)]
-    return []
+    s = lusztig_parameter(family, rank, twist)
+    if s is None:
+        return []
+    deg = {("A", 2): _DEG_U3, ("B", 1): _DEG_B2,
+           ("C", 1): _DEG_B2}.get((family, s))
+    return [CuspidalClass("u", 1, deg)]
 
 
 def cuspidal_data(host):

@@ -328,6 +328,9 @@ class TestRefusal:
                      id="2A5-block"),
         # an odd orthogonal group with a unitary arc
         pytest.param(("B", 4, 1), (_arc(2),), 1, id="B4-arc"),
+        # an odd orthogonal block with no Lusztig parameter (B3)
+        pytest.param(("B", 4, 1), (ComponentOrbit("B", 3, 1, 1, ()),), 1,
+                     id="B4-block-without-s"),
         # an arc over the quadratic extension
         pytest.param(("A", 5, 2), (_arc(2, orbit_size=2),), 1,
                      id="2A5-arc-orbit-2"),

@@ -20,8 +20,6 @@ from supercusp.exact import CyclotomicProduct, InvariantError, RatFunc
 from supercusp.padic import (
     ComponentOrbit,
     ParahoricClass,
-    _is_square,
-    _is_triangular,
     _perm_orbits,
     classified_components,
     component_cuspidal_classes,
@@ -31,6 +29,7 @@ from supercusp.padic import (
     finite_semisimple_order,
     formal_degree,
     inner_forms_by_token,
+    lusztig_parameter,
     maximal_supports,
     parahoric_classes,
     parahoric_volume,
@@ -250,16 +249,6 @@ class TestTorusFactor:
         form = inner_forms_by_token(g, "w1")[0]
         with pytest.raises(InvariantError):
             torus_factor(g, (1,), form.frobenius)
-
-    def test_small_integer_predicates(self):
-        for n in range(200):
-            assert _is_square(n) == any(k * k == n for k in range(n + 1))
-            assert _is_triangular(n) == \
-                any(k * (k + 1) // 2 == n for k in range(n + 1))
-        # beyond float precision
-        big = (10 ** 30 + 7) ** 2
-        assert _is_square(big) and not _is_square(big + 1)
-        assert _is_triangular(big * (big + 1) // 2)
 
 
 class TestVolumes:
@@ -1021,6 +1010,39 @@ class TestClassification:
         table = padic._types_by_profile(rank)
         assert len(table) == len(want)
         assert set(table.values()) == want
+
+    # the rank of the group with Lusztig's parameter s, by (family, twist):
+    # U_n with n = s(s+1)/2, Sp_2n and SO_2n+1 with n = s(s+1), SO_2n with
+    # n = s^2, split exactly when s is even; None where s does not fit
+    LUSZTIG_RANK = {
+        ("A", 2): lambda s: s * (s + 1) // 2 - 1,
+        ("B", 1): lambda s: s * (s + 1),
+        ("C", 1): lambda s: s * (s + 1),
+        ("D", 1): lambda s: None if s % 2 else s * s,
+        ("D", 2): lambda s: s * s if s % 2 else None,
+    }
+
+    def test_lusztig_parameter(self):
+        for (fam, tw), rank_of in self.LUSZTIG_RANK.items():
+            for n in range(200):
+                found = [s for s in range(n + 2) if rank_of(s) == n]
+                assert lusztig_parameter(fam, n, tw) == \
+                    (found[0] if found else None), (fam, n, tw)
+        # beyond float precision: s(s+1) and s^2 near 10^30
+        for s in (10 ** 15 + 6, 10 ** 15 + 7):
+            for (fam, tw), rank_of in self.LUSZTIG_RANK.items():
+                n = rank_of(s)
+                if n is None:
+                    assert lusztig_parameter(fam, s * s, tw) is None
+                    continue
+                assert lusztig_parameter(fam, n, tw) == s
+                assert lusztig_parameter(fam, n + 1, tw) is None
+                assert lusztig_parameter(fam, n - 1, tw) is None
+        # the other twists, 3D4 among them, and the exceptional families
+        for fam, tw in [("A", 1), ("A", 3), ("B", 2), ("C", 2), ("D", 3),
+                        ("E", 1), ("E", 2), ("F", 1), ("G", 1)]:
+            assert all(lusztig_parameter(fam, n, tw) is None
+                       for n in range(200)), (fam, tw)
 
     def test_cuspidal_existence_rules(self):
         assert component_cuspidal_classes("A", 4, 1) == []
