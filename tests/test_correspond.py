@@ -15,9 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -27,10 +29,10 @@ from supercusp.correspond import (CSV_COLUMNS, CorrespondenceError,
                                   PacketInvariants, compute_invariants,
                                   full_report, reports_csv, reports_for_form,
                                   reports_json)
-from supercusp.galois import kac_rows
+from supercusp.galois import dual_type, kac_rows
 from supercusp.padic import enumerate_inner_forms, parahoric_classes
 from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
-                                isogeny_tokens, parse_type)
+                                isogeny_tokens, parse_type, root_system)
 
 from test_casetable import PHI, catalogue
 from test_rootdata import _isogenies
@@ -264,6 +266,44 @@ class TestEveryForm:
         specs = every_form_spec()
         assert len(specs) == len(set(specs)) == 1537
         assert _FINDING_SPECS <= set(specs)
+
+
+# ---------------------------------------------------------------------------
+# the weakly unramified characters on the dual side
+# ---------------------------------------------------------------------------
+
+
+class TestDualStabilizer:
+    """For a split adjoint G the dual group is simply connected, and its
+    centre, the Omega of the dual type, moves the parameter's torsion point
+    as it moves the dual alcove (rootdata's omega_action).  So on a line
+    whose case row records the cut node v, the stabilizer of v in the dual
+    Omega has the order of the parameter's stabilizer, stabilizer_param:
+    the paper's equivariance under the weakly unramified characters, seen
+    from both sides."""
+
+    def test_cut_node_stabilizer_is_stabilizer_param(self):
+        census = Counter()
+        for fam, rank, tw in catalogue():
+            if tw != 1:
+                continue
+            g = build_group(f"{fam}{rank}", "adjoint")
+            dual = root_system(*dual_type(g)[:2])
+            for r in full_report(g.spec_string("*")):
+                v = r.row.cut_node
+                if v is None:
+                    continue
+                stab = [x for x, act in dual.omega_action.items()
+                        if act[v] == v]
+                assert len(stab) == prod(r.invariants.stabilizer_param), \
+                    (g.type_string(), r.form_token, r.host.support, v)
+                census[r.row.pattern] += 1
+        assert census == {
+            "lin.anisotropic": 59, "exc.E8": 13, "exc.F4": 7,
+            "oddorth.pair": 7, "exc.G2": 4, "symp.equal": 4, "oddorth.s0": 3,
+            "E7.fusedE6": 3, "evenorth.fused": 2, "exc.E6": 2,
+            "E6.triality": 2, "exc.E7": 2, "evenorth.pair.equal": 1}
+        assert sum(census.values()) == 109
 
 
 # ---------------------------------------------------------------------------
