@@ -537,10 +537,9 @@ class SimpleGroup:
 
 
 # largest rank a type string may name: the catalogue goes to 12, and a
-# rank-20 adjoint full_report takes at most 0.025 s (A20 0.016-0.025 s, B20
-# 0.010-0.016, C20 0.007, D20 0.009-0.011, 2A20 0.009, 2D20 0.008: medians
-# of 9 fresh interpreters, two sets, Python 3.11, shared 2-core x86-64 VM);
-# the cost grows fast with the rank, so a huge rank fails at once
+# rank-20 adjoint full_report takes at most 0.016 s (A20 0.015-0.016 s; B20,
+# C20, D20, 2A20 and 2D20 0.006-0.007: medians of 9 fresh interpreters, two
+# sets, Python 3.11, shared 2-core x86-64 VM); the cost grows fast with rank
 MAX_RANK = 20
 
 
@@ -551,10 +550,11 @@ def parse_type(type_str):
     if not m:
         raise ValueError(f"bad type string {type_str!r}")
     prefix, fam, rank = m.groups()
-    rank, order = int(rank), int(prefix) if prefix else 1
-    if rank > MAX_RANK:
+    # the digits are counted first: int() refuses more than 4,300 of them
+    if len(rank) > len(str(MAX_RANK)) or int(rank) > MAX_RANK:
         raise ValueError(f"rank {rank} of {type_str!r} exceeds the maximum "
                          f"rank {MAX_RANK}")
+    rank, order = int(rank), int(prefix) if prefix else 1
     _check_rank(fam, rank)
     standard_frobenius_perm(fam, rank, order)
     return fam, rank, order

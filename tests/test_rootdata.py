@@ -856,6 +856,15 @@ class TestParsing:
         with pytest.raises(ValueError, match="maximum rank"):
             parse_type(f"B{MAX_RANK + 1}")
 
+    def test_rank_cap_before_int_conversion(self):
+        # int() refuses a string of more than 4,300 digits by default, so
+        # the cap is checked on the digit count first
+        for digits in (4301, 5000):
+            with pytest.raises(ValueError, match="maximum rank"):
+                parse_type(f"A{'1' * digits}")
+        with pytest.raises(ValueError, match="maximum rank"):
+            parse_type(f"B{MAX_RANK + 10 ** 9}")
+
     def test_huge_spec_fails_fast(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="field 1"):
