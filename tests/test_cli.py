@@ -61,15 +61,6 @@ class TestReport:
         assert field in captured.err
         assert spec in captured.err
 
-    def test_rank_of_5000_digits_exceeds_the_maximum(self, capsys):
-        # int() refuses more than 4,300 digits; the rank cap names field 1
-        with pytest.raises(SystemExit) as exc:
-            main(["report", f"A{'1' * 5000}:adjoint:*"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "field 1" in err and "maximum rank 20" in err
-        assert "set_int_max_str_digits" not in err
-
     @pytest.mark.parametrize("spec, tokens", [
         ("2A2:adjoint:w1", "(tokens: 1, *)"),
         ("A3:adjoint:w9", "(tokens: 1, w1, w2, w3, an, *)"),

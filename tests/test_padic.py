@@ -1028,8 +1028,8 @@ class TestClassification:
                 found = [s for s in range(n + 2) if rank_of(s) == n]
                 assert lusztig_parameter(fam, n, tw) == \
                     (found[0] if found else None), (fam, n, tw)
-        # beyond float precision: s(s+1) and s^2 near 10^30
-        for s in (10 ** 15 + 6, 10 ** 15 + 7):
+        # beyond float precision: ranks near 10^30 and 10^60
+        for s in (10 ** 15 + 6, 10 ** 15 + 7, 10 ** 30 + 6, 10 ** 30 + 7):
             for (fam, tw), rank_of in self.LUSZTIG_RANK.items():
                 n = rank_of(s)
                 if n is None:

@@ -853,17 +853,11 @@ class TestParsing:
         # the catalogue goes to rank 12
         assert MAX_RANK >= 12
         assert parse_type(f"B{MAX_RANK}") == ("B", MAX_RANK, 1)
-        with pytest.raises(ValueError, match="maximum rank"):
-            parse_type(f"B{MAX_RANK + 1}")
-
-    def test_rank_cap_before_int_conversion(self):
-        # int() refuses a string of more than 4,300 digits by default, so
-        # the cap is checked on the digit count first
-        for digits in (4301, 5000):
+        # int() refuses more than 4,300 digits by default, so the cap is
+        # checked on the digit count first
+        for rank in (MAX_RANK + 1, "1" * 4301, "1" * 5000):
             with pytest.raises(ValueError, match="maximum rank"):
-                parse_type(f"A{'1' * digits}")
-        with pytest.raises(ValueError, match="maximum rank"):
-            parse_type(f"B{MAX_RANK + 10 ** 9}")
+                parse_type(f"B{rank}")
 
     def test_huge_spec_fails_fast(self):
         start = time.perf_counter()
