@@ -282,9 +282,6 @@ class RatFunc(Frozen):
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(p_mul(self.num, other.den), p_mul(self.den, other.num))
 
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
     def __pow__(self, k):
         if k == 0:
             return RatFunc((1,), (1,))
@@ -329,36 +326,6 @@ class RatFunc(Frozen):
             if any(c != 0 for c in poly[1::2]):
                 return None
         return (self.num[0::2], self.den[0::2])
-
-    def __str__(self):
-        def side(p, var):
-            terms = []
-            for i, c in enumerate(p):
-                if c == 0:
-                    continue
-                if i == 0:
-                    terms.append(str(c))
-                else:
-                    mon = var if i == 1 else f"{var}^{i}"
-                    if c == 1:
-                        terms.append(mon)
-                    elif c == -1:
-                        terms.append(f"-{mon}")
-                    else:
-                        terms.append(f"{c}*{mon}")
-            return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-        pair = self.in_q()
-        if pair is not None:
-            n, d = pair
-            s = side(n, "q")
-            if d != (1,):
-                s = f"({s})/({side(d, 'q')})"
-            return s
-        s = side(self.num, "t")
-        if self.den != (1,):
-            s = f"({s})/({side(self.den, 't')})"
-        return s
 
     def to_json(self):
         return {"num": list(self.num), "den": list(self.den)}
@@ -492,9 +459,6 @@ class Cyclo(Frozen):
 
     def __sub__(self, other):
         return self + (-_coerce_cyclo(other))
-
-    def __rsub__(self, other):
-        return _coerce_cyclo(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce_cyclo(other)

@@ -550,10 +550,10 @@ def parse_type(type_str):
     if not m:
         raise ValueError(f"bad type string {type_str!r}")
     prefix, fam, rank = m.groups()
-    # the digits are counted first: int() refuses more than 4,300 of them
-    if len(rank) > len(str(MAX_RANK)) or int(rank) > MAX_RANK:
-        raise ValueError(f"rank {rank} of {type_str!r} exceeds the maximum "
-                         f"rank {MAX_RANK}")
+    # int() refuses over 4,300 digits: a longer rank is named by its length
+    shown = rank if len(rank) <= len(str(MAX_RANK)) else f"of {len(rank)} digits"
+    if shown != rank or int(rank) > MAX_RANK:
+        raise ValueError(f"rank {shown} exceeds the maximum rank {MAX_RANK}")
     rank, order = int(rank), int(prefix) if prefix else 1
     _check_rank(fam, rank)
     standard_frobenius_perm(fam, rank, order)

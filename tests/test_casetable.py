@@ -24,34 +24,15 @@ from supercusp.correspond import full_report
 from supercusp.padic import (ComponentOrbit, enumerate_inner_forms,
                              inner_forms_by_token, parahoric_classes,
                              supports_with_cuspidals)
-from supercusp.rootdata import (MAX_RANK, SimpleGroup, isogeny_tokens,
-                                parse_spec, parse_type, root_system)
+from supercusp.rootdata import MAX_RANK, SimpleGroup, parse_spec, root_system
+from typespace import groups, type_id, types
 
 PHI = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 
 
-def catalogue():
-    out = []
-    for n in range(1, 13):
-        out.append(("A", n, 1))
-        if n >= 2:
-            out.append(("A", n, 2))
-    for n in range(2, 13):
-        out.append(("B", n, 1))
-        out.append(("C", n, 1))
-    for n in range(3, 13):
-        out.append(("D", n, 1))
-        if n >= 4:
-            out.append(("D", n, 2))
-    out.append(("D", 4, 3))
-    out += [("E", 6, 1), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1),
-            ("F", 4, 1), ("G", 2, 1)]
-    return out
-
-
 def iter_rows():
-    for fam, rank, tw in catalogue():
-        G = SimpleGroup(fam, rank, tw, "adjoint")
+    for key in types(12):
+        G = SimpleGroup(*key)
         for form in enumerate_inner_forms(G):
             for host, classes in supports_with_cuspidals(G, form):
                 rows = rows_for_host(G, host, classes)
@@ -62,30 +43,19 @@ def iter_rows():
 def every_form_row():
     """(spec, support, row) for every case row of every inner form of every
     Frobenius-stable isogeny of every type up to MAX_RANK."""
-    for prefix in ("", "2", "3"):
-        for fam in "ABCDEFG":
-            for rank in range(1, MAX_RANK + 1):
-                try:
-                    key = parse_type(f"{prefix}{fam}{rank}")
-                except ValueError:
-                    continue
-                for iso in isogeny_tokens(fam, rank):
-                    try:
-                        G = SimpleGroup(*key, iso)
-                    except ValueError:
-                        continue
-                    for form in enumerate_inner_forms(G):
-                        spec = G.spec_string(form.token)
-                        for host, classes in supports_with_cuspidals(G, form):
-                            for row in rows_for_host(G, host, classes):
-                                yield spec, host.support, row
+    for G in groups(MAX_RANK):
+        for form in enumerate_inner_forms(G):
+            spec = G.spec_string(form.token)
+            for host, classes in supports_with_cuspidals(G, form):
+                for row in rows_for_host(G, host, classes):
+                    yield spec, host.support, row
 
 
 class TestCountingIdentities:
     def test_every_host_classifies(self):
         seen = 0
-        for fam, rank, tw in catalogue():
-            G = SimpleGroup(fam, rank, tw, "adjoint")
+        for key in types(12):
+            G = SimpleGroup(*key)
             for form in enumerate_inner_forms(G):
                 for host, classes in supports_with_cuspidals(G, form):
                     rows = rows_for_host(G, host, classes)
@@ -422,10 +392,10 @@ class TestOnePass:
     def test_no_root_system_for_levi_components(self):
         # component sizes come from the Weyl degrees, so a report builds
         # only the root systems of its type and of the dual type
-        for fam, rank, tw in catalogue():
+        for key in types(12):
             root_system.cache_clear()
-            full_report(f"{tw if tw > 1 else ''}{fam}{rank}:adjoint:*")
-            assert root_system.cache_info().currsize <= 2, (fam, rank, tw)
+            full_report(f"{type_id(key)}:adjoint:*")
+            assert root_system.cache_info().currsize <= 2, key
 
     def test_one_support_pass_per_form(self, monkeypatch):
         calls = []

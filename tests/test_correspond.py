@@ -32,10 +32,10 @@ from supercusp.correspond import (CSV_COLUMNS, CorrespondenceError,
 from supercusp.galois import dual_type, kac_rows
 from supercusp.padic import enumerate_inner_forms, parahoric_classes
 from supercusp.rootdata import (MAX_RANK, SimpleGroup, build_group,
-                                isogeny_tokens, parse_type, root_system)
+                                parse_type, root_system)
 
-from test_casetable import PHI, catalogue
-from test_rootdata import _isogenies
+from test_casetable import PHI
+from typespace import groups, isogenies, types
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +126,14 @@ def matched_class(group, form, support_class_associates):
     return hits
 
 
-def isogeny_pairs(top=8):
-    """(adjoint group, group at another isogeny) for every catalogue type of
-    rank at most top and every isogeny that the Frobenius keeps."""
-    for fam, rank, tw in catalogue():
-        if rank > top:
-            continue
-        adjoint = SimpleGroup(fam, rank, tw, "adjoint")
-        for iso in isogeny_tokens(fam, rank):
-            if iso == "adjoint":
-                continue
-            try:
-                yield adjoint, SimpleGroup(fam, rank, tw, iso)
-            except ValueError:
-                continue
-
-
 class TestIsogenyTransfer:
     def test_transfer_equals_direct_invariants(self):
         pairs = 0
-        for adjoint, group in isogeny_pairs():
+        # every non-adjoint isogeny of every catalogue type up to rank 8
+        for group in groups(8):
+            if group.isogeny == "adjoint":
+                continue
+            adjoint = SimpleGroup(group.family, group.rank, group.twist_order)
             for form in enumerate_inner_forms(adjoint):
                 reached = []
                 for host, cls, row, _ in kac_rows(adjoint, form):
@@ -209,8 +197,7 @@ class TestSerialization:
     def test_orbit_count_and_tau_orbit_over_the_catalogue(self):
         # both columns are written at serialization, not stored on the
         # report: orbit_count is g' phi(n_s), tau_orbit is never computed
-        specs = [g.spec_string("*")
-                 for key in catalogue() for g in _isogenies(*key)]
+        specs = [g.spec_string("*") for g in groups(12)]
         assert len(specs) == 192
         seen = 0
         for spec in specs:
@@ -225,18 +212,8 @@ class TestSerialization:
 def every_form_spec():
     """TYPE:ISOGENY:TOKEN for every type the parser accepts up to MAX_RANK,
     every isogeny the Frobenius keeps and every inner form."""
-    specs = []
-    for prefix in ("", "2", "3"):
-        for fam in "ABCDEFG":
-            for rank in range(1, MAX_RANK + 1):
-                try:
-                    key = parse_type(f"{prefix}{fam}{rank}")
-                except ValueError:
-                    continue
-                for g in _isogenies(*key):
-                    specs += [g.spec_string(f.token)
-                              for f in enumerate_inner_forms(g)]
-    return specs
+    return [g.spec_string(f.token) for g in groups(MAX_RANK)
+            for f in enumerate_inner_forms(g)]
 
 
 # a known finding, kept visible: _classify_classical sends the 2D15 w1
@@ -284,10 +261,7 @@ class TestDualStabilizer:
 
     def test_cut_node_stabilizer_is_stabilizer_param(self):
         census = Counter()
-        for fam, rank, tw in catalogue():
-            if tw != 1:
-                continue
-            g = build_group(f"{fam}{rank}", "adjoint")
+        for g in [SimpleGroup(*key) for key in types(12) if key[2] == 1]:
             dual = root_system(*dual_type(g)[:2])
             for r in full_report(g.spec_string("*")):
                 v = r.row.cut_node
@@ -414,6 +388,6 @@ class TestLowRankIsomorphisms:
         _allow_2d3(monkeypatch)
         for side in (0, 2):
             for type_str in dict.fromkeys(p[side] for p in _ISOMORPHIC):
-                isos = [g.isogeny for g in _isogenies(*parse_type(type_str))]
+                isos = [g.isogeny for g in isogenies(parse_type(type_str))]
                 assert isos == [p[side + 1] for p in _ISOMORPHIC
                                 if p[side] == type_str], type_str

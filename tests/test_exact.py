@@ -120,10 +120,6 @@ class TestRatFunc:
         assert (RF_Q + 1).in_q() == ((1, 1), (1,))
         assert RF_T.in_q() is None
 
-    def test_str_in_q(self):
-        assert str(RF_Q**2 - RF_Q) == "-q + q^2"
-        assert "t" in str(RF_T)
-
     def test_positive_for_large_q(self):
         assert (RF_Q - 7).positive_for_large_q()
         assert not (1 - RF_Q).positive_for_large_q()

@@ -20,11 +20,8 @@ from supercusp.galois import (WeightString, _build_param, _gamma_abs_0,
                               local_factors, param_json)
 from supercusp.padic import (enumerate_inner_forms, formal_degree,
                              supports_with_cuspidals)
-from supercusp.rootdata import (MAX_RANK, build_group, isogeny_tokens,
-                                parse_type, root_system)
-from test_casetable import catalogue
-from test_rootdata import (CATALOGUE_SYSTEMS, _isogenies, _systems,
-                           _type_id)
+from supercusp.rootdata import MAX_RANK, build_group, parse_type, root_system
+from typespace import groups, isogenies, type_id, types
 
 
 def q(k):
@@ -58,25 +55,8 @@ def host_class_pairs(group, form):
 
 
 def small_catalogue():
-    groups = []
-    for fam, ranks, twists in (("A", range(1, 9), (1, 2)),
-                               ("B", range(2, 7), (1,)),
-                               ("C", range(2, 7), (1,)),
-                               ("D", range(3, 7), (1, 2))):
-        for r in ranks:
-            for tw in twists:
-                groups.append((fam, r, tw))
-    groups += [("D", 4, 3), ("G", 2, 1), ("F", 4, 1), ("E", 6, 1),
-               ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)]
-    out = []
-    for fam, rank, tw in groups:
-        for iso in isogeny_tokens(fam, rank):
-            try:
-                g = build_group(f"{tw if tw > 1 else ''}{fam}{rank}", iso)
-            except ValueError:
-                continue
-            out.append(g)
-    return out
+    """Every catalogue group up to rank 8, with B, C and D up to rank 6."""
+    return [g for g in groups(8) if g.family not in "BCD" or g.rank <= 6]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +348,7 @@ class TestGammaMemo:
     def test_one_gamma_per_weight_multiset(self, memo):
         # every catalogue report: local_factors runs once per row with
         # weights, |gamma(0)| is computed once per distinct (strings, ord_psi)
-        specs = [g.spec_string("*") for key in catalogue()
-                 for g in _isogenies(*key)]
+        specs = [g.spec_string("*") for g in groups(12)]
         rows = [r for spec in specs for r in full_report(spec)
                 if r.param.sl2_weights is not None]
         distinct = {(r.param.sl2_weights, -1) for r in rows}
@@ -388,19 +367,10 @@ class TestGammaMemo:
         assert memo.cache_info().currsize == 0
 
 
-def adjoint_catalogue():
-    """Every adjoint catalogue type: classical up to rank 12 and every
-    exceptional type."""
-    out = [f"A{n}" for n in range(1, 13)] + [f"2A{n}" for n in range(2, 13)]
-    out += [f"{fam}{n}" for n in range(2, 13) for fam in "BC"]
-    out += [f"D{n}" for n in range(3, 13)] + [f"2D{n}" for n in range(4, 13)]
-    return out + ["3D4", "E6", "2E6", "E7", "E8", "F4", "G2"]
-
-
 @lru_cache(maxsize=None)
 def catalogue_reports():
-    return tuple(r for type_str in adjoint_catalogue()
-                 for r in full_report(f"{type_str}:adjoint:*"))
+    return tuple(r for key in types(12)
+                 for r in full_report(f"{type_id(key)}:adjoint:*"))
 
 
 def _point_gamma_abs(strings, ord_psi, t_val):
@@ -512,14 +482,9 @@ class TestEquivariance:
     ])
     def test_rows_permute(self, type_str):
         # each type has rows on some isogeny, so the check sees some
-        fam, rank, _ = parse_type(type_str)
         rows = 0
-        for iso in isogeny_tokens(fam, rank):
-            try:
-                g = build_group(type_str, iso)
-            except ValueError:
-                continue
-            reports = full_report(f"{type_str}:{iso}:*")
+        for g in isogenies(parse_type(type_str)):
+            reports = full_report(g.spec_string("*"))
             rows += len(reports)
             for perm in _acting(g):
                 res = equivariance_check(g, reports, perm)
@@ -647,7 +612,7 @@ class TestInnerTorsionStrings:
             assert sum(w.h + 1 for w in strings) == \
                 2 * rs.num_pos_roots + rank
 
-    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS,
+    @pytest.mark.parametrize("key", [k[:2] for k in types(12) if k[2] == 1],
                              ids="{0[0]}{0[1]}".format)
     def test_closed_form_h_against_coroot_sum(self, key):
         # the reference grade: pair each root with the sum of the coroots
@@ -687,8 +652,8 @@ class TestInnerTorsionStrings:
                                 ("E", 8, 5), ("E", 7, 4), ("A", 6, 0)):
             local_factors(inner_torsion_strings(fam, rank, node))
 
-    @pytest.mark.parametrize("key", _systems(MAX_RANK),
-                             ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("key", [k[:2] for k in types(MAX_RANK)
+                                     if k[2] == 1], ids="{0[0]}{0[1]}".format)
     def test_the_principal_cut_gives_the_weyl_degrees(self, key):
         # Kostant: at node 0 the torsion point is trivial and h is the
         # principal grading, so the adjoint representation is one string
@@ -741,15 +706,15 @@ class TestKacPoints:
                 for host, cls, row, p in rows:
                     assert p == _build_param(g, row)
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_parameters_do_not_depend_on_the_isogeny(self, key):
         # a parameter reads its group only through the dual type, the same
         # for every isogeny: each inner form has the same case rows, row by
         # row, on every isogeny, and each row the same parameter
-        groups = list(_isogenies(*key))
-        for form in enumerate_inner_forms(groups[0]):
-            want = [(row, p) for *_, row, p in kac_rows(groups[0], form)]
-            for g in groups[1:]:
+        kept = isogenies(key)
+        for form in enumerate_inner_forms(kept[0]):
+            want = [(row, p) for *_, row, p in kac_rows(kept[0], form)]
+            for g in kept[1:]:
                 assert [(row, p) for *_, row, p in kac_rows(g, form)] == \
                     want, g.spec_string(form.token)
 
@@ -846,35 +811,28 @@ class TestKacPoints:
                 (fam, rank), (fam, rank))
 
         seen = {}
-        for fam, rank, tw in catalogue():
-            for iso in isogeny_tokens(fam, rank):
-                try:
-                    g = build_group(f"{tw if tw > 1 else ''}{fam}{rank}", iso)
-                except ValueError:
-                    continue
-                fam_d, rank_d, _ = dual_type(g)
-                for form in enumerate_inner_forms(g):
-                    for host, _, row, p in kac_rows(g, form):
-                        if row.geometric is not None:
-                            continue
-                        seen[row.pattern] = seen.get(row.pattern, 0) + 1
-                        if row.cut_node is None:
-                            assert (row.pattern, row.n_s) == \
-                                ("E6.triality", 2)
-                            assert row.cut_node is None
-                            assert p.components is None
-                        elif row.pattern.startswith("oddorth."):
-                            a, b = odd_orthogonal_blocks(host)
-                            ranks = ((a - b) * (a - b + 1) // 2,
-                                     (a + b) * (a + b + 1) // 2)
-                            assert row.cut_node == ranks[0]
-                            assert p.components == tuple(
-                                sorted(named("C", k) for k in ranks if k))
-                        else:
-                            assert row.cut_node == 0 and row.n_s == 1
-                            assert p.components == \
-                                (named(fam_d, rank_d),), (g.type_string(),
-                                                          row.pattern)
+        for g in groups(12):
+            fam_d, rank_d, _ = dual_type(g)
+            for form in enumerate_inner_forms(g):
+                for host, _, row, p in kac_rows(g, form):
+                    if row.geometric is not None:
+                        continue
+                    seen[row.pattern] = seen.get(row.pattern, 0) + 1
+                    if row.cut_node is None:
+                        assert (row.pattern, row.n_s) == ("E6.triality", 2)
+                        assert row.cut_node is None
+                        assert p.components is None
+                    elif row.pattern.startswith("oddorth."):
+                        a, b = odd_orthogonal_blocks(host)
+                        ranks = ((a - b) * (a - b + 1) // 2,
+                                 (a + b) * (a + b + 1) // 2)
+                        assert row.cut_node == ranks[0]
+                        assert p.components == tuple(
+                            sorted(named("C", k) for k in ranks if k))
+                    else:
+                        assert row.cut_node == 0 and row.n_s == 1
+                        assert p.components == (named(fam_d, rank_d),), \
+                            (g.type_string(), row.pattern)
         assert set(seen) == {
             "lin.anisotropic", "oddorth.s0", "oddorth.pair", "symp.equal",
             "evenorth.pair.equal", "evenorth.fused", "E6.triality"}
@@ -987,12 +945,9 @@ class TestFormalDegreeIdentity:
     def test_every_anisotropic_linear_row(self):
         # all isogenies, all anisotropic forms: the identity closes with
         # component group of order equal to the fundamental group retained
-        for fam, rank in [("A", r) for r in range(1, 7)] + [("D", 3)]:
-            for iso in isogeny_tokens(fam, rank):
-                try:
-                    g = build_group(f"{fam}{rank}", iso)
-                except ValueError:
-                    continue
+        for g in groups(6):
+            if (g.family, g.twist_order) == ("A", 1) or \
+                    g.type_string() == "D3":
                 for form in enumerate_inner_forms(g):
                     for host, cls, row, p in kac_rows(g, form):
                         if row.pattern != "lin.anisotropic":
@@ -1055,21 +1010,20 @@ class TestFormalDegreeIdentity:
         # own p and for no other, whatever |S#| is.  No spec has a second
         # candidate yet, one pair per line: the pair count shows growth.
         pairs = 0
-        for key in catalogue():
-            for g in _isogenies(*key):
-                reports = full_report(g.spec_string("*"))
-                candidates = {r.param for r in reports
-                              if r.param.gamma_abs_0 is not None}
-                for r in reports:
-                    if r.fdeg is None or r.param.gamma_abs_0 is None:
-                        continue
-                    matches = []
-                    for p in candidates:
-                        ratio = r.fdeg / p.gamma_abs_0
-                        if ratio.t_exp == 0 and not ratio.phi:
-                            matches.append(p)
-                        pairs += 1
-                    assert matches == [r.param], r.spec
+        for g in groups(12):
+            reports = full_report(g.spec_string("*"))
+            candidates = {r.param for r in reports
+                          if r.param.gamma_abs_0 is not None}
+            for r in reports:
+                if r.fdeg is None or r.param.gamma_abs_0 is None:
+                    continue
+                matches = []
+                for p in candidates:
+                    ratio = r.fdeg / p.gamma_abs_0
+                    if ratio.t_exp == 0 and not ratio.phi:
+                        matches.append(p)
+                    pairs += 1
+                assert matches == [r.param], r.spec
         assert pairs == 166
 
 

@@ -38,12 +38,11 @@ from supercusp.padic import (
 )
 from supercusp.rootdata import (MAX_RANK, SimpleGroup, bond_neighbours,
                                 build_group, cartan_matrix, dynkin_diagram,
-                                isogeny_tokens, root_system)
+                                root_system)
 
-from test_casetable import catalogue
 from test_exact import p_subst_pow
-from test_rootdata import (TWISTED_SYSTEMS, _isogenies, _type_id,
-                           reference_orders, reflection_orbit, weyl_degrees)
+from test_rootdata import reference_orders, reflection_orbit, weyl_degrees
+from typespace import groups, isogenies, type_id, types
 
 
 Q = RatFunc.q_power(1)
@@ -96,7 +95,7 @@ class TestInnerForms:
             with pytest.raises(ValueError):
                 inner_forms_by_token(g, "an")
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_bad_token_lists_the_accepted_ones(self, key):
         # the forms' tokens in report order, 'an' on split type A, then '*'
         g = SimpleGroup(*key)
@@ -119,11 +118,11 @@ class TestInnerForms:
         g = build_group("A2", "adjoint")
         assert len(inner_forms_by_token(g, "*")) == 3
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_frobenius_is_a_diagram_automorphism(self, key):
         # F_omega permutes the affine nodes and keeps the affine Cartan
         # matrix and the marks, as torus_factor assumes
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             A, marks, nodes = g.rs.affine_cartan, g.rs.marks, range(g.rank + 1)
             for form in enumerate_inner_forms(g):
                 F, where = form.frobenius, g.spec_string(form.token)
@@ -163,7 +162,7 @@ class TestOrders:
             prod = prod * (Q ** d + s)
         assert got == prod
 
-    @pytest.mark.parametrize("key", TWISTED_SYSTEMS, ids=_type_id)
+    @pytest.mark.parametrize("key", types(MAX_RANK), ids=type_id)
     def test_matches_the_reference_case_analysis(self, key):
         # q^N prod Phi_o(q^d) over the listed degrees and the orders the
         # case analysis gives them, N from the untwisted degrees (3D4 lists
@@ -202,23 +201,6 @@ def dense_det_qw_minus_one(W):
     return out if out.positive_for_large_q() else -out
 
 
-def groups_up_to_rank(top):
-    """Every isogeny of every catalogue type of rank at most top (2A1 and
-    2D3 do not exist, and neither does an isogeny that the Frobenius does
-    not keep)."""
-    types = [(fam, r, tw) for fam, lo, twists in (
-        ("A", 1, (1, 2)), ("B", 2, (1,)), ("C", 2, (1,)), ("D", 3, (1, 2)))
-        for r in range(lo, top + 1) for tw in twists]
-    types += [("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1),
-              ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)]
-    for fam, rank, tw in types:
-        for iso in isogeny_tokens(fam, rank):
-            try:
-                yield SimpleGroup(fam, rank, tw, iso)
-            except ValueError:
-                continue
-
-
 class TestTorusFactor:
     def test_node_orbits_match_the_determinant(self):
         # the orbit formula against |det(qW - 1)| of the Frobenius matrix on
@@ -226,7 +208,7 @@ class TestTorusFactor:
         # the span of the support
         dense = {}
         forms = supports = 0
-        for g in groups_up_to_rank(8):
+        for g in groups(8):
             for form in enumerate_inner_forms(g):
                 forms += 1
                 perm = form.frobenius
@@ -280,11 +262,11 @@ class TestVolumes:
                 vol = parahoric_volume(g, pc, perm).to_ratfunc()
                 assert vol.eval_q(4) > 0 and vol.eval_q(9) > 0
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_matches_the_dimension_normalization(self, key):
         # q^(-dim/2) |P(F_q)| written out, with dim = rank + 2N per
         # component of N positive roots, read off the Weyl degrees
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             for form in enumerate_inner_forms(g):
                 for pc in parahoric_classes(g, form):
                     dim = g.rank + sum(
@@ -442,9 +424,9 @@ class TestGPrimeOracle:
     stabilizer by orbit-stabilizer; here both come from acting on the
     supports with Omega_G^theta itself."""
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_g_prime_from_explicit_g_orbits(self, key):
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             fixed_G = g.omega_G_theta
             for form in enumerate_inner_forms(g):
                 for pc in parahoric_classes(g, form):
@@ -461,9 +443,9 @@ class TestIntegerOrder:
     """Nodes sort as integers: the supports, each class's associates and
     the list of classes, on every form of every catalogue isogeny."""
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_supports_and_classes_are_sorted(self, key):
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             for form in enumerate_inner_forms(g):
                 supports = maximal_supports(form.frobenius)
                 assert supports == sorted(supports)
@@ -543,8 +525,8 @@ class TestSharedAdjointSide:
             return real(*args)
 
         monkeypatch.setattr(padic, name, counted)
-        for key in catalogue():
-            specs = [g.spec_string("*") for g in _isogenies(*key)]
+        for key in types(12):
+            specs = [g.spec_string("*") for g in isogenies(key)]
             assert specs[-1].split(":")[1] == "adjoint"
             counts = []
             for batch in (specs[-1:], specs):
@@ -559,19 +541,19 @@ class TestSharedAdjointSide:
         # every isogeny's report together costs what the adjoint one does
         for key, counts in self._adjoint_and_all_counts(
                 monkeypatch, "component_orbits"):
-            assert counts[0] == counts[1] > 0, (_type_id(key), counts)
+            assert counts[0] == counts[1] > 0, (type_id(key), counts)
 
     def test_one_cuspidal_pass_per_type(self, monkeypatch):
         # the cuspidal data is read once per adjoint class, not once per
         # isogeny that finishes it
         for key, counts in self._adjoint_and_all_counts(
                 monkeypatch, "cuspidal_data"):
-            assert counts[0] == counts[1] > 0, (_type_id(key), counts)
+            assert counts[0] == counts[1] > 0, (type_id(key), counts)
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_classes_match_the_oracle_in_either_order(self, key):
-        groups = list(_isogenies(*key))
-        for ordered in (groups, groups[::-1]):
+        kept = isogenies(key)
+        for ordered in (kept, kept[::-1]):
             _clear_adjoint_caches()
             for g in ordered:
                 for form in enumerate_inner_forms(g):
@@ -580,8 +562,8 @@ class TestSharedAdjointSide:
                             form.token)
 
     def test_reports_do_not_depend_on_the_isogeny_order(self):
-        specs = [[g.spec_string("*") for g in _isogenies(*key)]
-                 for key in catalogue()]
+        specs = [[g.spec_string("*") for g in isogenies(key)]
+                 for key in types(12)]
         texts = []
         for order in (1, -1):
             _clear_adjoint_caches()
@@ -655,9 +637,9 @@ class TestCuspidalRows:
     cuspidal data.  Here every class is finished first and its cuspidal
     data read after, as two separate steps."""
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_rows_are_the_finished_classes_with_cuspidal_data(self, key):
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             for form in enumerate_inner_forms(g):
                 want = [(pc, cuspidal_data(pc))
                         for pc in parahoric_classes(g, form)
@@ -757,7 +739,7 @@ class TestOnePassClassification:
     which catches a bond profile that names the wrong type on both
     paths."""
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_component_orbits_match_the_public_path(self, key):
         g = SimpleGroup(*key)
         cartan = g.rs.affine_cartan
@@ -774,7 +756,7 @@ class TestOnePassClassification:
                     assert _root_count(own) == len(
                         root_system(co.family, co.rank).roots)
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_class_orbits_match_the_walk(self, key):
         # the cycle lengths parahoric_classes passes are the ones its own
         # walk of the form's node orbits records
@@ -827,7 +809,7 @@ class TestClassificationMemo:
     once, by value, and every inner form, twist, isogeny and dual cut of a
     type shares the entry."""
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_memo_matches_an_uncached_classification(self, key):
         padic._classified.cache_clear()
         for cartan, nodes in _classified_pairs(key):
@@ -976,37 +958,33 @@ class TestClassification:
         with pytest.raises(ValueError, match="unclassifiable diagram"):
             classify_component(cartan, nodes)
 
-    # every family with its ranks, and the names of the coincidences
-    FAMILY_RANKS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
-                    "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+    # every untwisted (family, rank), and the names of the coincidences
+    SPLIT = [key[:2] for key in types(MAX_RANK) if key[2] == 1]
     CANONICAL = {("C", 2): ("B", 2), ("D", 3): ("A", 3)}
 
     def test_every_type_reversed(self):
-        for fam, (lo, hi) in self.FAMILY_RANKS.items():
-            for rank in range(lo, hi + 1):
-                cartan = cartan_matrix(*dynkin_diagram(fam, rank))
-                assert classify_component(cartan, tuple(range(rank))[::-1]) \
-                    == self.CANONICAL.get((fam, rank), (fam, rank))
+        for fam, rank in self.SPLIT:
+            cartan = cartan_matrix(*dynkin_diagram(fam, rank))
+            assert classify_component(cartan, tuple(range(rank))[::-1]) \
+                == self.CANONICAL.get((fam, rank), (fam, rank))
 
     def test_bond_lists_give_the_dense_profiles(self):
         # the table reads each profile off the bond lists; the dense Cartan
         # matrix, through the same profile function, gives the same one
-        for fam, (lo, hi) in self.FAMILY_RANKS.items():
-            for rank in range(lo, hi + 1):
-                diagram = dynkin_diagram(fam, rank)
-                cartan = cartan_matrix(*diagram)
-                nbrs = bond_neighbours(*diagram)
-                assert list(padic._profiles(nbrs)) == list(padic._profiles(
-                    _dense_neighbours(cartan, range(rank)))), (fam, rank)
-                [(_, profile)] = padic._profiles(nbrs)
-                assert padic._types_by_profile(rank)[profile] == \
-                    self.CANONICAL.get((fam, rank), (fam, rank))
+        for fam, rank in self.SPLIT:
+            diagram = dynkin_diagram(fam, rank)
+            cartan = cartan_matrix(*diagram)
+            nbrs = bond_neighbours(*diagram)
+            assert list(padic._profiles(nbrs)) == list(padic._profiles(
+                _dense_neighbours(cartan, range(rank)))), (fam, rank)
+            [(_, profile)] = padic._profiles(nbrs)
+            assert padic._types_by_profile(rank)[profile] == \
+                self.CANONICAL.get((fam, rank), (fam, rank))
 
     @pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
     def test_one_profile_per_type(self, rank):
-        want = {self.CANONICAL.get((fam, rank), (fam, rank))
-                for fam, (lo, hi) in self.FAMILY_RANKS.items()
-                if lo <= rank <= hi}
+        want = {self.CANONICAL.get(key, key) for key in self.SPLIT
+                if key[1] == rank}
         table = padic._types_by_profile(rank)
         assert len(table) == len(want)
         assert set(table.values()) == want

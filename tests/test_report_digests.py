@@ -162,7 +162,7 @@ SPEC_DIGESTS = {
         "5d980f919b34ae8046a6d11f8dab80436928525028600663461123011173354d",
     "D8:so:*":
         "e6732ed40a489a200323ec19170c1d6cb3c6df35a63ee0458efc6f1b6fff99a3",
-    # the rest of the adjoint catalogue (tests/test_casetable.py::catalogue)
+    # the rest of the adjoint catalogue (tests/typespace.types(12))
     "2A10:adjoint:*":
         "1ff8a14b780acc196f1d62899e5f256b8ff24a424e7742affbb3cc61f33b2e87",
     "2A11:adjoint:*":

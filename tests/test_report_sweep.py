@@ -1,9 +1,10 @@
 """Every report up to MAX_RANK, pinned.
 
-The sweep runs `full_report` on every TYPE:ISOGENY:* spec a family of
-`rootdata._RANKS` has up to MAX_RANK, with twist prefix none, 2 or 3 and
-each token of `isogeny_tokens`.  A spec that builds is hashed with its
-canonical JSON (sort_keys) and its CSV; one that raises, with its
+The spec list comes from the untwisted types of `typespace.types(MAX_RANK)`:
+each with twist prefix none, 2 or 3 and each token of `isogeny_tokens`, so
+the sweep also runs the prefixes and tokens a type refuses.  `full_report`
+runs on every such TYPE:ISOGENY:* spec.  A spec that builds is hashed with
+its canonical JSON (sort_keys) and its CSV; one that raises, with its
 exception type and text.  One SHA-256 per (family, twist prefix) says
 where a change landed.  A change that alters a report or an error text on
 purpose edits these digests, in the open."""
@@ -16,7 +17,8 @@ from collections import Counter
 from functools import lru_cache
 
 from supercusp.correspond import full_report, reports_csv, reports_json
-from supercusp.rootdata import _RANKS, MAX_RANK, isogeny_tokens
+from supercusp.rootdata import MAX_RANK, isogeny_tokens
+from typespace import types
 
 SWEEP_DIGESTS = {
     ("A", ""):
@@ -66,11 +68,10 @@ SWEEP_DIGESTS = {
 
 def sweep_specs():
     """(family, twist prefix, spec) for every spec of the sweep."""
-    for fam, (lo, hi) in _RANKS.items():
+    for fam, rank, _ in [key for key in types(MAX_RANK) if key[2] == 1]:
         for prefix in ("", "2", "3"):
-            for rank in range(lo, min(hi or MAX_RANK, MAX_RANK) + 1):
-                for iso in isogeny_tokens(fam, rank):
-                    yield fam, prefix, f"{prefix}{fam}{rank}:{iso}:*"
+            for iso in isogeny_tokens(fam, rank):
+                yield fam, prefix, f"{prefix}{fam}{rank}:{iso}:*"
 
 
 @lru_cache(maxsize=None)

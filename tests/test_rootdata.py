@@ -32,8 +32,8 @@ from supercusp.rootdata import (
     standard_frobenius_perm,
     string_tops,
 )
-from test_casetable import catalogue
 from test_exact import det_adjugate, integer_inverse, mat_mul
+from typespace import groups, isogenies, type_id, types
 
 
 ROOT_COUNTS = {
@@ -49,25 +49,9 @@ ROOT_COUNTS = {
 }
 
 
-def _systems(top):
-    """Every (family, rank) with classical ranks up to top and the
-    exceptional types."""
-    return [("A", n) for n in range(1, top + 1)] + \
-        [(f, n) for f in "BC" for n in range(2, top + 1)] + \
-        [("D", n) for n in range(3, top + 1)] + \
-        [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-
-
-# every (family, rank) of the case-table catalogue: classical ranks up to 12
-# and the exceptional types
-CATALOGUE_SYSTEMS = _systems(12)
-
-# every (family, rank, twist) up to MAX_RANK that standard_frobenius_perm
-# accepts: 81 untwisted, 2A2-2A20, 2D4-2D20, 3D4 and 2E6
-TWISTED_SYSTEMS = [(*key, 1) for key in _systems(MAX_RANK)] + \
-    [("A", n, 2) for n in range(2, MAX_RANK + 1)] + \
-    [("D", n, 2) for n in range(4, MAX_RANK + 1)] + \
-    [("D", 4, 3), ("E", 6, 2)]
+# the untwisted (family, rank) of the case-table catalogue and up to MAX_RANK
+SPLIT_CATALOGUE = [key[:2] for key in types(12) if key[2] == 1]
+SPLIT_TYPES = [key[:2] for key in types(MAX_RANK) if key[2] == 1]
 
 
 # Literal reference for RootSystem.twisted_degrees: the degrees of the basic
@@ -109,11 +93,6 @@ def reference_orders(family, rank, twist):
     return degrees, orders
 
 
-def _type_id(key):
-    fam, rank, tw = key
-    return f"{'' if tw == 1 else tw}{fam}{rank}"
-
-
 def reflection_orbit(cartan):
     """Every root of a Cartan matrix A, in simple-root coordinates, as the
     orbit of the simple roots under the reflections s_i(beta) = beta -
@@ -135,7 +114,7 @@ class TestRootStrings:
     """The roots built by alpha-strings, height by height, against the
     reflection orbit of the simple roots, for every type up to MAX_RANK."""
 
-    @pytest.mark.parametrize("key", _systems(MAX_RANK),
+    @pytest.mark.parametrize("key", SPLIT_TYPES,
                              ids="{0[0]}{0[1]}".format)
     def test_strings_give_the_reflection_orbit(self, key):
         rs = root_system(*key)
@@ -178,7 +157,7 @@ class TestLazyRoots:
     are built on first read, and only the adjoint weight strings and the
     volumes' twisted_degrees read them."""
 
-    @pytest.mark.parametrize("key", _systems(MAX_RANK),
+    @pytest.mark.parametrize("key", SPLIT_TYPES,
                              ids="{0[0]}{0[1]}".format)
     def test_closed_forms_agree_with_the_string_walk(self, key):
         rs = RootSystem(*key)
@@ -208,13 +187,13 @@ class TestLazyRoots:
         # volumes read roots, through twisted_degrees, and only for the
         # components whose class degree is known, 2A2 (_DEG_U3) and B2
         # (_DEG_B2)
-        fam, rank, tw = parse_type(type_str)
-        isogenies = ["adjoint"] if type_str in RANK_TYPES else \
-            [g.isogeny for g in _isogenies(fam, rank, tw)]
-        for iso in isogenies:
-            full_report(f"{type_str}:{iso}:*")
-        dual = galois.dual_type(SimpleGroup(fam, rank, tw))
-        for key in {(fam, rank), dual[:2]}:
+        type_key = parse_type(type_str)
+        specs = [f"{type_str}:adjoint:*"] if type_str in RANK_TYPES else \
+            [g.spec_string("*") for g in isogenies(type_key)]
+        for spec in specs:
+            full_report(spec)
+        dual = galois.dual_type(SimpleGroup(*type_key))
+        for key in {type_key[:2], dual[:2]}:
             assert "roots" not in vars(root_system(*key))
         assert built_systems
         assert {(rs.family, rs.rank) for rs in built_systems
@@ -237,7 +216,7 @@ class TestTwistedDegrees:
     listed Weyl degrees and the case analysis of the Frobenius eigenvalues
     on them."""
 
-    @pytest.mark.parametrize("key", TWISTED_SYSTEMS, ids=_type_id)
+    @pytest.mark.parametrize("key", types(MAX_RANK), ids=type_id)
     def test_heights_match_the_reference(self, key):
         perm = standard_frobenius_perm(*key)
         want = sorted(zip(*reference_orders(*key)))
@@ -245,15 +224,14 @@ class TestTwistedDegrees:
 
     def test_every_accepted_twist_is_listed(self):
         accepted = set()
-        for fam, rank in _systems(MAX_RANK):
+        for fam, rank in SPLIT_TYPES:
             for tw in (1, 2, 3):
                 try:
                     standard_frobenius_perm(fam, rank, tw)
                 except ValueError:
                     continue
                 accepted.add((fam, rank, tw))
-        assert accepted == set(TWISTED_SYSTEMS)
-        assert len(TWISTED_SYSTEMS) == 119
+        assert accepted == set(types(MAX_RANK))
 
     @pytest.mark.parametrize("perm", [
         # no automorphism: swaps two nodes of different valency
@@ -381,7 +359,7 @@ class TestRootSystem:
         rs = root_system(*key)
         assert (rs.cartan, rs.lengths) == self.BOURBAKI[key]
 
-    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("key", SPLIT_CATALOGUE, ids="{0[0]}{0[1]}".format)
     def test_weyl_degrees_count_the_roots(self, key):
         # the literal reference table against rank * h / 2
         assert sum(d - 1 for d in weyl_degrees(*key)) == \
@@ -416,21 +394,18 @@ class TestRootSystem:
     def test_affine_cartan_against_kac(self, key):
         assert root_system(*key).affine_cartan == self.KAC_AFF1[key]
 
-    @pytest.mark.parametrize("family", "ABCDEFG")
+    @pytest.mark.parametrize("family", sorted({f for f, _ in SPLIT_TYPES}))
     def test_affine_cartan_is_symmetrizable(self, family):
         # -theta is long, so A diag(max(L), L) is 2 (alpha_i, alpha_j)
-        for rank in range(1, MAX_RANK + 1):
-            try:
-                rs = root_system(family, rank)
-            except ValueError:
-                continue
+        for rank in [r for f, r in SPLIT_TYPES if f == family]:
+            rs = root_system(family, rank)
             A, L = rs.affine_cartan, (max(rs.lengths),) + rs.lengths
             nodes = range(rank + 1)
             assert all(A[i][j] * L[j] == A[j][i] * L[i]
                        for i in nodes for j in nodes), f"{family}{rank}"
 
-    @pytest.mark.parametrize("key", [(*k, 1) for k in CATALOGUE_SYSTEMS]
-                             + [("E", 6, 2), ("D", 4, 3)], ids=_type_id)
+    @pytest.mark.parametrize("key", [k for k in types(12) if k[2] == 1]
+                             + [("E", 6, 2), ("D", 4, 3)], ids=type_id)
     def test_marks_annihilate_affine_cartan(self, key):
         # delta = sum_i a_i alpha_i pairs to zero with every affine coroot,
         # on the untwisted diagrams and on the hand-written fused chains
@@ -439,7 +414,7 @@ class TestRootSystem:
         assert all(sum(marks[i] * cartan[i][j] for i in nodes) == 0
                    for j in nodes)
 
-    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("key", SPLIT_CATALOGUE, ids="{0[0]}{0[1]}".format)
     def test_roots_in_simple_coordinates(self, key):
         rs = root_system(*key)
         for beta in rs.roots:
@@ -456,15 +431,6 @@ class TestRootSystem:
 def _omega_G_orders(g):
     """Invariant factors of Omega_G, the isogeny's fundamental group."""
     return g.rs.quotient_invariants(g.omega_G, {g.rs.omega.identity()})
-
-
-def _isogenies(fam, rank, tw):
-    """Every Frobenius-stable isogeny of one type."""
-    for iso in isogeny_tokens(fam, rank):
-        try:
-            yield SimpleGroup(fam, rank, tw, iso)
-        except ValueError:
-            continue
 
 
 def _lattice_basis(cols):
@@ -539,19 +505,19 @@ class TestLatticeOracle:
     the cocharacter lattice, built here and nowhere in the package, must
     give the same group and the same Kottwitz coinvariants."""
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_cocharacter_quotient_is_omega_G(self, key):
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             fund, coinv = _cocharacter_quotient(g)
             assert fund.order() == len(g.omega_G)
             assert fund.orders == _omega_G_orders(g)
             assert coinv.orders == g.kottwitz_data()["omega_coinv"]
 
-    @pytest.mark.parametrize("key", catalogue(), ids=_type_id)
+    @pytest.mark.parametrize("key", types(12), ids=type_id)
     def test_theta_table_against_coweights(self, key):
         # the node-conjugation tables against the coweight path, for theta
         # and for every diagram automorphism
-        for g in _isogenies(*key):
+        for g in isogenies(key):
             for p in g.rs.diagram_autos:
                 act, lifted = g.rs.aut_on_omega(p), _coweight_action(g, p)
                 assert all(act[x] == lifted(x) for x in g.rs.omega.elements())
@@ -585,19 +551,18 @@ class TestLatticeOracle:
 
     def test_group_build_runs_no_smith_form(self, smith_calls):
         built = 0
-        for fam, rank, tw in catalogue():
-            root_system(fam, rank)
+        for key in types(12):
+            root_system(*key[:2])
             smith_calls.clear()
-            built += sum(1 for _ in _isogenies(fam, rank, tw))
-            assert smith_calls == [], f"{_type_id((fam, rank, tw))}"
+            built += len(isogenies(key))
+            assert smith_calls == [], type_id(key)
         assert built > 150
 
     def test_one_smith_form_per_root_system(self, smith_calls):
         # every catalogue report, on root systems built afresh: Omega is
         # presented once per root system, and every subquotient after that
         # is counted
-        specs = [g.spec_string("*") for key in catalogue()
-                 for g in _isogenies(*key)]
+        specs = [g.spec_string("*") for g in groups(12)]
         root_system.cache_clear()
         smith_calls.clear()
         for spec in specs:
@@ -618,16 +583,13 @@ class TestFundamentalGroup:
         g = build_group(ts, "adjoint")
         assert len(g.rs.omega.elements()) == FUNDAMENTAL_ORDERS[ts]
 
-    @pytest.mark.parametrize("family", "ABCDEFG")
+    @pytest.mark.parametrize("family", sorted({f for f, _ in SPLIT_TYPES}))
     def test_order_is_the_cartan_determinant(self, family):
         # |Omega| from the Smith form, against sympy's determinant of the
         # Cartan matrix (over ZZ, much faster than the default on Matrix)
         # and the special nodes counted from the marks
-        for rank in range(1, MAX_RANK + 1):
-            try:
-                rs = root_system(family, rank)
-            except ValueError:
-                continue
+        for rank in [r for f, r in SPLIT_TYPES if f == family]:
+            rs = root_system(family, rank)
             det = sympy.Matrix(rs.cartan).to_DM().det()
             assert rs.omega.order() == abs(det) == rs.marks.count(1), \
                 f"{family}{rank}"
@@ -640,12 +602,11 @@ class TestFundamentalGroup:
 
     def test_omega_labels_are_pinned(self):
         lines = []
-        for fam, (lo, hi) in rootdata._RANKS.items():
-            for rank in range(lo, min(hi or MAX_RANK, MAX_RANK) + 1):
-                rs = root_system(fam, rank)
-                lines.append(" ".join(
-                    [f"{fam}{rank}", str(rs.omega.orders)]
-                    + [str(rs.coweight_class(j)) for j in range(1, rank + 1)]))
+        for fam, rank in SPLIT_TYPES:
+            rs = root_system(fam, rank)
+            lines.append(" ".join(
+                [f"{fam}{rank}", str(rs.omega.orders)]
+                + [str(rs.coweight_class(j)) for j in range(1, rank + 1)]))
         assert len(lines) == 81
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.OMEGA_LABELS
@@ -668,23 +629,13 @@ class TestFundamentalGroup:
     def test_theta_fixed_is_the_definition(self):
         # the sets kept by the group against theta on Omega, element by
         # element, for every isogeny of every catalogue type up to rank 8
-        types = [(fam, r, tw) for fam, lo, twists in (
-            ("A", 1, (1, 2)), ("B", 2, (1,)), ("C", 2, (1,)),
-            ("D", 3, (1, 2))) for r in range(lo, 9) for tw in twists]
-        types += [("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1),
-                  ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)]
         checked = 0
-        for fam, rank, tw in types:
-            for iso in isogeny_tokens(fam, rank):
-                try:
-                    g = SimpleGroup(fam, rank, tw, iso)
-                except ValueError:
-                    continue
-                assert g.omega_ad_theta == frozenset(
-                    x for x in g.rs.omega.elements() if g.theta_omega[x] == x)
-                assert g.omega_G_theta == frozenset(
-                    x for x in g.omega_G if g.theta_omega[x] == x)
-                checked += 1
+        for g in groups(8):
+            assert g.omega_ad_theta == frozenset(
+                x for x in g.rs.omega.elements() if g.theta_omega[x] == x)
+            assert g.omega_G_theta == frozenset(
+                x for x in g.omega_G if g.theta_omega[x] == x)
+            checked += 1
         assert checked > 100
 
     COINV_CLASSES = {
@@ -736,7 +687,7 @@ class TestIsogenies:
             build_group("A5", "d02")
         assert str(exc.value) == "unknown isogeny 'd02' for type A"
 
-    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("key", SPLIT_CATALOGUE, ids="{0[0]}{0[1]}".format)
     def test_table_orders(self, key):
         # |Omega_G| is k for d{k}, 2 for so, hs1 and hs2, and runs from 1
         # at sc to |Omega| at adjoint
@@ -758,7 +709,7 @@ class TestIsogenies:
 DIAGRAM_AUTO_COUNTS = {
     f"{fam}{n}": 6 if (fam, n) == ("D", 4) else
     2 if fam == "D" or (fam == "A" and n >= 2) or (fam, n) == ("E", 6) else 1
-    for fam, n in _systems(MAX_RANK)}
+    for fam, n in SPLIT_TYPES}
 
 
 class TestDiagramAutomorphisms:
@@ -854,10 +805,17 @@ class TestParsing:
         assert MAX_RANK >= 12
         assert parse_type(f"B{MAX_RANK}") == ("B", MAX_RANK, 1)
         # int() refuses more than 4,300 digits by default, so the cap is
-        # checked on the digit count first
+        # checked on the digit count first, and a rank that long is named
+        # by its digit count: the spec is echoed once, with ~100 bytes more
         for rank in (MAX_RANK + 1, "1" * 4301, "1" * 5000):
             with pytest.raises(ValueError, match="maximum rank"):
                 parse_type(f"B{rank}")
+            spec = f"B{rank}:adjoint:*"
+            with pytest.raises(ValueError, match="field 1") as exc:
+                parse_spec(spec)
+            assert len(str(exc.value)) <= len(spec) + 100
+        with pytest.raises(ValueError, match="rank of 5000 digits"):
+            parse_type("B" + "1" * 5000)
 
     def test_huge_spec_fails_fast(self):
         start = time.perf_counter()
@@ -957,7 +915,7 @@ class TestOmegaInvariants:
             RootSystem.quotient_invariants(
                 cube, cube.omega.elements(), {cube.omega.identity()})
 
-    @pytest.mark.parametrize("key", CATALOGUE_SYSTEMS, ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("key", SPLIT_CATALOGUE, ids="{0[0]}{0[1]}".format)
     def test_every_subquotient(self, key):
         """H/K for all subgroups K <= H of Omega: subgroups (K trivial),
         quotients (H = Omega) and the rest.  Omega has at most two
