@@ -611,6 +611,24 @@ class TestFundamentalGroup:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.OMEGA_LABELS
 
+    # sha256 of one line per type: its diagram automorphisms, Omega's node
+    # action and the first diagram automorphism of each order.  Every node
+    # map a report reads comes from these three.
+    NODE_MAPS = \
+        "68d3453ac63079d0229d9d2f6e4efc0e5d7c284ea8f987b1e40d71353ad636a3"
+
+    def test_node_maps_are_pinned(self):
+        lines = []
+        for fam, rank in SPLIT_TYPES:
+            rs = root_system(fam, rank)
+            lines.append(" ".join(
+                [f"{fam}{rank}", str(rs.diagram_autos),
+                 str(sorted(rs.omega_action.items())),
+                 str(sorted(rs._frobenius_by_order.items()))]))
+        assert len(lines) == 81
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.NODE_MAPS
+
     def test_d_even_vs_odd(self):
         even = build_group("D6", "adjoint")
         odd = build_group("D5", "adjoint")
