@@ -275,9 +275,9 @@ class RootSystem:
         special nodes: node 0 is labelled by the identity and special node
         j by coweight_class(j).  x moves node(y) to node(x + y), and that
         move must extend to exactly one automorphism of the affine Cartan
-        matrix, x's action; it keeps the marks too, the positive primitive
-        vector of the matrix's left kernel.  The automorphisms fixing node
-        0 are diagram_autos, sorted, so the identity first."""
+        matrix, x's action, met among those taking node 0 to node(x); it
+        keeps the marks, the positive primitive vector of the matrix's left
+        kernel.  Those fixing node 0 are diagram_autos, identity first."""
         omega = self.omega
         node = {}
         for j in (j for j, mark in enumerate(self.marks) if mark == 1):
@@ -289,12 +289,12 @@ class RootSystem:
             node[x] = j
         self._special_label = {j: x for x, j in node.items()}
         elems = omega.elements()
-        moves = [{node[y]: node[omega.add(x, y)] for y in elems}
-                 for x in elems]
-        self.diagram_autos, *actions = _automorphisms(self.affine_cartan,
-                                                      [{0: 0}] + moves)
+        every = _automorphisms(self.affine_cartan)
+        self.diagram_autos = [a for a in every if a[0] == 0]
         self.omega_action = {}
-        for x, autos in zip(elems, actions):
+        for x in elems:
+            autos = [a for a in every if a[0] == node[x] and all(
+                a[node[y]] == node[omega.add(x, y)] for y in elems)]
             if len(autos) != 1:
                 raise InvariantError(
                     f"moving the special nodes by {x} extends to "
@@ -371,14 +371,13 @@ class RootSystem:
         return out
 
 
-def _automorphisms(cartan, fixed_maps):
-    """For each partial node map in fixed_maps, every permutation of the
-    nodes that keeps the Cartan matrix and extends it, as tuples of images
-    in sorted order.  Nodes are placed breadth first, so each node but the
-    first of its component is a neighbour of an earlier one and goes to a
-    neighbour of that one's image.  Each bond is checked once, when its
-    later node is placed; that is enough, as a bijection that keeps every
-    bond keeps the whole matrix."""
+def _automorphisms(cartan):
+    """Every permutation of the nodes that keeps the Cartan matrix, as
+    tuples of images in sorted order.  Nodes are placed breadth first, so
+    each node but the first of its component is a neighbour of an earlier
+    one and goes to a neighbour of that one's image.  Each bond is checked
+    once, when its later node is placed; that is enough, as a bijection
+    that keeps every bond keeps the whole matrix."""
     m = len(cartan)
     nbrs = [[j for j in range(m) if j != i and cartan[i][j]] for i in range(m)]
     order = [v for orb in orbits(range(m), nbrs.__getitem__) for v in orb]
@@ -386,16 +385,12 @@ def _automorphisms(cartan, fixed_maps):
     bonds = [[(u, cartan[u][v], cartan[v][u]) for u in nbrs[v]
               if u in order[:k]] for k, v in enumerate(order)]
 
-    def extend(fixed, image, used, k, out):
+    def extend(image, used, k, out):
         if k == m:
             out.append(tuple(image))
             return out
         v, back = order[k], bonds[k]
-        if v in fixed:
-            targets = (fixed[v],)
-        else:
-            targets = nbrs[image[back[0][0]]] if back else range(m)
-        for t in targets:
+        for t in nbrs[image[back[0][0]]] if back else range(m):
             # an automorphism keeps each node's number of bonds
             if t in used or len(nbrs[t]) != len(nbrs[v]):
                 continue
@@ -405,12 +400,11 @@ def _automorphisms(cartan, fixed_maps):
             else:
                 image[v] = t
                 used.add(t)
-                extend(fixed, image, used, k + 1, out)
+                extend(image, used, k + 1, out)
                 used.remove(t)
         return out
 
-    return [sorted(extend(fixed, [None] * m, set(), 0, []))
-            for fixed in fixed_maps]
+    return sorted(extend([None] * m, set(), 0, []))
 
 
 # ---------------------------------------------------------------------------

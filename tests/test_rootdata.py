@@ -787,9 +787,9 @@ class TestDiagramAutomorphisms:
         sizes = []
         real = rootdata._automorphisms
 
-        def counted(cartan, fixed_maps):
+        def counted(cartan):
             sizes.append(len(cartan))
-            return real(cartan, fixed_maps)
+            return real(cartan)
 
         monkeypatch.setattr(rootdata, "_automorphisms", counted)
         root_system.cache_clear()
