@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from supercusp.casetable import rows_for_host
 from supercusp.exact import (CyclotomicProduct, Frozen, InvariantError,
-                             euler_phi)
+                             cyclotomic_poly, euler_phi)
 from supercusp.padic import classified_components, supports_with_cuspidals
 from supercusp.rootdata import cartan_matrix, root_system, string_tops
 
@@ -94,10 +94,8 @@ class WeightString(Frozen):
 def _orbit_product(m, E):
     """Product of (1 - zeta_m^k t^E) over k in (Z/m)^x, for E <= 0."""
     if E == 0:
-        # Phi_m(1): 0 for m = 1 (p = 0), p for a power m of its least prime
-        # factor p (exactly when m divides p^m), and 1 otherwise
-        p = next((d for d in range(2, m + 1) if m % d == 0), 0)
-        return CyclotomicProduct(p if pow(p, m, m) == 0 else 1)
+        # Phi_m(1), the sum of Phi_m's coefficients
+        return CyclotomicProduct(sum(cyclotomic_poly(m)))
     # Phi_m(1/x) = x^(-phi(m)) Phi_m(x) for m >= 2; for m = 1 the sign of
     # -Phi_1 cancels against Phi_1(1/x) = -x^(-1) Phi_1(x)
     return CyclotomicProduct(1, -euler_phi(m), ((m, 1),)).subst_t_power(-E)
