@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -29,6 +31,17 @@ class TestReport:
         out = capsys.readouterr().out
         assert out == reports_csv(full_report("B3:sc:*"))
         assert out.startswith("spec,form,support,")
+
+    def test_csv_parses_strictly(self, capsys):
+        # the formal degree is a JSON object inside one CSV field, so it is
+        # quoted, with its own quotes doubled
+        assert main(["report", "A2:adjoint:an", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        header, *rows = csv.reader(io.StringIO(out), strict=True)
+        assert rows and all(len(row) == len(header) for row in rows)
+        fdeg = header.index("fdeg")
+        assert all(json.loads(row[fdeg])["num"] for row in rows)
+        assert ',"{""num"": ' in out
 
     @pytest.mark.parametrize("spec, field", [
         ("G2:adjoint", "expected TYPE:ISOGENY:TWIST"),
@@ -60,6 +73,24 @@ class TestReport:
         assert captured.out == ""
         assert field in captured.err
         assert spec in captured.err
+
+    def test_2d3_points_to_2a3(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "2D3:adjoint:*"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "field 1" in err and "2A3" in err
+
+    def test_huge_rank_is_refused_in_one_line(self, capsys):
+        # the rank cap is checked on the digit count, and the spec is
+        # echoed once
+        spec = "A" + "1" * 5000 + ":adjoint:*"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "field 1" in err and "maximum rank" in err
+        assert len(err.rstrip("\n")) <= len(spec) + 100
 
     @pytest.mark.parametrize("spec, tokens", [
         ("2A2:adjoint:w1", "(tokens: 1, *)"),

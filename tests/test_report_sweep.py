@@ -7,17 +7,27 @@ runs on every such TYPE:ISOGENY:* spec.  A spec that builds is hashed with
 its canonical JSON (sort_keys) and its CSV; one that raises, with its
 exception type and text.  One SHA-256 per (family, twist prefix) says
 where a change landed.  A change that alters a report or an error text on
-purpose edits these digests, in the open."""
+purpose edits these digests, in the open.  The sweep and the report
+digests of test_report_digests are also recomputed in a fresh interpreter
+under two fixed hash seeds."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
+
+import pytest
 
 from supercusp.correspond import full_report, reports_csv, reports_json
 from supercusp.rootdata import MAX_RANK, isogeny_tokens
+from test_report_digests import SPEC_DIGESTS
 from typespace import types
 
 SWEEP_DIGESTS = {
@@ -108,3 +118,28 @@ def test_sweep_size():
 def test_sweep_digests():
     digests, _, _ = sweep()
     assert digests == SWEEP_DIGESTS
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_the_same_under_fixed_hash_seeds(seed):
+    # string hashes, and so the order of sets of strings, move with
+    # PYTHONHASHSEED; the reports must not.  A fresh interpreter under a
+    # fixed seed recomputes the sweep and every report digest.
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests),
+            os.environ.get("PYTHONPATH", "")]
+    code = ("from test_report_digests import SPEC_DIGESTS, digest\n"
+            "from test_report_sweep import sweep\n"
+            "digests, outcomes, lines = sweep()\n"
+            "print(repr((digests, dict(outcomes), lines,"
+            " {spec: digest(spec) for spec in SPEC_DIGESTS})))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed,
+                 PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert run.returncode == 0, run.stderr
+    digests, outcomes, lines, specs = ast.literal_eval(run.stdout)
+    _, here, here_lines = sweep()
+    assert digests == SWEEP_DIGESTS
+    assert (outcomes, lines) == (dict(here), here_lines)
+    assert specs == SPEC_DIGESTS
